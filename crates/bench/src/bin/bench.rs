@@ -14,8 +14,6 @@
 //! OPTIONS:
 //!   --scale <full|quick>    traffic per run           [default full]
 //!   --threads <N>           harness worker threads    [default: RAYON_NUM_THREADS or all cores]
-//!   --workers <N>           sharded event-loop workers per simulation
-//!                           (0 = classic serial engine)  [default 0]
 //!   --out <DIR>             artifact directory        [default results]
 //!   --compare-serial        after the parallel run, rerun on 1 thread
 //!                           and report the wall-clock ratio
@@ -24,9 +22,7 @@
 //! Artifacts are byte-deterministic: the same spec and scale produce
 //! identical `results/*.json` at any thread count (`tests/golden.rs`
 //! pins this down). `--threads` parallelizes *across* sweep points;
-//! `--workers` parallelizes *inside* one simulation via the
-//! conservative sharded executor, whose results are invariant to the
-//! worker count (CI byte-compares `--workers 1` vs `--workers 8`).
+//! each simulation runs on one thread.
 
 use std::path::PathBuf;
 use std::process::exit;
@@ -45,13 +41,12 @@ struct Opts {
     targets: Vec<String>,
     scale: Scale,
     threads: usize,
-    workers: u32,
     out: PathBuf,
     compare_serial: bool,
 }
 
 fn usage_and_exit(msg: &str) -> ! {
-    eprintln!("error: {msg}\n\nusage: bench <all|list|NAME...> [--scale full|quick] [--threads N] [--workers N] [--out DIR] [--compare-serial]");
+    eprintln!("error: {msg}\n\nusage: bench <all|list|NAME...> [--scale full|quick] [--threads N] [--out DIR] [--compare-serial]");
     exit(2)
 }
 
@@ -64,7 +59,6 @@ fn parse_opts() -> Opts {
         targets: Vec::new(),
         scale: Scale::full(),
         threads: 0,
-        workers: 0,
         out: PathBuf::from("results"),
         compare_serial: false,
     };
@@ -87,11 +81,6 @@ fn parse_opts() -> Opts {
                     .parse()
                     .unwrap_or_else(|_| usage_and_exit("bad --threads"));
             }
-            "--workers" => {
-                o.workers = value(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage_and_exit("bad --workers"));
-            }
             "--out" => o.out = PathBuf::from(value(&mut i)),
             "--compare-serial" => o.compare_serial = true,
             flag if flag.starts_with('-') => usage_and_exit(&format!("unknown flag {flag}")),
@@ -107,17 +96,16 @@ fn parse_opts() -> Opts {
 
 /// The `perf` subcommand: runs the four profiles serially on the main
 /// thread (so wall-clock and allocation deltas are attributable), then
-/// the sharded-scaling worker sweeps, and writes `results/perf.json` +
-/// `results/perf.txt`.
+/// the 64- and 128-cluster topology rows, and writes
+/// `results/perf.json` and `results/perf.txt`.
 fn run_perf(o: &Opts) {
     use triplea_bench::experiments::perf;
 
     let runs = perf::run_suite(o.scale);
     let scaling = perf::run_scaling(o.scale);
-    let federation = perf::run_federation_scaling(o.scale);
-    let json = serde_json::to_string_pretty(&perf::to_json(o.scale, &runs, &scaling, &federation))
+    let json = serde_json::to_string_pretty(&perf::to_json(o.scale, &runs, &scaling))
         .expect("perf report serializes");
-    let txt = perf::render_text(o.scale, &runs, &scaling, &federation);
+    let txt = perf::render_text(o.scale, &runs, &scaling);
     std::fs::create_dir_all(&o.out)
         .unwrap_or_else(|e| usage_and_exit(&format!("cannot create {}: {e}", o.out.display())));
     let json_path = o.out.join("perf.json");
@@ -136,9 +124,6 @@ fn run_perf(o: &Opts) {
 
 fn main() {
     let mut o = parse_opts();
-    if o.workers > 0 {
-        triplea_bench::set_worker_override(o.workers);
-    }
     // `bench scenario ...` scopes the run to the catalog: `list` prints
     // it, `all` (or no further name) selects every scenario, and bare
     // names are resolved with the `scenario_` prefix implied.

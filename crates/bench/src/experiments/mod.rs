@@ -1,10 +1,9 @@
 //! Declarative experiment specs, one per paper table/figure.
 //!
-//! Each submodule builds the [`Experiment`] behind one of the old
-//! standalone binaries; the binaries are now thin wrappers that run
-//! their spec through the [`Runner`] and print
-//! the rendered report. `bench all` runs the whole suite in parallel
-//! and writes `results/*.json` + `results/*.txt`.
+//! Each submodule builds the [`Experiment`] for one table or figure;
+//! `bench <name>` runs a spec through the [`Runner`](crate::harness::Runner)
+//! and `bench all` runs the whole suite in parallel, writing
+//! `results/*.json` + `results/*.txt`.
 
 mod ablation;
 mod dram;
@@ -29,7 +28,7 @@ mod table2;
 mod timeline;
 mod wearout;
 
-use crate::harness::{arr, num, report_json, Experiment, Runner, Scale};
+use crate::harness::{arr, num, report_json, Experiment, Scale};
 use serde_json::Value;
 use triplea_core::{Array, ArrayConfig, ManagementMode, RunReport, Trace};
 
@@ -66,15 +65,6 @@ pub fn all(scale: Scale) -> Vec<Experiment> {
 /// Looks up one experiment by its artifact name.
 pub fn by_name(name: &str, scale: Scale) -> Option<Experiment> {
     all(scale).into_iter().find(|e| e.name == name)
-}
-
-/// Entry point shared by the thin figure/table binaries: runs the named
-/// experiment at full scale (threads from the environment) and prints
-/// the rendered report, exactly like the pre-harness binaries did.
-pub fn run_and_print(name: &str) {
-    let exp = by_name(name, Scale::full()).expect("experiment registered in experiments::all");
-    let result = Runner::new().run(&exp, Scale::full());
-    print!("{}", exp.render(&result));
 }
 
 /// Runs one trace through both management modes and returns the two

@@ -15,10 +15,9 @@
 //! deterministic and double as a cheap regression check that a perf PR
 //! changed no simulated outcome.
 //!
-//! Besides the four workload profiles, the suite measures the **sharded
-//! event loop**: 64- and 128-cluster topologies swept over 1/2/4/8
-//! workers (asserting the simulated outcome is worker-count-invariant),
-//! plus a 2-box federation datapoint at 1 vs 8 workers per member.
+//! Besides the four workload profiles, the suite measures one serial row
+//! each for two scale-out topologies (64 and 128 clusters) on the same
+//! uniform trace, the per-cluster cost baseline.
 
 use std::time::Instant;
 
@@ -26,8 +25,8 @@ use crate::harness::{arr, obj, text, uint, Scale};
 use crate::{bench_builder, bench_config, overload_gap_ns, HOT_REGION_PAGES};
 use serde_json::Value;
 use triplea_core::{
-    Array, ArrayConfig, FaultConfig, FlashFaultProfile, IoOp, LaggardPolicy, ManagementMode,
-    Simulation, Trace, TraceRequest, VolumeSpec,
+    Array, ArrayConfig, FaultConfig, FlashFaultProfile, IoOp, ManagementMode, Trace,
+    TraceRequest,
 };
 use triplea_ftl::LogicalPage;
 use triplea_sim::{SimTime, SplitMix64};
@@ -184,26 +183,22 @@ pub fn run_suite(scale: Scale) -> Vec<PerfMeasurement> {
 }
 
 // ---------------------------------------------------------------------
-// Sharded event-loop scaling: the per-worker-count throughput curve.
+// Scale-out topologies: one serial run per cluster count.
 // ---------------------------------------------------------------------
 
-/// Worker counts the scaling curve sweeps.
-pub const WORKER_SWEEP: [u32; 4] = [1, 2, 4, 8];
-
-/// One topology of the sharded-scaling sweep.
+/// One scale-out topology of the perf suite.
 pub struct ScalingTopology {
     /// Row label (`64c` / `128c`).
     pub name: &'static str,
-    /// PCI-E switches — one shard domain each.
+    /// PCI-E switches.
     pub switches: u32,
     /// Clusters behind each switch.
     pub clusters_per_switch: u32,
 }
 
-/// The swept topologies: a 64-cluster array re-cut as 8 domains of 8,
-/// and a 128-cluster array as 16 domains of 8 — wider and deeper than
-/// the 4×16 paper baseline, so the executor has real domain-level
-/// parallelism to mine.
+/// The measured topologies: a 64-cluster array as 8 switches of 8, and
+/// a 128-cluster array as 16 of 8 — wider than the 4×16 paper
+/// baseline, so per-cluster costs show up in the per-event time.
 pub fn scaling_topologies() -> Vec<ScalingTopology> {
     vec![
         ScalingTopology {
@@ -219,45 +214,35 @@ pub fn scaling_topologies() -> Vec<ScalingTopology> {
     ]
 }
 
-/// One `(topology, worker count)` point of the scaling curve.
+/// One topology's serial run.
 #[derive(Clone, Debug)]
 pub struct ScalingMeasurement {
     /// Topology label.
     pub topology: &'static str,
     /// Total clusters.
     pub clusters: u64,
-    /// Shard domains (= switches).
-    pub domains: u64,
-    /// Worker threads the sharded executor ran with.
-    pub workers: u32,
     /// Host requests replayed.
     pub requests: u64,
-    /// Completed requests — must be identical at every worker count.
+    /// Completed requests (deterministic).
     pub completed: u64,
-    /// Simulator events — must be identical at every worker count.
+    /// Simulator events (deterministic).
     pub events: u64,
     /// Wall-clock nanoseconds for the run (machine-dependent).
     pub wall_ns: u64,
     /// `events / wall_ns * 1e9`, rounded down.
     pub events_per_sec: u64,
-    /// Speedup vs this topology's 1-worker run, in thousandths
-    /// (machine-dependent; flat on a single-core host).
-    pub speedup_milli: u64,
 }
 
-/// Builds a swept topology at `workers` on the otherwise-untouched
-/// baseline timing.
-fn scaling_config(t: &ScalingTopology, workers: u32) -> ArrayConfig {
+/// Builds a topology on the otherwise-untouched baseline timing.
+fn scaling_config(t: &ScalingTopology) -> ArrayConfig {
     bench_builder()
         .topology(t.switches, t.clusters_per_switch)
-        .workers(workers)
         .build()
         .expect("scaling topology validates")
 }
 
-/// Uniform 4:1 read:write traffic over the whole address space so every
-/// shard domain carries an even share and cross-domain ordering is
-/// exercised continuously.
+/// Uniform 4:1 read:write traffic over the whole address space, so
+/// every cluster carries an even share.
 fn scaling_trace(cfg: &ArrayConfig, requests: usize, seed: u64) -> Trace {
     let total = cfg.shape.total_pages();
     let mut rng = SplitMix64::new(seed ^ 0x5CA1E);
@@ -280,156 +265,37 @@ fn scaling_trace(cfg: &ArrayConfig, requests: usize, seed: u64) -> Trace {
         .collect()
 }
 
-/// Runs the worker sweep over both topologies. Each topology replays
-/// the *same* trace at every worker count and asserts the simulated
-/// outcome (events, completions) is bit-identical — the wall clock is
-/// the only column allowed to move.
+/// Runs each topology once on its uniform trace, after an untimed warm
+/// run at 1/10 scale as for the profile suite.
 pub fn run_scaling(scale: Scale) -> Vec<ScalingMeasurement> {
-    let mut out = Vec::new();
-    for t in scaling_topologies() {
-        let cfg0 = scaling_config(&t, 1);
-        let trace = scaling_trace(&cfg0, scale.requests, perf_seed());
-        // Untimed warm run at 1/10 scale, as for the profile suite.
-        let warm = scaling_trace(&cfg0, (scale.requests / 10).max(1), perf_seed());
-        let _ = Array::new(cfg0, ManagementMode::Autonomic).run(&warm);
+    scaling_topologies()
+        .iter()
+        .map(|t| {
+            let cfg = scaling_config(t);
+            let trace = scaling_trace(&cfg, scale.requests, perf_seed());
+            let warm = scaling_trace(&cfg, (scale.requests / 10).max(1), perf_seed());
+            let _ = Array::new(cfg.clone(), ManagementMode::Autonomic).run(&warm);
 
-        let mut base: Option<(u64, u64, u64)> = None;
-        for w in WORKER_SWEEP {
-            let cfg = scaling_config(&t, w);
-            let clusters = (t.switches * t.clusters_per_switch) as u64;
             let start = Instant::now();
             let report = Array::new(cfg, ManagementMode::Autonomic).run(&trace);
             let wall_ns = start.elapsed().as_nanos().max(1) as u64;
-            let (completed, events) = (report.completed(), report.events_processed());
-            let wall_1w = match base {
-                None => {
-                    base = Some((completed, events, wall_ns));
-                    wall_ns
-                }
-                Some((c, e, w1)) => {
-                    assert_eq!(
-                        (completed, events),
-                        (c, e),
-                        "{}: simulated outcome drifted at {w} workers",
-                        t.name
-                    );
-                    w1
-                }
-            };
-            out.push(ScalingMeasurement {
+            let events = report.events_processed();
+            ScalingMeasurement {
                 topology: t.name,
-                clusters,
-                domains: t.switches as u64,
-                workers: w,
+                clusters: (t.switches * t.clusters_per_switch) as u64,
                 requests: trace.len() as u64,
-                completed,
+                completed: report.completed(),
                 events,
                 wall_ns,
                 events_per_sec: ((events as u128) * 1_000_000_000u128 / wall_ns as u128) as u64,
-                speedup_milli: ((wall_1w as u128) * 1_000 / wall_ns as u128) as u64,
-            });
-        }
-    }
-    out
-}
-
-/// One point of the federation worker sweep.
-#[derive(Clone, Debug)]
-pub struct FederationScaling {
-    /// Worker threads each member array ran with.
-    pub workers: u32,
-    /// Member arrays in the federation.
-    pub arrays: u32,
-    /// Volume requests replayed.
-    pub requests: u64,
-    /// Completed volume requests — identical at every worker count.
-    pub completed: u64,
-    /// Chunk fragments routed — identical at every worker count.
-    pub fragments: u64,
-    /// Wall-clock nanoseconds (machine-dependent).
-    pub wall_ns: u64,
-    /// Speedup vs the 1-worker run, in thousandths.
-    pub speedup_milli: u64,
-}
-
-/// Volume pages of the federation scaling point.
-const FED_VOLUME_PAGES: u64 = 1 << 18;
-
-/// Runs a 2-box striped federation over one volume trace at 1 and 8
-/// workers per member — the first multi-worker `bench federation`
-/// datapoint. Asserts the federated outcome is worker-count-invariant.
-pub fn run_federation_scaling(scale: Scale) -> Vec<FederationScaling> {
-    let mut rng = SplitMix64::new(perf_seed() ^ 0xFED5);
-    let trace: Trace = (0..scale.requests)
-        .map(|i| {
-            let op = if rng.next_below(4) == 0 {
-                IoOp::Write
-            } else {
-                IoOp::Read
-            };
-            let pages = 1 + rng.next_below(8) as u32;
-            let lpn = rng.next_below(FED_VOLUME_PAGES - pages as u64);
-            TraceRequest::new(
-                SimTime::from_nanos(i as u64 * 400),
-                op,
-                LogicalPage(lpn),
-                pages,
-            )
-        })
-        .collect();
-    let run_at = |workers: u32| {
-        let fed = Simulation::builder()
-            .configure(|c| c.collect_series(false))
-            .mode(ManagementMode::Autonomic)
-            .with_federation(2)
-            .volume(
-                VolumeSpec::replicated(2, 1)
-                    .chunk_pages(64)
-                    .volume_pages(FED_VOLUME_PAGES),
-            )
-            .policy(LaggardPolicy {
-                sla_p99_ns: 0,
-                ..LaggardPolicy::default()
-            })
-            .workers(workers)
-            .build()
-            .expect("federation scaling configuration validates");
-        let start = Instant::now();
-        let run = fed.run_verified(&trace);
-        let wall_ns = start.elapsed().as_nanos().max(1) as u64;
-        run.integrity
-            .expect("member FTL integrity survives the federated scaling run");
-        (run.report.stats.completed, run.report.stats.fragments, wall_ns)
-    };
-    let (c1, f1, w1) = run_at(1);
-    let (c8, f8, w8) = run_at(8);
-    assert_eq!(
-        (c1, f1),
-        (c8, f8),
-        "federated outcome drifted between 1 and 8 workers"
-    );
-    [(1u32, c1, f1, w1), (8u32, c8, f8, w8)]
-        .into_iter()
-        .map(|(workers, completed, fragments, wall_ns)| FederationScaling {
-            workers,
-            arrays: 2,
-            requests: scale.requests as u64,
-            completed,
-            fragments,
-            wall_ns,
-            speedup_milli: ((w1 as u128) * 1_000 / wall_ns as u128) as u64,
+            }
         })
         .collect()
 }
 
 /// Renders the measurements as the `results/perf.json` value: fixed key
 /// order, integers only, one object per profile / scaling point.
-pub fn to_json(
-    scale: Scale,
-    runs: &[PerfMeasurement],
-    scaling: &[ScalingMeasurement],
-    federation: &[FederationScaling],
-) -> Value {
+pub fn to_json(scale: Scale, runs: &[PerfMeasurement], scaling: &[ScalingMeasurement]) -> Value {
     obj([
         ("experiment", text("perf")),
         ("requests_per_profile", uint(scale.requests as u64)),
@@ -459,31 +325,11 @@ pub fn to_json(
                     obj([
                         ("topology", text(m.topology)),
                         ("clusters", uint(m.clusters)),
-                        ("domains", uint(m.domains)),
-                        ("workers", uint(m.workers as u64)),
                         ("requests", uint(m.requests)),
                         ("completed", uint(m.completed)),
                         ("events", uint(m.events)),
                         ("wall_ns", uint(m.wall_ns)),
                         ("events_per_sec", uint(m.events_per_sec)),
-                        ("speedup_milli", uint(m.speedup_milli)),
-                    ])
-                })
-                .collect()),
-        ),
-        (
-            "federation_scaling",
-            arr(federation
-                .iter()
-                .map(|m| {
-                    obj([
-                        ("workers", uint(m.workers as u64)),
-                        ("arrays", uint(m.arrays as u64)),
-                        ("requests", uint(m.requests)),
-                        ("completed", uint(m.completed)),
-                        ("fragments", uint(m.fragments)),
-                        ("wall_ns", uint(m.wall_ns)),
-                        ("speedup_milli", uint(m.speedup_milli)),
                     ])
                 })
                 .collect()),
@@ -492,12 +338,7 @@ pub fn to_json(
 }
 
 /// Renders the human-readable `results/perf.txt` companion.
-pub fn render_text(
-    scale: Scale,
-    runs: &[PerfMeasurement],
-    scaling: &[ScalingMeasurement],
-    federation: &[FederationScaling],
-) -> String {
+pub fn render_text(scale: Scale, runs: &[PerfMeasurement], scaling: &[ScalingMeasurement]) -> String {
     let rows: Vec<Vec<String>> = runs
         .iter()
         .map(|m| {
@@ -536,55 +377,23 @@ pub fn render_text(
             vec![
                 m.topology.to_string(),
                 m.clusters.to_string(),
-                m.domains.to_string(),
-                m.workers.to_string(),
                 m.events.to_string(),
                 format!("{:.1}", m.wall_ns as f64 / 1e6),
                 format!("{:.2}", m.events_per_sec as f64 / 1e6),
-                format!("{:.2}x", m.speedup_milli as f64 / 1e3),
             ]
         })
         .collect();
     out.push_str(&crate::harness::fmt_table(
         &format!(
-            "Sharded event-loop scaling, {} uniform requests per run",
+            "Scale-out topologies, {} uniform requests per run (single thread)",
             scale.requests
         ),
-        &[
-            "Topology",
-            "Clusters",
-            "Domains",
-            "Workers",
-            "Events",
-            "Wall ms",
-            "M events/s",
-            "Speedup",
-        ],
+        &["Topology", "Clusters", "Events", "Wall ms", "M events/s"],
         &srows,
     ));
-    let frows: Vec<Vec<String>> = federation
-        .iter()
-        .map(|m| {
-            vec![
-                m.workers.to_string(),
-                m.arrays.to_string(),
-                m.completed.to_string(),
-                m.fragments.to_string(),
-                format!("{:.1}", m.wall_ns as f64 / 1e6),
-                format!("{:.2}x", m.speedup_milli as f64 / 1e3),
-            ]
-        })
-        .collect();
-    out.push_str(&crate::harness::fmt_table(
-        "Federation worker sweep, 2 striped boxes",
-        &["Workers", "Arrays", "Completed", "Fragments", "Wall ms", "Speedup"],
-        &frows,
-    ));
     out.push_str(
-        "\nwall_ns/events_per_sec/speedup are machine-dependent (flat on a\n\
-         single-core host); events/completed/fragments are deterministic,\n\
-         invariant to the worker count, and must not change across\n\
-         perf-only PRs.\n",
+        "\nwall_ns/events_per_sec are machine-dependent; events/completed\n\
+         are deterministic and must not change across perf-only PRs.\n",
     );
     out
 }
@@ -605,45 +414,25 @@ mod tests {
             assert!(m.events_per_sec > 0, "{} zero throughput", m.name);
         }
         let scaling = run_scaling(scale);
-        let federation = run_federation_scaling(scale);
-        let json =
-            serde_json::to_string_pretty(&to_json(scale, &runs, &scaling, &federation)).unwrap();
+        let json = serde_json::to_string_pretty(&to_json(scale, &runs, &scaling)).unwrap();
         assert!(json.contains("\"read_heavy\""));
         assert!(json.contains("\"gc_pressure\""));
         assert!(json.contains("\"64c\""));
         assert!(json.contains("\"128c\""));
-        assert!(json.contains("\"federation_scaling\""));
-        let txt = render_text(scale, &runs, &scaling, &federation);
+        let txt = render_text(scale, &runs, &scaling);
         assert!(txt.contains("fault_injected"));
-        assert!(txt.contains("Sharded event-loop scaling"));
-        assert!(txt.contains("Federation worker sweep"));
+        assert!(txt.contains("Scale-out topologies"));
     }
 
     #[test]
-    fn scaling_sweep_is_worker_invariant() {
-        // `run_scaling` itself asserts events/completed equality across
-        // the worker counts; this pins the sweep's shape and that the
-        // sharded runs complete real traffic on both topologies.
+    fn scaling_rows_complete_real_traffic() {
         let scaling = run_scaling(Scale { requests: 150 });
-        assert_eq!(scaling.len(), scaling_topologies().len() * WORKER_SWEEP.len());
+        assert_eq!(scaling.len(), scaling_topologies().len());
         for m in &scaling {
-            assert_eq!(m.requests, 150, "{} w{}", m.topology, m.workers);
-            assert_eq!(m.completed, 150, "{} w{}", m.topology, m.workers);
-            assert!(m.events > m.completed, "{} w{}", m.topology, m.workers);
-            assert!(m.speedup_milli > 0);
+            assert_eq!(m.requests, 150, "{}", m.topology);
+            assert_eq!(m.completed, 150, "{}", m.topology);
+            assert!(m.events > m.completed, "{}", m.topology);
         }
-        assert_eq!(scaling[0].speedup_milli, 1_000, "1-worker row is the unit");
-    }
-
-    #[test]
-    fn federation_datapoint_is_worker_invariant() {
-        let fed = run_federation_scaling(Scale { requests: 120 });
-        assert_eq!(fed.len(), 2);
-        assert_eq!(fed[0].workers, 1);
-        assert_eq!(fed[1].workers, 8);
-        assert_eq!(fed[0].completed, 120);
-        assert_eq!(fed[0].completed, fed[1].completed);
-        assert_eq!(fed[0].fragments, fed[1].fragments);
     }
 
     #[test]

@@ -1,16 +1,16 @@
-//! Shared harness for the table/figure reproduction binaries.
+//! Shared harness for the table/figure reproductions.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (§5–§6); see `DESIGN.md` for the experiment index
-//! and `EXPERIMENTS.md` for recorded paper-vs-measured results. Run, for
-//! example:
+//! Each experiment in [`experiments`] regenerates one table or figure of
+//! the paper's evaluation (§5–§6); see `DESIGN.md` for the experiment
+//! index and `EXPERIMENTS.md` for recorded paper-vs-measured results.
+//! The `bench` binary runs them by name, for example:
 //!
 //! ```text
-//! cargo run --release -p triplea-bench --bin fig09
+//! cargo run --release -p triplea-bench --bin bench -- fig09
 //! ```
 //!
 //! Absolute numbers differ from the paper (its simulator used different,
-//! unpublished timing constants); the binaries print the *shape*
+//! unpublished timing constants); the reports print the *shape*
 //! comparisons the reproduction targets: who wins, by what factor, and
 //! where crossovers fall.
 
@@ -20,41 +20,12 @@
 pub mod experiments;
 pub mod harness;
 
-use std::sync::atomic::{AtomicU32, Ordering};
-
 use triplea_core::{Array, ArrayConfig, ArrayConfigBuilder, ManagementMode, RunReport, Trace};
 
-/// Worker-count override for the sharded event loop, set by the `bench`
-/// binary's `--workers N` flag. `0` (the default) leaves every
-/// experiment on the classic serial engine — the one the committed
-/// golden snapshots were blessed with. A non-zero count opts every
-/// baseline-derived configuration into the conservative sharded
-/// executor, whose simulated results are invariant to the count; CI
-/// exploits that by byte-comparing a `--workers 1` suite run against a
-/// `--workers 8` run.
-static WORKER_OVERRIDE: AtomicU32 = AtomicU32::new(0);
-
-/// Routes every subsequent [`bench_config`] onto `n` sharded workers;
-/// `0` restores the serial default.
-pub fn set_worker_override(n: u32) {
-    WORKER_OVERRIDE.store(n, Ordering::Relaxed);
-}
-
-/// The active `--workers` override, if any.
-pub fn worker_override() -> Option<u32> {
-    match WORKER_OVERRIDE.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
-}
-
 /// The array configuration all experiments run on: the paper's 4×16,
-/// 16 TB baseline — on the sharded executor when a
-/// [`worker_override`] is active.
+/// 16 TB baseline.
 pub fn bench_config() -> ArrayConfig {
-    let mut cfg = ArrayConfig::paper_baseline();
-    cfg.workers = worker_override();
-    cfg
+    ArrayConfig::paper_baseline()
 }
 
 /// A validating builder over [`bench_config`]; experiment-local edits go

@@ -291,7 +291,7 @@ impl FrontDoor {
     }
 }
 
-pub(crate) struct Engine {
+struct Engine {
     cfg: ArrayConfig,
     mode: ManagementMode,
     ftl: Ftl,
@@ -348,11 +348,6 @@ pub(crate) struct Engine {
     recorder: Option<SharedRecorder>,
     /// Pre-interned metric handles; `Some` exactly when `recorder` is.
     metric_ids: Option<Box<EngineMetrics>>,
-    /// Completions recorded for the sharded executor: `(request id,
-    /// completion instant, breakdown)` per completion, in completion
-    /// order. `None` — the default — skips the bookkeeping entirely, so
-    /// serial runs stay byte-identical.
-    completion_log: Option<Vec<(u32, SimTime, Breakdown)>>,
 }
 
 /// The outcome of [`Array::run_verified`]: the performance report, the
@@ -410,14 +405,6 @@ impl Array {
     /// validation gate; a hand-assembled [`FaultConfig`](crate::FaultConfig)
     /// must not crash the simulator.
     pub fn new(cfg: ArrayConfig, mode: ManagementMode) -> Self {
-        Array {
-            e: Self::build_engine(cfg, mode),
-        }
-    }
-
-    /// Builds the engine shared by [`Array::new`] and the sharded
-    /// executor's per-domain instances (`crate::shard`).
-    pub(crate) fn build_engine(cfg: ArrayConfig, mode: ManagementMode) -> Engine {
         let topo = cfg.shape.topology;
         let mut clusters: Vec<ClusterState> = topo
             .iter_clusters()
@@ -441,7 +428,7 @@ impl Array {
                 checkpoint_every: pl.checkpoint_every,
             });
         }
-        Engine {
+        let e = Engine {
             ftl,
             rc: RootComplex::new(&cfg.pcie),
             switches,
@@ -476,10 +463,10 @@ impl Array {
             trace: TracePort::off(),
             recorder: None,
             metric_ids: None,
-            completion_log: None,
             mode,
             cfg,
-        }
+        };
+        Array { e }
     }
 
     /// Attaches an event recorder to every component of the array. Each
@@ -599,91 +586,24 @@ impl Array {
     /// # Panics
     ///
     /// Same conditions as [`Array::run`].
-    pub fn run_verified(mut self, trace: &Trace) -> VerifiedRun {
-        if let Some(sharded) = self.try_shard() {
-            return sharded.run_verified(trace);
+    pub fn run_verified(self, trace: &Trace) -> VerifiedRun {
+        let mut runner = self.into_runner();
+        for r in trace.requests() {
+            runner.submit(r);
         }
-        let total_pages = self.e.cfg.shape.total_pages();
-        let n_tenants = self.e.cfg.tenants.len();
-        for (i, r) in trace.requests().iter().enumerate() {
-            assert!(r.pages >= 1, "request {i} has zero pages");
-            assert!(
-                r.lpn.0 + r.pages as u64 <= total_pages,
-                "request {i} exceeds the address space"
-            );
-            assert!(
-                n_tenants == 0 || r.tenant.index() < n_tenants,
-                "request {i} names {} but the config has {n_tenants} tenants",
-                r.tenant
-            );
-            self.e.reqs.push(RequestState::new(r));
-            self.e.queue.push(r.at, Ev::Submit(i as u32));
-            self.e.first_submit = self.e.first_submit.min(r.at);
-        }
-        if trace.is_empty() {
-            self.e.first_submit = SimTime::ZERO;
-        }
-        self.e.arm_recovery();
-        if let Some(rec) = &self.e.recorder {
-            let rec = rec.clone();
-            while let Some((now, ev)) = self.e.queue.pop() {
-                // Timeless components (the FTL, credit queues) emit at
-                // the recorder clock; keep it on the event loop's time.
-                rec.set_now(now);
-                self.e.events += 1;
-                self.e.handle(now, ev);
-            }
-        } else {
-            while let Some((now, ev)) = self.e.queue.pop() {
-                self.e.events += 1;
-                self.e.handle(now, ev);
-            }
-        }
-        let integrity = self.e.ftl.verify_integrity();
-        let run_trace = self.e.harvest_trace();
-        VerifiedRun {
-            report: self.e.into_report(),
-            trace: run_trace,
-            integrity,
-        }
+        runner.finish()
     }
 
     /// Converts the idle array into an [`ArrayRunner`]: the same engine,
     /// driven incrementally instead of to completion. The federation
     /// layer uses this to interleave N member arrays inside one
-    /// deterministic epoch loop; [`Array::run_verified`] remains the
-    /// single-array fast path and is byte-identical to previous
-    /// releases.
-    pub fn into_runner(mut self) -> ArrayRunner {
-        if let Some(sharded) = self.try_shard() {
-            return ArrayRunner {
-                d: RunnerDriver::Sharded(sharded),
-                submitted: 0,
-            };
-        }
-        self.e.arm_recovery();
+    /// deterministic epoch loop; [`Array::run_verified`] is this runner
+    /// with every request submitted before the first step.
+    pub fn into_runner(self) -> ArrayRunner {
         ArrayRunner {
-            d: RunnerDriver::Serial(Box::new(self.e)),
-            submitted: 0,
+            e: Box::new(self.e),
+            armed: false,
         }
-    }
-
-    /// The sharded executor for this array, when the configuration opts
-    /// in (`workers` set) *and* qualifies. Recorded runs and feature
-    /// combinations the conservative partition cannot express (faults,
-    /// tenants, hot spares, a shared mapping cache, single-switch
-    /// topologies, a zero-latency root complex) fall back to the serial
-    /// engine — same results, one worker.
-    fn try_shard(&self) -> Option<Box<crate::shard::ShardedEngine>> {
-        let w = self.e.cfg.workers?;
-        if self.e.recorder.is_some() || !crate::shard::eligible(&self.e.cfg) {
-            return None;
-        }
-        Some(crate::shard::ShardedEngine::new(
-            self.e.cfg.clone(),
-            self.e.mode,
-            w,
-        ))
     }
 }
 
@@ -691,45 +611,33 @@ impl Array {
 /// at a time with [`ArrayRunner::submit`] and simulated time advances in
 /// bounded steps with [`ArrayRunner::step_until`], so several arrays can
 /// be co-simulated deterministically by one scheduler (see the
-/// `federation` module). Event handling is identical to
-/// [`Array::run_verified`]; only the driver differs.
+/// `federation` module). [`Array::run_verified`] is the special case
+/// that submits the whole trace and then calls [`ArrayRunner::finish`],
+/// so both drivers share one event loop.
 pub struct ArrayRunner {
-    d: RunnerDriver,
-    submitted: u64,
-}
-
-/// How an [`ArrayRunner`] executes events: the legacy single-threaded
-/// engine, or the conservative sharded executor (`crate::shard`) when
-/// the configuration asked for workers and qualifies.
-enum RunnerDriver {
-    Serial(Box<Engine>),
-    Sharded(Box<crate::shard::ShardedEngine>),
+    e: Box<Engine>,
+    /// Whether the recovery plan (the power cut and the hot-spare
+    /// rebuilds) is on the calendar. It is armed by the first
+    /// [`ArrayRunner::step_until`] or [`ArrayRunner::finish`], after the
+    /// requests submitted up front, so "submit everything, then drain"
+    /// orders same-instant events exactly as [`Array::run_verified`].
+    armed: bool,
 }
 
 impl std::fmt::Debug for ArrayRunner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ArrayRunner")
-            .field("mode", &self.mode())
-            .field("submitted", &self.submitted)
+            .field("mode", &self.e.mode)
+            .field("submitted", &self.submitted())
             .field("completed", &self.completed())
             .finish()
     }
 }
 
 impl ArrayRunner {
-    fn mode(&self) -> ManagementMode {
-        match &self.d {
-            RunnerDriver::Serial(e) => e.mode,
-            RunnerDriver::Sharded(s) => s.mode(),
-        }
-    }
-
     /// The configuration in force.
     pub fn config(&self) -> &ArrayConfig {
-        match &self.d {
-            RunnerDriver::Serial(e) => &e.cfg,
-            RunnerDriver::Sharded(s) => s.config(),
-        }
+        &self.e.cfg
     }
 
     /// Injects one request, returning its id for later
@@ -737,151 +645,88 @@ impl ArrayRunner {
     ///
     /// # Panics
     ///
-    /// Same validation as [`Array::run_verified`]: `pages >= 1`, the
-    /// address range inside the array, and (on tenant-enabled arrays) a
-    /// tenant inside the configured table. The submission time must not
-    /// be earlier than any instant already stepped past.
+    /// Panics if `pages == 0`, the address range leaves the array, or
+    /// (on a tenant-enabled array) the tenant is outside the configured
+    /// table. The submission time must not be earlier than any instant
+    /// already stepped past.
     pub fn submit(&mut self, r: &crate::request::TraceRequest) -> u32 {
-        let cfg = self.config();
-        let total_pages = cfg.shape.total_pages();
-        let n_tenants = cfg.tenants.len();
-        assert!(r.pages >= 1, "request has zero pages");
+        let e = &mut *self.e;
+        let id = e.reqs.len() as u32;
+        let total_pages = e.cfg.shape.total_pages();
+        let n_tenants = e.cfg.tenants.len();
+        assert!(r.pages >= 1, "request {id} has zero pages");
         assert!(
             r.lpn.0 + r.pages as u64 <= total_pages,
-            "request exceeds the address space"
+            "request {id} exceeds the address space"
         );
         assert!(
             n_tenants == 0 || r.tenant.index() < n_tenants,
-            "request names {} but the config has {n_tenants} tenants",
+            "request {id} names {} but the config has {n_tenants} tenants",
             r.tenant
         );
-        self.submitted += 1;
-        match &mut self.d {
-            RunnerDriver::Serial(e) => {
-                let id = e.reqs.len() as u32;
-                e.reqs.push(RequestState::new(r));
-                e.queue.push(r.at, Ev::Submit(id));
-                e.first_submit = e.first_submit.min(r.at);
-                id
-            }
-            RunnerDriver::Sharded(s) => s.submit(r),
-        }
+        e.reqs.push(RequestState::new(r));
+        e.queue.push(r.at, Ev::Submit(id));
+        e.first_submit = e.first_submit.min(r.at);
+        id
     }
 
-    /// Drains every event strictly before `t`, exactly as the
-    /// [`Array::run_verified`] loop would (including the recorder-clock
-    /// bookkeeping on traced runs).
+    /// Drains every event strictly before `t`.
     pub fn step_until(&mut self, t: SimTime) {
-        let e = match &mut self.d {
-            RunnerDriver::Serial(e) => e,
-            RunnerDriver::Sharded(s) => return s.step_until(t),
-        };
-        if let Some(rec) = e.recorder.clone() {
-            while e.queue.peek_time().is_some_and(|pt| pt < t) {
-                let (now, ev) = e.queue.pop().expect("peeked event present");
-                rec.set_now(now);
-                e.events += 1;
-                e.handle(now, ev);
-            }
-        } else {
-            while e.queue.peek_time().is_some_and(|pt| pt < t) {
-                let (now, ev) = e.queue.pop().expect("peeked event present");
-                e.events += 1;
-                e.handle(now, ev);
-            }
-        }
+        self.drain(Some(t));
     }
 
     /// `true` when the event calendar is empty (every injected request
-    /// has either completed or been lost to a power cut).
+    /// has either completed or been lost to a power cut). A runner that
+    /// has never stepped is not idle: its recovery plan is still to be
+    /// armed.
     pub fn is_idle(&self) -> bool {
-        match &self.d {
-            RunnerDriver::Serial(e) => e.queue.is_empty(),
-            RunnerDriver::Sharded(s) => s.is_idle(),
-        }
+        self.armed && self.e.queue.is_empty()
     }
 
     /// Requests injected so far.
     pub fn submitted(&self) -> u64 {
-        self.submitted
+        self.e.reqs.len() as u64
     }
 
     /// Requests completed so far.
     pub fn completed(&self) -> u64 {
-        match &self.d {
-            RunnerDriver::Serial(e) => e.completed,
-            RunnerDriver::Sharded(s) => s.completed(),
-        }
+        self.e.completed
     }
 
     /// In-flight requests lost to a power cut so far.
     pub fn lost(&self) -> u64 {
-        match &self.d {
-            RunnerDriver::Serial(e) => e.recovery.lost_inflight_requests,
-            // Power loss disqualifies a config from sharding, so a
-            // sharded runner can never lose a request.
-            RunnerDriver::Sharded(_) => 0,
-        }
+        self.e.recovery.lost_inflight_requests
     }
 
     /// Cumulative 99th-percentile completion latency, ns (0 until the
     /// first completion).
     pub fn p99_ns(&self) -> u64 {
-        match &self.d {
-            RunnerDriver::Serial(e) => e.lat.percentile(0.99),
-            RunnerDriver::Sharded(s) => s.p99_ns(),
-        }
+        self.e.lat.percentile(0.99)
     }
 
     /// `true` once request `id` has completed.
     pub fn is_done(&self, id: u32) -> bool {
-        match &self.d {
-            RunnerDriver::Serial(e) => e.reqs[id as usize].done,
-            RunnerDriver::Sharded(s) => s.is_done(id),
-        }
+        self.e.reqs[id as usize].done
     }
 
     /// `true` when request `id` was in flight at a power cut and will
     /// never complete (its completion callback died with the calendar).
     pub fn is_lost(&self, id: u32) -> bool {
-        match &self.d {
-            RunnerDriver::Serial(e) => {
-                let rs = &e.reqs[id as usize];
-                !rs.done && rs.stage == Stage::Done
-            }
-            RunnerDriver::Sharded(_) => false,
-        }
+        let rs = &self.e.reqs[id as usize];
+        !rs.done && rs.stage == Stage::Done
     }
 
     /// Completion instant of request `id` ([`SimTime::ZERO`] until it
     /// completes).
     pub fn finish_time(&self, id: u32) -> SimTime {
-        match &self.d {
-            RunnerDriver::Serial(e) => e.reqs[id as usize].finish,
-            RunnerDriver::Sharded(s) => s.finish_time(id),
-        }
+        self.e.reqs[id as usize].finish
     }
 
     /// Drains every remaining event, audits FTL metadata integrity, and
-    /// produces the run outcome — the incremental equivalent of the tail
-    /// of [`Array::run_verified`].
-    pub fn finish(self) -> VerifiedRun {
-        let mut e = match self.d {
-            RunnerDriver::Serial(e) => e,
-            RunnerDriver::Sharded(s) => return s.finish(),
-        };
-        if let Some(rec) = e.recorder.clone() {
-            while let Some((now, ev)) = e.queue.pop() {
-                rec.set_now(now);
-                e.events += 1;
-                e.handle(now, ev);
-            }
-        } else {
-            while let Some((now, ev)) = e.queue.pop() {
-                e.events += 1;
-                e.handle(now, ev);
-            }
-        }
+    /// produces the run outcome.
+    pub fn finish(mut self) -> VerifiedRun {
+        self.drain(None);
+        let mut e = self.e;
         if e.first_submit == SimTime::MAX {
             e.first_submit = SimTime::ZERO;
         }
@@ -891,6 +736,34 @@ impl ArrayRunner {
             report: e.into_report(),
             trace: run_trace,
             integrity,
+        }
+    }
+
+    /// The event loop: arms the recovery plan on first use, then pops
+    /// and handles events strictly before `until` (every event when
+    /// `None`).
+    fn drain(&mut self, until: Option<SimTime>) {
+        if !self.armed {
+            self.armed = true;
+            self.e.arm_recovery();
+        }
+        let e = &mut *self.e;
+        let rec = e.recorder.clone();
+        loop {
+            let next = match until {
+                Some(t) => e.queue.pop_before(t),
+                None => e.queue.pop(),
+            };
+            let Some((now, ev)) = next else {
+                break;
+            };
+            if let Some(rec) = &rec {
+                // Timeless components (the FTL, credit queues) emit at
+                // the recorder clock; keep it on the event loop's time.
+                rec.set_now(now);
+            }
+            e.events += 1;
+            e.handle(now, ev);
         }
     }
 }
@@ -921,58 +794,6 @@ impl Engine {
 
     fn cluster_global(&self, id: ClusterId) -> u32 {
         self.cfg.shape.topology.global_index(id)
-    }
-
-    // ---- sharded-executor hooks (`crate::shard`) -------------------
-    //
-    // A domain engine is an ordinary `Engine` over the full global
-    // address space, driven in bounded windows instead of to
-    // completion. These methods are the entire surface the conservative
-    // executor needs; none of them is reachable from a serial run, so
-    // the legacy paths stay byte-identical.
-
-    /// Enqueues one validated request (the sharded root validates
-    /// before dispatching), returning its engine-local id.
-    pub(crate) fn inject(&mut self, r: &crate::request::TraceRequest) -> u32 {
-        let id = self.reqs.len() as u32;
-        self.reqs.push(RequestState::new(r));
-        self.queue.push(r.at, Ev::Submit(id));
-        self.first_submit = self.first_submit.min(r.at);
-        id
-    }
-
-    /// Timestamp of the next pending event, if any.
-    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// Drains every event strictly before `horizon`, exactly as the
-    /// [`Array::run_verified`] loop would.
-    pub(crate) fn process_until(&mut self, horizon: SimTime) {
-        while self.queue.peek_time().is_some_and(|pt| pt < horizon) {
-            let (now, ev) = self.queue.pop().expect("peeked event present");
-            self.events += 1;
-            self.handle(now, ev);
-        }
-    }
-
-    /// Starts recording `(request id, completion instant, breakdown)`
-    /// per completion for [`Engine::drain_completions`].
-    pub(crate) fn enable_completion_log(&mut self) {
-        self.completion_log = Some(Vec::new());
-    }
-
-    /// Moves every completion recorded since the last drain into
-    /// `sink`, preserving completion order and both buffers' capacity.
-    pub(crate) fn drain_completions(&mut self, sink: &mut Vec<(u32, SimTime, Breakdown)>) {
-        if let Some(log) = &mut self.completion_log {
-            sink.append(log);
-        }
-    }
-
-    /// The post-run FTL metadata audit ([`Ftl::verify_integrity`]).
-    pub(crate) fn check_integrity(&self) -> Result<(), IntegrityError> {
-        self.ftl.verify_integrity()
     }
 
     /// Samples one FIMM's read backlog into its queue-depth series.
@@ -1028,7 +849,7 @@ impl Engine {
 
     /// Schedules the configured power cut and claims one hot spare for
     /// each scheduled module death, in config order, until the spare
-    /// pool runs dry. Runs once, before the event loop starts.
+    /// pool runs dry. Runs once, when the event loop first starts.
     fn arm_recovery(&mut self) {
         if let Some(pl) = self.power_loss {
             self.queue.push(SimTime::from_nanos(pl.at_ns), Ev::PowerLoss);
@@ -2520,9 +2341,6 @@ impl Engine {
         }
         self.completed += 1;
         self.last_complete = self.last_complete.max(now);
-        if let Some(log) = &mut self.completion_log {
-            log.push((r, now, bd));
-        }
         if self.front.is_some() {
             self.record_tenant_complete(r, total);
             self.pump_tenants(now);
@@ -2618,7 +2436,7 @@ impl Engine {
         Some(RunTrace::from_recorder(&rec.snapshot(), m))
     }
 
-    pub(crate) fn into_report(mut self) -> RunReport {
+    fn into_report(mut self) -> RunReport {
         let mut wear = WearReport::default();
         // Retired modules (replaced by a hot spare mid-run) still carry
         // their wear, fault history, and scheduled-fault census.

@@ -353,9 +353,6 @@ pub enum ConfigError {
         /// Number of tenants the configuration actually declares.
         tenants: usize,
     },
-    /// Sharded execution was requested with zero workers; omit
-    /// [`ArrayConfigBuilder::workers`] instead to run the serial engine.
-    ZeroWorkers,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -408,12 +405,6 @@ impl std::fmt::Display for ConfigError {
                     f,
                     "workload bound to tenant.{tenant}, but the config declares \
                      only {tenants} tenant(s)"
-                )
-            }
-            ConfigError::ZeroWorkers => {
-                write!(
-                    f,
-                    "worker count must be nonzero (omit `.workers` for the serial engine)"
                 )
             }
         }
@@ -480,15 +471,6 @@ pub struct ArrayConfig {
     /// bypasses the front door entirely — requests flow through the
     /// root-complex credit queue exactly as on an untenanted build.
     pub tenants: TenantConfig,
-    /// Worker threads for the sharded event loop (one shard per switch
-    /// domain, conservatively synchronised with the PCI-E lookahead).
-    /// `None` (default) runs the classic serial engine, bit-identical
-    /// to every previous release. `Some(n)` opts into sharded execution
-    /// whose results are invariant to `n`; configurations the sharder
-    /// cannot partition (active fault plans, tenanted front door,
-    /// hot spares, a bounded mapping cache, or a zero-latency root
-    /// complex) fall back to the serial engine.
-    pub workers: Option<u32>,
 }
 
 impl Default for ArrayConfig {
@@ -508,7 +490,6 @@ impl Default for ArrayConfig {
             collect_series: false,
             faults: FaultConfig::default(),
             tenants: TenantConfig::none(),
-            workers: None,
         }
     }
 }
@@ -667,9 +648,6 @@ impl ArrayConfig {
                 return Err(ConfigError::BadTenantSpec { index, field });
             }
         }
-        if self.workers == Some(0) {
-            return Err(ConfigError::ZeroWorkers);
-        }
         Ok(())
     }
 }
@@ -785,23 +763,6 @@ impl ArrayConfigBuilder {
     /// ```
     pub fn with_tenants(mut self, specs: impl IntoIterator<Item = TenantSpec>) -> Self {
         self.cfg.tenants = specs.into_iter().collect();
-        self
-    }
-
-    /// Opts into the sharded event loop with `n` worker threads. The
-    /// run's results are invariant to `n` — workers only change
-    /// wall-clock time — and `n = 0` is rejected at
-    /// [`build`](ArrayConfigBuilder::build) time with
-    /// [`ConfigError::ZeroWorkers`].
-    ///
-    /// ```
-    /// use triplea_core::ArrayConfig;
-    ///
-    /// let cfg = ArrayConfig::small_builder().workers(4).build().unwrap();
-    /// assert_eq!(cfg.workers, Some(4));
-    /// ```
-    pub fn workers(mut self, n: u32) -> Self {
-        self.cfg.workers = Some(n);
         self
     }
 
@@ -956,16 +917,6 @@ mod tests {
         );
         let err = ArrayConfig::builder().topology(0, 16).build().unwrap_err();
         assert!(matches!(err, ConfigError::ZeroDimension { .. }), "{err}");
-    }
-
-    #[test]
-    fn builder_rejects_zero_workers() {
-        let err = ArrayConfig::builder().workers(0).build().unwrap_err();
-        assert_eq!(err, ConfigError::ZeroWorkers);
-        assert!(err.to_string().contains("nonzero"), "{err}");
-        assert_eq!(ArrayConfig::paper_baseline().workers, None);
-        let cfg = ArrayConfig::builder().workers(8).build().unwrap();
-        assert_eq!(cfg.workers, Some(8));
     }
 
     #[test]

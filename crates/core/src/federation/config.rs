@@ -317,17 +317,6 @@ impl FederationBuilder {
         self
     }
 
-    /// Runs every member array on `n` worker threads via the
-    /// conservative sharded executor. Federation results stay
-    /// deterministic and identical for every `n`; members whose
-    /// configuration cannot shard (e.g. a fault-storm override from
-    /// [`array_faults`](FederationBuilder::array_faults)) fall back to
-    /// the serial engine individually.
-    pub fn workers(mut self, n: u32) -> Self {
-        self.base = self.base.workers(n);
-        self
-    }
-
     /// Attaches a federation-level event recorder; the run's
     /// [`FederationRun::trace`](crate::FederationRun) then carries
     /// cross-array hop, laggard, and migration events plus

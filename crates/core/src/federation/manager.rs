@@ -1115,35 +1115,6 @@ mod tests {
     }
 
     #[test]
-    fn federated_members_accept_a_worker_count() {
-        let build = |workers: Option<u32>| {
-            let b = Simulation::builder()
-                .small_test()
-                .with_federation(3)
-                .volume(VolumeSpec::striped(3).chunk_pages(16));
-            match workers {
-                Some(n) => b.workers(n),
-                None => b,
-            }
-            .build()
-            .unwrap()
-        };
-        let trace = walk(300, 2_000, 400);
-        let serial = build(None).run_verified(&trace);
-        let one = build(Some(1)).run_verified(&trace);
-        let eight = build(Some(8)).run_verified(&trace);
-        // Sharded members re-home FTL/autonomic state per domain, so
-        // only worker counts must agree bit-for-bit with each other …
-        assert_eq!(one.report.stats, eight.report.stats);
-        // … while the workload outcome matches the serial members.
-        assert_eq!(
-            serial.report.stats.volume_requests,
-            one.report.stats.volume_requests
-        );
-        assert_eq!(serial.report.completed(), one.report.completed());
-    }
-
-    #[test]
     fn federation_stats_round_trip_through_serde() {
         let fed = Simulation::builder()
             .small_test()

@@ -50,7 +50,6 @@ mod config;
 mod federation;
 mod metrics;
 mod request;
-mod shard;
 mod simulation;
 mod tenant;
 

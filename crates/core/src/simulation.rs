@@ -145,19 +145,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Runs the array on `n` worker threads via the conservative
-    /// sharded executor (one shard per PCI-E switch domain plus a root
-    /// shard). Results are deterministic and identical for every `n`;
-    /// configurations the partition cannot express (faults, tenants,
-    /// hot spares, a mapping cache, one switch) silently fall back to
-    /// the serial engine. `n = 0` is rejected at
-    /// [`build`](SimulationBuilder::build) time with
-    /// [`ConfigError::ZeroWorkers`].
-    pub fn workers(mut self, n: u32) -> Self {
-        self.config = self.config.workers(n);
-        self
-    }
-
     /// Attaches an event recorder to the built array; the run's
     /// [`VerifiedRun::trace`] will then carry the harvested events and
     /// metrics. See [`Array::with_recorder`].
@@ -381,43 +368,6 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("tenant.3"), "{err}");
-    }
-
-    #[test]
-    fn worker_counts_agree_and_zero_is_rejected() {
-        let trace: Trace = (0..300)
-            .map(|i| {
-                TraceRequest::new(
-                    SimTime::from_nanos(i * 800),
-                    IoOp::Read,
-                    LogicalPage((i * 131) % 4096),
-                    1,
-                )
-            })
-            .collect();
-        let serial = Simulation::builder()
-            .small_test()
-            .build()
-            .unwrap()
-            .run_verified(&trace);
-        let one = Simulation::builder()
-            .small_test()
-            .workers(1)
-            .build()
-            .unwrap()
-            .run_verified(&trace);
-        let eight = Simulation::builder()
-            .small_test()
-            .workers(8)
-            .build()
-            .unwrap()
-            .run_verified(&trace);
-        assert_eq!(one.report, eight.report, "results must not depend on n");
-        assert_eq!(serial.report.completed(), one.report.completed());
-        assert!(one.integrity.is_ok());
-
-        let err = Simulation::builder().workers(0).build().unwrap_err();
-        assert!(matches!(err, ConfigError::ZeroWorkers));
     }
 
     #[test]

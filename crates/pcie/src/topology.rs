@@ -137,33 +137,6 @@ impl Default for PcieParams {
     }
 }
 
-impl PcieParams {
-    /// Minimum latencies `(downstream, upstream)` of one inter-domain
-    /// edge, in nanoseconds.
-    ///
-    /// Switch domains only ever talk to each other through the root
-    /// complex (§6.1: data never migrates across switches, so the RC is
-    /// the sole inter-domain boundary). Crossing it costs at least
-    /// `rc_route_ns` of routing in either direction; uplink
-    /// serialization and propagation happen *inside* the sending
-    /// domain, so they pad real transfers but do not lower the floor.
-    pub fn edge_lookahead_ns(&self) -> (Nanos, Nanos) {
-        (self.rc_route_ns, self.rc_route_ns)
-    }
-
-    /// Conservative lookahead for sharding a run by switch domain: the
-    /// minimum inter-domain edge latency. While the global clock sits at
-    /// `t`, no domain can receive a cross-domain event before
-    /// `t + lookahead`, so every domain may execute `[t, t + lookahead)`
-    /// independently. Zero (an instantly routing RC) makes conservative
-    /// sharding impossible and callers must fall back to serial
-    /// execution.
-    pub fn domain_lookahead_ns(&self) -> Nanos {
-        let (down, up) = self.edge_lookahead_ns();
-        down.min(up)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,17 +208,5 @@ mod tests {
         let p = PcieParams::default();
         assert_eq!(p.max_payload, 4096);
         assert!((650..=1000).contains(&p.rc_queue));
-    }
-
-    #[test]
-    fn domain_lookahead_is_rc_routing_floor() {
-        let p = PcieParams::default();
-        assert_eq!(p.edge_lookahead_ns(), (200, 200));
-        assert_eq!(p.domain_lookahead_ns(), 200);
-        let instant = PcieParams {
-            rc_route_ns: 0,
-            ..p
-        };
-        assert_eq!(instant.domain_lookahead_ns(), 0);
     }
 }

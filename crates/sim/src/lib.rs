@@ -14,10 +14,6 @@
 //! * [`resource::FifoResource`] — the *busy-until* primitive that models
 //!   serially shared hardware (PCI-E links, the cluster-local ONFi bus,
 //!   NAND dies) and attributes waiting time to contention.
-//! * [`shard`] — the conservative parallel executor: partitions one run
-//!   into per-domain shards synchronised by lookahead windows, with
-//!   deterministic cross-shard mailboxes, so results are bit-identical
-//!   at any worker count.
 //! * [`trace`] — the array-wide event-tracing subsystem: a
 //!   zero-cost-when-disabled ring-buffer [`trace::Recorder`] of typed
 //!   [`trace::TraceEvent`]s plus a [`trace::MetricRegistry`] of
@@ -45,13 +41,11 @@ mod time;
 
 pub mod hash;
 pub mod resource;
-pub mod shard;
 pub mod stats;
 pub mod trace;
 
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use queue::{BaselineHeapQueue, EventQueue};
-pub use shard::{run_conservative, Envelope, Outbox, Shard, ShardRunStats};
 pub use resource::{FifoResource, MultiResource, Reservation};
 pub use rng::SplitMix64;
 pub use time::{Nanos, SimTime};

@@ -223,6 +223,19 @@ impl<E> EventQueue<E> {
         Some((e.time, e.payload))
     }
 
+    /// Removes and returns the earliest event if it fires strictly
+    /// before `t`; otherwise pops nothing. Events pushed afterwards still
+    /// pop in `(time, seq)` order.
+    pub fn pop_before(&mut self, t: SimTime) -> Option<(SimTime, E)> {
+        if self.current.is_empty() && !self.advance() {
+            return None;
+        }
+        if self.current.last().expect("advance left an event").time >= t {
+            return None;
+        }
+        self.pop()
+    }
+
     /// The timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
         if let Some(e) = self.current.last() {
@@ -425,6 +438,24 @@ mod tests {
         q.push(SimTime::from_ms(3), "w");
         assert_eq!(q.pop().unwrap().1, "late");
         assert_eq!(q.pop().unwrap().1, "w");
+    }
+
+    #[test]
+    fn pop_before_stops_at_the_bound_and_keeps_order() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(10), "a");
+        q.push(SimTime::from_ms(5), "far");
+        assert_eq!(q.pop_before(SimTime::from_nanos(10)), None, "bound is exclusive");
+        assert_eq!(q.pop_before(SimTime::from_nanos(11)).unwrap().1, "a");
+        // A refused pop may advance the calendar to the far bucket; a
+        // later push for an earlier instant must still pop first.
+        assert_eq!(q.pop_before(SimTime::from_ms(1)), None);
+        q.push(SimTime::from_us(20), "near");
+        assert_eq!(q.pop_before(SimTime::from_ms(1)).unwrap().1, "near");
+        assert_eq!(q.pop_before(SimTime::from_ms(1)), None);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop().unwrap().1, "far");
+        assert_eq!(q.pop_before(SimTime::MAX), None);
     }
 
     #[test]

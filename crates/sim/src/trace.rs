@@ -725,11 +725,10 @@ impl Recorder {
 /// holds one (inside its [`TracePort`]); the engine keeps the original
 /// and harvests it at the end of the run.
 ///
-/// Backed by `Arc<Mutex<…>>` so traced components stay `Send` — the
-/// sharded executor moves engines onto worker threads, and a `Send`
-/// bound on the whole engine is how that stays `unsafe`-free. Recorded
-/// runs are themselves single-threaded (sharding falls back to serial
-/// when a recorder is attached), so the lock is never contended.
+/// Backed by `Arc<Mutex<…>>` so traced components stay `Send` like
+/// untraced ones, and a traced array can move between threads without
+/// `unsafe`. One run drives its engine from a single thread, so the
+/// lock is never contended.
 #[derive(Clone, Debug)]
 pub struct SharedRecorder(Arc<Mutex<Recorder>>);
 

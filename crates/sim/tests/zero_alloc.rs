@@ -6,9 +6,7 @@
 //! branch per emit — no payload construction, no formatting, and (this
 //! test's concern) **zero heap allocations**. Likewise, push/pop
 //! traffic through an [`EventQueue`]'s active bucket must recycle its
-//! buffers instead of allocating, and the cross-shard [`Outbox`]
-//! send/drain cycle of the conservative executor must reuse its
-//! per-destination buckets window after window.
+//! buffers instead of allocating.
 //!
 //! The test binary installs [`CountingAllocator`] as its global
 //! allocator, so any allocation anywhere in the measured region is
@@ -16,7 +14,7 @@
 
 use triplea_alloc_counter::{measure, CountingAllocator};
 use triplea_sim::trace::{TraceEventKind, TracePort};
-use triplea_sim::{Envelope, EventQueue, Outbox, SimTime};
+use triplea_sim::{EventQueue, SimTime};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -96,48 +94,5 @@ fn active_bucket_push_pop_allocates_nothing() {
             }
         }
         assert!(q.is_empty());
-    });
-}
-
-#[test]
-fn cross_shard_mailbox_cycle_allocates_nothing() {
-    // The sharded executor's per-window message exchange: every shard
-    // pushes envelopes into its outbox buckets, the receiver drains them
-    // into a scratch vector and sorts by the deterministic
-    // `(at, seq, src)` key. Buckets and scratch keep their capacity
-    // across windows, so the steady state must be allocation-free.
-    const SHARDS: usize = 4;
-    let mut out: Outbox<u64> = Outbox::new(0, SHARDS);
-    let mut scratch: Vec<Envelope<u64>> = Vec::new();
-    // Grow every destination bucket and the scratch buffer once,
-    // outside the measured region.
-    for i in 0..1_024u64 {
-        for dst in 0..SHARDS {
-            out.send(dst, SimTime::from_nanos(i), i);
-        }
-    }
-    for dst in 0..SHARDS {
-        out.drain_to(dst, &mut scratch);
-    }
-    scratch.clear();
-
-    assert_zero_alloc("cross-shard mailbox push/drain", || {
-        for window in 0..64u64 {
-            for i in 0..1_024u64 {
-                // Spread sends across destinations with non-monotonic
-                // timestamps so the sort has real work to do.
-                out.send(
-                    (i % SHARDS as u64) as usize,
-                    SimTime::from_nanos(window * 1_024 + (i * 7) % 512),
-                    i,
-                );
-            }
-            for dst in 0..SHARDS {
-                scratch.clear();
-                out.drain_to(dst, &mut scratch);
-                scratch.sort_unstable_by_key(Envelope::order_key);
-            }
-        }
-        assert_eq!(out.pending(), 0);
     });
 }

@@ -11,6 +11,7 @@ use triple_a::core::{
 };
 use triple_a::ftl::{Ftl, LogicalPage};
 use triple_a::pcie::ClusterId;
+use triple_a::sim::SimTime;
 use triple_a::workloads::Microbench;
 
 fn small() -> ArrayConfig {
@@ -204,13 +205,16 @@ fn hot_write_trace(cfg: &ArrayConfig) -> triple_a::core::Trace {
 
 /// Runs a write burst with a power cut at `cut_ns`, then checks the
 /// remount invariants: metadata coherent, every request completed or
-/// accounted lost, and the cut visible in the recovery stats.
+/// accounted lost, and the cut visible in the recovery stats. The same
+/// run driven incrementally — submit everything, then step in 10 µs
+/// epochs — must report exactly what `run_verified` reports, even when
+/// the cut shares its instant with an arrival.
 fn check_power_loss_at(cut_ns: u64) {
     let cfg = small_with(|c| {
         c.faults = FaultConfig::default().with_power_loss(PowerLossEvent::at(cut_ns));
     });
     let trace = hot_write_trace(&cfg);
-    let run = Array::new(cfg, ManagementMode::Autonomic).run_verified(&trace);
+    let run = Array::new(cfg.clone(), ManagementMode::Autonomic).run_verified(&trace);
     assert!(
         run.integrity.is_ok(),
         "journal replay must rebuild coherent metadata after a cut at {cut_ns}ns: {:?}",
@@ -223,6 +227,31 @@ fn check_power_loss_at(cut_ns: u64) {
         trace.len() as u64,
         "every request must complete or be accounted lost"
     );
+
+    let mut runner = Array::new(cfg, ManagementMode::Autonomic).into_runner();
+    for r in trace.requests() {
+        runner.submit(r);
+    }
+    let mut t = SimTime::ZERO;
+    while !runner.is_idle() {
+        t += 10_000;
+        runner.step_until(t);
+    }
+    let stepped = runner.finish();
+    assert_eq!(
+        stepped.report, run.report,
+        "stepped and one-shot runs disagree for a cut at {cut_ns}ns"
+    );
+}
+
+/// Arrival instants of [`hot_write_trace`], for cuts that coincide with
+/// a submission.
+fn hot_write_arrivals() -> Vec<u64> {
+    hot_write_trace(&small())
+        .requests()
+        .iter()
+        .map(|r| r.at.as_nanos())
+        .collect()
 }
 
 /// Runs a non-stationary scenario with a power cut at `cut_ns` and
@@ -308,13 +337,16 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// Power loss injected at an arbitrary instant across the whole
-    /// write burst (and a little past it): wherever the cut lands —
-    /// between any two events, mid-flight, mid-journal-batch — the
-    /// remount must replay to coherent metadata and account for every
-    /// request.
+    /// write burst (and a little past it), or exactly on one of its
+    /// arrivals: wherever the cut lands — between any two events,
+    /// mid-flight, mid-journal-batch, beside a submission — the remount
+    /// must replay to coherent metadata and account for every request.
     #[test]
     fn power_loss_at_any_instant_recovers_consistently(
-        cut_ns in 0u64..3_200_000,
+        cut_ns in prop_oneof![
+            0u64..3_200_000,
+            (0usize..2_000).prop_map(|i| hot_write_arrivals()[i]),
+        ],
     ) {
         check_power_loss_at(cut_ns);
     }

@@ -9,63 +9,10 @@ use triple_a::core::{
     Trace, TraceRequest, VolumeMapper, VolumeSpec, WeightedArbiter,
 };
 use triple_a::ftl::LogicalPage;
-use triple_a::sim::{run_conservative, Envelope, EventQueue, Outbox, Shard, SimTime};
+use triple_a::sim::SimTime;
 
 fn small() -> ArrayConfig {
     ArrayConfig::small_test()
-}
-
-/// Toy shard for the conservative-executor properties: every event
-/// carries a hop budget; executing it folds `(time, hops, id)` into an
-/// order-sensitive checksum and forwards the remainder to a
-/// deterministically chosen neighbour one link latency away.
-struct Relay {
-    id: usize,
-    shards: usize,
-    link_ns: u64,
-    queue: EventQueue<u32>,
-    checksum: u64,
-    executed: u64,
-}
-
-impl Relay {
-    fn new(id: usize, shards: usize, link_ns: u64) -> Self {
-        Relay {
-            id,
-            shards,
-            link_ns,
-            queue: EventQueue::new(),
-            checksum: 0,
-            executed: 0,
-        }
-    }
-}
-
-impl Shard for Relay {
-    type Msg = u32;
-
-    fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    fn run_window(&mut self, horizon: SimTime, out: &mut Outbox<u32>) {
-        while self.queue.peek_time().is_some_and(|t| t < horizon) {
-            let (t, hops) = self.queue.pop().unwrap();
-            self.executed += 1;
-            self.checksum = self
-                .checksum
-                .wrapping_mul(0x100000001B3)
-                .wrapping_add(t.as_nanos() ^ ((hops as u64) << 20) ^ self.id as u64);
-            if hops > 0 {
-                let dst = (self.id + 1 + hops as usize) % self.shards;
-                out.send(dst, t + self.link_ns, hops - 1);
-            }
-        }
-    }
-
-    fn deliver(&mut self, env: Envelope<u32>) {
-        self.queue.push(env.at, env.msg);
-    }
 }
 
 prop_compose! {
@@ -157,63 +104,6 @@ proptest! {
             .map(|r| r.pages as u64)
             .sum();
         prop_assert_eq!(report.ftl_stats().host_writes, pages_written);
-    }
-
-    /// Causality on arbitrary shard topologies: for any shard count,
-    /// link latency, and seeded event splay, no shard ever executes past
-    /// an undelivered cross-shard message (`late_deliveries == 0`), and
-    /// the per-shard checksums — order-sensitive folds of execution —
-    /// are invariant to the worker count.
-    #[test]
-    fn shard_executor_is_causal_and_worker_invariant(
-        shards in 2usize..6,
-        link_ns in 20u64..200,
-        seeds in prop::collection::vec((0u64..5_000, 1u32..12), 4..40),
-    ) {
-        let run = |workers: usize| {
-            let mut net: Vec<Relay> =
-                (0..shards).map(|i| Relay::new(i, shards, link_ns)).collect();
-            for (k, &(at, hops)) in seeds.iter().enumerate() {
-                net[k % shards].queue.push(SimTime::from_nanos(at), hops);
-            }
-            let stats = run_conservative(&mut net, link_ns, workers, SimTime::MAX);
-            let sums: Vec<u64> = net.iter().map(|r| r.checksum).collect();
-            let execs: Vec<u64> = net.iter().map(|r| r.executed).collect();
-            (sums, execs, stats)
-        };
-        let (sums1, execs1, stats1) = run(1);
-        prop_assert_eq!(stats1.late_deliveries, 0u64);
-        let total: u64 = execs1.iter().sum();
-        let budget: u64 = seeds.iter().map(|&(_, h)| h as u64 + 1).sum();
-        prop_assert_eq!(total, budget, "every hop executes exactly once");
-        for workers in [2usize, 4] {
-            let (sums, execs, stats) = run(workers);
-            prop_assert_eq!(&sums, &sums1, "checksums drifted at {} workers", workers);
-            prop_assert_eq!(&execs, &execs1);
-            prop_assert_eq!(stats.late_deliveries, 0u64);
-            prop_assert_eq!(stats.messages, stats1.messages);
-        }
-    }
-
-    /// The sharded array engine completes exactly the same work at any
-    /// worker count, for arbitrary traces: identical completions, event
-    /// counts, and latency aggregates.
-    #[test]
-    fn array_completions_invariant_to_worker_count(trace in arb_trace()) {
-        let run = |w: u32| {
-            let mut cfg = small();
-            cfg.workers = Some(w);
-            Array::new(cfg, ManagementMode::Autonomic).run(&trace)
-        };
-        let one = run(1);
-        prop_assert_eq!(one.completed(), trace.len() as u64);
-        for w in [2u32, 4] {
-            let multi = run(w);
-            prop_assert_eq!(multi.completed(), one.completed(), "workers={}", w);
-            prop_assert_eq!(multi.events_processed(), one.events_processed());
-            prop_assert_eq!(multi.mean_latency_us(), one.mean_latency_us());
-            prop_assert_eq!(multi.iops(), one.iops());
-        }
     }
 
     /// Under permanent backlog on every lane, WFQ grant counts converge

@@ -1,16 +1,16 @@
 //! A counting [`GlobalAlloc`] wrapper over the system allocator.
 //!
-//! Two consumers install this as their `#[global_allocator]`:
+//! Two consumers install it as (or under) their `#[global_allocator]`:
 //!
-//! * the `bench` binary, so `bench perf` can report how many heap
-//!   allocations each workload profile performs (a machine-independent
-//!   companion to its wall-clock numbers);
+//! * the simulator benchmark in `benchmark/`, which reports heap
+//!   allocations per request (`core.allocs_per_req`), a
+//!   machine-independent companion to its host times;
 //! * `crates/sim/tests/zero_alloc.rs`, which pins down that the
 //!   disabled-recorder trace emit path performs **zero** allocations.
 //!
 //! The counters are process-global relaxed atomics: cheap enough to
-//! leave on for every bench run, precise as long as readers bracket a
-//! single-threaded region (which both consumers do). When the allocator
+//! leave on for a whole benchmark run, precise as long as readers
+//! bracket a single-threaded region (which both consumers do). When the allocator
 //! is *not* installed the counters simply stay at zero.
 //!
 //! This crate is the one deliberate exception to the workspace-wide

@@ -20,7 +20,6 @@ mod fig14;
 mod fig15;
 mod fig16;
 mod ftl_compare;
-pub mod perf;
 pub mod scenario;
 pub mod sla;
 mod table1;

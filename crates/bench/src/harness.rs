@@ -21,7 +21,6 @@
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use rayon::prelude::*;
 use serde_json::Value;
@@ -595,35 +594,6 @@ pub fn fmt_csv_series(name: &str, columns: &[&str], rows: &[Vec<f64>]) -> String
         let _ = writeln!(out, "{}", cells.join(","));
     }
     out
-}
-
-/// Wall-clock timing of one suite run, for the `bench all` summary.
-pub struct SuiteTiming {
-    /// Thread count the suite ran with.
-    pub threads: usize,
-    /// Total sweep points executed.
-    pub points: usize,
-    /// Elapsed wall-clock seconds.
-    pub secs: f64,
-}
-
-/// Runs a suite and measures it.
-pub fn run_suite_timed(
-    runner: &Runner,
-    exps: &[&Experiment],
-    scale: Scale,
-) -> (Vec<ExperimentResult>, SuiteTiming) {
-    let start = Instant::now();
-    let results = runner.run_suite(exps, scale);
-    let secs = start.elapsed().as_secs_f64();
-    (
-        results,
-        SuiteTiming {
-            threads: runner.thread_count(),
-            points: exps.iter().map(|e| e.len()).sum(),
-            secs,
-        },
-    )
 }
 
 #[cfg(test)]

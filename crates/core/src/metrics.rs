@@ -395,7 +395,8 @@ impl RunReport {
         self.tenants.iter().map(|t| t.violations).sum()
     }
 
-    /// Simulator events processed (diagnostics / perf benches).
+    /// Simulator events processed (diagnostics; the benchmark's
+    /// `sim.events`).
     pub fn events_processed(&self) -> u64 {
         self.events
     }

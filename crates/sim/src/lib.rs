@@ -45,7 +45,7 @@ pub mod stats;
 pub mod trace;
 
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use queue::{BaselineHeapQueue, EventQueue};
+pub use queue::EventQueue;
 pub use resource::{FifoResource, MultiResource, Reservation};
 pub use rng::SplitMix64;
 pub use time::{Nanos, SimTime};

@@ -9,10 +9,10 @@
 //!   completions a few microseconds out) never touches the heap, and
 //!   the common push-at-`now` case is an allocation-free insertion into
 //!   the already-sorted active bucket.
-//! * [`BaselineHeapQueue`] — the original global `BinaryHeap`, kept as
-//!   the executable specification: a differential property test proves
-//!   the calendar queue pops in exactly the same `(time, seq)` order,
-//!   and the criterion benches race the two.
+//! * `BaselineHeapQueue` (test-only) — the original global
+//!   `BinaryHeap`, kept as the executable specification: a differential
+//!   property test proves the calendar queue pops in exactly the same
+//!   `(time, seq)` order.
 //!
 //! Both order events by timestamp with FIFO tie-breaking on a
 //! monotonically increasing sequence number, which is what makes every
@@ -80,8 +80,8 @@ fn bucket_of(time: SimTime) -> u64 {
 /// Events pushed at equal timestamps pop in insertion order, which makes the
 /// simulation deterministic regardless of queue internals. Internally a
 /// calendar queue (see the module docs); the observable contract is
-/// identical to [`BaselineHeapQueue`], and `tests::properties` proves it
-/// differentially.
+/// identical to a plain `BinaryHeap` ordered by `(time, seq)`, and
+/// `tests::properties` proves it differentially.
 ///
 /// # Example
 ///
@@ -294,71 +294,48 @@ impl<E> std::fmt::Debug for EventQueue<E> {
     }
 }
 
-/// The original `BinaryHeap`-backed event queue, kept as the executable
-/// specification for [`EventQueue`]: same API, same observable ordering
-/// contract, no calendar machinery. The differential property test and
-/// the `queue` criterion benches are its only intended consumers.
-#[derive(Default)]
-pub struct BaselineHeapQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-    pushed: u64,
-    popped: u64,
-}
-
-impl<E> BaselineHeapQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        BaselineHeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            pushed: 0,
-            popped: 0,
-        }
-    }
-
-    /// Schedules `payload` to fire at `time`.
-    pub fn push(&mut self, time: SimTime, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pushed += 1;
-        self.heap.push(Entry { time, seq, payload });
-    }
-
-    /// Removes and returns the earliest event, or `None` when empty.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = self.heap.pop()?;
-        self.popped += 1;
-        Some((e.time, e.payload))
-    }
-
-    /// The timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<E> std::fmt::Debug for BaselineHeapQueue<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BaselineHeapQueue")
-            .field("pending", &self.heap.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The original `BinaryHeap`-backed event queue, kept as the
+    /// executable specification for [`EventQueue`]: same API, same
+    /// observable ordering contract, no calendar machinery.
+    struct BaselineHeapQueue<E> {
+        heap: BinaryHeap<Entry<E>>,
+        next_seq: u64,
+    }
+
+    impl<E> BaselineHeapQueue<E> {
+        fn new() -> Self {
+            BaselineHeapQueue {
+                heap: BinaryHeap::new(),
+                next_seq: 0,
+            }
+        }
+
+        fn push(&mut self, time: SimTime, payload: E) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(Entry { time, seq, payload });
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, E)> {
+            self.heap.pop().map(|e| (e.time, e.payload))
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|e| e.time)
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.heap.is_empty()
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {

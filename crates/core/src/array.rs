@@ -2184,9 +2184,8 @@ impl Engine {
         };
         let c = cluster as usize;
         let f = fimm as usize;
-        let valid = work.valid.clone();
         let pb = self.page_bytes();
-        for lpn in valid {
+        for &lpn in &work.valid {
             let old = self.ftl.locate(lpn);
             match self.ftl.gc_rewrite(lpn, &work) {
                 Ok(Some(new_loc)) => {

@@ -123,25 +123,6 @@ impl FimmAllocator {
         None
     }
 
-    /// Allocates within a *specific package* (used when GC must keep a
-    /// page's die affinity loose but its package fixed is not required —
-    /// exposed for completeness and tests).
-    pub fn alloc_in_package(&mut self, package: u32) -> Option<FimmAddr> {
-        let n = self.streams.len();
-        for off in 0..n {
-            let idx = (self.rr + off) % n;
-            if self.streams[idx].package != package {
-                continue;
-            }
-            if let Some(addr) = Self::try_alloc_stream(&self.geom, &mut self.streams[idx]) {
-                self.rr = (idx + 1) % n;
-                self.allocated += 1;
-                return Some(addr);
-            }
-        }
-        None
-    }
-
     /// Returns an erased block to the free pool, bumping its erase count.
     ///
     /// A block that has reached the geometry's endurance limit is
@@ -331,15 +312,6 @@ mod tests {
         assert_eq!(a.free_blocks(), 0, "retired block must not return");
         assert_eq!(a.retired_blocks(), 1);
         assert_eq!(a.erase_count((0, 0, 0)), 2);
-    }
-
-    #[test]
-    fn alloc_in_package_respects_package() {
-        let mut a = FimmAllocator::new(3, geom());
-        for _ in 0..10 {
-            let addr = a.alloc_in_package(2).unwrap();
-            assert_eq!(addr.package, 2);
-        }
     }
 
     #[test]

@@ -135,6 +135,23 @@ pub enum IntegrityError {
         /// Where the map actually points for this LPN.
         map_loc: PhysLoc,
     },
+    /// The GC victim index disagrees with the block table: it lists a
+    /// block that is not a GC candidate (absent, unsealed, or with no
+    /// invalid page), or omits one that is.
+    VictimIndex {
+        /// Global cluster index of the block.
+        cluster: u32,
+        /// FIMM index of the block.
+        fimm: u32,
+        /// Package of the block.
+        package: u32,
+        /// Die of the block.
+        die: u32,
+        /// Block number.
+        block: u32,
+        /// `true` when the index lists the block, `false` when it omits it.
+        indexed: bool,
+    },
 }
 
 impl std::fmt::Display for IntegrityError {
@@ -172,6 +189,25 @@ impl std::fmt::Display for IntegrityError {
                     "block table lists lpn {} live at ({cluster}, {fimm}, \
                      ({package}, {die}, {block})) page {page} but the map points at {map_loc}",
                     lpn.0
+                )
+            }
+            IntegrityError::VictimIndex {
+                cluster,
+                fimm,
+                package,
+                die,
+                block,
+                indexed,
+            } => {
+                let (index, table) = if *indexed {
+                    ("lists", "not a gc candidate")
+                } else {
+                    ("omits", "a gc candidate")
+                };
+                write!(
+                    f,
+                    "gc victim index {index} block ({cluster}, {fimm}, \
+                     ({package}, {die}, {block})) but the block table makes it {table}"
                 )
             }
         }

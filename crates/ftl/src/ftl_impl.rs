@@ -1,6 +1,8 @@
 //! The flash translation layer proper.
 
-use triplea_sim::FxHashMap;
+use std::cmp::Reverse;
+
+use triplea_sim::{FxHashMap, FxHashSet};
 
 use triplea_pcie::ClusterId;
 use triplea_sim::trace::{TraceEventKind, TracePort, TraceScope};
@@ -55,6 +57,33 @@ impl BlockUse {
     fn invalid(&self) -> u32 {
         self.programmed - self.lpns.len() as u32
     }
+
+    /// A GC candidate: fully programmed, with reclaimable space.
+    fn is_gc_candidate(&self, pages_per_block: u32) -> bool {
+        self.programmed == pages_per_block && self.invalid() > 0
+    }
+}
+
+/// Per-FIMM GC candidates: `(global cluster, fimm)` → the keys of the
+/// blocks in the table that satisfy [`BlockUse::is_gc_candidate`].
+type VictimIndex = FxHashMap<(u32, u32), FxHashSet<BlockKey>>;
+
+/// Derives the victim index from a block table.
+fn victims_of(
+    blocks: &FxHashMap<(u32, u32, BlockKey), BlockUse>,
+    pages_per_block: u32,
+) -> VictimIndex {
+    let mut victims = VictimIndex::default();
+    for (&gkey, b) in blocks {
+        if b.is_gc_candidate(pages_per_block) {
+            index_victim(&mut victims, gkey);
+        }
+    }
+    victims
+}
+
+fn index_victim(victims: &mut VictimIndex, (c, f, key): (u32, u32, BlockKey)) {
+    victims.entry((c, f)).or_default().insert(key);
 }
 
 /// One block of a dead module's rebuild manifest (see
@@ -104,6 +133,13 @@ pub struct Ftl {
     map: PageMap,
     allocs: FxHashMap<(u32, u32), FimmAllocator>,
     blocks: FxHashMap<(u32, u32, BlockKey), BlockUse>,
+    /// GC candidates per FIMM, derived from `blocks` so [`Ftl::gc_pick`]
+    /// never scans the whole table. A block only gains invalid pages
+    /// until GC removes it, so membership changes only when a block
+    /// seals or loses a page while sealed (insert) and in `gc_finish` /
+    /// `gc_finish_failed` (remove). Not checkpointed: power loss
+    /// rebuilds it from the restored table.
+    victims: VictimIndex,
     /// Demand-paged translation cache; `None` models the full in-DRAM
     /// map of Triple-A's relocated-DRAM design (§6.6).
     mapcache: Option<MappingCache>,
@@ -138,6 +174,7 @@ impl Ftl {
             map: PageMap::new(shape),
             allocs: FxHashMap::default(),
             blocks: FxHashMap::default(),
+            victims: VictimIndex::default(),
             mapcache: None,
             gc_policy: GcPolicy::Greedy,
             seal_seq: 0,
@@ -262,18 +299,7 @@ impl Ftl {
         };
         let old = self.map.remap(lpn, new_loc);
         self.invalidate(lpn, old);
-        let gkey = (
-            self.shape.topology.global_index(cluster),
-            fimm,
-            (addr.package, addr.page.die, addr.page.block),
-        );
-        let entry = self.blocks.entry(gkey).or_default();
-        entry.programmed += 1;
-        entry.lpns.insert(addr.page.page, lpn);
-        if entry.programmed == self.shape.flash.pages_per_block {
-            self.seal_seq += 1;
-            entry.sealed_seq = self.seal_seq;
-        }
+        self.record_program(lpn, new_loc);
         match class {
             WriteClass::Host => self.stats.host_writes += 1,
             WriteClass::Migration => self.stats.migration_writes += 1,
@@ -289,12 +315,34 @@ impl Ftl {
         Ok(new_loc)
     }
 
+    /// The block-table key of the block holding `loc`.
+    fn block_of(&self, loc: PhysLoc) -> (u32, u32, BlockKey) {
+        (
+            self.shape.topology.global_index(loc.cluster),
+            loc.fimm,
+            (loc.addr.package, loc.addr.page.die, loc.addr.page.block),
+        )
+    }
+
+    /// Records `lpn` as programmed at the freshly allocated `loc`,
+    /// sealing the block when this was its last page.
+    fn record_program(&mut self, lpn: LogicalPage, loc: PhysLoc) {
+        let gkey = self.block_of(loc);
+        let pages = self.shape.flash.pages_per_block;
+        let entry = self.blocks.entry(gkey).or_default();
+        entry.programmed += 1;
+        entry.lpns.insert(loc.addr.page.page, lpn);
+        if entry.programmed == pages {
+            self.seal_seq += 1;
+            entry.sealed_seq = self.seal_seq;
+            if entry.invalid() > 0 {
+                index_victim(&mut self.victims, gkey);
+            }
+        }
+    }
+
     fn invalidate(&mut self, lpn: LogicalPage, old: PhysLoc) {
-        let gkey = (
-            self.shape.topology.global_index(old.cluster),
-            old.fimm,
-            (old.addr.package, old.addr.page.die, old.addr.page.block),
-        );
+        let gkey = self.block_of(old);
         if let Some(b) = self.blocks.get_mut(&gkey) {
             // Only drop the entry when it records *this* LPN: a
             // never-written page's default-layout home can coincide with
@@ -303,6 +351,9 @@ impl Ftl {
             if b.lpns.get(&old.addr.page.page) == Some(&lpn) {
                 b.lpns.remove(&old.addr.page.page);
                 self.stats.invalidations += 1;
+                if b.programmed == self.shape.flash.pages_per_block {
+                    index_victim(&mut self.victims, gkey);
+                }
             }
         }
         // If the old location was never physically written (default
@@ -379,18 +430,7 @@ impl Ftl {
             fimm: to_fimm,
             addr,
         };
-        let gkey = (
-            self.shape.topology.global_index(to_cluster),
-            to_fimm,
-            (addr.package, addr.page.die, addr.page.block),
-        );
-        let entry = self.blocks.entry(gkey).or_default();
-        entry.programmed += 1;
-        entry.lpns.insert(addr.page.page, lpn);
-        if entry.programmed == self.shape.flash.pages_per_block {
-            self.seal_seq += 1;
-            entry.sealed_seq = self.seal_seq;
-        }
+        self.record_program(lpn, new_loc);
         self.stats.migration_writes += 1;
         self.journal_append(JournalRecord::Prepare {
             lpn,
@@ -468,7 +508,8 @@ impl Ftl {
     /// live at exactly its mapped location in the block tables, and (3)
     /// every live block-table entry round-trips through the map. Together
     /// these prove no page was lost or duplicated by writes, GC,
-    /// migration, or fault rollback.
+    /// migration, or fault rollback. It also checks (4) that the GC
+    /// victim index lists exactly the table's GC candidates.
     pub fn verify_integrity(&self) -> Result<(), IntegrityError> {
         let mut seen: FxHashMap<PhysLoc, LogicalPage> = FxHashMap::default();
         for (lpn, loc) in self.map.remapped_entries() {
@@ -482,14 +523,9 @@ impl Ftl {
                     second: lpn,
                 });
             }
-            let gkey = (
-                self.shape.topology.global_index(loc.cluster),
-                loc.fimm,
-                (loc.addr.package, loc.addr.page.die, loc.addr.page.block),
-            );
             let listed = self
                 .blocks
-                .get(&gkey)
+                .get(&self.block_of(loc))
                 .and_then(|b| b.lpns.get(&loc.addr.page.page));
             if listed != Some(&lpn) {
                 return Err(IntegrityError::LostPage {
@@ -499,15 +535,30 @@ impl Ftl {
                 });
             }
         }
+        let pages = self.shape.flash.pages_per_block;
+        let index_error =
+            |(cluster, fimm, key): (u32, u32, BlockKey), indexed| IntegrityError::VictimIndex {
+                cluster,
+                fimm,
+                package: key.0,
+                die: key.1,
+                block: key.2,
+                indexed,
+            };
         for ((c, f, key), b) in &self.blocks {
+            // Candidates missing from the index are caught here; listed
+            // non-candidates by the walk over the index below.
+            if b.is_gc_candidate(pages)
+                && !self
+                    .victims
+                    .get(&(*c, *f))
+                    .is_some_and(|keys| keys.contains(key))
+            {
+                return Err(index_error((*c, *f, *key), false));
+            }
             for (&pg, &lpn) in &b.lpns {
                 let loc = self.map.locate(lpn);
-                let here = (
-                    self.shape.topology.global_index(loc.cluster),
-                    loc.fimm,
-                    (loc.addr.package, loc.addr.page.die, loc.addr.page.block),
-                );
-                if here != (*c, *f, *key) || loc.addr.page.page != pg {
+                if self.block_of(loc) != (*c, *f, *key) || loc.addr.page.page != pg {
                     return Err(IntegrityError::StaleBlockEntry {
                         lpn,
                         cluster: *c,
@@ -521,6 +572,17 @@ impl Ftl {
                 }
             }
         }
+        for (&(c, f), keys) in &self.victims {
+            for &key in keys {
+                let candidate = self
+                    .blocks
+                    .get(&(c, f, key))
+                    .is_some_and(|b| b.is_gc_candidate(pages));
+                if !candidate {
+                    return Err(index_error((c, f, key), true));
+                }
+            }
+        }
         Ok(())
     }
 
@@ -530,9 +592,7 @@ impl Ftl {
     /// were already rewritten before the erase was attempted, so nothing
     /// is lost.
     pub fn gc_finish_failed(&mut self, work: &GcWork) {
-        let gc = self.shape.topology.global_index(work.cluster);
-        let key = (work.package, work.die, work.block);
-        self.blocks.remove(&(gc, work.fimm, key));
+        let key = self.forget_victim(work);
         self.allocator(work.cluster, work.fimm).quarantine(key);
         self.journal_append(JournalRecord::GcFinish {
             cluster: work.cluster,
@@ -550,54 +610,74 @@ impl Ftl {
         self.allocator(cluster, fimm).free_blocks() < threshold
     }
 
+    /// Drops a finished GC unit's victim from the block table and the
+    /// victim index; returns its block key.
+    fn forget_victim(&mut self, work: &GcWork) -> BlockKey {
+        let gc = self.shape.topology.global_index(work.cluster);
+        let key = (work.package, work.die, work.block);
+        self.blocks.remove(&(gc, work.fimm, key));
+        if let Some(keys) = self.victims.get_mut(&(gc, work.fimm)) {
+            keys.remove(&key);
+        }
+        key
+    }
+
+    /// The configured [`GcPolicy`]'s score of a candidate block; the
+    /// highest score is the victim.
+    fn gc_score(&self, b: &BlockUse) -> u64 {
+        let invalid = b.invalid() as u64;
+        match self.gc_policy {
+            GcPolicy::Greedy => invalid,
+            GcPolicy::CostBenefit => {
+                // benefit/cost x age: reclaimed space per copied page,
+                // scaled by how long ago the block sealed (older
+                // blocks are colder and safer to clean).
+                let valid = b.lpns.len() as u64;
+                let age = self.seal_seq.saturating_sub(b.sealed_seq) + 1;
+                invalid * 1_000 / (valid + 1) * age
+            }
+            GcPolicy::Fifo => u64::MAX - b.sealed_seq,
+        }
+    }
+
+    /// The GC unit for victim `key`: its live pages in page order.
+    fn gc_work(&self, cluster: ClusterId, fimm: u32, key: BlockKey, b: &BlockUse) -> GcWork {
+        let mut live: Vec<(u32, LogicalPage)> = b.lpns.iter().map(|(&pg, &l)| (pg, l)).collect();
+        live.sort_unstable_by_key(|&(pg, _)| pg);
+        GcWork {
+            cluster,
+            fimm,
+            package: key.0,
+            die: key.1,
+            block: key.2,
+            valid: live.into_iter().map(|(_, l)| l).collect(),
+        }
+    }
+
     /// Picks the best GC victim on a FIMM according to the configured
     /// [`GcPolicy`], among fully-programmed blocks with reclaimable
     /// space. Returns `None` when nothing is reclaimable.
+    ///
+    /// Reads only the FIMM's victim index, so a FIMM with nothing to
+    /// reclaim costs one lookup however large the block table is.
     pub fn gc_pick(&self, cluster: ClusterId, fimm: u32) -> Option<GcWork> {
         let gc = self.shape.topology.global_index(cluster);
-        let pages = self.shape.flash.pages_per_block;
-        let score = |b: &BlockUse| -> u64 {
-            let invalid = b.invalid() as u64;
-            match self.gc_policy {
-                GcPolicy::Greedy => invalid,
-                GcPolicy::CostBenefit => {
-                    // benefit/cost x age: reclaimed space per copied page,
-                    // scaled by how long ago the block sealed (older
-                    // blocks are colder and safer to clean).
-                    let valid = b.lpns.len() as u64;
-                    let age = self.seal_seq.saturating_sub(b.sealed_seq) + 1;
-                    invalid * 1_000 / (valid + 1) * age
-                }
-                GcPolicy::Fifo => u64::MAX - b.sealed_seq,
-            }
-        };
-        self.blocks
+        let (key, b) = self
+            .victims
+            .get(&(gc, fimm))?
             .iter()
-            .filter(|((c, f, _), b)| *c == gc && *f == fimm && b.programmed == pages)
-            .filter(|(_, b)| b.invalid() > 0)
+            .map(|&key| (key, &self.blocks[&(gc, fimm, key)]))
             // Tie-break on the block key: HashMap iteration order is not
             // deterministic across processes, and replay determinism is a
             // contract of the whole simulator.
-            .max_by_key(|((_, _, key), b)| (score(b), std::cmp::Reverse(*key)))
-            .map(|((_, _, key), b)| {
-                let mut live: Vec<(u32, LogicalPage)> =
-                    b.lpns.iter().map(|(&pg, &l)| (pg, l)).collect();
-                live.sort_unstable_by_key(|&(pg, _)| pg);
-                let work = GcWork {
-                    cluster,
-                    fimm,
-                    package: key.0,
-                    die: key.1,
-                    block: key.2,
-                    valid: live.into_iter().map(|(_, l)| l).collect(),
-                };
-                self.trace
-                    .with_scope(TraceScope::fimm(gc, fimm))
-                    .emit(|| TraceEventKind::GcRun {
-                        valid_pages: work.valid.len() as u32,
-                    });
-                work
-            })
+            .max_by_key(|&(key, b)| (self.gc_score(b), Reverse(key)))?;
+        let work = self.gc_work(cluster, fimm, key, b);
+        self.trace
+            .with_scope(TraceScope::fimm(gc, fimm))
+            .emit(|| TraceEventKind::GcRun {
+                valid_pages: work.valid.len() as u32,
+            });
+        Some(work)
     }
 
     /// Computes the device-restoration manifest for one FIMM: every
@@ -660,9 +740,7 @@ impl Ftl {
     /// Finalises a GC unit after its live pages were rewritten: recycles
     /// the erased block into the allocator's free pool.
     pub fn gc_finish(&mut self, work: &GcWork) {
-        let gc = self.shape.topology.global_index(work.cluster);
-        let key = (work.package, work.die, work.block);
-        self.blocks.remove(&(gc, work.fimm, key));
+        let key = self.forget_victim(work);
         self.allocator(work.cluster, work.fimm).recycle(key);
         self.stats.gc_erases += 1;
         self.journal_append(JournalRecord::GcFinish {
@@ -675,7 +753,7 @@ impl Ftl {
         });
     }
 
-    /// Host-side total erase count performed via GC on one FIMM.
+    /// Free blocks (fresh + recycled) left in one FIMM's allocator.
     pub fn fimm_free_blocks(&mut self, cluster: ClusterId, fimm: u32) -> u64 {
         self.allocator(cluster, fimm).free_blocks()
     }
@@ -689,6 +767,10 @@ impl Ftl {
             blocks: self.blocks.clone(),
             seal_seq: self.seal_seq,
             stats: self.stats,
+            clones: self
+                .journal
+                .as_ref()
+                .map_or_else(Vec::new, |j| j.clones.clone()),
         }
     }
 
@@ -765,12 +847,14 @@ impl Ftl {
         self.map = j.checkpoint.map.clone();
         self.allocs = j.checkpoint.allocs.clone();
         self.blocks = j.checkpoint.blocks.clone();
+        self.victims = victims_of(&self.blocks, self.shape.flash.pages_per_block);
         self.seal_seq = j.checkpoint.seal_seq;
         self.stats = j.checkpoint.stats;
 
-        // Replay the durable journal, tracking clones still in flight.
+        // Replay the durable journal, tracking clones still in flight
+        // (starting with those the checkpoint caught mid-migration).
         self.replaying = true;
-        let mut outstanding: Vec<(LogicalPage, PhysLoc)> = Vec::new();
+        let mut outstanding = j.checkpoint.clones.clone();
         let result = self.replay(&j.records, &mut outstanding);
         let replayed = match result {
             Ok(n) => n,
@@ -790,6 +874,7 @@ impl Ftl {
         self.replaying = false;
 
         // The recovery scan ends with a durable checkpoint.
+        j.clones.clear();
         j.install_checkpoint(self.snapshot());
         j.stats.replayed += replayed;
         j.stats.dropped += dropped;
@@ -1089,6 +1174,49 @@ mod tests {
     }
 
     #[test]
+    fn verify_integrity_detects_victim_index_drift() {
+        let mut f = ftl();
+        let home = f.locate(LogicalPage(0));
+        let g = f.shape().flash;
+        let streams = (f.shape().packages_per_fimm * g.dies * g.planes) as u64;
+        for _ in 0..(g.pages_per_block as u64 * streams) {
+            f.write_alloc(LogicalPage(0), None).unwrap();
+        }
+        f.verify_integrity().unwrap();
+        let fimm_key = (f.shape().topology.global_index(home.cluster), home.fimm);
+        let victim = f.gc_pick(home.cluster, home.fimm).expect("victim exists");
+        let key = (victim.package, victim.die, victim.block);
+        // Simulate a maintenance site that forgot to index a candidate.
+        f.victims.get_mut(&fimm_key).unwrap().remove(&key);
+        let err = f.verify_integrity().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                IntegrityError::VictimIndex { indexed: false, block, .. } if block == key.2
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("index omits"), "{err}");
+        // ... and one that left a block behind that is no candidate.
+        f.victims.get_mut(&fimm_key).unwrap().insert(key);
+        f.verify_integrity().unwrap();
+        f.victims.get_mut(&fimm_key).unwrap().insert((99, 0, 0));
+        let err = f.verify_integrity().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                IntegrityError::VictimIndex {
+                    indexed: true,
+                    package: 99,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("index lists"), "{err}");
+    }
+
+    #[test]
     fn gc_finish_failed_quarantines_instead_of_recycling() {
         let mut f = ftl();
         let home = f.locate(LogicalPage(0));
@@ -1277,6 +1405,31 @@ mod tests {
     }
 
     #[test]
+    fn clone_caught_by_a_checkpoint_is_rolled_back_on_recovery() {
+        let mut f = ftl();
+        f.enable_journal(JournalConfig {
+            flush_every: 1,
+            checkpoint_every: 1,
+        });
+        let lpn = LogicalPage(5);
+        let old = f.locate(lpn);
+        let dst = ClusterId {
+            switch: old.cluster.switch,
+            index: (old.cluster.index + 1) % f.shape().topology.clusters_per_switch,
+        };
+        // The checkpoint right after the prepare truncates its record...
+        let clone = f.migrate_prepare(lpn, dst, 0).unwrap();
+        // ... and the commit never becomes durable.
+        f.journal.as_mut().unwrap().cfg.flush_every = u32::MAX;
+        assert!(f.migrate_commit(lpn, clone, old));
+        let out = f.power_loss().unwrap();
+        assert_eq!(out.aborted_clones, 1);
+        assert_eq!(f.locate(lpn), old, "readers never saw the clone");
+        f.verify_integrity()
+            .expect("recovery rolls back clones the checkpoint caught");
+    }
+
+    #[test]
     fn checkpoint_cadence_truncates_journal() {
         let mut f = ftl();
         f.enable_journal(JournalConfig {
@@ -1323,5 +1476,155 @@ mod tests {
         assert_eq!(f.locate(LogicalPage(0)), want);
         assert_eq!(f.stats().gc_erases, erases);
         f.verify_integrity().unwrap();
+    }
+
+    /// Differential test of the GC victim index against the full
+    /// block-table scan it replaces.
+    mod victim_index {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeSet;
+        use triplea_flash::FlashGeometry;
+        use triplea_pcie::Topology;
+
+        /// The full-table scan `gc_pick` used before the victim index,
+        /// kept as its executable specification: the best
+        /// `(score, Reverse(key))` among the FIMM's sealed blocks with an
+        /// invalid page.
+        fn gc_pick_scan(f: &Ftl, cluster: ClusterId, fimm: u32) -> Option<GcWork> {
+            let gc = f.shape.topology.global_index(cluster);
+            let pages = f.shape.flash.pages_per_block;
+            f.blocks
+                .iter()
+                .filter(|((c, fi, _), b)| *c == gc && *fi == fimm && b.programmed == pages)
+                .filter(|(_, b)| b.invalid() > 0)
+                .max_by_key(|((_, _, key), b)| (f.gc_score(b), Reverse(*key)))
+                .map(|((_, _, key), b)| f.gc_work(cluster, fimm, *key, b))
+        }
+
+        fn flatten(v: &VictimIndex) -> BTreeSet<(u32, u32, BlockKey)> {
+            v.iter()
+                .flat_map(|(&(c, f), keys)| keys.iter().map(move |&k| (c, f, k)))
+                .collect()
+        }
+
+        /// 2 clusters × 2 FIMMs of 8 four-page blocks: a few dozen
+        /// writes exhaust a FIMM, so GC has work almost at once.
+        fn tiny_shape() -> ArrayShape {
+            ArrayShape {
+                topology: Topology {
+                    switches: 1,
+                    clusters_per_switch: 2,
+                },
+                fimms_per_cluster: 2,
+                packages_per_fimm: 1,
+                flash: FlashGeometry {
+                    dies: 1,
+                    planes: 2,
+                    blocks_per_plane: 4,
+                    pages_per_block: 4,
+                    page_size: 4096,
+                    endurance: 1000,
+                },
+            }
+        }
+
+        /// Hot logical pages the sequences overwrite.
+        const WORKING_SET: u64 = 24;
+
+        fn fimm_at(f: &Ftl, i: u32) -> (ClusterId, u32) {
+            let per = f.shape().fimms_per_cluster;
+            let t = f.shape().topology;
+            let n = t.total_clusters() * per;
+            (t.cluster_from_global(i % n / per), i % n % per)
+        }
+
+        fn check(f: &Ftl) {
+            let n = f.shape().topology.total_clusters() * f.shape().fimms_per_cluster;
+            for i in 0..n {
+                let (c, fimm) = fimm_at(f, i);
+                prop_assert_eq!(f.gc_pick(c, fimm), gc_pick_scan(f, c, fimm));
+            }
+            let rebuilt = victims_of(&f.blocks, f.shape.flash.pages_per_block);
+            prop_assert_eq!(flatten(&f.victims), flatten(&rebuilt));
+            prop_assert_eq!(f.verify_integrity(), Ok(()));
+        }
+
+        /// Applies one generated operation; `kind` picks it, the other
+        /// fields parameterise it.
+        fn apply(f: &mut Ftl, (kind, a, b, c): (u32, u64, u32, u32)) {
+            let lpn = LogicalPage(a % WORKING_SET);
+            let (to_cluster, to_fimm) = fimm_at(f, c);
+            match kind {
+                // Host write, every fourth one redirected.
+                0..=49 => {
+                    let target = (b % 4 == 0).then_some((to_cluster, to_fimm));
+                    let _ = f.write_alloc(lpn, target);
+                }
+                // Clone-then-unlink migration: commit, abort, or a
+                // commit made stale by a host write mid-clone.
+                50..=61 => {
+                    let old = f.locate(lpn);
+                    if let Ok(clone) = f.migrate_prepare(lpn, to_cluster, to_fimm) {
+                        match b % 3 {
+                            0 => {
+                                f.migrate_commit(lpn, clone, old);
+                            }
+                            1 => {
+                                f.migrate_abort(lpn, clone);
+                            }
+                            _ => {
+                                let _ = f.write_alloc(lpn, None);
+                                f.migrate_commit(lpn, clone, old);
+                            }
+                        }
+                    }
+                }
+                // One GC cycle; every fifth erase hard-fails. A cycle
+                // that runs out of space mid-rewrite is abandoned.
+                62..=91 => {
+                    if let Some(work) = f.gc_pick(to_cluster, to_fimm) {
+                        let rewrote = work.valid.iter().all(|&l| f.gc_rewrite(l, &work).is_ok());
+                        if rewrote && b % 5 == 0 {
+                            f.gc_finish_failed(&work);
+                        } else if rewrote {
+                            f.gc_finish(&work);
+                        }
+                    }
+                }
+                92..=94 => f.quarantine_block(f.locate(lpn)),
+                _ => {
+                    f.power_loss().expect("journal replay reproduces the state");
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+            /// After every operation of a random sequence, under every
+            /// policy: the indexed pick equals the scan on every FIMM,
+            /// the index equals a rebuild from the block table, and the
+            /// metadata audit passes.
+            #[test]
+            fn indexed_pick_matches_full_scan(
+                ops in prop::collection::vec(
+                    (0u32..100, 0u64..1_000, 0u32..60, 0u32..60),
+                    100..400,
+                ),
+                flush_every in 1u32..8,
+                checkpoint_every in 1u32..64,
+            ) {
+                for policy in [GcPolicy::Greedy, GcPolicy::CostBenefit, GcPolicy::Fifo] {
+                    let mut f = Ftl::new(tiny_shape());
+                    f.set_gc_policy(policy);
+                    f.enable_journal(JournalConfig { flush_every, checkpoint_every });
+                    for &op in &ops {
+                        apply(&mut f, op);
+                        check(&f);
+                    }
+                }
+            }
+        }
     }
 }

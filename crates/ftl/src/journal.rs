@@ -145,6 +145,11 @@ pub(crate) struct Checkpoint {
     pub(crate) blocks: FxHashMap<(u32, u32, BlockKey), BlockUse>,
     pub(crate) seal_seq: u64,
     pub(crate) stats: FtlStats,
+    /// Migration clones prepared but neither committed nor aborted when
+    /// the checkpoint was taken: their `Prepare` records are truncated
+    /// with the journal, so recovery must roll back from this list the
+    /// ones whose commit or abort never became durable.
+    pub(crate) clones: Vec<(LogicalPage, PhysLoc)>,
 }
 
 /// The journal proper: last checkpoint + ordered records since.
@@ -156,6 +161,9 @@ pub(crate) struct Journal {
     /// Records `[..flushed]` are durable; the tail is volatile.
     pub(crate) flushed: usize,
     pub(crate) stats: JournalStats,
+    /// Clones prepared and not yet committed or aborted, as of the last
+    /// appended record; copied into each checkpoint.
+    pub(crate) clones: Vec<(LogicalPage, PhysLoc)>,
 }
 
 impl Journal {
@@ -166,6 +174,7 @@ impl Journal {
             records: Vec::new(),
             flushed: 0,
             stats: JournalStats::default(),
+            clones: Vec::new(),
         }
     }
 
@@ -173,6 +182,14 @@ impl Journal {
     /// Returns `true` when the flushed prefix has grown large enough
     /// that the owner should take a checkpoint.
     pub(crate) fn append(&mut self, rec: JournalRecord) -> bool {
+        match rec {
+            JournalRecord::Prepare { lpn, loc, .. } => self.clones.push((lpn, loc)),
+            JournalRecord::Commit { lpn, new_loc, .. }
+            | JournalRecord::Abort { lpn, new_loc, .. } => {
+                self.clones.retain(|&c| c != (lpn, new_loc));
+            }
+            _ => {}
+        }
         self.records.push(rec);
         self.stats.appended += 1;
         let flush_every = self.cfg.flush_every.max(1) as usize;

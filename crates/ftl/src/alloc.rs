@@ -25,6 +25,24 @@ struct Stream {
     recycled: BinaryHeap<Reverse<(u32, u32)>>,
 }
 
+impl PartialEq for Stream {
+    /// Equal streams hold the same recycled blocks, whatever the heap's
+    /// internal order.
+    fn eq(&self, other: &Self) -> bool {
+        let pool = |s: &Stream| {
+            let mut v: Vec<_> = s.recycled.iter().copied().collect();
+            v.sort_unstable();
+            v
+        };
+        self.package == other.package
+            && self.die == other.die
+            && self.plane == other.plane
+            && self.active == other.active
+            && self.fresh_next == other.fresh_next
+            && pool(self) == pool(other)
+    }
+}
+
 /// Allocates fresh physical pages inside one FIMM, log-structured per
 /// (package, die, plane) write stream with round-robin striping across
 /// streams.
@@ -33,7 +51,7 @@ struct Stream {
 /// NAND program-order constraint the flash package enforces; blocks are
 /// chosen least-worn-first among erased blocks (host-side wear
 /// levelling, paper §6.7).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FimmAllocator {
     geom: FlashGeometry,
     streams: Vec<Stream>,

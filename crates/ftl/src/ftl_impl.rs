@@ -9,7 +9,7 @@ use triplea_sim::trace::{TraceEventKind, TracePort, TraceScope};
 
 use crate::alloc::{BlockKey, FimmAllocator};
 use crate::error::{FtlError, IntegrityError, RecoveryError};
-use crate::journal::{Checkpoint, Journal, JournalConfig, JournalRecord, JournalStats, RecoveryOutcome};
+use crate::journal::{Journal, JournalConfig, JournalRecord, JournalStats, RecoveryOutcome};
 use crate::map::PageMap;
 use crate::mapcache::MappingCache;
 use crate::shape::{ArrayShape, LogicalPage, PhysLoc};
@@ -44,7 +44,7 @@ pub enum GcPolicy {
     Fifo,
 }
 
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct BlockUse {
     programmed: u32,
     lpns: FxHashMap<u32, LogicalPage>,
@@ -67,20 +67,6 @@ impl BlockUse {
 /// Per-FIMM GC candidates: `(global cluster, fimm)` → the keys of the
 /// blocks in the table that satisfy [`BlockUse::is_gc_candidate`].
 type VictimIndex = FxHashMap<(u32, u32), FxHashSet<BlockKey>>;
-
-/// Derives the victim index from a block table.
-fn victims_of(
-    blocks: &FxHashMap<(u32, u32, BlockKey), BlockUse>,
-    pages_per_block: u32,
-) -> VictimIndex {
-    let mut victims = VictimIndex::default();
-    for (&gkey, b) in blocks {
-        if b.is_gc_candidate(pages_per_block) {
-            index_victim(&mut victims, gkey);
-        }
-    }
-    victims
-}
 
 fn index_victim(victims: &mut VictimIndex, (c, f, key): (u32, u32, BlockKey)) {
     victims.entry((c, f)).or_default().insert(key);
@@ -137,8 +123,8 @@ pub struct Ftl {
     /// never scans the whole table. A block only gains invalid pages
     /// until GC removes it, so membership changes only when a block
     /// seals or loses a page while sealed (insert) and in `gc_finish` /
-    /// `gc_finish_failed` (remove). Not checkpointed: power loss
-    /// rebuilds it from the restored table.
+    /// `gc_finish_failed` (remove). The journal's checkpoint maintains
+    /// its own through replay, and power loss copies it back.
     victims: VictimIndex,
     /// Demand-paged translation cache; `None` models the full in-DRAM
     /// map of Triple-A's relocated-DRAM design (§6.6).
@@ -149,9 +135,6 @@ pub struct Ftl {
     /// Metadata journal; `None` models battery-backed (durable) map DRAM
     /// where power loss cannot lose translations.
     journal: Option<Box<Journal>>,
-    /// Set while a recovery scan re-drives journaled operations, so the
-    /// replayed mutations are not journaled again.
-    replaying: bool,
     /// Event-trace sink; detached (free) unless the embedding simulation
     /// calls [`Ftl::attach_trace`].
     trace: TracePort,
@@ -180,7 +163,6 @@ impl Ftl {
             seal_seq: 0,
             stats: FtlStats::default(),
             journal: None,
-            replaying: false,
             trace: TracePort::off(),
         }
     }
@@ -758,19 +740,21 @@ impl Ftl {
         self.allocator(cluster, fimm).free_blocks()
     }
 
-    /// A deep copy of the durable translation state, used as a journal
-    /// checkpoint.
-    fn snapshot(&self) -> Checkpoint {
-        Checkpoint {
+    /// A copy of the durable translation state with no journal, mapping
+    /// cache or trace: the journal's initial checkpoint.
+    fn shadow(&self) -> Ftl {
+        Ftl {
+            shape: self.shape,
             map: self.map.clone(),
             allocs: self.allocs.clone(),
             blocks: self.blocks.clone(),
+            victims: self.victims.clone(),
+            mapcache: None,
+            gc_policy: self.gc_policy,
             seal_seq: self.seal_seq,
             stats: self.stats,
-            clones: self
-                .journal
-                .as_ref()
-                .map_or_else(Vec::new, |j| j.clones.clone()),
+            journal: None,
+            trace: TracePort::off(),
         }
     }
 
@@ -779,7 +763,7 @@ impl Ftl {
     /// journal, [`Ftl::power_loss`] treats the whole map as durable
     /// (battery-backed DRAM).
     pub fn enable_journal(&mut self, cfg: JournalConfig) {
-        self.journal = Some(Box::new(Journal::new(cfg, self.snapshot())));
+        self.journal = Some(Box::new(Journal::new(cfg, self.shadow())));
     }
 
     /// Journal activity counters; `None` when journaling is off.
@@ -795,104 +779,66 @@ impl Ftl {
             .map_or(0, |j| (j.records.len() - j.flushed) as u64)
     }
 
-    /// Appends a mutation record (no-op when journaling is off or while
-    /// a recovery scan is re-driving journaled operations), flushing and
-    /// checkpointing per the configured cadence.
+    /// Appends a mutation record (no-op when journaling is off, which
+    /// includes the journal's own checkpoint while it replays), flushing
+    /// and checkpointing per the configured cadence.
     fn journal_append(&mut self, rec: JournalRecord) {
-        if self.replaying {
+        let Some(j) = self.journal.as_mut() else {
             return;
-        }
-        let needs_checkpoint = match self.journal.as_mut() {
-            None => return,
-            Some(j) => j.append(rec),
         };
-        if needs_checkpoint {
-            let snap = self.snapshot();
-            if let Some(j) = self.journal.as_mut() {
-                j.install_checkpoint(snap);
-                let records = j.stats.appended;
-                self.trace
-                    .emit(|| TraceEventKind::JournalCheckpoint { records });
-            }
+        if j.append(rec) {
+            j.checkpoint();
+            let records = j.stats.appended;
+            self.trace
+                .emit(|| TraceEventKind::JournalCheckpoint { records });
         }
     }
 
     /// Simulates losing power: all volatile metadata is discarded and
     /// the mount-time recovery scan runs.
     ///
-    /// The mapping cache (if any) restarts cold. With journaling on, the
-    /// translation state rewinds to the last checkpoint, flushed journal
-    /// records are replayed in order (each cross-checked against the
-    /// physical location the original execution recorded), un-flushed
-    /// records are dropped, and migration clones caught mid-flight are
-    /// rolled back; the scan closes with a fresh checkpoint. Without a
-    /// journal the map is modelled as durable and nothing is lost.
+    /// The mapping cache (if any) restarts cold. With journaling on,
+    /// un-flushed records are dropped, the flushed ones are replayed in
+    /// order onto the last checkpoint (each cross-checked against the
+    /// physical location the original execution recorded), migration
+    /// clones caught mid-flight are rolled back there, and the live
+    /// translation state takes the checkpoint's, which is the scan's
+    /// closing checkpoint. Without a journal the map is modelled as
+    /// durable and nothing is lost.
     ///
     /// # Errors
     ///
-    /// [`RecoveryError`] when replay cannot reproduce the journaled
-    /// outcome — the metadata has diverged and must not be trusted.
+    /// [`RecoveryError`] when replay — in this scan or while taking an
+    /// earlier checkpoint — could not reproduce the journaled outcome:
+    /// the metadata has diverged and must not be trusted.
     pub fn power_loss(&mut self) -> Result<RecoveryOutcome, RecoveryError> {
         if let Some(c) = &self.mapcache {
             // The translation cache lives in volatile DRAM.
             self.mapcache = Some(MappingCache::new(c.capacity()));
         }
-        let Some(mut j) = self.journal.take() else {
+        let Some(j) = self.journal.as_mut() else {
             return Ok(RecoveryOutcome::default());
         };
-        let dropped = (j.records.len() - j.flushed) as u64;
-        j.records.truncate(j.flushed);
-
-        // Rewind to the checkpoint.
-        self.map = j.checkpoint.map.clone();
-        self.allocs = j.checkpoint.allocs.clone();
-        self.blocks = j.checkpoint.blocks.clone();
-        self.victims = victims_of(&self.blocks, self.shape.flash.pages_per_block);
-        self.seal_seq = j.checkpoint.seal_seq;
-        self.stats = j.checkpoint.stats;
-
-        // Replay the durable journal, tracking clones still in flight
-        // (starting with those the checkpoint caught mid-migration).
-        self.replaying = true;
-        let mut outstanding = j.checkpoint.clones.clone();
-        let result = self.replay(&j.records, &mut outstanding);
-        let replayed = match result {
-            Ok(n) => n,
-            Err(e) => {
-                self.replaying = false;
-                self.journal = Some(j);
-                return Err(e);
-            }
-        };
-
-        // A prepared clone whose commit/abort never became durable is
-        // rolled back, exactly like an aborted migration.
-        let aborted_clones = outstanding.len() as u64;
-        for (lpn, loc) in outstanding {
-            self.migrate_abort(lpn, loc);
-        }
-        self.replaying = false;
-
-        // The recovery scan ends with a durable checkpoint.
-        j.clones.clear();
-        j.install_checkpoint(self.snapshot());
-        j.stats.replayed += replayed;
-        j.stats.dropped += dropped;
-        j.stats.power_losses += 1;
-        self.journal = Some(j);
-        self.trace
-            .emit(|| TraceEventKind::JournalReplay { replayed, dropped });
-        Ok(RecoveryOutcome {
-            replayed,
-            dropped,
-            aborted_clones,
-        })
+        let outcome = j.recover()?;
+        let durable = &j.checkpoint.ftl;
+        self.map.clone_from(&durable.map);
+        self.allocs.clone_from(&durable.allocs);
+        self.blocks.clone_from(&durable.blocks);
+        self.victims.clone_from(&durable.victims);
+        self.seal_seq = durable.seal_seq;
+        self.stats = durable.stats;
+        self.trace.emit(|| TraceEventKind::JournalReplay {
+            replayed: outcome.replayed,
+            dropped: outcome.dropped,
+        });
+        Ok(outcome)
     }
 
-    /// Re-drives `records` in order against the restored checkpoint,
-    /// cross-checking each outcome. Deterministic allocation guarantees
-    /// replay lands every page exactly where the original run did.
-    fn replay(
+    /// Re-drives `records` in order against this FTL — the journal's
+    /// checkpoint — cross-checking each outcome and tracking the clones
+    /// left `outstanding`. Deterministic allocation guarantees replay
+    /// lands every page exactly where the original run did.
+    pub(crate) fn replay(
         &mut self,
         records: &[JournalRecord],
         outstanding: &mut Vec<(LogicalPage, PhysLoc)>,
@@ -1478,6 +1424,74 @@ mod tests {
         f.verify_integrity().unwrap();
     }
 
+    #[test]
+    fn journal_divergence_is_returned_by_the_next_power_loss() {
+        let cfg = JournalConfig {
+            flush_every: 1,
+            checkpoint_every: 4,
+        };
+        let corrupt = |f: &mut Ftl, index: usize| {
+            let j = f.journal.as_mut().unwrap();
+            let JournalRecord::Write { loc, .. } = &mut j.records[index] else {
+                panic!("record {index} is a write");
+            };
+            loc.addr.page.page += 1;
+        };
+        // Found while advancing the checkpoint: kept, not raised.
+        let mut f = ftl();
+        f.enable_journal(cfg);
+        for i in 0..3 {
+            f.write_alloc(LogicalPage(i), None).unwrap();
+        }
+        corrupt(&mut f, 1);
+        f.write_alloc(LogicalPage(3), None).unwrap();
+        assert_eq!(f.journal_stats().unwrap().checkpoints, 1);
+        f.write_alloc(LogicalPage(4), None).unwrap();
+        let want = RecoveryError::Diverged {
+            index: 1,
+            lpn: LogicalPage(1),
+        };
+        assert_eq!(f.power_loss(), Err(want));
+        assert_eq!(
+            f.power_loss(),
+            Err(want),
+            "a diverged journal stays untrusted"
+        );
+        // Found by the recovery scan's own replay.
+        let mut f = ftl();
+        f.enable_journal(cfg);
+        for i in 0..3 {
+            f.write_alloc(LogicalPage(i), None).unwrap();
+        }
+        corrupt(&mut f, 2);
+        assert_eq!(
+            f.power_loss(),
+            Err(RecoveryError::Diverged {
+                index: 2,
+                lpn: LogicalPage(2),
+            })
+        );
+        // A record the checkpoint cannot even re-drive.
+        let mut f = ftl();
+        f.enable_journal(cfg);
+        f.write_alloc(LogicalPage(0), None).unwrap();
+        let bad = f.shape().total_pages();
+        let JournalRecord::Write { lpn, .. } = &mut f.journal.as_mut().unwrap().records[0] else {
+            panic!("record 0 is a write");
+        };
+        lpn.0 = bad;
+        for i in 1..4 {
+            f.write_alloc(LogicalPage(i), None).unwrap();
+        }
+        assert_eq!(
+            f.power_loss(),
+            Err(RecoveryError::Replay {
+                index: 0,
+                error: FtlError::AddressOutOfRange(bad),
+            })
+        );
+    }
+
     /// Differential test of the GC victim index against the full
     /// block-table scan it replaces.
     mod victim_index {
@@ -1486,6 +1500,21 @@ mod tests {
         use std::collections::BTreeSet;
         use triplea_flash::FlashGeometry;
         use triplea_pcie::Topology;
+
+        /// Derives the victim index from a block table: what the index
+        /// maintained incrementally must equal.
+        fn victims_of(
+            blocks: &FxHashMap<(u32, u32, BlockKey), BlockUse>,
+            pages_per_block: u32,
+        ) -> VictimIndex {
+            let mut victims = VictimIndex::default();
+            for (&gkey, b) in blocks {
+                if b.is_gc_candidate(pages_per_block) {
+                    index_victim(&mut victims, gkey);
+                }
+            }
+            victims
+        }
 
         /// The full-table scan `gc_pick` used before the victim index,
         /// kept as its executable specification: the best
@@ -1502,7 +1531,7 @@ mod tests {
                 .map(|((_, _, key), b)| f.gc_work(cluster, fimm, *key, b))
         }
 
-        fn flatten(v: &VictimIndex) -> BTreeSet<(u32, u32, BlockKey)> {
+        pub(super) fn flatten(v: &VictimIndex) -> BTreeSet<(u32, u32, BlockKey)> {
             v.iter()
                 .flat_map(|(&(c, f), keys)| keys.iter().map(move |&k| (c, f, k)))
                 .collect()
@@ -1510,7 +1539,7 @@ mod tests {
 
         /// 2 clusters × 2 FIMMs of 8 four-page blocks: a few dozen
         /// writes exhaust a FIMM, so GC has work almost at once.
-        fn tiny_shape() -> ArrayShape {
+        pub(super) fn tiny_shape() -> ArrayShape {
             ArrayShape {
                 topology: Topology {
                     switches: 1,
@@ -1550,9 +1579,29 @@ mod tests {
             prop_assert_eq!(f.verify_integrity(), Ok(()));
         }
 
-        /// Applies one generated operation; `kind` picks it, the other
-        /// fields parameterise it.
-        fn apply(f: &mut Ftl, (kind, a, b, c): (u32, u64, u32, u32)) {
+        /// One generated operation: `kind` picks it, the other fields
+        /// parameterise it.
+        pub(super) type Op = (u32, u64, u32, u32);
+
+        pub(super) fn ops() -> impl Strategy<Value = Vec<Op>> {
+            prop::collection::vec((0u32..100, 0u64..1_000, 0u32..60, 0u32..60), 100..400)
+        }
+
+        /// What a test observes of a generated sequence.
+        pub(super) trait Harness {
+            /// Runs after every mutating FTL call.
+            fn settle(&mut self, _f: &Ftl) {}
+
+            /// Cuts the power.
+            fn cut(&mut self, f: &mut Ftl) {
+                f.power_loss().expect("journal replay reproduces the state");
+            }
+        }
+
+        impl Harness for () {}
+
+        /// Applies one generated operation.
+        pub(super) fn apply(f: &mut Ftl, (kind, a, b, c): Op, h: &mut impl Harness) {
             let lpn = LogicalPage(a % WORKING_SET);
             let (to_cluster, to_fimm) = fimm_at(f, c);
             match kind {
@@ -1560,12 +1609,15 @@ mod tests {
                 0..=49 => {
                     let target = (b % 4 == 0).then_some((to_cluster, to_fimm));
                     let _ = f.write_alloc(lpn, target);
+                    h.settle(f);
                 }
                 // Clone-then-unlink migration: commit, abort, or a
                 // commit made stale by a host write mid-clone.
                 50..=61 => {
                     let old = f.locate(lpn);
-                    if let Ok(clone) = f.migrate_prepare(lpn, to_cluster, to_fimm) {
+                    let prepared = f.migrate_prepare(lpn, to_cluster, to_fimm);
+                    h.settle(f);
+                    if let Ok(clone) = prepared {
                         match b % 3 {
                             0 => {
                                 f.migrate_commit(lpn, clone, old);
@@ -1575,26 +1627,37 @@ mod tests {
                             }
                             _ => {
                                 let _ = f.write_alloc(lpn, None);
+                                h.settle(f);
                                 f.migrate_commit(lpn, clone, old);
                             }
                         }
+                        h.settle(f);
                     }
                 }
                 // One GC cycle; every fifth erase hard-fails. A cycle
                 // that runs out of space mid-rewrite is abandoned.
                 62..=91 => {
                     if let Some(work) = f.gc_pick(to_cluster, to_fimm) {
-                        let rewrote = work.valid.iter().all(|&l| f.gc_rewrite(l, &work).is_ok());
+                        let rewrote = work.valid.iter().all(|&l| {
+                            let ok = f.gc_rewrite(l, &work).is_ok();
+                            h.settle(f);
+                            ok
+                        });
                         if rewrote && b % 5 == 0 {
                             f.gc_finish_failed(&work);
                         } else if rewrote {
                             f.gc_finish(&work);
                         }
+                        h.settle(f);
                     }
                 }
-                92..=94 => f.quarantine_block(f.locate(lpn)),
+                92..=94 => {
+                    f.quarantine_block(f.locate(lpn));
+                    h.settle(f);
+                }
                 _ => {
-                    f.power_loss().expect("journal replay reproduces the state");
+                    h.cut(f);
+                    h.settle(f);
                 }
             }
         }
@@ -1608,10 +1671,7 @@ mod tests {
             /// metadata audit passes.
             #[test]
             fn indexed_pick_matches_full_scan(
-                ops in prop::collection::vec(
-                    (0u32..100, 0u64..1_000, 0u32..60, 0u32..60),
-                    100..400,
-                ),
+                ops in ops(),
                 flush_every in 1u32..8,
                 checkpoint_every in 1u32..64,
             ) {
@@ -1620,9 +1680,162 @@ mod tests {
                     f.set_gc_policy(policy);
                     f.enable_journal(JournalConfig { flush_every, checkpoint_every });
                     for &op in &ops {
-                        apply(&mut f, op);
+                        apply(&mut f, op, &mut ());
                         check(&f);
                     }
+                }
+            }
+        }
+    }
+
+    /// Differential test of the shadow checkpoint, advanced by replay,
+    /// against the deep copy of the live state it replaces.
+    mod journal_checkpoint {
+        use super::victim_index::{apply, flatten, ops, tiny_shape, Harness};
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeSet;
+        use triplea_fimm::FimmAddr;
+        use triplea_flash::PageAddr;
+
+        /// A clone as a sortable key: `(lpn, block, page)`.
+        type CloneKey = (u64, (u32, u32, BlockKey), u32);
+
+        fn clone_keys(f: &Ftl, clones: &[(LogicalPage, PhysLoc)]) -> BTreeSet<CloneKey> {
+            clones
+                .iter()
+                .map(|&(lpn, loc)| (lpn.0, f.block_of(loc), loc.addr.page.page))
+                .collect()
+        }
+
+        /// The migration clones open in `f`: block-table entries whose
+        /// LPN maps elsewhere. Between operations there are none
+        /// (`verify_integrity`), so mid-operation these are exactly the
+        /// prepared clones not yet committed or aborted.
+        fn open_clones(f: &Ftl) -> Vec<(LogicalPage, PhysLoc)> {
+            let mut open = Vec::new();
+            for (&(c, fimm, (package, die, block)), b) in &f.blocks {
+                for (&page, &lpn) in &b.lpns {
+                    let loc = PhysLoc {
+                        cluster: f.shape.topology.cluster_from_global(c),
+                        fimm,
+                        addr: FimmAddr {
+                            package,
+                            page: PageAddr {
+                                die,
+                                plane: f.shape.flash.plane_of_block(block),
+                                block,
+                                page,
+                            },
+                        },
+                    };
+                    if f.map.locate(lpn) != loc {
+                        open.push((lpn, loc));
+                    }
+                }
+            }
+            open
+        }
+
+        /// `a` and `b` hold the same durable translation state. An
+        /// allocator missing from one side is pristine: read-only calls
+        /// create allocators on demand, and those are never journaled.
+        fn same_state(a: &Ftl, b: &Ftl) {
+            let entries = |f: &Ftl| f.map.remapped_entries().collect::<FxHashMap<_, _>>();
+            prop_assert!(entries(a) == entries(b), "page maps differ");
+            prop_assert_eq!(a.map.total_remaps(), b.map.total_remaps());
+            prop_assert!(a.blocks == b.blocks, "block tables differ");
+            let pristine = FimmAllocator::new(a.shape.packages_per_fimm, a.shape.flash);
+            for key in a.allocs.keys().chain(b.allocs.keys()) {
+                let side = |f: &Ftl| f.allocs.get(key).unwrap_or(&pristine).clone();
+                prop_assert!(side(a) == side(b), "allocators of {:?} differ", key);
+            }
+            prop_assert_eq!(flatten(&a.victims), flatten(&b.victims));
+            prop_assert_eq!(a.seal_seq, b.seal_seq);
+            prop_assert_eq!(a.stats, b.stats);
+        }
+
+        /// The checkpoint before the shadow, kept as its executable
+        /// specification: a deep copy of the live state taken at each
+        /// checkpoint, with the clones open then. A power cut rewinds a
+        /// copy of it, replays the durable journal and rolls back the
+        /// clones left open.
+        struct DeepCopySpec {
+            state: Ftl,
+            clones: Vec<(LogicalPage, PhysLoc)>,
+            checkpoints: u64,
+        }
+
+        impl DeepCopySpec {
+            fn new(f: &Ftl) -> Self {
+                DeepCopySpec {
+                    state: f.shadow(),
+                    clones: Vec::new(),
+                    checkpoints: 0,
+                }
+            }
+
+            /// The rewind-and-replay recovery of `f`'s journal.
+            fn rewind(&self, f: &Ftl) -> (Ftl, Result<RecoveryOutcome, RecoveryError>) {
+                let j = f.journal.as_ref().unwrap();
+                let mut state = self.state.clone();
+                let mut outstanding = self.clones.clone();
+                let replayed = state.replay(&j.records[..j.flushed], &mut outstanding);
+                let aborted_clones = outstanding.len() as u64;
+                for (lpn, loc) in outstanding {
+                    state.migrate_abort(lpn, loc);
+                }
+                let outcome = replayed.map(|replayed| RecoveryOutcome {
+                    replayed,
+                    dropped: (j.records.len() - j.flushed) as u64,
+                    aborted_clones,
+                });
+                (state, outcome)
+            }
+        }
+
+        impl Harness for DeepCopySpec {
+            fn settle(&mut self, f: &Ftl) {
+                let checkpoints = f.journal_stats().unwrap().checkpoints;
+                if checkpoints != self.checkpoints {
+                    self.checkpoints = checkpoints;
+                    self.state = f.shadow();
+                    self.clones = open_clones(f);
+                    let j = f.journal.as_ref().unwrap();
+                    same_state(&j.checkpoint.ftl, &self.state);
+                    prop_assert_eq!(
+                        clone_keys(f, &j.checkpoint.clones),
+                        clone_keys(f, &self.clones)
+                    );
+                    prop_assert_eq!(j.diverged, None);
+                }
+            }
+
+            fn cut(&mut self, f: &mut Ftl) {
+                let (want, outcome) = self.rewind(f);
+                prop_assert_eq!(f.power_loss(), outcome);
+                same_state(f, &want);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+            /// Over random journaled sequences: after every checkpoint
+            /// the shadow equals a deep copy of the live FTL, and every
+            /// power cut recovers the state and outcome the deep-copy
+            /// rewind-and-replay path produces.
+            #[test]
+            fn shadow_checkpoint_matches_deep_copy(
+                ops in ops(),
+                flush_every in 1u32..8,
+                checkpoint_every in 1u32..64,
+            ) {
+                let mut f = Ftl::new(tiny_shape());
+                f.enable_journal(JournalConfig { flush_every, checkpoint_every });
+                let mut spec = DeepCopySpec::new(&f);
+                for &op in &ops {
+                    apply(&mut f, op, &mut spec);
                 }
             }
         }

@@ -13,28 +13,33 @@
 //! * records become durable in batches — once `flush_every` records
 //!   accumulate past the flush watermark, the batch is flushed;
 //! * once `checkpoint_every` flushed records accumulate, the FTL takes a
-//!   fresh checkpoint (a deep copy of the map, allocators, and block
-//!   tables) and truncates the journal.
+//!   fresh checkpoint and truncates the journal.
+//!
+//! The checkpoint is a *shadow* FTL with no journal of its own, copied
+//! once when journaling is enabled and from then on advanced by
+//! *replaying* the flushed records onto it — the same re-drive a
+//! recovery scan performs. Taking a checkpoint therefore costs about one
+//! page write per record, never a copy of the whole map.
 //!
 //! On power loss ([`Ftl::power_loss`](crate::Ftl::power_loss)) everything
 //! volatile is discarded: un-flushed journal records are lost, and the
 //! mapping cache (if any) restarts cold. The mount-time recovery scan
-//! restores the checkpoint and *replays* the flushed records in order by
-//! re-driving the same FTL operations. Because allocation is fully
-//! deterministic, replay reproduces the exact pre-crash metadata; each
-//! record carries the physical location the original operation produced,
-//! so replay doubles as a self-check — any divergence surfaces as a typed
-//! [`RecoveryError`](crate::RecoveryError) instead of silent corruption.
-//! Clone-then-unlink migrations caught mid-flight (a prepared clone whose
-//! commit/abort never flushed) are rolled back during the scan, exactly
-//! like an aborted migration, so `verify_integrity` holds afterwards.
+//! replays the flushed records onto the checkpoint in order, and the live
+//! state takes the checkpoint's with one copy. Because allocation is
+//! fully deterministic, replay reproduces the exact pre-crash metadata;
+//! each record carries the physical location the original operation
+//! produced, so replay doubles as a self-check — any divergence surfaces
+//! as a typed [`RecoveryError`](crate::RecoveryError) instead of silent
+//! corruption. A divergence found while taking a checkpoint is kept and
+//! returned by the next power loss. Clone-then-unlink migrations caught
+//! mid-flight (a prepared clone whose commit/abort never flushed) are
+//! rolled back during the scan, exactly like an aborted migration, so
+//! `verify_integrity` holds afterwards.
 
 use triplea_pcie::ClusterId;
-use triplea_sim::FxHashMap;
 
-use crate::alloc::{BlockKey, FimmAllocator};
-use crate::ftl_impl::{BlockUse, FtlStats, WriteClass};
-use crate::map::PageMap;
+use crate::error::RecoveryError;
+use crate::ftl_impl::{Ftl, WriteClass};
 use crate::shape::{LogicalPage, PhysLoc};
 
 /// Durability cadence of the metadata journal.
@@ -44,9 +49,9 @@ pub struct JournalConfig {
     /// flush watermark becomes durable at once. Values below 1 are
     /// treated as 1 (flush every record).
     pub flush_every: u32,
-    /// Flushed records that trigger a fresh checkpoint (deep copy of the
-    /// translation state) and journal truncation. Values below 1 are
-    /// treated as 1.
+    /// Flushed records that trigger a fresh checkpoint (the records are
+    /// replayed onto the checkpoint) and journal truncation. Values below
+    /// 1 are treated as 1.
     pub checkpoint_every: u32,
 }
 
@@ -137,18 +142,16 @@ pub(crate) enum JournalRecord {
     },
 }
 
-/// A deep copy of the FTL's durable translation state.
+/// The durable translation state the journal's records apply to.
 #[derive(Clone, Debug)]
 pub(crate) struct Checkpoint {
-    pub(crate) map: PageMap,
-    pub(crate) allocs: FxHashMap<(u32, u32), FimmAllocator>,
-    pub(crate) blocks: FxHashMap<(u32, u32, BlockKey), BlockUse>,
-    pub(crate) seal_seq: u64,
-    pub(crate) stats: FtlStats,
-    /// Migration clones prepared but neither committed nor aborted when
-    /// the checkpoint was taken: their `Prepare` records are truncated
-    /// with the journal, so recovery must roll back from this list the
-    /// ones whose commit or abort never became durable.
+    /// A shadow FTL with no journal, mapping cache or trace: the state as
+    /// of the last checkpoint, advanced only by replay.
+    pub(crate) ftl: Ftl,
+    /// Migration clones prepared on the shadow but neither committed nor
+    /// aborted: replay's outstanding list, carried from one checkpoint to
+    /// the next because the `Prepare` records are truncated with the
+    /// journal. Recovery rolls back the ones still open.
     pub(crate) clones: Vec<(LogicalPage, PhysLoc)>,
 }
 
@@ -161,20 +164,25 @@ pub(crate) struct Journal {
     /// Records `[..flushed]` are durable; the tail is volatile.
     pub(crate) flushed: usize,
     pub(crate) stats: JournalStats,
-    /// Clones prepared and not yet committed or aborted, as of the last
-    /// appended record; copied into each checkpoint.
-    pub(crate) clones: Vec<(LogicalPage, PhysLoc)>,
+    /// The first divergence found while replaying onto the checkpoint.
+    /// The checkpoint stops advancing once set, and every later power
+    /// loss reports it.
+    pub(crate) diverged: Option<RecoveryError>,
 }
 
 impl Journal {
-    pub(crate) fn new(cfg: JournalConfig, checkpoint: Checkpoint) -> Self {
+    /// A journal whose checkpoint is `shadow` (an FTL with no journal).
+    pub(crate) fn new(cfg: JournalConfig, shadow: Ftl) -> Self {
         Journal {
             cfg,
-            checkpoint,
+            checkpoint: Checkpoint {
+                ftl: shadow,
+                clones: Vec::new(),
+            },
             records: Vec::new(),
             flushed: 0,
             stats: JournalStats::default(),
-            clones: Vec::new(),
+            diverged: None,
         }
     }
 
@@ -182,14 +190,6 @@ impl Journal {
     /// Returns `true` when the flushed prefix has grown large enough
     /// that the owner should take a checkpoint.
     pub(crate) fn append(&mut self, rec: JournalRecord) -> bool {
-        match rec {
-            JournalRecord::Prepare { lpn, loc, .. } => self.clones.push((lpn, loc)),
-            JournalRecord::Commit { lpn, new_loc, .. }
-            | JournalRecord::Abort { lpn, new_loc, .. } => {
-                self.clones.retain(|&c| c != (lpn, new_loc));
-            }
-            _ => {}
-        }
         self.records.push(rec);
         self.stats.appended += 1;
         let flush_every = self.cfg.flush_every.max(1) as usize;
@@ -200,11 +200,53 @@ impl Journal {
         self.flushed >= self.cfg.checkpoint_every.max(1) as usize
     }
 
-    /// Installs a fresh checkpoint and truncates the journal.
-    pub(crate) fn install_checkpoint(&mut self, checkpoint: Checkpoint) {
-        self.checkpoint = checkpoint;
+    /// Takes a checkpoint: replays the flushed records onto the shadow
+    /// and truncates the journal, volatile tail included. Returns the
+    /// number of records replayed. A divergence is kept in
+    /// [`Self::diverged`] rather than raised.
+    pub(crate) fn checkpoint(&mut self) -> u64 {
+        if self.diverged.is_none() {
+            let cp = &mut self.checkpoint;
+            self.diverged = cp
+                .ftl
+                .replay(&self.records[..self.flushed], &mut cp.clones)
+                .err();
+        }
+        let replayed = self.flushed as u64;
         self.records.clear();
         self.flushed = 0;
         self.stats.checkpoints += 1;
+        replayed
+    }
+
+    /// The mount-time recovery scan: drops the volatile tail, replays the
+    /// durable records onto the checkpoint (closing the scan with a
+    /// fresh checkpoint) and rolls back the clones still open there. The
+    /// caller then copies the checkpoint's state into the live FTL.
+    ///
+    /// # Errors
+    ///
+    /// The divergence found by this or any earlier replay.
+    pub(crate) fn recover(&mut self) -> Result<RecoveryOutcome, RecoveryError> {
+        let dropped = (self.records.len() - self.flushed) as u64;
+        let replayed = self.checkpoint();
+        if let Some(e) = self.diverged {
+            return Err(e);
+        }
+        // A prepared clone whose commit/abort never became durable is
+        // rolled back, exactly like an aborted migration.
+        let cp = &mut self.checkpoint;
+        let aborted_clones = cp.clones.len() as u64;
+        for (lpn, loc) in cp.clones.drain(..) {
+            cp.ftl.migrate_abort(lpn, loc);
+        }
+        self.stats.replayed += replayed;
+        self.stats.dropped += dropped;
+        self.stats.power_losses += 1;
+        Ok(RecoveryOutcome {
+            replayed,
+            dropped,
+            aborted_clones,
+        })
     }
 }

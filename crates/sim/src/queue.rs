@@ -8,7 +8,13 @@
 //!   majority of a simulation's events: resource grants, bus transfers,
 //!   completions a few microseconds out) never touches the heap, and
 //!   the common push-at-`now` case is an allocation-free insertion into
-//!   the already-sorted active bucket.
+//!   the already-sorted active bucket. A push into a completely empty
+//!   queue for an instant before the active bucket — the refill after
+//!   a full drain, as when a power cut requeues every future submit —
+//!   re-anchors the active bucket just before it, so an ascending
+//!   refill goes back through the ring and the overflow heap instead
+//!   of being sorted, one memmove each, into the front of the active
+//!   bucket.
 //! * `BaselineHeapQueue` (test-only) — the original global
 //!   `BinaryHeap`, kept as the executable specification: a differential
 //!   property test proves the calendar queue pops in exactly the same
@@ -136,6 +142,13 @@ impl<E> EventQueue<E> {
         self.pushed += 1;
         let entry = Entry { time, seq, payload };
         let b = bucket_of(time);
+        if b < self.cur_bucket && self.is_empty() {
+            // Refill after a full drain (a power cut requeueing future
+            // submits): re-anchor just before `b` so ascending refills
+            // go back through the ring and overflow instead of each
+            // being sorted into the front of `current`.
+            self.cur_bucket = b.saturating_sub(1);
+        }
         if b <= self.cur_bucket {
             // Active bucket (or a late event for an already-passed
             // instant, which must still pop before everything later):
@@ -462,9 +475,57 @@ mod tests {
         assert_eq!(order, ['a', 'b', 'c']);
     }
 
+    #[test]
+    fn refill_after_a_full_drain_reanchors_the_calendar() {
+        let mut q = EventQueue::new();
+        // Future events ~3 per bucket, starting well past bucket 0,
+        // spread over several ring horizons.
+        let base = 5_000_000u64;
+        let n = 5_000u64;
+        for i in 0..n {
+            q.push(SimTime::from_nanos(base + i * 300), i);
+        }
+        let drained: Vec<(SimTime, u64)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(drained.len(), n as usize);
+        let last = drained.last().unwrap().0;
+        assert_eq!(
+            q.cur_bucket,
+            bucket_of(last),
+            "a drain parks the calendar at the end"
+        );
+        for &(t, i) in &drained {
+            q.push(t, i);
+        }
+        let first = bucket_of(drained[0].0);
+        let in_first = drained
+            .iter()
+            .filter(|(t, _)| bucket_of(*t) == first)
+            .count();
+        assert!(
+            q.current.len() <= in_first,
+            "refill sorted {} events into `current`",
+            q.current.len()
+        );
+        assert_eq!(q.len(), n as usize);
+        assert_eq!(q.pop(), Some(drained[0]));
+        assert_eq!(
+            q.current.len(),
+            in_first - 1,
+            "`current` holds only the first bucket"
+        );
+        assert!(q.current.iter().all(|e| bucket_of(e.time) == first));
+        let rest: Vec<(SimTime, u64)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(rest, drained[1..]);
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
+
+        const PUSH: u8 = 0;
+        const POP: u8 = 1;
+        const DRAIN: u8 = 2;
+        const REQUEUE: u8 = 3;
 
         proptest! {
             /// Popping always yields non-decreasing timestamps, and
@@ -487,24 +548,30 @@ mod tests {
             }
 
             /// Differential test: over randomized push/pop interleavings
-            /// — same-timestamp bursts, near-future offsets, and
-            /// far-future scheduling beyond the ring horizon — the
-            /// calendar queue pops exactly the same `(time, payload)`
-            /// sequence as the baseline heap, event for event.
+            /// — same-timestamp bursts, near-future offsets, far-future
+            /// scheduling beyond the ring horizon, and full drains
+            /// followed by late refills — the calendar queue pops
+            /// exactly the same `(time, payload)` sequence as the
+            /// baseline heap, event for event.
             #[test]
             fn matches_baseline_heap_differentially(
                 ops in prop::collection::vec(
                     prop_oneof![
                         // Near-future push: delta within/around one bucket.
-                        (0u64..4_096).prop_map(|d| (false, d)),
+                        (0u64..4_096).prop_map(|d| (PUSH, d)),
                         // Mid-range push: within the ring horizon.
-                        (0u64..1_000_000).prop_map(|d| (false, d)),
+                        (0u64..1_000_000).prop_map(|d| (PUSH, d)),
                         // Far-future push: beyond the ~1 ms horizon.
-                        (1_000_000u64..3_000_000_000).prop_map(|d| (false, d)),
+                        (1_000_000u64..3_000_000_000).prop_map(|d| (PUSH, d)),
                         // Same-timestamp burst marker (delta 0).
-                        Just((false, 0u64)),
+                        Just((PUSH, 0u64)),
                         // Pop.
-                        Just((true, 0u64)),
+                        Just((POP, 0u64)),
+                        // Drain everything; later pushes are late.
+                        Just((DRAIN, 0u64)),
+                        // Drain everything and requeue it no earlier
+                        // than `now + delta`, as a power cut does.
+                        (0u64..3_000_000).prop_map(|d| (REQUEUE, d)),
                     ],
                     1..400,
                 )
@@ -514,20 +581,42 @@ mod tests {
                 // `now` tracks the pop frontier like a simulation loop,
                 // so pushes are anchored where an engine would anchor
                 // them; payload ids make ordering differences visible
-                // even among equal timestamps.
+                // even among equal timestamps. A drain leaves `now`
+                // behind, like an engine draining its calendar at the
+                // current instant.
                 let mut now = 0u64;
-                for (id, &(is_pop, delta)) in ops.iter().enumerate() {
-                    if is_pop {
-                        let a = cal.pop();
-                        let b = heap.pop();
-                        prop_assert_eq!(a, b, "pop #{} diverged", id);
-                        if let Some((t, _)) = a {
-                            now = t.as_nanos();
+                for (id, &(op, delta)) in ops.iter().enumerate() {
+                    match op {
+                        PUSH => {
+                            let t = SimTime::from_nanos(now + delta);
+                            cal.push(t, id);
+                            heap.push(t, id);
                         }
-                    } else {
-                        let t = SimTime::from_nanos(now + delta);
-                        cal.push(t, id);
-                        heap.push(t, id);
+                        POP => {
+                            let a = cal.pop();
+                            let b = heap.pop();
+                            prop_assert_eq!(a, b, "pop #{} diverged", id);
+                            if let Some((t, _)) = a {
+                                now = t.as_nanos();
+                            }
+                        }
+                        _ => {
+                            let mut drained = Vec::new();
+                            loop {
+                                let a = cal.pop();
+                                let b = heap.pop();
+                                prop_assert_eq!(a, b, "drain #{} diverged", id);
+                                let Some(e) = a else { break };
+                                drained.push(e);
+                            }
+                            if op == REQUEUE {
+                                let floor = SimTime::from_nanos(now + delta);
+                                for (t, p) in drained {
+                                    cal.push(t.max(floor), p);
+                                    heap.push(t.max(floor), p);
+                                }
+                            }
+                        }
                     }
                     prop_assert_eq!(cal.len(), heap.len());
                     prop_assert_eq!(cal.peek_time(), heap.peek_time());

@@ -11,7 +11,7 @@
 //!
 //! OPTIONS:
 //!   --scale <full|quick>    traffic per run           [default full]
-//!   --threads <N>           harness worker threads    [default: RAYON_NUM_THREADS or all cores]
+//!   --threads <N>           harness worker threads    [default: all cores]
 //!   --out <DIR>             artifact directory        [default results]
 //! ```
 //!

@@ -1,5 +1,5 @@
 //! The `triplea-harness` layer: declarative experiment specs, a
-//! rayon-backed parallel runner, structured JSON artifacts, and the
+//! scoped-thread parallel runner, structured JSON artifacts, and the
 //! golden-snapshot machinery.
 //!
 //! An [`Experiment`] is a named list of independent [sweep
@@ -21,8 +21,8 @@
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use rayon::prelude::*;
 use serde_json::Value;
 
 /// How much traffic each experiment drives.
@@ -276,13 +276,12 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// A runner using the environment's thread count
-    /// (`RAYON_NUM_THREADS`, else all available cores).
+    /// A runner using every available core.
     pub fn new() -> Self {
         Runner::default()
     }
 
-    /// Pins the worker-thread count (`0` = environment-derived).
+    /// Pins the worker-thread count (`0` = every available core).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
         self
@@ -299,7 +298,7 @@ impl Runner {
         if self.threads > 0 {
             self.threads
         } else {
-            rayon::current_num_threads()
+            std::thread::available_parallelism().map_or(1, |n| n.get())
         }
     }
 
@@ -325,28 +324,20 @@ impl Runner {
             ExecOrder::Scrambled(seed) => permutation(tasks.len(), seed),
         };
 
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(self.threads)
-            .build()
-            .expect("thread pool");
-        let mut done: Vec<(usize, PointResult)> = pool.install(|| {
-            order
-                .par_iter()
-                .map(|&task_idx| {
-                    let (e, p) = tasks[task_idx];
-                    let exp = exps[e];
-                    let ctx = exp.ctx(p);
-                    let data = (exp.points[p].run)(&ctx);
-                    (
-                        task_idx,
-                        PointResult {
-                            label: exp.points[p].label.clone(),
-                            seed: ctx.seed,
-                            data,
-                        },
-                    )
-                })
-                .collect()
+        let mut done = parallel_map(order.len(), self.thread_count(), |k| {
+            let task_idx = order[k];
+            let (e, p) = tasks[task_idx];
+            let exp = exps[e];
+            let ctx = exp.ctx(p);
+            let data = (exp.points[p].run)(&ctx);
+            (
+                task_idx,
+                PointResult {
+                    label: exp.points[p].label.clone(),
+                    seed: ctx.seed,
+                    data,
+                },
+            )
         });
         // Completion order is arbitrary; spec order is not.
         done.sort_by_key(|(task_idx, _)| *task_idx);
@@ -366,6 +357,45 @@ impl Runner {
         }
         out
     }
+}
+
+/// Runs `f` over `0..n` on up to `threads` scoped workers that claim
+/// indices from an atomic cursor, returning the outputs in index order
+/// whatever the completion order. A panic in `f` propagates to the
+/// caller with its original payload.
+fn parallel_map<R: Send>(n: usize, threads: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let threads = threads.min(n);
+    if threads <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        // Relaxed: the cursor only hands out indices;
+                        // results travel back through `join`.
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return mine;
+                        }
+                        mine.push((i, f(i)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| {
+                w.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    done.sort_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Fisher–Yates permutation of `0..n` from a SplitMix stream.
@@ -646,6 +676,22 @@ mod tests {
         }
         let labels: Vec<&str> = one.points.iter().map(|p| p.label.as_str()).collect();
         assert_eq!(labels, ["p0", "p1", "p2", "p3", "p4", "p5"]);
+    }
+
+    #[test]
+    fn thread_count_is_pinned_or_every_core() {
+        assert_eq!(Runner::new().threads(3).thread_count(), 3);
+        let cores = std::thread::available_parallelism().unwrap().get();
+        assert_eq!(Runner::new().threads(0).thread_count(), cores);
+        assert_eq!(Runner::new().thread_count(), cores);
+    }
+
+    #[test]
+    #[should_panic(expected = "point p2 failed")]
+    fn a_panicking_point_propagates_out_of_the_suite() {
+        let mut e = toy();
+        e.point("p2-bad", |_| panic!("point p2 failed"));
+        Runner::new().threads(4).run_suite(&[&e], Scale::quick());
     }
 
     #[test]

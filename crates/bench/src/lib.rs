@@ -20,7 +20,7 @@
 pub mod experiments;
 pub mod harness;
 
-use triplea_core::{Array, ArrayConfig, ArrayConfigBuilder, ManagementMode, RunReport, Trace};
+use triplea_core::{ArrayConfig, ArrayConfigBuilder, Trace};
 
 /// The array configuration all experiments run on: the paper's 4×16,
 /// 16 TB baseline.
@@ -105,13 +105,6 @@ pub fn enterprise_trace_n(
         .gap_ns(profile_gap_ns(profile, cfg))
         .hot_region_pages(HOT_REGION_PAGES)
         .build(cfg, seed)
-}
-
-/// Runs one trace through both management modes.
-pub fn run_pair(cfg: ArrayConfig, trace: &Trace) -> (RunReport, RunReport) {
-    let base = Array::new(cfg.clone(), ManagementMode::NonAutonomic).run(trace);
-    let aaa = Array::new(cfg, ManagementMode::Autonomic).run(trace);
-    (base, aaa)
 }
 
 /// Prints a Markdown table (see [`harness::fmt_table`]).

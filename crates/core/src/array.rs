@@ -21,12 +21,19 @@ use triplea_sim::{EventQueue, Nanos, SimTime};
 
 use crate::autonomic::AutonomicState;
 use crate::cluster::ClusterState;
-use crate::config::{ArrayConfig, ManagementMode, PowerLossEvent};
+use crate::config::{
+    ArrayConfig, ManagementMode, PowerLossEvent, ESCALATION_COOLDOWN_NS, LAGGARD_COOLDOWN_NS,
+    LAGGARD_IMBALANCE, MAX_INFLIGHT_RELOC_PAGES, REMOUNT_BASE_NS, REPLAY_NS_PER_RECORD, SLA_NS,
+};
 use crate::metrics::{FaultStats, RecoveryStats, RunReport};
 use crate::request::{Breakdown, IoOp, RequestState, Stage, Trace};
 use crate::tenant::{TenantId, TenantStats, WeightedArbiter};
 
-/// TLP framing overhead per 4 KB payload segment.
+/// Wire overhead of one transaction-layer packet, charged once per page
+/// moved and once per header-only read request or write acknowledgement.
+/// PCI-E 3.0 framing: 2 B start + 2 B sequence + 12 B TLP header + 4 B
+/// LCRC + 4 B end = 24 B (paper §3.4: the endpoint's device layers strip
+/// exactly these header/sequence/CRC fields).
 const TLP_OVERHEAD: u64 = 24;
 
 /// Weyl constant used to derive per-component fault RNG streams from
@@ -656,7 +663,10 @@ impl ArrayRunner {
         let n_tenants = e.cfg.tenants.len();
         assert!(r.pages >= 1, "request {id} has zero pages");
         assert!(
-            r.lpn.0 + r.pages as u64 <= total_pages,
+            r.lpn
+                .0
+                .checked_add(r.pages as u64)
+                .is_some_and(|end| end <= total_pages),
             "request {id} exceeds the address space"
         );
         assert!(
@@ -928,9 +938,9 @@ impl Engine {
     /// residual reservation drains during the multi-millisecond remount
     /// window.
     fn on_power_loss(&mut self, now: SimTime) {
-        let Some(pl) = self.power_loss.take() else {
+        if self.power_loss.take().is_none() {
             return;
-        };
+        }
         let mut future_submits: Vec<(SimTime, u32)> = Vec::new();
         while let Some((t, ev)) = self.queue.pop() {
             if let Ev::Submit(r) = ev {
@@ -978,7 +988,7 @@ impl Engine {
             // a simulator defect, never an injectable fault.
             Err(e) => unreachable!("journal recovery diverged: {e}"),
         };
-        let remount = pl.remount_base_ns + pl.replay_ns_per_record * outcome.replayed;
+        let remount = REMOUNT_BASE_NS + REPLAY_NS_PER_RECORD * outcome.replayed;
         let back_up = now + remount;
         self.recovery.power_losses += 1;
         self.recovery.journal_replayed += outcome.replayed;
@@ -1317,18 +1327,18 @@ impl Engine {
 
     /// The autonomic detection budget and debounce cooldowns in force
     /// for a stall attributed to `tenant`:
-    /// `(sla_ns, laggard_cooldown_ns, escalation_cooldown_ns)`.
+    /// `(sla, laggard_cooldown, escalation_cooldown)`.
     ///
-    /// Untenanted arrays use the global [`AutonomicParams`](crate::AutonomicParams)
-    /// values unchanged. With tenants, the budget is the tighter of the
-    /// global SLA and the tenant's own p99 target, and the cooldowns
-    /// scale with `sla_p99_ns / sla_ns` (clamped to 1/4x..4x): a laggard
+    /// Untenanted arrays use the global [`SLA_NS`],
+    /// [`LAGGARD_COOLDOWN_NS`] and [`ESCALATION_COOLDOWN_NS`] unchanged.
+    /// With tenants, the budget is the tighter of the global SLA and the
+    /// tenant's own p99 target, and the cooldowns scale with
+    /// `sla_p99_ns / SLA_NS` (clamped to 1/4x..4x): a laggard
     /// stalling an interactive tenant is re-examined — and therefore
     /// reshaped — sooner than one that only delays batch work. A tenant
     /// currently outside its SLA halves the cooldowns again.
     fn tenant_autonomics(&self, tenant: TenantId) -> (Nanos, Nanos, Nanos) {
-        let p = self.auto.params();
-        let base = (p.sla_ns, p.laggard_cooldown_ns, p.escalation_cooldown_ns);
+        let base = (SLA_NS, LAGGARD_COOLDOWN_NS, ESCALATION_COOLDOWN_NS);
         let Some(front) = self.front.as_ref() else {
             return base;
         };
@@ -1336,16 +1346,16 @@ impl Engine {
             return base;
         };
         let scale = |v: Nanos| -> Nanos {
-            let scaled = (v as u128 * spec.sla_p99_ns as u128 / p.sla_ns.max(1) as u128) as Nanos;
+            let scaled = (v as u128 * spec.sla_p99_ns as u128 / SLA_NS as u128) as Nanos;
             scaled.clamp(v / 4, v.saturating_mul(4))
         };
         let acc = &front.lanes[tenant.index()];
         let violating = acc.violations * 100 > acc.completed;
         let div = if violating { 2 } else { 1 };
         (
-            p.sla_ns.min(spec.sla_p99_ns),
-            scale(p.laggard_cooldown_ns) / div,
-            scale(p.escalation_cooldown_ns) / div,
+            SLA_NS.min(spec.sla_p99_ns),
+            scale(LAGGARD_COOLDOWN_NS) / div,
+            scale(ESCALATION_COOLDOWN_NS) / div,
         )
     }
 
@@ -1353,8 +1363,7 @@ impl Engine {
     /// most demanding tenant among the stalled waiters (tightest
     /// `sla_p99_ns`, ties to the lower id) sets the pace.
     fn waiters_autonomics(&self, waiters: &[u32]) -> (Nanos, Nanos, Nanos) {
-        let p = self.auto.params();
-        let base = (p.sla_ns, p.laggard_cooldown_ns, p.escalation_cooldown_ns);
+        let base = (SLA_NS, LAGGARD_COOLDOWN_NS, ESCALATION_COOLDOWN_NS);
         if self.front.is_none() {
             return base;
         }
@@ -1432,9 +1441,7 @@ impl Engine {
             .min()
             .unwrap_or(0);
         let laggard_backlog = self.clusters[cluster as usize].fimm_read_backlog_pages(laggard);
-        if (laggard_backlog as f64)
-            < self.cfg.autonomic.laggard_imbalance * (min_other.max(1) as f64)
-        {
+        if (laggard_backlog as f64) < LAGGARD_IMBALANCE * (min_other.max(1) as f64) {
             return;
         }
         // Repair traffic in progress on this FIMM: the stall is our own
@@ -1597,8 +1604,8 @@ impl Engine {
                             .map(|f| self.clusters[c].fimm_read_backlog_pages(f))
                             .min()
                             .unwrap_or(0);
-                        let imbalanced = backlog as f64
-                            >= self.cfg.autonomic.laggard_imbalance * (min_other.max(1) as f64);
+                        let imbalanced =
+                            backlog as f64 >= LAGGARD_IMBALANCE * (min_other.max(1) as f64);
                         if imbalanced {
                             // One FIMM holds the stalled work: reshape
                             // its data onto the quiet siblings (§4.2).
@@ -1679,7 +1686,7 @@ impl Engine {
         };
         // Throttle: relocation programs are expensive (t_PROG each); cap
         // how much background reshaping can be in flight at once.
-        if self.auto.inflight_pages() >= self.cfg.autonomic.max_inflight_reloc_pages {
+        if self.auto.inflight_pages() >= MAX_INFLIGHT_RELOC_PAGES {
             return;
         }
         if let Some(f) = laggard {
@@ -3126,6 +3133,19 @@ mod tests {
             2_000,
             "every request completed on some lane or was lost at the cut"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the address space")]
+    fn submit_rejects_a_range_that_wraps_the_address_space() {
+        let mut runner =
+            Array::new(ArrayConfig::small_test(), ManagementMode::Autonomic).into_runner();
+        runner.submit(&TraceRequest::new(
+            SimTime::ZERO,
+            IoOp::Read,
+            LogicalPage(u64::MAX),
+            1,
+        ));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use triplea_pcie::{ClusterId, Topology};
 use triplea_sim::trace::{TraceEventKind, TracePort, TraceScope};
 use triplea_sim::{Nanos, SimTime, SplitMix64};
 
-use crate::config::AutonomicParams;
+use crate::config::{AutonomicParams, COLD_BUS_THRESHOLD};
 
 /// Activity counters of the autonomic management module.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -137,7 +137,7 @@ impl AutonomicState {
         let mut candidates: Vec<(f64, ClusterId)> = topology
             .siblings(src)
             .map(|sib| (bus_util(topology.global_index(sib)), sib))
-            .filter(|(u, _)| *u < self.params.cold_bus_threshold || *u < src_util * 0.5)
+            .filter(|(u, _)| *u < COLD_BUS_THRESHOLD || *u < src_util * 0.5)
             .collect();
         if candidates.is_empty() {
             self.stats.no_cold_target += 1;
@@ -193,18 +193,12 @@ impl AutonomicState {
     }
 
     /// Debounced laggard registration: returns `true` (and counts a
-    /// detection) unless the same FIMM was flagged within the cooldown.
-    pub fn register_laggard(&mut self, cluster: u32, fimm: u32, now: SimTime) -> bool {
-        self.register_laggard_with_cooldown(cluster, fimm, now, self.params.laggard_cooldown_ns)
-    }
-
-    /// [`AutonomicState::register_laggard`] under an explicit debounce
-    /// window. The SLA-aware path shrinks the window when the stalled
-    /// tenant carries a tight p99 target (an interactive tenant's
-    /// laggard is re-examined sooner) and stretches it when only batch
-    /// traffic is hurt; untenanted arrays always pass the configured
-    /// `laggard_cooldown_ns`, making this identical to
-    /// [`AutonomicState::register_laggard`].
+    /// detection) unless the same FIMM was flagged within `cooldown_ns`.
+    /// The SLA-aware path shrinks the window when the stalled tenant
+    /// carries a tight p99 target (an interactive tenant's laggard is
+    /// re-examined sooner) and stretches it when only batch traffic is
+    /// hurt; untenanted arrays always pass
+    /// [`LAGGARD_COOLDOWN_NS`](crate::LAGGARD_COOLDOWN_NS).
     pub fn register_laggard_with_cooldown(
         &mut self,
         cluster: u32,
@@ -227,16 +221,12 @@ impl AutonomicState {
     }
 
     /// Debounced "all FIMMs are laggards" escalation: at most one per
-    /// cluster per cooldown window. Relocation programs make *every*
+    /// cluster per `cooldown_ns` window. Relocation programs make *every*
     /// FIMM look briefly backlogged, so un-debounced escalation feeds on
-    /// its own repair traffic.
-    pub fn register_escalation(&mut self, cluster: u32, now: SimTime) -> bool {
-        self.register_escalation_with_cooldown(cluster, now, self.params.escalation_cooldown_ns)
-    }
-
-    /// [`AutonomicState::register_escalation`] under an explicit
-    /// debounce window — the SLA-aware counterpart, exactly as for
-    /// [`AutonomicState::register_laggard_with_cooldown`].
+    /// its own repair traffic. The window scales with the stalled
+    /// tenant's SLA exactly as for
+    /// [`AutonomicState::register_laggard_with_cooldown`]; untenanted
+    /// arrays pass [`ESCALATION_COOLDOWN_NS`](crate::ESCALATION_COOLDOWN_NS).
     pub fn register_escalation_with_cooldown(
         &mut self,
         cluster: u32,
@@ -260,6 +250,7 @@ impl AutonomicState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ESCALATION_COOLDOWN_NS, LAGGARD_COOLDOWN_NS};
 
     fn state() -> AutonomicState {
         AutonomicState::new(AutonomicParams::default(), 7)
@@ -335,13 +326,13 @@ mod tests {
     #[test]
     fn laggard_debounce() {
         let mut s = state();
-        assert!(s.register_laggard(0, 1, SimTime::from_us(10)));
-        assert!(!s.register_laggard(0, 1, SimTime::from_us(100)), "cooldown");
-        assert!(
-            s.register_laggard(0, 2, SimTime::from_us(100)),
-            "other fimm"
-        );
-        assert!(s.register_laggard(0, 1, SimTime::from_us(400)));
+        let mut lag = |fimm, us| {
+            s.register_laggard_with_cooldown(0, fimm, SimTime::from_us(us), LAGGARD_COOLDOWN_NS)
+        };
+        assert!(lag(1, 10));
+        assert!(!lag(1, 100), "cooldown");
+        assert!(lag(2, 100), "other fimm");
+        assert!(lag(1, 400));
         assert_eq!(s.stats.laggard_detections, 3);
     }
 
@@ -361,13 +352,17 @@ mod tests {
     #[test]
     fn escalation_debounce_per_cluster() {
         let mut s = state();
-        assert!(s.register_escalation(0, SimTime::from_us(10)));
-        assert!(!s.register_escalation(0, SimTime::from_us(200)), "cooldown");
-        assert!(
-            s.register_escalation(1, SimTime::from_us(200)),
-            "other cluster"
-        );
-        assert!(s.register_escalation(0, SimTime::from_ms(1)));
+        let mut esc = |cluster, us| {
+            s.register_escalation_with_cooldown(
+                cluster,
+                SimTime::from_us(us),
+                ESCALATION_COOLDOWN_NS,
+            )
+        };
+        assert!(esc(0, 10));
+        assert!(!esc(0, 200), "cooldown");
+        assert!(esc(1, 200), "other cluster");
+        assert!(esc(0, 1_000));
         assert_eq!(s.stats.escalations, 3);
     }
 

@@ -56,45 +56,59 @@ impl LaggardStrategy {
     }
 }
 
-/// Tunables of the autonomic management module (paper §4).
+/// SLA/QoS queueing budget (`t_SLA` in Eq. 3).
+///
+/// The paper uses 3.3 µs with its own (much faster) timing constants; we
+/// scale it to ≈3.5 stalled pages of work (`150 µs` at the default
+/// `t_dma + t_exe` ≈ 43.6 µs) so the detector keeps the same *intent* —
+/// "a few requests' worth of stalled work" — under realistic MLC
+/// latencies.
+pub const SLA_NS: Nanos = 150_000;
+
+/// Eq. 2 cold-cluster test: a sibling qualifies as migration target when
+/// its recent bus utilization is below this fraction.
+///
+/// The paper's printed Eq. 2 reduces to "less than a single FIMM's
+/// average use of the shared bus"; we express that directly as a
+/// utilization threshold.
+pub const COLD_BUS_THRESHOLD: f64 = 0.25;
+
+/// Minimum time between laggard detections on the same FIMM (debounce so
+/// one burst counts once).
+pub const LAGGARD_COOLDOWN_NS: Nanos = 200_000;
+
+/// Minimum time between "all FIMMs are laggards" escalations on the same
+/// cluster.
+pub const ESCALATION_COOLDOWN_NS: Nanos = 500_000;
+
+/// A FIMM only counts as a laggard when its stalled-read backlog exceeds
+/// the least-loaded sibling FIMM's by this factor — uniform pressure is a
+/// link problem, not a layout problem.
+pub const LAGGARD_IMBALANCE: f64 = 2.0;
+
+/// Maximum pages concurrently being migrated/reshaped; further detections
+/// are ignored until background programs drain, bounding the
+/// interference of relocation with foreground I/O.
+pub const MAX_INFLIGHT_RELOC_PAGES: usize = 256;
+
+/// Tunables of the autonomic management module (paper §4). The settings
+/// no experiment varies are constants: [`SLA_NS`], [`COLD_BUS_THRESHOLD`],
+/// [`LAGGARD_COOLDOWN_NS`], [`ESCALATION_COOLDOWN_NS`],
+/// [`LAGGARD_IMBALANCE`] and [`MAX_INFLIGHT_RELOC_PAGES`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AutonomicParams {
-    /// SLA/QoS queueing budget (`t_SLA` in Eq. 3).
-    ///
-    /// The paper uses 3.3 µs with its own (much faster) timing
-    /// constants; we scale the default to ≈3.5 stalled pages of work
-    /// (`150 µs` at the default `t_dma + t_exe` ≈ 43.6 µs) so the
-    /// detector keeps the same *intent* — "a few requests' worth of
-    /// stalled work" — under realistic MLC latencies.
-    pub sla_ns: Nanos,
     /// Eq. 1 additionally requires the cluster's shared bus to actually
     /// be the bottleneck ("the local shared bus is always busy", §4.1):
     /// recent bus utilization must exceed this fraction before a hot
-    /// detection can fire.
+    /// detection can fire. Must lie above [`COLD_BUS_THRESHOLD`].
     pub hot_bus_threshold: f64,
-    /// Eq. 2 cold-cluster test: a sibling qualifies as migration target
-    /// when its recent bus utilization is below this fraction.
-    ///
-    /// The paper's printed Eq. 2 reduces to "less than a single FIMM's
-    /// average use of the shared bus"; we express that directly as a
-    /// utilization threshold.
-    pub cold_bus_threshold: f64,
     /// Use *naive* migration (re-read the data from the hot cluster)
     /// instead of shadow cloning — the Figure 16b ablation.
     pub naive_migration: bool,
     /// Laggard detection strategy.
     pub laggard: LaggardStrategy,
-    /// Minimum time between laggard detections on the same FIMM
-    /// (debounce so one burst counts once).
-    pub laggard_cooldown_ns: Nanos,
-    /// Minimum time between "all FIMMs are laggards" escalations on the
-    /// same cluster.
-    pub escalation_cooldown_ns: Nanos,
-    /// A FIMM only counts as a laggard when its stalled-read backlog
-    /// exceeds the least-loaded sibling FIMM's by this factor — uniform
-    /// pressure is a link problem, not a layout problem.
-    pub laggard_imbalance: f64,
-    /// Granularity of inter-cluster data migration, in pages.
+    /// Granularity of inter-cluster data migration, in pages; at most
+    /// [`MAX_INFLIGHT_RELOC_PAGES`].
     ///
     /// `1` (default) migrates exactly the straggler request's pages —
     /// the paper's "corresponding data", fully covered by shadow
@@ -102,10 +116,6 @@ pub struct AutonomicParams {
     /// at the cost of re-reading them from the hot cluster (an ablation
     /// knob; see the `ablation` bench).
     pub migration_extent_pages: u32,
-    /// Maximum pages concurrently being migrated/reshaped; further
-    /// detections are ignored until background programs drain, bounding
-    /// the interference of relocation with foreground I/O.
-    pub max_inflight_reloc_pages: usize,
     /// Break ties among equally-cold migration targets toward the
     /// least-worn cluster (§6.7's global wear-levelling view).
     pub wear_aware: bool,
@@ -114,16 +124,10 @@ pub struct AutonomicParams {
 impl Default for AutonomicParams {
     fn default() -> Self {
         AutonomicParams {
-            sla_ns: 150_000,
             hot_bus_threshold: 0.7,
-            cold_bus_threshold: 0.25,
             naive_migration: false,
             laggard: LaggardStrategy::Both,
-            laggard_cooldown_ns: 200_000,
-            escalation_cooldown_ns: 500_000,
-            laggard_imbalance: 2.0,
             migration_extent_pages: 1,
-            max_inflight_reloc_pages: 256,
             wear_aware: true,
         }
     }
@@ -148,12 +152,20 @@ pub struct FimmFaultEvent {
     pub kind: FimmFaultKind,
 }
 
+/// Fixed remount cost after a power cut: controller restart +
+/// checkpoint load.
+pub const REMOUNT_BASE_NS: Nanos = 2_000_000;
+
+/// Additional remount cost per flushed journal record replayed.
+pub const REPLAY_NS_PER_RECORD: Nanos = 500;
+
 /// A scheduled whole-array power cut: at `at_ns` the management module
 /// loses its DRAM — the in-flight queue entries, the mapping cache, and
 /// every un-flushed journal record — while flash contents persist. The
 /// array then remounts: the FTL's recovery scan replays the flushed
 /// journal onto the last checkpoint, and requests that had not yet been
-/// submitted resume once the remount completes.
+/// submitted resume once the remount completes, [`REMOUNT_BASE_NS`] +
+/// [`REPLAY_NS_PER_RECORD`] per replayed record after the cut.
 ///
 /// Configuring a power loss automatically enables metadata journaling in
 /// the FTL with the cadence given here.
@@ -161,10 +173,6 @@ pub struct FimmFaultEvent {
 pub struct PowerLossEvent {
     /// Simulation time of the cut.
     pub at_ns: Nanos,
-    /// Fixed remount cost: controller restart + checkpoint load.
-    pub remount_base_ns: Nanos,
-    /// Additional remount cost per flushed journal record replayed.
-    pub replay_ns_per_record: Nanos,
     /// Journal group-commit cadence (records per flush).
     pub flush_every: u32,
     /// Flushed records between checkpoints.
@@ -172,13 +180,10 @@ pub struct PowerLossEvent {
 }
 
 impl PowerLossEvent {
-    /// A power cut at `at_ns` with default remount costs and journal
-    /// cadence.
+    /// A power cut at `at_ns` with the default journal cadence.
     pub fn at(at_ns: Nanos) -> Self {
         PowerLossEvent {
             at_ns,
-            remount_base_ns: 2_000_000,
-            replay_ns_per_record: 500,
             flush_every: 8,
             checkpoint_every: 4_096,
         }
@@ -304,11 +309,11 @@ pub enum ConfigError {
         /// The offending value.
         value: f64,
     },
-    /// The Eq. 2 cold-cluster threshold is not below the Eq. 1 hot
-    /// threshold, so a cluster could be hot and a migration target at
-    /// once and data would ping-pong.
+    /// The Eq. 1 hot threshold is not above the Eq. 2 cold-cluster
+    /// threshold ([`COLD_BUS_THRESHOLD`]), so a cluster could be hot and
+    /// a migration target at once and data would ping-pong.
     ColdNotBelowHot {
-        /// Configured cold-bus threshold.
+        /// The cold-bus threshold ([`COLD_BUS_THRESHOLD`]).
         cold: f64,
         /// Configured hot-bus threshold.
         hot: f64,
@@ -324,11 +329,12 @@ pub enum ConfigError {
         fimm: u32,
     },
     /// The migration extent is zero or exceeds the relocation in-flight
-    /// budget, so autonomic migration could never move a single extent.
+    /// budget ([`MAX_INFLIGHT_RELOC_PAGES`]), so autonomic migration
+    /// could never move a single extent.
     BadMigrationExtent {
         /// Configured extent in pages.
         extent_pages: u32,
-        /// Configured in-flight relocation budget in pages.
+        /// The in-flight relocation budget in pages.
         max_inflight: usize,
     },
     /// A tenant spec carries a zero weight, p99 target, or queue depth —
@@ -345,13 +351,6 @@ pub enum ConfigError {
         count: usize,
         /// Supported maximum ([`MAX_TENANTS`]).
         max: usize,
-    },
-    /// A workload binding names a tenant outside the configured table.
-    UnboundTenant {
-        /// The tenant id the binding named.
-        tenant: u32,
-        /// Number of tenants the configuration actually declares.
-        tenants: usize,
     },
 }
 
@@ -399,13 +398,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::TooManyTenants { count, max } => {
                 write!(f, "{count} tenants configured; the front door supports at most {max}")
-            }
-            ConfigError::UnboundTenant { tenant, tenants } => {
-                write!(
-                    f,
-                    "workload bound to tenant.{tenant}, but the config declares \
-                     only {tenants} tenant(s)"
-                )
             }
         }
     }
@@ -511,16 +503,6 @@ impl ArrayConfig {
         }
     }
 
-    /// Same array with a different network width (the §6.4 sensitivity
-    /// sweeps: 8–20 clusters per switch).
-    pub fn with_clusters_per_switch(mut self, n: u32) -> Self {
-        self.shape.topology = Topology {
-            switches: self.shape.topology.switches,
-            clusters_per_switch: n,
-        };
-        self
-    }
-
     /// Returns the config with the series recorder enabled/disabled.
     pub fn with_series(mut self, on: bool) -> Self {
         self.collect_series = on;
@@ -588,9 +570,8 @@ impl ArrayConfig {
                 return Err(ConfigError::ZeroQueueDepth { queue });
             }
         }
-        let fractions: [(&'static str, f64); 6] = [
+        let fractions: [(&'static str, f64); 5] = [
             ("autonomic.hot_bus_threshold", self.autonomic.hot_bus_threshold),
-            ("autonomic.cold_bus_threshold", self.autonomic.cold_bus_threshold),
             ("faults.flash.read_transient_prob", self.faults.flash.read_transient_prob),
             ("faults.flash.prog_fail_prob", self.faults.flash.prog_fail_prob),
             ("faults.flash.erase_fail_prob", self.faults.flash.erase_fail_prob),
@@ -601,9 +582,9 @@ impl ArrayConfig {
                 return Err(ConfigError::ThresholdOutOfRange { field, value });
             }
         }
-        if self.autonomic.cold_bus_threshold >= self.autonomic.hot_bus_threshold {
+        if COLD_BUS_THRESHOLD >= self.autonomic.hot_bus_threshold {
             return Err(ConfigError::ColdNotBelowHot {
-                cold: self.autonomic.cold_bus_threshold,
+                cold: COLD_BUS_THRESHOLD,
                 hot: self.autonomic.hot_bus_threshold,
             });
         }
@@ -620,12 +601,11 @@ impl ArrayConfig {
             }
         }
         if self.autonomic.migration_extent_pages == 0
-            || self.autonomic.migration_extent_pages as usize
-                > self.autonomic.max_inflight_reloc_pages
+            || self.autonomic.migration_extent_pages as usize > MAX_INFLIGHT_RELOC_PAGES
         {
             return Err(ConfigError::BadMigrationExtent {
                 extent_pages: self.autonomic.migration_extent_pages,
-                max_inflight: self.autonomic.max_inflight_reloc_pages,
+                max_inflight: MAX_INFLIGHT_RELOC_PAGES,
             });
         }
         if self.tenants.len() > MAX_TENANTS {
@@ -691,47 +671,15 @@ impl ArrayConfigBuilder {
         self
     }
 
-    /// Sets the root-complex / switch / endpoint credit-queue depths.
-    pub fn queue_depths(mut self, rc: usize, switch: usize, ep: usize) -> Self {
-        self.cfg.pcie.rc_queue = rc;
-        self.cfg.pcie.switch_queue = switch;
-        self.cfg.pcie.ep_queue = ep;
-        self
-    }
-
-    /// Replaces the autonomic-management tunables wholesale.
-    pub fn autonomic(mut self, params: AutonomicParams) -> Self {
-        self.cfg.autonomic = params;
-        self
-    }
-
     /// Sets the per-cluster write-back buffer capacity in pages.
     pub fn write_buffer_pages(mut self, pages: usize) -> Self {
         self.cfg.write_buffer_pages = pages;
         self
     }
 
-    /// Sets the DFTL-style mapping-cache size (0 = full map in DRAM).
-    pub fn mapping_cache_pages(mut self, pages: usize) -> Self {
-        self.cfg.mapping_cache_pages = pages;
-        self
-    }
-
-    /// Sets the GC victim-selection policy.
-    pub fn gc_policy(mut self, policy: GcPolicy) -> Self {
-        self.cfg.gc_policy = policy;
-        self
-    }
-
     /// Sets the number of hot-spare FIMMs available for rebuild.
     pub fn hot_spares(mut self, n: u32) -> Self {
         self.cfg.hot_spares = n;
-        self
-    }
-
-    /// Sets the simulator tie-breaking RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
         self
     }
 
@@ -793,7 +741,7 @@ mod tests {
     fn defaults_match_paper_baseline() {
         let c = ArrayConfig::paper_baseline();
         assert_eq!(c.shape.topology.total_clusters(), 64);
-        assert_eq!(c.autonomic.sla_ns, 150_000);
+        assert_eq!(c.autonomic.migration_extent_pages, 1);
         assert_eq!(c.shape.fimms_per_cluster, 4);
     }
 
@@ -815,7 +763,7 @@ mod tests {
 
     #[test]
     fn network_width_builder() {
-        let c = ArrayConfig::paper_baseline().with_clusters_per_switch(20);
+        let c = ArrayConfig::builder().clusters_per_switch(20).build().unwrap();
         assert_eq!(c.shape.topology.total_clusters(), 80);
     }
 
@@ -921,7 +869,10 @@ mod tests {
 
     #[test]
     fn builder_rejects_zero_queue_depths() {
-        let err = ArrayConfig::builder().queue_depths(800, 0, 64).build().unwrap_err();
+        let err = ArrayConfig::builder()
+            .tune(|c| c.pcie.switch_queue = 0)
+            .build()
+            .unwrap_err();
         assert_eq!(
             err,
             ConfigError::ZeroQueueDepth {
@@ -933,13 +884,17 @@ mod tests {
     #[test]
     fn builder_rejects_inverted_thresholds() {
         let err = ArrayConfig::builder()
-            .tune(|c| {
-                c.autonomic.hot_bus_threshold = 0.2;
-                c.autonomic.cold_bus_threshold = 0.5;
-            })
+            .tune(|c| c.autonomic.hot_bus_threshold = 0.2)
             .build()
             .unwrap_err();
-        assert_eq!(err, ConfigError::ColdNotBelowHot { cold: 0.5, hot: 0.2 });
+        assert_eq!(
+            err,
+            ConfigError::ColdNotBelowHot {
+                cold: COLD_BUS_THRESHOLD,
+                hot: 0.2
+            }
+        );
+        assert!(err.to_string().contains("below hot-bus threshold 0.2"), "{err}");
         let err = ArrayConfig::builder()
             .tune(|c| c.autonomic.hot_bus_threshold = 1.5)
             .build()
@@ -972,10 +927,18 @@ mod tests {
     #[test]
     fn builder_rejects_oversized_migration_extent() {
         let err = ArrayConfig::builder()
-            .tune(|c| {
-                c.autonomic.migration_extent_pages = 512;
-                c.autonomic.max_inflight_reloc_pages = 64;
-            })
+            .tune(|c| c.autonomic.migration_extent_pages = 512)
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::BadMigrationExtent {
+                extent_pages: 512,
+                max_inflight: MAX_INFLIGHT_RELOC_PAGES
+            }
+        );
+        let err = ArrayConfig::builder()
+            .tune(|c| c.autonomic.migration_extent_pages = 0)
             .build()
             .unwrap_err();
         assert!(matches!(err, ConfigError::BadMigrationExtent { .. }), "{err}");
@@ -986,20 +949,14 @@ mod tests {
         let c = ArrayConfig::builder()
             .topology(2, 8)
             .fimms_per_cluster(2)
-            .queue_depths(100, 50, 32)
-            .seed(7)
             .collect_series(true)
             .write_buffer_pages(64)
-            .mapping_cache_pages(4)
-            .gc_policy(GcPolicy::CostBenefit)
             .build()
             .unwrap();
         assert_eq!(c.shape.topology.total_clusters(), 16);
         assert_eq!(c.shape.fimms_per_cluster, 2);
-        assert_eq!((c.pcie.rc_queue, c.pcie.switch_queue, c.pcie.ep_queue), (100, 50, 32));
-        assert_eq!(c.seed, 7);
         assert!(c.collect_series);
-        assert_eq!(c.gc_policy, GcPolicy::CostBenefit);
+        assert_eq!(c.write_buffer_pages, 64);
     }
 
     #[test]
@@ -1008,7 +965,6 @@ mod tests {
         assert!(!fc.is_quiet());
         let ev = fc.power_loss.unwrap();
         assert_eq!(ev.at_ns, 9_000_000);
-        assert!(ev.remount_base_ns > 0);
         assert!(ev.flush_every >= 1 && ev.checkpoint_every >= 1);
     }
 

@@ -783,7 +783,10 @@ impl VolumeManager {
         for (i, r) in trace.requests().iter().enumerate() {
             assert!(r.pages >= 1, "volume request {i} has zero pages");
             assert!(
-                r.lpn.0 + r.pages as u64 <= volume_pages,
+                r.lpn
+                    .0
+                    .checked_add(r.pages as u64)
+                    .is_some_and(|end| end <= volume_pages),
                 "volume request {i} exceeds the volume address space"
             );
             assert!(
@@ -1095,6 +1098,23 @@ mod tests {
             s.migrations_committed * 16,
             "one 16-page chunk per committed migration"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the volume address space")]
+    fn run_rejects_a_range_that_wraps_the_volume_address_space() {
+        let fed = Simulation::builder()
+            .small_test()
+            .with_federation(2)
+            .build()
+            .unwrap();
+        let trace = Trace::new(vec![TraceRequest::new(
+            SimTime::ZERO,
+            IoOp::Read,
+            LogicalPage(u64::MAX),
+            1,
+        )]);
+        fed.run_verified(&trace);
     }
 
     #[test]

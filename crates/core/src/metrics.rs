@@ -222,11 +222,6 @@ impl RunReport {
         self.latency.percentile(p) as f64 / 1_000.0
     }
 
-    /// Full latency histogram (nanoseconds).
-    pub fn latency_histogram(&self) -> &Histogram {
-        &self.latency
-    }
-
     /// Read-only latency histogram.
     pub fn read_latency_histogram(&self) -> &Histogram {
         &self.read_latency

@@ -3,12 +3,11 @@
 //! [`Simulation::builder()`] assembles a validated run: a
 //! cross-field-checked [`ArrayConfig`] (rejected with a typed
 //! [`ConfigError`] rather than a mid-run panic), a
-//! [`ManagementMode`], optionally an event recorder ([`TraceConfig`]),
-//! and — on tenant-enabled arrays — per-tenant workload bindings
-//! ([`SimulationBuilder::bind_tenant`]) in place of one anonymous
-//! trace. Running returns either a plain [`RunReport`] or a typed
+//! [`ManagementMode`] and optionally an event recorder ([`TraceConfig`]).
+//! Running returns either a plain [`RunReport`] or a typed
 //! [`VerifiedRun`] carrying the report, the harvested trace, and the
-//! FTL integrity audit.
+//! FTL integrity audit. On tenant-enabled arrays each request names its
+//! owner ([`TraceRequest::owned_by`](crate::TraceRequest::owned_by)).
 //!
 //! # Example
 //!
@@ -38,27 +37,22 @@ use crate::array::{Array, VerifiedRun};
 use crate::config::{ArrayConfig, ArrayConfigBuilder, ConfigError, ManagementMode};
 use crate::metrics::RunReport;
 use crate::request::Trace;
-use crate::tenant::TenantId;
 
 /// A fully assembled, validated simulation, ready to replay a
 /// [`Trace`]. Built by [`SimulationBuilder`]; see the module docs.
 #[derive(Debug)]
 pub struct Simulation {
     array: Array,
-    /// The blended per-tenant workload, when the builder bound any.
-    bound: Option<Trace>,
 }
 
 impl Simulation {
     /// Starts a builder seeded with the paper-baseline configuration in
-    /// [`ManagementMode::Autonomic`], no recorder, and no tenant
-    /// bindings.
+    /// [`ManagementMode::Autonomic`] and no recorder.
     pub fn builder() -> SimulationBuilder {
         SimulationBuilder {
             config: ArrayConfig::builder(),
             mode: ManagementMode::Autonomic,
             trace: None,
-            bindings: Vec::new(),
         }
     }
 
@@ -70,27 +64,6 @@ impl Simulation {
     /// The management mode in force.
     pub fn mode(&self) -> ManagementMode {
         self.array.mode()
-    }
-
-    /// The blended trace assembled from the builder's
-    /// [`bind_tenant`](SimulationBuilder::bind_tenant) calls: every
-    /// bound stream re-stamped with its owner and merged in submission
-    /// order. `None` when nothing was bound.
-    pub fn bound_trace(&self) -> Option<&Trace> {
-        self.bound.as_ref()
-    }
-
-    /// Replays the bound per-tenant workload to completion. Replays an
-    /// empty trace when the builder bound nothing.
-    pub fn run_bound(self) -> RunReport {
-        let trace = self.bound.unwrap_or_default();
-        self.array.run(&trace)
-    }
-
-    /// [`Simulation::run_bound`], returning the typed [`VerifiedRun`].
-    pub fn run_bound_verified(self) -> VerifiedRun {
-        let trace = self.bound.unwrap_or_default();
-        self.array.run_verified(&trace)
     }
 
     /// Replays `trace` to completion. See [`Array::run`].
@@ -113,8 +86,6 @@ pub struct SimulationBuilder {
     config: ArrayConfigBuilder,
     mode: ManagementMode,
     trace: Option<TraceConfig>,
-    /// Per-tenant workload streams, blended at build time.
-    bindings: Vec<(TenantId, Trace)>,
 }
 
 impl SimulationBuilder {
@@ -158,9 +129,6 @@ impl SimulationBuilder {
     /// and recorder accumulated so far. The default volume stripes
     /// (unreplicated) across all members; override with
     /// [`FederationBuilder::volume`](crate::FederationBuilder::volume).
-    ///
-    /// Tenant bindings do not carry over — a federation replays one
-    /// volume-level trace (whose requests may still be tenant-stamped).
     pub fn with_federation(self, arrays: u32) -> crate::FederationBuilder {
         crate::FederationBuilder {
             base: self.config,
@@ -173,59 +141,18 @@ impl SimulationBuilder {
         }
     }
 
-    /// Binds `trace` to `tenant`: every request in the stream is
-    /// re-stamped as owned by that tenant, and at
-    /// [`build`](SimulationBuilder::build) time all bound streams are
-    /// merged into one submission-ordered workload, replayed with
-    /// [`Simulation::run_bound`]. Streams tied at the same timestamp
-    /// keep binding order (the merge sort is stable), so blends are
-    /// deterministic. Binding the same tenant twice concatenates the
-    /// streams.
-    pub fn bind_tenant(mut self, tenant: TenantId, trace: Trace) -> Self {
-        self.bindings.push((tenant, trace));
-        self
-    }
-
     /// Validates the configuration and assembles the array.
     ///
     /// # Errors
     ///
     /// Returns the first [`ConfigError`] the cross-field validation
-    /// finds — including [`ConfigError::UnboundTenant`] when a
-    /// [`bind_tenant`](SimulationBuilder::bind_tenant) call names a
-    /// tenant outside the configured table; nothing is constructed on
-    /// failure.
+    /// finds; nothing is constructed on failure.
     pub fn build(self) -> Result<Simulation, ConfigError> {
-        let cfg = self.config.build()?;
-        let tenants = cfg.tenants.len();
-        for (tenant, _) in &self.bindings {
-            if tenant.index() >= tenants {
-                return Err(ConfigError::UnboundTenant {
-                    tenant: tenant.0,
-                    tenants,
-                });
-            }
-        }
-        let bound = if self.bindings.is_empty() {
-            None
-        } else {
-            let requests = self
-                .bindings
-                .into_iter()
-                .flat_map(|(tenant, trace)| {
-                    trace
-                        .into_requests()
-                        .into_iter()
-                        .map(move |r| r.owned_by(tenant))
-                })
-                .collect::<Vec<_>>();
-            Some(Trace::new(requests))
-        };
-        let mut array = Array::new(cfg, self.mode);
+        let mut array = Array::new(self.config.build()?, self.mode);
         if let Some(tc) = self.trace {
             array = array.with_recorder(tc);
         }
-        Ok(Simulation { array, bound })
+        Ok(Simulation { array })
     }
 }
 
@@ -320,75 +247,36 @@ mod tests {
 
     #[test]
     fn bound_workloads_blend_and_attribute_per_tenant() {
-        use crate::tenant::TenantSpec;
-        let stream = |n: u64, offset: u64| -> Trace {
-            (0..n)
-                .map(|i| {
-                    TraceRequest::new(
-                        SimTime::from_nanos(offset + i * 700),
-                        IoOp::Read,
-                        LogicalPage(i % 256),
-                        1,
-                    )
-                })
-                .collect()
+        use crate::tenant::{TenantId, TenantSpec};
+        let stream = |n: u64, offset: u64, tenant: TenantId| {
+            (0..n).map(move |i| {
+                TraceRequest::new(
+                    SimTime::from_nanos(offset + i * 700),
+                    IoOp::Read,
+                    LogicalPage(i % 256),
+                    1,
+                )
+                .owned_by(tenant)
+            })
         };
-        let sim = Simulation::builder()
-            .small_test()
-            .configure(|c| c.with_tenants([TenantSpec::interactive(), TenantSpec::batch()]))
-            .bind_tenant(TenantId(0), stream(120, 0))
-            .bind_tenant(TenantId(1), stream(80, 350))
-            .build()
-            .unwrap();
-        let blended = sim.bound_trace().expect("bindings present");
+        let blended = Trace::new(
+            stream(120, 0, TenantId(0))
+                .chain(stream(80, 350, TenantId(1)))
+                .collect(),
+        );
         assert_eq!(blended.len(), 200);
         assert!(blended.requests().windows(2).all(|w| w[0].at <= w[1].at));
-        let report = sim.run_bound();
-        assert_eq!(report.completed(), 200);
-        let ts = report.tenant_stats();
+        let run = Simulation::builder()
+            .small_test()
+            .configure(|c| c.with_tenants([TenantSpec::interactive(), TenantSpec::batch()]))
+            .build()
+            .unwrap()
+            .run_verified(&blended);
+        assert!(run.integrity.is_ok());
+        assert_eq!(run.report.completed(), 200);
+        let ts = run.report.tenant_stats();
         assert_eq!(ts.len(), 2);
         assert_eq!(ts[0].completed, 120);
         assert_eq!(ts[1].completed, 80);
-    }
-
-    #[test]
-    fn binding_an_undeclared_tenant_is_a_config_error() {
-        use crate::tenant::TenantSpec;
-        let err = Simulation::builder()
-            .small_test()
-            .configure(|c| c.with_tenants([TenantSpec::interactive()]))
-            .bind_tenant(TenantId(3), one_read())
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::UnboundTenant {
-                tenant: 3,
-                tenants: 1
-            }
-        );
-        assert!(err.to_string().contains("tenant.3"), "{err}");
-    }
-
-    #[test]
-    fn unbound_builder_runs_an_empty_bound_trace() {
-        let sim = Simulation::builder().small_test().build().unwrap();
-        assert!(sim.bound_trace().is_none());
-        assert_eq!(sim.run_bound().completed(), 0);
-    }
-
-    #[test]
-    fn trace_config_categories_gate_harvested_events() {
-        let mut tc = TraceConfig::all();
-        tc.lifecycle = false;
-        let run = Simulation::builder()
-            .small_test()
-            .with_recorder(tc)
-            .build()
-            .unwrap()
-            .run_verified(&one_read());
-        let trace = run.trace.unwrap();
-        assert!(trace.events.iter().all(|e| e.kind.name() != "submit"));
-        assert!(trace.events.iter().any(|e| e.kind.name() == "flash_start"));
     }
 }

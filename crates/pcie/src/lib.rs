@@ -6,7 +6,6 @@
 //! movement delay, switching and routing latencies, and I/O request
 //! contention cycles":
 //!
-//! * [`Tlp`] — transaction-layer packets with realistic wire overhead.
 //! * [`PcieLink`] / [`DuplexLink`] — serialising links with generation/
 //!   lane-derived bandwidth and propagation delay.
 //! * [`CreditQueue`] — virtual-channel buffers with credit-based flow
@@ -19,12 +18,12 @@
 //! # Example
 //!
 //! ```
-//! use triplea_pcie::{PcieLink, LinkGen, Tlp};
+//! use triplea_pcie::{PcieLink, LinkGen};
 //! use triplea_sim::SimTime;
 //!
 //! let mut link = PcieLink::new(LinkGen::Gen3, 4, 100);
-//! let tlp = Tlp::mem_read_completion(4096);
-//! let r = link.transmit(SimTime::ZERO, tlp.wire_bytes() as u64);
+//! // One 4 KB page plus its 24 B of framing, header and CRC.
+//! let r = link.transmit(SimTime::ZERO, 4096 + 24);
 //! assert!(r.end > r.start);
 //! ```
 
@@ -34,11 +33,9 @@
 mod device;
 mod flow;
 mod link;
-mod tlp;
 mod topology;
 
 pub use device::{Endpoint, RootComplex, Switch};
 pub use flow::{Admission, CreditQueue};
 pub use link::{DuplexLink, LinkGen, PcieFaultProfile, PcieLink};
-pub use tlp::{Tlp, TlpKind};
 pub use topology::{ClusterId, PcieParams, Topology};

@@ -100,8 +100,6 @@ pub struct PcieParams {
     /// whole switch's traffic, so real arrays provision them wider
     /// (×16) than the per-endpoint links (×4).
     pub uplink_lanes: u32,
-    /// Maximum TLP payload in bytes (4 KB in PCI-E 3.0, §5.2).
-    pub max_payload: u32,
     /// Root-complex routing latency per packet.
     pub rc_route_ns: Nanos,
     /// Switch routing latency per packet.
@@ -125,7 +123,6 @@ impl Default for PcieParams {
             gen: LinkGen::Gen3,
             lanes: 4,
             uplink_lanes: 16,
-            max_payload: 4096,
             rc_route_ns: 200,
             switch_route_ns: 150,
             ep_device_ns: 300,
@@ -206,7 +203,7 @@ mod tests {
     #[test]
     fn default_params_match_paper() {
         let p = PcieParams::default();
-        assert_eq!(p.max_payload, 4096);
+        assert_eq!(p.gen, LinkGen::Gen3);
         assert!((650..=1000).contains(&p.rc_queue));
     }
 }

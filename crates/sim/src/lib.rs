@@ -46,7 +46,7 @@ pub mod trace;
 
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use queue::EventQueue;
-pub use resource::{FifoResource, MultiResource, Reservation};
+pub use resource::{FifoResource, Reservation};
 pub use rng::SplitMix64;
 pub use time::{Nanos, SimTime};
 pub use trace::{

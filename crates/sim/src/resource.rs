@@ -107,61 +107,6 @@ impl FifoResource {
     }
 }
 
-/// A pool of `n` identical FIFO servers (e.g. the dies of a flash package
-/// when operating in die-interleaved mode). A reservation is placed on the
-/// earliest-free server.
-#[derive(Clone, Debug)]
-pub struct MultiResource {
-    servers: Vec<FifoResource>,
-}
-
-impl MultiResource {
-    /// Creates `n` idle servers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(name: &'static str, n: usize) -> Self {
-        assert!(n > 0, "MultiResource needs at least one server");
-        MultiResource {
-            servers: (0..n).map(|_| FifoResource::new(name)).collect(),
-        }
-    }
-
-    /// Reserves the earliest-available server; returns the reservation and
-    /// the index of the chosen server.
-    pub fn reserve(&mut self, now: SimTime, dur: Nanos) -> (Reservation, usize) {
-        let (idx, _) = self
-            .servers
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| s.free_at())
-            .expect("non-empty by construction");
-        (self.servers[idx].reserve(now, dur), idx)
-    }
-
-    /// Reserves a *specific* server (e.g. the die that physically holds the
-    /// target page — reads cannot be steered to another die).
-    pub fn reserve_server(&mut self, idx: usize, now: SimTime, dur: Nanos) -> Reservation {
-        self.servers[idx].reserve(now, dur)
-    }
-
-    /// Number of servers in the pool.
-    pub fn len(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// `true` if the pool has no servers (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.servers.is_empty()
-    }
-
-    /// Access to an individual server's state.
-    pub fn server(&self, idx: usize) -> &FifoResource {
-        &self.servers[idx]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,33 +160,5 @@ mod tests {
         r.reserve(SimTime::ZERO, 10);
         assert!(!r.is_free_at(SimTime::from_nanos(5)));
         assert!(r.is_free_at(SimTime::from_nanos(10)));
-    }
-
-    #[test]
-    fn multi_resource_balances() {
-        let mut m = MultiResource::new("dies", 2);
-        let (a, ia) = m.reserve(SimTime::ZERO, 100);
-        let (b, ib) = m.reserve(SimTime::ZERO, 100);
-        assert_eq!(a.wait, 0);
-        assert_eq!(b.wait, 0, "second die should absorb the second op");
-        assert_ne!(ia, ib);
-        let (c, _) = m.reserve(SimTime::ZERO, 100);
-        assert_eq!(c.wait, 100, "third op must wait for a die");
-    }
-
-    #[test]
-    fn multi_resource_pinned_server() {
-        let mut m = MultiResource::new("dies", 2);
-        m.reserve_server(0, SimTime::ZERO, 100);
-        let r = m.reserve_server(0, SimTime::ZERO, 10);
-        assert_eq!(r.wait, 100, "pinned to the busy die");
-        assert_eq!(m.len(), 2);
-        assert!(!m.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one server")]
-    fn empty_pool_panics() {
-        MultiResource::new("x", 0);
     }
 }

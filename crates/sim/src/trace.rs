@@ -30,7 +30,8 @@ use std::sync::{Arc, Mutex};
 use crate::stats::{Histogram, TimeSeries};
 use crate::time::{Nanos, SimTime};
 
-/// Coarse event categories, used to gate emission per [`TraceConfig`].
+/// Coarse event categories: the `"cat"` field of the Chrome
+/// `trace_event` export.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceCategory {
     /// Request lifecycle: submit, dispatch, complete.
@@ -54,50 +55,21 @@ pub enum TraceCategory {
     Recovery,
 }
 
-/// What to record and how much to keep.
+/// How many events to keep.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceConfig {
     /// Ring-buffer capacity in events; older events are dropped (and
     /// counted) once the buffer is full.
     pub capacity: usize,
-    /// Record request-lifecycle events.
-    pub lifecycle: bool,
-    /// Record ONFi bus events.
-    pub bus: bool,
-    /// Record PCI-E link/flow events.
-    pub link: bool,
-    /// Record NAND package events.
-    pub flash: bool,
-    /// Record autonomic detector events.
-    pub autonomic: bool,
-    /// Record migration/reshape events.
-    pub migration: bool,
-    /// Record fault injections.
-    pub faults: bool,
-    /// Record garbage-collection events.
-    pub gc: bool,
-    /// Record crash-recovery events (power loss, journal, rebuild).
-    pub recovery: bool,
 }
 
 impl TraceConfig {
-    /// Every category on, with the default 64 Ki-event ring.
+    /// Every event kind, with the default 64 Ki-event ring.
     pub fn all() -> Self {
-        TraceConfig {
-            capacity: 65_536,
-            lifecycle: true,
-            bus: true,
-            link: true,
-            flash: true,
-            autonomic: true,
-            migration: true,
-            faults: true,
-            gc: true,
-            recovery: true,
-        }
+        TraceConfig { capacity: 65_536 }
     }
 
-    /// Same categories, different ring capacity.
+    /// Same recorder, different ring capacity.
     ///
     /// # Panics
     ///
@@ -106,21 +78,6 @@ impl TraceConfig {
         assert!(capacity > 0, "trace ring capacity must be positive");
         self.capacity = capacity;
         self
-    }
-
-    /// `true` when events of `cat` should be recorded.
-    pub fn enabled(&self, cat: TraceCategory) -> bool {
-        match cat {
-            TraceCategory::Lifecycle => self.lifecycle,
-            TraceCategory::Bus => self.bus,
-            TraceCategory::Link => self.link,
-            TraceCategory::Flash => self.flash,
-            TraceCategory::Autonomic => self.autonomic,
-            TraceCategory::Migration => self.migration,
-            TraceCategory::Fault => self.faults,
-            TraceCategory::Gc => self.gc,
-            TraceCategory::Recovery => self.recovery,
-        }
     }
 }
 
@@ -409,7 +366,7 @@ pub enum TraceEventKind {
 }
 
 impl TraceEventKind {
-    /// The category this event is gated by.
+    /// The category this event belongs to (its Chrome-trace `"cat"`).
     pub fn category(&self) -> TraceCategory {
         use TraceEventKind::*;
         match self {
@@ -683,9 +640,6 @@ impl Recorder {
     }
 
     fn emit_at_nanos(&mut self, at: Nanos, scope: TraceScope, kind: TraceEventKind) {
-        if !self.cfg.enabled(kind.category()) {
-            return;
-        }
         let ev = TraceEvent {
             at,
             seq: self.seq,
@@ -1286,23 +1240,6 @@ mod tests {
         assert_eq!(events[1].seq, 1);
         assert_eq!(events[0].at, 50);
         assert_eq!(events[1].at, 10);
-    }
-
-    #[test]
-    fn category_gating_filters_events() {
-        let mut cfg = TraceConfig::all();
-        cfg.autonomic = false;
-        let mut r = Recorder::new(cfg);
-        r.emit(TraceScope::array(), ev(1)); // MapMiss is Autonomic
-        r.emit(
-            TraceScope::array(),
-            TraceEventKind::Complete {
-                req: 0,
-                latency_ns: 5,
-            },
-        );
-        assert_eq!(r.total(), 1);
-        assert_eq!(r.events_in_order()[0].kind.name(), "complete");
     }
 
     #[test]

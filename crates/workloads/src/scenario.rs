@@ -286,8 +286,8 @@ impl ScenarioTrace {
 
     /// Stamps every phase as `tenant`'s traffic, so the whole shape can
     /// be blended into a multi-tenant run (e.g. a diurnal batch stream
-    /// plus a flash-crowd interactive stream) via
-    /// `SimulationBuilder::bind_tenant` or plain trace concatenation.
+    /// plus a flash-crowd interactive stream) by passing the built
+    /// traces' requests, concatenated, to `Trace::new`.
     pub fn bind_tenant(mut self, tenant: TenantId) -> Self {
         for p in &mut self.phases {
             p.tenant = tenant;

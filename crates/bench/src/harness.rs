@@ -599,7 +599,7 @@ pub fn report_json(r: &triplea_core::RunReport) -> Value {
     v
 }
 
-/// Formats a Markdown table (the string [`crate::print_table`] prints).
+/// Formats a Markdown table under a `## title` heading.
 pub fn fmt_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = format!("\n## {title}\n\n");
     let _ = writeln!(out, "| {} |", headers.join(" | "));
@@ -614,8 +614,7 @@ pub fn fmt_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String 
     out
 }
 
-/// Formats `(x, y, ...)` series as CSV with a comment header (the
-/// string [`crate::print_csv_series`] prints).
+/// Formats `(x, y, ...)` series as CSV with a `# name` comment header.
 pub fn fmt_csv_series(name: &str, columns: &[&str], rows: &[Vec<f64>]) -> String {
     let mut out = format!("\n# {name}\n");
     let _ = writeln!(out, "{}", columns.join(","));

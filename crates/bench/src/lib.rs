@@ -107,17 +107,6 @@ pub fn enterprise_trace_n(
         .build(cfg, seed)
 }
 
-/// Prints a Markdown table (see [`harness::fmt_table`]).
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    print!("{}", harness::fmt_table(title, headers, rows));
-}
-
-/// Prints `(x, y)` series as CSV with a comment header (see
-/// [`harness::fmt_csv_series`]).
-pub fn print_csv_series(name: &str, columns: &[&str], rows: &[Vec<f64>]) {
-    print!("{}", harness::fmt_csv_series(name, columns, rows));
-}
-
 /// Formats a float with 1 decimal.
 pub fn f1(v: f64) -> String {
     format!("{v:.1}")

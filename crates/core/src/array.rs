@@ -14,8 +14,7 @@ use triplea_ftl::{hal, Ftl, FtlError, IntegrityError, JournalConfig, LogicalPage
 use triplea_pcie::{Admission, ClusterId, RootComplex, Switch};
 use triplea_sim::stats::{Histogram, TimeSeries};
 use triplea_sim::trace::{
-    MetricId, MetricRegistry, RunTrace, SharedRecorder, TraceConfig, TraceEventKind, TracePort,
-    TraceScope,
+    MetricRegistry, RunTrace, SharedRecorder, TraceConfig, TraceEventKind, TracePort, TraceScope,
 };
 use triplea_sim::{EventQueue, Nanos, SimTime};
 
@@ -147,106 +146,6 @@ struct Rebuild {
     done: bool,
 }
 
-/// Per-cluster metric handles, pre-interned at wiring time.
-#[derive(Clone, Debug)]
-struct ClusterMetricIds {
-    bus_utilization: MetricId,
-    bus_bytes: MetricId,
-    served: MetricId,
-    relocs_in: MetricId,
-    ep_high_watermark: MetricId,
-    /// One `cluster.N.fimm.M.queue_depth` handle per FIMM.
-    fimm_queue_depth: Vec<MetricId>,
-}
-
-/// Per-tenant metric handles, pre-interned at wiring time.
-#[derive(Clone, Debug)]
-struct TenantMetricIds {
-    read_latency: MetricId,
-    write_latency: MetricId,
-    completed: MetricId,
-    violations: MetricId,
-}
-
-/// Metric handles resolved once in [`Array::with_recorder`], so the
-/// end-of-run harvest is a sequence of indexed stores — no per-harvest
-/// name formatting, interning, or re-sorting (the registry's sorted
-/// index is built here too and merely cloned at harvest).
-#[derive(Clone, Debug)]
-struct EngineMetrics {
-    /// The registry with every name interned (all slots still unset).
-    registry: MetricRegistry,
-    events: MetricId,
-    completed: MetricId,
-    dropped_writes: MetricId,
-    latency: MetricId,
-    read_latency: MetricId,
-    write_latency: MetricId,
-    clusters: Vec<ClusterMetricIds>,
-    /// Per-switch `(uplink.bytes, uplink.replays)` handles.
-    switches: Vec<(MetricId, MetricId)>,
-    /// Per-tenant `tenant.N.*` handles; empty on untenanted arrays so
-    /// their registries — and the golden artifacts derived from them —
-    /// stay byte-identical to builds that predate the tenant model.
-    tenants: Vec<TenantMetricIds>,
-}
-
-impl EngineMetrics {
-    /// Interns every instrument name the engine harvests, sized from the
-    /// built topology (`fimms[g]` = FIMM count of cluster `g`).
-    fn new(fimms: &[usize], switches: usize, tenants: usize) -> Self {
-        let mut registry = MetricRegistry::new();
-        let events = registry.intern("array.events");
-        let completed = registry.intern("array.completed");
-        let dropped_writes = registry.intern("array.dropped_writes");
-        let latency = registry.intern("array.latency");
-        let read_latency = registry.intern("array.read_latency");
-        let write_latency = registry.intern("array.write_latency");
-        let clusters = fimms
-            .iter()
-            .enumerate()
-            .map(|(g, &n)| ClusterMetricIds {
-                bus_utilization: registry.intern(format!("cluster.{g}.bus.utilization")),
-                bus_bytes: registry.intern(format!("cluster.{g}.bus.bytes")),
-                served: registry.intern(format!("cluster.{g}.served")),
-                relocs_in: registry.intern(format!("cluster.{g}.relocs_in")),
-                ep_high_watermark: registry.intern(format!("cluster.{g}.ep_queue.high_watermark")),
-                fimm_queue_depth: (0..n)
-                    .map(|f| registry.intern(format!("cluster.{g}.fimm.{f}.queue_depth")))
-                    .collect(),
-            })
-            .collect();
-        let switches = (0..switches)
-            .map(|s| {
-                (
-                    registry.intern(format!("switch.{s}.uplink.bytes")),
-                    registry.intern(format!("switch.{s}.uplink.replays")),
-                )
-            })
-            .collect();
-        let tenants = (0..tenants)
-            .map(|t| TenantMetricIds {
-                read_latency: registry.intern(format!("tenant.{t}.read.latency")),
-                write_latency: registry.intern(format!("tenant.{t}.write.latency")),
-                completed: registry.intern(format!("tenant.{t}.completed")),
-                violations: registry.intern(format!("tenant.{t}.violations")),
-            })
-            .collect();
-        EngineMetrics {
-            registry,
-            events,
-            completed,
-            dropped_writes,
-            latency,
-            read_latency,
-            write_latency,
-            clusters,
-            switches,
-            tenants,
-        }
-    }
-}
-
 /// One tenant's completion-side accumulators.
 #[derive(Clone, Debug)]
 struct TenantAccum {
@@ -348,13 +247,10 @@ struct Engine {
     /// Modules replaced by a spare; kept so their wear and fault history
     /// still roll up into the final report.
     retired_fimms: Vec<Fimm>,
-    /// Array-scoped emission port for engine-level lifecycle events.
-    trace: TracePort,
-    /// The recorder harvested at the end of a traced run; `None` keeps
-    /// the run byte-identical to untraced builds.
+    /// The recorder every traced component feeds and the end-of-run
+    /// harvest reads; `None` keeps the run byte-identical to untraced
+    /// builds.
     recorder: Option<SharedRecorder>,
-    /// Pre-interned metric handles; `Some` exactly when `recorder` is.
-    metric_ids: Option<Box<EngineMetrics>>,
 }
 
 /// The outcome of [`Array::run_verified`]: the performance report, the
@@ -467,9 +363,7 @@ impl Array {
             rebuilds: Vec::new(),
             degraded_lat: Histogram::new(),
             retired_fimms: Vec::new(),
-            trace: TracePort::off(),
             recorder: None,
-            metric_ids: None,
             mode,
             cfg,
         };
@@ -485,7 +379,6 @@ impl Array {
         let rec = SharedRecorder::new(cfg);
         let e = &mut self.e;
         let port = |scope| TracePort::attached(rec.clone(), scope);
-        e.trace = port(TraceScope::array());
         e.ftl.attach_trace(port(TraceScope::array()));
         e.auto.attach_trace(port(TraceScope::array()));
         e.rc.queue.attach_trace(port(TraceScope::array()));
@@ -511,12 +404,6 @@ impl Array {
                 fimm.attach_trace(port(TraceScope::fimm(g, f as u32)));
             }
         }
-        let fimms: Vec<usize> = e.clusters.iter().map(|cl| cl.fimms.len()).collect();
-        e.metric_ids = Some(Box::new(EngineMetrics::new(
-            &fimms,
-            e.switches.len(),
-            e.cfg.tenants.len(),
-        )));
         e.recorder = Some(rec);
         self
     }
@@ -758,7 +645,6 @@ impl ArrayRunner {
             self.e.arm_recovery();
         }
         let e = &mut *self.e;
-        let rec = e.recorder.clone();
         loop {
             let next = match until {
                 Some(t) => e.queue.pop_before(t),
@@ -767,7 +653,7 @@ impl ArrayRunner {
             let Some((now, ev)) = next else {
                 break;
             };
-            if let Some(rec) = &rec {
+            if let Some(rec) = &e.recorder {
                 // Timeless components (the FTL, credit queues) emit at
                 // the recorder clock; keep it on the event loop's time.
                 rec.set_now(now);
@@ -813,6 +699,15 @@ impl Engine {
         if self.recorder.is_some() {
             let v = self.clusters[c].pending_read_pages[fimm] as f64;
             self.clusters[c].qdepth[fimm].push(now, v);
+        }
+    }
+
+    /// Records an engine-level event under `scope`. `f` builds the
+    /// payload and only runs when a recorder is attached.
+    #[inline]
+    fn emit(&self, scope: TraceScope, f: impl FnOnce() -> TraceEventKind) {
+        if let Some(rec) = &self.recorder {
+            rec.emit(scope, f());
         }
     }
 
@@ -998,11 +893,11 @@ impl Engine {
         self.recovery.requeued_requests += future_submits.len() as u64;
         self.recovery.remount_ns += remount;
         let requeued = future_submits.len() as u64;
-        self.trace.emit(|| TraceEventKind::PowerLoss {
+        self.emit(TraceScope::array(), || TraceEventKind::PowerLoss {
             lost_requests: lost,
             requeued,
         });
-        self.trace.emit(|| TraceEventKind::JournalReplay {
+        self.emit(TraceScope::array(), || TraceEventKind::JournalReplay {
             replayed: outcome.replayed,
             dropped: outcome.dropped,
         });
@@ -1041,9 +936,9 @@ impl Engine {
                 .iter()
                 .map(|u| u.live.len() as u64)
                 .sum();
-            self.trace
-                .with_scope(TraceScope::fimm(cluster, fimm))
-                .emit(|| TraceEventKind::RebuildStart { pages });
+            self.emit(TraceScope::fimm(cluster, fimm), || {
+                TraceEventKind::RebuildStart { pages }
+            });
         }
         let cursor = self.rebuilds[idx].cursor;
         let Some(unit) = self.rebuilds[idx].plan.get(cursor).cloned() else {
@@ -1117,12 +1012,12 @@ impl Engine {
         self.recovery.rebuilds_completed += 1;
         self.recovery.rebuild_pages += copied;
         self.recovery.rebuild_ns += dur;
-        self.trace
-            .with_scope(TraceScope::fimm(cluster, fimm))
-            .emit(|| TraceEventKind::RebuildDone {
+        self.emit(TraceScope::fimm(cluster, fimm), || {
+            TraceEventKind::RebuildDone {
                 pages: copied,
                 dur_ns: dur,
-            });
+            }
+        });
     }
 
     // ------------------------------------------------------------------
@@ -1132,7 +1027,7 @@ impl Engine {
     fn on_submit(&mut self, now: SimTime, r: u32) {
         self.reqs[r as usize].wait_since = now;
         self.reqs[r as usize].stage = Stage::AtRc;
-        self.trace.emit(|| {
+        self.emit(TraceScope::array(), || {
             let rs = &self.reqs[r as usize];
             TraceEventKind::Submit {
                 req: r,
@@ -1203,12 +1098,10 @@ impl Engine {
         // translation page from the request's home FIMM.
         let mut t = now + self.cfg.pcie.rc_route_ns;
         let map_hit = self.ftl.map_access(lpn);
-        self.trace
-            .with_scope(TraceScope::cluster(cluster))
-            .emit(|| TraceEventKind::Dispatch {
-                req: r,
-                map_miss: !map_hit,
-            });
+        self.emit(TraceScope::cluster(cluster), || TraceEventKind::Dispatch {
+            req: r,
+            map_miss: !map_hit,
+        });
         if !map_hit {
             let loc = self.reqs[r as usize].locs[0];
             let c = cluster as usize;
@@ -1715,13 +1608,13 @@ impl Engine {
             && bus_busy
             && !repairing
             && t_latency >= self.cfg.eq1_threshold_ns(pages);
-        self.trace
-            .with_scope(TraceScope::cluster(cluster as u32))
-            .emit(|| TraceEventKind::DetectorSample {
+        self.emit(TraceScope::cluster(cluster as u32), || {
+            TraceEventKind::DetectorSample {
                 bus_util_milli: (bus_util * 1000.0) as u32,
                 latency_ns: t_latency,
                 hot,
-            });
+            }
+        });
         if hot {
             self.auto.stats.hot_detections += 1;
         }
@@ -1768,12 +1661,12 @@ impl Engine {
         });
         self.auto.stats.pages_reshaped += n as u64;
         let target = self.clusters[c].least_loaded_fimm(now, Some(laggard));
-        self.trace
-            .with_scope(TraceScope::cluster(cluster))
-            .emit(|| TraceEventKind::ReshapeBegin {
+        self.emit(TraceScope::cluster(cluster), || {
+            TraceEventKind::ReshapeBegin {
                 target_fimm: target,
                 pages: n,
-            });
+            }
+        });
         for idx in 0..n {
             self.program_relocated_page(now, reloc_id, idx, cluster, cluster_id, target);
         }
@@ -1850,9 +1743,9 @@ impl Engine {
                 self.ftl.migrate_abort(LogicalPage(lpn), loc);
                 self.relocs[reloc as usize].pages[idx as usize].new = None;
                 self.faults.migration_rollbacks += 1;
-                self.trace
-                    .with_scope(TraceScope::fimm(cluster, fimm))
-                    .emit(|| TraceEventKind::RelocRollback { lpn });
+                self.emit(TraceScope::fimm(cluster, fimm), || {
+                    TraceEventKind::RelocRollback { lpn }
+                });
                 self.finish_reloc_page(reloc, idx as usize);
             }
         }
@@ -1916,12 +1809,12 @@ impl Engine {
         self.auto.stats.migrations_started += 1;
         self.auto.stats.pages_migrated += claimed.len() as u64;
         let dst_global = topo.global_index(dst_id);
-        self.trace
-            .with_scope(TraceScope::cluster(cluster))
-            .emit(|| TraceEventKind::MigrationBegin {
+        self.emit(TraceScope::cluster(cluster), || {
+            TraceEventKind::MigrationBegin {
                 dst_cluster: dst_global,
                 pages: claimed.len() as u32,
-            });
+            }
+        });
 
         // Shadow cloning: the request's own pages already sit in the EP;
         // every other extent page (and, in naive mode, all of them) must
@@ -2019,9 +1912,9 @@ impl Engine {
         if let Some(new_loc) = page.new {
             self.ftl
                 .migrate_commit(LogicalPage(page.lpn), new_loc, page.old);
-            self.trace
-                .with_scope(TraceScope::fimm(cluster, fimm))
-                .emit(|| TraceEventKind::RelocCommit { lpn: page.lpn });
+            self.emit(TraceScope::fimm(cluster, fimm), || {
+                TraceEventKind::RelocCommit { lpn: page.lpn }
+            });
         }
         self.maybe_gc(now, cluster, fimm);
         self.finish_reloc_page(reloc, idx as usize);
@@ -2046,9 +1939,9 @@ impl Engine {
                 // within the same cluster.
                 let f = self.clusters[c].least_loaded_fimm(now, None);
                 self.auto.stats.write_redirects += 1;
-                self.trace
-                    .with_scope(TraceScope::cluster(cluster))
-                    .emit(|| TraceEventKind::WriteRedirect { target_fimm: f });
+                self.emit(TraceScope::cluster(cluster), || {
+                    TraceEventKind::WriteRedirect { target_fimm: f }
+                });
                 Some((cluster_id, f))
             } else {
                 None
@@ -2307,12 +2200,10 @@ impl Engine {
         let submit = rs.submit;
         let bd = rs.bd;
         let cluster = rs.cluster;
-        self.trace
-            .with_scope(TraceScope::cluster(cluster))
-            .emit(|| TraceEventKind::Complete {
-                req: r,
-                latency_ns: total,
-            });
+        self.emit(TraceScope::cluster(cluster), || TraceEventKind::Complete {
+            req: r,
+            latency_ns: total,
+        });
         self.lat.record(total);
         // Completions inside a rebuild's degraded window (module death →
         // spare in service) feed the RecoveryStats degraded-mode p99.
@@ -2395,48 +2286,51 @@ impl Engine {
     }
 
     /// Harvests the recorder and the per-component instruments into a
-    /// [`RunTrace`]. Metric names are hierarchical and stable
-    /// (`cluster.N.fimm.M.queue_depth`); every name was interned into a
-    /// [`MetricId`] when the recorder was attached, so the harvest is
-    /// indexed stores into a clone of that pre-built registry — no name
-    /// formatting here, and the export order was fixed at intern time.
+    /// [`RunTrace`], naming each instrument where its value is read
+    /// (`cluster.N.fimm.M.queue_depth`). Runs once per traced run.
     fn harvest_trace(&self) -> Option<RunTrace> {
         let rec = self.recorder.as_ref()?;
-        let ids = self.metric_ids.as_ref()?;
         let now = self.last_complete;
-        let mut m = ids.registry.clone();
-        m.set_counter(ids.events, self.events);
-        m.set_counter(ids.completed, self.completed);
-        m.set_counter(ids.dropped_writes, self.dropped_writes);
-        m.set_histogram(ids.latency, &self.lat);
-        m.set_histogram(ids.read_latency, &self.rlat);
-        m.set_histogram(ids.write_latency, &self.wlat);
-        for (cl, cids) in self.clusters.iter().zip(&ids.clusters) {
-            m.set_gauge(cids.bus_utilization, cl.bus.utilization(now));
-            m.set_counter(cids.bus_bytes, cl.bus.bytes_moved());
-            m.set_counter(cids.served, cl.served);
-            m.set_counter(cids.relocs_in, cl.relocs_in);
-            m.set_counter(cids.ep_high_watermark, cl.ep.queue.high_watermark() as u64);
-            for (s, &id) in cl.qdepth.iter().zip(&cids.fimm_queue_depth) {
-                m.set_series(id, s, 512);
+        let mut m = MetricRegistry::new();
+        m.counter("array.events", self.events);
+        m.counter("array.completed", self.completed);
+        m.counter("array.dropped_writes", self.dropped_writes);
+        m.histogram("array.latency", &self.lat);
+        m.histogram("array.read_latency", &self.rlat);
+        m.histogram("array.write_latency", &self.wlat);
+        for (g, cl) in self.clusters.iter().enumerate() {
+            m.gauge(
+                format!("cluster.{g}.bus.utilization"),
+                cl.bus.utilization(now),
+            );
+            m.counter(format!("cluster.{g}.bus.bytes"), cl.bus.bytes_moved());
+            m.counter(format!("cluster.{g}.served"), cl.served);
+            m.counter(format!("cluster.{g}.relocs_in"), cl.relocs_in);
+            m.counter(
+                format!("cluster.{g}.ep_queue.high_watermark"),
+                cl.ep.queue.high_watermark() as u64,
+            );
+            for (f, s) in cl.qdepth.iter().enumerate() {
+                m.series(format!("cluster.{g}.fimm.{f}.queue_depth"), s, 512);
             }
         }
-        for (sw, &(bytes_id, replays_id)) in self.switches.iter().zip(&ids.switches) {
-            m.set_counter(
-                bytes_id,
-                sw.uplink.down.bytes_sent() + sw.uplink.up.bytes_sent(),
+        for (s, sw) in self.switches.iter().enumerate() {
+            let (down, up) = (&sw.uplink.down, &sw.uplink.up);
+            m.counter(
+                format!("switch.{s}.uplink.bytes"),
+                down.bytes_sent() + up.bytes_sent(),
             );
-            m.set_counter(
-                replays_id,
-                sw.uplink.down.replays() + sw.uplink.up.replays(),
+            m.counter(
+                format!("switch.{s}.uplink.replays"),
+                down.replays() + up.replays(),
             );
         }
         if let Some(front) = &self.front {
-            for (acc, tids) in front.lanes.iter().zip(&ids.tenants) {
-                m.set_histogram(tids.read_latency, &acc.rlat);
-                m.set_histogram(tids.write_latency, &acc.wlat);
-                m.set_counter(tids.completed, acc.completed);
-                m.set_counter(tids.violations, acc.violations);
+            for (t, acc) in front.lanes.iter().enumerate() {
+                m.histogram(format!("tenant.{t}.read.latency"), &acc.rlat);
+                m.histogram(format!("tenant.{t}.write.latency"), &acc.wlat);
+                m.counter(format!("tenant.{t}.completed"), acc.completed);
+                m.counter(format!("tenant.{t}.violations"), acc.violations);
             }
         }
         Some(RunTrace::from_recorder(&rec.snapshot(), m))
@@ -2756,17 +2650,16 @@ mod tests {
     #[test]
     fn series_collection_respects_flag() {
         let trace = hot_read_trace(50, 1_000);
-        let with = Array::new(
-            ArrayConfig::small_test().with_series(true),
-            ManagementMode::NonAutonomic,
-        )
-        .run(&trace);
+        let run = |on| {
+            let cfg = ArrayConfig::small_builder()
+                .collect_series(on)
+                .build()
+                .unwrap();
+            Array::new(cfg, ManagementMode::NonAutonomic).run(&trace)
+        };
+        let with = run(true);
         assert_eq!(with.series().len(), 50);
-        let without = Array::new(
-            ArrayConfig::small_test().with_series(false),
-            ManagementMode::NonAutonomic,
-        )
-        .run(&trace);
+        let without = run(false);
         assert!(without.series().is_empty());
     }
 
@@ -2938,6 +2831,39 @@ mod tests {
             "requests neither completed nor accounted as lost"
         );
         assert!(rec.journal_replayed > 0, "the journal tail should replay");
+    }
+
+    #[test]
+    fn traced_power_cut_records_one_journal_replay() {
+        use crate::config::PowerLossEvent;
+        let mut cfg = ArrayConfig::small_test();
+        cfg.faults = cfg.faults.with_power_loss(PowerLossEvent::at(1_500_000));
+        let run = Array::new(cfg, ManagementMode::Autonomic)
+            .with_recorder(TraceConfig::all().with_capacity(1 << 20))
+            .run_verified(&mixed_trace(2_000, 1_000));
+        let trace = run.trace.expect("recorder attached");
+        assert_eq!(trace.dropped, 0);
+        let recovery: Vec<&TraceEventKind> = trace
+            .events
+            .iter()
+            .map(|e| &e.kind)
+            .filter(|k| {
+                matches!(
+                    k,
+                    TraceEventKind::PowerLoss { .. } | TraceEventKind::JournalReplay { .. }
+                )
+            })
+            .collect();
+        let replayed = run.report.recovery_stats().journal_replayed;
+        assert!(replayed > 0, "the journal tail should replay");
+        assert!(
+            matches!(
+                recovery.as_slice(),
+                [TraceEventKind::PowerLoss { .. }, TraceEventKind::JournalReplay { replayed: r, .. }]
+                    if *r == replayed
+            ),
+            "{recovery:?}"
+        );
     }
 
     #[test]

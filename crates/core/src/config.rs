@@ -503,12 +503,6 @@ impl ArrayConfig {
         }
     }
 
-    /// Returns the config with the series recorder enabled/disabled.
-    pub fn with_series(mut self, on: bool) -> Self {
-        self.collect_series = on;
-        self
-    }
-
     /// Eq. 1 hot-cluster latency threshold for a request of `npages`
     /// pages: `t_DMA·(n_page + n_FIMM − 1) + t_exe·n_page`.
     pub fn eq1_threshold_ns(&self, npages: u32) -> Nanos {

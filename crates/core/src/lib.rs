@@ -79,5 +79,5 @@ pub use triplea_flash::FlashFaultProfile;
 pub use triplea_ftl::{ArrayShape, GcPolicy, IntegrityError, LogicalPage, PhysLoc};
 pub use triplea_pcie::{ClusterId, PcieFaultProfile, Topology};
 pub use triplea_sim::trace::{
-    Metric, MetricId, MetricRegistry, RunTrace, TraceConfig, TraceEvent, TraceEventKind,
+    Metric, MetricRegistry, RunTrace, TraceConfig, TraceEvent, TraceEventKind,
 };

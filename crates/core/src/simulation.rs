@@ -222,6 +222,92 @@ mod tests {
             .metrics
             .get("cluster.0.fimm.0.queue_depth")
             .is_some());
+
+        // A tenanted run over both switches of the small array harvests
+        // the per-switch and per-tenant instruments too.
+        use crate::tenant::{TenantId, TenantSpec};
+        use triplea_sim::trace::Metric;
+        let per_cluster = ArrayConfig::small_test().shape.pages_per_cluster();
+        let mixed: Trace = (0..300u64)
+            .map(|i| {
+                let op = if i % 4 == 0 { IoOp::Write } else { IoOp::Read };
+                let lpn = LogicalPage(i % 8 * per_cluster + i % 64);
+                TraceRequest::new(SimTime::from_nanos(i * 800), op, lpn, 1)
+                    .owned_by(TenantId((i % 3 == 0) as u32))
+            })
+            .collect();
+        let run = Simulation::builder()
+            .small_test()
+            .mode(ManagementMode::NonAutonomic)
+            .configure(|c| c.with_tenants([TenantSpec::interactive(), TenantSpec::batch()]))
+            .with_recorder(TraceConfig::all())
+            .build()
+            .unwrap()
+            .run_verified(&mixed);
+        assert!(run.integrity.is_ok());
+        let m = run.trace.expect("recorder attached").metrics;
+        let mut expected: Vec<String> = [
+            "completed",
+            "dropped_writes",
+            "events",
+            "latency",
+            "read_latency",
+            "write_latency",
+        ]
+        .iter()
+        .map(|n| format!("array.{n}"))
+        .collect();
+        for g in 0..8 {
+            for n in [
+                "bus.bytes",
+                "bus.utilization",
+                "ep_queue.high_watermark",
+                "fimm.0.queue_depth",
+                "fimm.1.queue_depth",
+                "relocs_in",
+                "served",
+            ] {
+                expected.push(format!("cluster.{g}.{n}"));
+            }
+        }
+        for s in 0..2 {
+            expected.push(format!("switch.{s}.uplink.bytes"));
+            expected.push(format!("switch.{s}.uplink.replays"));
+        }
+        for t in 0..2 {
+            for n in ["completed", "read.latency", "violations", "write.latency"] {
+                expected.push(format!("tenant.{t}.{n}"));
+            }
+        }
+        let names: Vec<&str> = m.sorted().iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, expected);
+        assert_eq!(m.len(), expected.len());
+
+        let counter = |name: &str| match m.get(name) {
+            Some(Metric::Counter(v)) => *v,
+            other => panic!("{name}: {other:?}"),
+        };
+        let count = |name: &str| match m.get(name) {
+            Some(Metric::Summary { count, .. }) => *count,
+            other => panic!("{name}: {other:?}"),
+        };
+        // Tenant 1 owns every third request; every fourth is a write.
+        let ts = run.report.tenant_stats();
+        assert_eq!((ts[0].completed, ts[1].completed), (200, 100));
+        assert_eq!(counter("tenant.0.completed"), 200);
+        assert_eq!(counter("tenant.1.completed"), 100);
+        assert_eq!(count("tenant.0.read.latency"), 150);
+        assert_eq!(count("tenant.0.write.latency"), 50);
+        assert_eq!(count("tenant.1.read.latency"), 75);
+        assert_eq!(count("tenant.1.write.latency"), 25);
+        // Without migration or faults each request crosses its switch's
+        // uplink once per direction: a 24 B header one way and a 4 KiB
+        // page plus its TLP framing the other. Clusters 0-3 sit behind
+        // switch 0 and receive 152 of the 300 requests.
+        assert_eq!(counter("switch.0.uplink.bytes"), 152 * (24 + 4096 + 24));
+        assert_eq!(counter("switch.1.uplink.bytes"), 148 * (24 + 4096 + 24));
+        assert_eq!(counter("switch.0.uplink.replays"), 0);
+        assert_eq!(counter("switch.1.uplink.replays"), 0);
     }
 
     #[test]

@@ -804,7 +804,8 @@ impl Ftl {
     /// clones caught mid-flight are rolled back there, and the live
     /// translation state takes the checkpoint's, which is the scan's
     /// closing checkpoint. Without a journal the map is modelled as
-    /// durable and nothing is lost.
+    /// durable and nothing is lost. The caller traces the returned
+    /// outcome; this scan emits no event of its own.
     ///
     /// # Errors
     ///
@@ -827,10 +828,6 @@ impl Ftl {
         self.victims.clone_from(&durable.victims);
         self.seal_seq = durable.seal_seq;
         self.stats = durable.stats;
-        self.trace.emit(|| TraceEventKind::JournalReplay {
-            replayed: outcome.replayed,
-            dropped: outcome.dropped,
-        });
         Ok(outcome)
     }
 

@@ -16,9 +16,9 @@
 //!   NAND dies) and attributes waiting time to contention.
 //! * [`trace`] — the array-wide event-tracing subsystem: a
 //!   zero-cost-when-disabled ring-buffer [`trace::Recorder`] of typed
-//!   [`trace::TraceEvent`]s plus a [`trace::MetricRegistry`] of
-//!   per-component instruments, exported as byte-stable JSON and Chrome
-//!   `trace_event` format.
+//!   [`trace::TraceEvent`]s plus a name-ordered [`trace::MetricRegistry`]
+//!   of per-component instruments filled by name at harvest, exported as
+//!   byte-stable JSON and Chrome `trace_event` format.
 //!
 //! # Example
 //!
@@ -50,6 +50,6 @@ pub use resource::{FifoResource, Reservation};
 pub use rng::SplitMix64;
 pub use time::{Nanos, SimTime};
 pub use trace::{
-    Metric, MetricId, MetricRegistry, Recorder, RunTrace, SharedRecorder, TraceConfig, TraceEvent,
+    Metric, MetricRegistry, Recorder, RunTrace, SharedRecorder, TraceConfig, TraceEvent,
     TraceEventKind, TracePort, TraceScope,
 };

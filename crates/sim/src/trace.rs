@@ -10,12 +10,14 @@
 //! are therefore byte-identical to runs on builds that predate tracing
 //! (the golden-snapshot suite pins this down).
 //!
-//! At the end of a run the engine harvests the recorder plus a
+//! At the end of a traced run the engine harvests the recorder plus a
 //! [`MetricRegistry`] of per-component instruments (histograms,
-//! utilization trackers, queue-depth time series) registered under
-//! stable hierarchical names (`cluster.2.fimm.1.queue_depth`) into a
-//! [`RunTrace`], which exports as byte-stable JSON and as Chrome
-//! `trace_event` JSON loadable in `about:tracing` / Perfetto.
+//! utilization trackers, queue-depth time series) into a [`RunTrace`].
+//! Each instrument is named where its value is read, under a stable
+//! hierarchical name (`cluster.2.fimm.1.queue_depth`); the harvest runs
+//! once per traced run, so nothing is named ahead of time. The
+//! [`RunTrace`] exports as byte-stable JSON and as Chrome `trace_event`
+//! JSON loadable in `about:tracing` / Perfetto.
 //!
 //! # Determinism contract
 //!
@@ -25,6 +27,7 @@
 //! integer-only formatting, so the artifact bytes are identical across
 //! platforms and across any harness thread count.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use crate::stats::{Histogram, TimeSeries};
@@ -796,41 +799,12 @@ pub enum Metric {
     Series(Vec<(Nanos, f64)>),
 }
 
-/// An interned metric name: a dense handle into a [`MetricRegistry`].
-///
-/// Interning happens once, at wiring time; every per-harvest update is
-/// then an indexed store with no name formatting, hashing, or string
-/// comparison on the hot path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MetricId(u32);
-
-impl MetricId {
-    /// The dense slot index behind this handle.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 /// Per-component instruments registered under stable hierarchical names
-/// (`cluster.2.fimm.1.queue_depth`).
-///
-/// Names are interned into [`MetricId`] handles; the registry keeps an
-/// index of ids sorted by name, maintained incrementally at intern time
-/// (binary-search insertion), so [`MetricRegistry::sorted`] is a single
-/// pass with no per-export clone or re-sort and artifact bytes never
-/// depend on harvest order. Setting an instrument twice overwrites the
-/// previous value.
+/// (`cluster.2.fimm.1.queue_depth`), kept in name order so the export
+/// never depends on harvest order. Setting an instrument twice
+/// overwrites the previous value.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricRegistry {
-    /// Interned names, indexed by `MetricId`.
-    names: Vec<String>,
-    /// Instrument value per id (`None` until first set).
-    slots: Vec<Option<Metric>>,
-    /// Ids ordered by their name — the export order.
-    by_name: Vec<MetricId>,
-    /// Slots currently holding a value.
-    set_count: usize,
-}
+pub struct MetricRegistry(BTreeMap<String, Metric>);
 
 impl MetricRegistry {
     /// An empty registry.
@@ -838,56 +812,24 @@ impl MetricRegistry {
         MetricRegistry::default()
     }
 
-    /// Position of `name` in the sorted index: `Ok` when already
-    /// interned, `Err` with the insertion point otherwise.
-    fn search(&self, name: &str) -> Result<usize, usize> {
-        self.by_name
-            .binary_search_by(|id| self.names[id.index()].as_str().cmp(name))
+    fn set(&mut self, name: impl AsRef<str>, m: Metric) {
+        self.0.insert(name.as_ref().to_string(), m);
     }
 
-    /// Interns `name`, returning its stable handle. Idempotent: the same
-    /// name always yields the same id.
-    pub fn intern(&mut self, name: impl AsRef<str>) -> MetricId {
-        let name = name.as_ref();
-        match self.search(name) {
-            Ok(pos) => self.by_name[pos],
-            Err(pos) => {
-                let id = MetricId(self.names.len() as u32);
-                self.names.push(name.to_string());
-                self.slots.push(None);
-                self.by_name.insert(pos, id);
-                id
-            }
-        }
+    /// Registers a counter by name.
+    pub fn counter(&mut self, name: impl AsRef<str>, v: u64) {
+        self.set(name, Metric::Counter(v));
     }
 
-    /// The interned name behind `id`.
-    pub fn name(&self, id: MetricId) -> &str {
-        &self.names[id.index()]
+    /// Registers a gauge by name.
+    pub fn gauge(&mut self, name: impl AsRef<str>, v: f64) {
+        self.set(name, Metric::Gauge(v));
     }
 
-    fn set(&mut self, id: MetricId, m: Metric) {
-        let slot = &mut self.slots[id.index()];
-        if slot.is_none() {
-            self.set_count += 1;
-        }
-        *slot = Some(m);
-    }
-
-    /// Sets a counter on a pre-interned handle.
-    pub fn set_counter(&mut self, id: MetricId, v: u64) {
-        self.set(id, Metric::Counter(v));
-    }
-
-    /// Sets a gauge on a pre-interned handle.
-    pub fn set_gauge(&mut self, id: MetricId, v: f64) {
-        self.set(id, Metric::Gauge(v));
-    }
-
-    /// Sets a histogram summary on a pre-interned handle.
-    pub fn set_histogram(&mut self, id: MetricId, h: &Histogram) {
+    /// Registers a histogram's summary by name.
+    pub fn histogram(&mut self, name: impl AsRef<str>, h: &Histogram) {
         self.set(
-            id,
+            name,
             Metric::Summary {
                 count: h.count(),
                 mean_ns: h.mean(),
@@ -898,69 +840,35 @@ impl MetricRegistry {
         );
     }
 
-    /// Sets a time series on a pre-interned handle, thinned to at most
-    /// `max_points` samples.
-    pub fn set_series(&mut self, id: MetricId, s: &TimeSeries, max_points: usize) {
+    /// Registers a time series by name, thinned to at most `max_points`
+    /// samples.
+    pub fn series(&mut self, name: impl AsRef<str>, s: &TimeSeries, max_points: usize) {
         let pts = s
             .thin(max_points)
             .into_iter()
             .map(|(t, v)| (t.as_nanos(), v))
             .collect();
-        self.set(id, Metric::Series(pts));
+        self.set(name, Metric::Series(pts));
     }
 
-    /// Registers a counter by name (interns on the fly).
-    pub fn counter(&mut self, name: impl AsRef<str>, v: u64) {
-        let id = self.intern(name);
-        self.set_counter(id, v);
-    }
-
-    /// Registers a gauge by name (interns on the fly).
-    pub fn gauge(&mut self, name: impl AsRef<str>, v: f64) {
-        let id = self.intern(name);
-        self.set_gauge(id, v);
-    }
-
-    /// Registers a histogram's summary by name (interns on the fly).
-    pub fn histogram(&mut self, name: impl AsRef<str>, h: &Histogram) {
-        let id = self.intern(name);
-        self.set_histogram(id, h);
-    }
-
-    /// Registers a time series by name, thinned to at most `max_points`
-    /// samples.
-    pub fn series(&mut self, name: impl AsRef<str>, s: &TimeSeries, max_points: usize) {
-        let id = self.intern(name);
-        self.set_series(id, s, max_points);
-    }
-
-    /// Number of instruments holding a value.
+    /// Number of registered instruments.
     pub fn len(&self) -> usize {
-        self.set_count
+        self.0.len()
     }
 
-    /// `true` when no instrument holds a value.
+    /// `true` when no instrument is registered.
     pub fn is_empty(&self) -> bool {
-        self.set_count == 0
+        self.0.is_empty()
     }
 
-    /// The set instruments in name order — a single pass over the index
-    /// maintained at intern time.
+    /// The instruments in name order.
     pub fn sorted(&self) -> Vec<(&str, &Metric)> {
-        self.by_name
-            .iter()
-            .filter_map(|id| {
-                self.slots[id.index()]
-                    .as_ref()
-                    .map(|m| (self.names[id.index()].as_str(), m))
-            })
-            .collect()
+        self.0.iter().map(|(n, m)| (n.as_str(), m)).collect()
     }
 
     /// Looks up one instrument by exact name.
     pub fn get(&self, name: &str) -> Option<&Metric> {
-        let pos = self.search(name).ok()?;
-        self.slots[self.by_name[pos].index()].as_ref()
+        self.0.get(name)
     }
 }
 
@@ -1293,6 +1201,9 @@ mod tests {
         assert_eq!(names, ["a.util", "z.count"]);
         assert_eq!(m.get("z.count"), Some(&Metric::Counter(3)));
         assert_eq!(m.get("missing"), None);
+        m.counter("z.count", 4);
+        assert_eq!(m.len(), 2, "a second set overwrites the first");
+        assert_eq!(m.get("z.count"), Some(&Metric::Counter(4)));
     }
 
     #[test]

@@ -12,8 +12,11 @@
 //!   clusters*), striped across FIMMs/packages/dies inside a cluster for
 //!   parallelism.
 //! * [`PageMap`] — logical→physical translation: the striped default
-//!   plus a sparse override table that data migration and layout
-//!   reshaping mutate.
+//!   plus the overrides that writes, GC, data migration and layout
+//!   reshaping make. Isolated overrides live in a shared hash table;
+//!   a 512-page segment with 64 of them goes dense, and only then gets
+//!   directory memory, so the map's heap follows what is mapped rather
+//!   than the address space.
 //! * [`Ftl`] — log-structured write allocation per FIMM, invalidation
 //!   tracking, greedy garbage collection and wear-aware block selection.
 //! * [`hal`] — flash-command composition that exploits die-interleave,

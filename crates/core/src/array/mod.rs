@@ -1,0 +1,616 @@
+//! The all-flash array simulator: request pipeline + autonomic manager.
+//!
+//! A request travels `host → RC queue → switch → endpoint → ONFi bus →
+//! FIMM → bus → endpoint → switch → RC → host`, contending at every
+//! shared resource. The autonomic manager observes completions and
+//! queue pressure, detects hot clusters (Eq. 1) and laggards (Eq. 3 /
+//! queue examination), and reshapes the physical data layout in the
+//! background (data migration with shadow cloning, intra-cluster
+//! reshaping, write redirection).
+//!
+//! Each layer of the device stack has its own file, which owns that
+//! layer's state and the handlers for its `Ev` variants;
+//! `Engine::handle` only dispatches.
+
+use triplea_fimm::Fimm;
+use triplea_ftl::{Ftl, IntegrityError, JournalConfig};
+use triplea_pcie::{CreditQueue, Switch};
+use triplea_sim::stats::{Histogram, TimeSeries};
+use triplea_sim::trace::{
+    RunTrace, SharedRecorder, TraceConfig, TraceEventKind, TracePort, TraceScope,
+};
+use triplea_sim::{EventQueue, SimTime};
+
+use crate::autonomic::AutonomicState;
+use crate::cluster::ClusterState;
+use crate::config::{ArrayConfig, ManagementMode};
+use crate::metrics::{FaultStats, RecoveryStats, RunReport};
+use crate::request::{Breakdown, RequestState, Stage, Trace};
+
+mod fabric;
+mod front;
+mod management;
+mod recovery;
+mod report;
+mod storage;
+#[cfg(test)]
+mod tests;
+
+use front::FrontDoor;
+use management::Reloc;
+use recovery::Rebuild;
+
+/// Weyl constant used to derive per-component fault RNG streams from
+/// the one master seed.
+pub(crate) const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+#[derive(Clone, Debug)]
+enum Ev {
+    Submit(u32),
+    RcGranted(u32),
+    SwAdmit(u32),
+    SwGranted(u32),
+    ArriveSw(u32),
+    EpAdmit(u32),
+    EpGranted(u32),
+    ArriveEp(u32),
+    EpService(u32),
+    PartFlashDone {
+        req: u32,
+        fimm: u32,
+        pages: u32,
+    },
+    PartDataDone(u32),
+    EpFree(u32),
+    /// One buffered write page is durable.
+    WriteProgrammed {
+        cluster: u32,
+        fimm: u32,
+        /// Cluster whose write buffer admitted the request. Pages may be
+        /// allocated on a different cluster than the one that buffered
+        /// them (e.g. a multi-page run straddling a migrated boundary),
+        /// but the buffer credit must be returned where it was taken.
+        buf_cluster: u32,
+    },
+    RespAtSw(u32),
+    RespAtRc(u32),
+    Complete(u32),
+    MigArrive(u32),
+    MigPageDone {
+        reloc: u32,
+        idx: u32,
+        cluster: u32,
+        fimm: u32,
+    },
+    /// The configured power cut fires: volatile state is lost, the FTL
+    /// journal is replayed, and the array remounts.
+    PowerLoss,
+    /// One unit of hot-spare rebuild work for `rebuilds[i]`.
+    RebuildStep(u32),
+}
+
+struct Engine {
+    cfg: ArrayConfig,
+    mode: ManagementMode,
+    ftl: Ftl,
+    /// The root complex's front-end credit queue (paper §2.1: 650–1000
+    /// entries).
+    rc_queue: CreditQueue,
+    switches: Vec<Switch>,
+    clusters: Vec<ClusterState>,
+    auto: AutonomicState,
+    /// The multi-tenant front door; `Some` exactly when the config
+    /// names tenants. `None` bypasses arbitration entirely.
+    front: Option<FrontDoor>,
+    reqs: Vec<RequestState>,
+    relocs: Vec<Reloc>,
+    queue: EventQueue<Ev>,
+    // metrics; each latency histogram's count is its completion count
+    first_submit: SimTime,
+    last_complete: SimTime,
+    lat: Histogram,
+    rlat: Histogram,
+    wlat: Histogram,
+    bd_sum: Breakdown,
+    /// Queue-stall time attributed to link congestion (see
+    /// `RunReport::avg_link_contention_us`).
+    attr_link: u64,
+    /// Queue-stall time attributed to storage congestion.
+    attr_storage: u64,
+    series: TimeSeries,
+    events: u64,
+    dropped_writes: u64,
+    /// Engine-side degraded-mode counters; package/link-level fault
+    /// counts are folded in by [`Engine::into_report`].
+    faults: FaultStats,
+    /// Power-loss and rebuild accounting for the report.
+    recovery: RecoveryStats,
+    /// Hot-spare rebuilds, one per consumed spare.
+    rebuilds: Vec<Rebuild>,
+    /// Completion latencies recorded inside any rebuild's degraded
+    /// window (module death → spare in service).
+    degraded_lat: Histogram,
+    /// Modules replaced by a spare; kept so their wear and fault history
+    /// still roll up into the final report.
+    retired_fimms: Vec<Fimm>,
+    /// The recorder every traced component feeds and the end-of-run
+    /// harvest reads; `None` keeps the run byte-identical to untraced
+    /// builds.
+    recorder: Option<SharedRecorder>,
+}
+
+/// The outcome of [`Array::run_verified`]: the performance report, the
+/// harvested trace (when a recorder was attached via
+/// [`Array::with_recorder`]), and the post-run FTL metadata audit.
+#[derive(Clone, Debug)]
+pub struct VerifiedRun {
+    /// The run's performance report, identical to [`Array::run`]'s.
+    pub report: RunReport,
+    /// The harvested event trace and metric registry; `None` when the
+    /// array ran without a recorder.
+    pub trace: Option<RunTrace>,
+    /// The end-to-end FTL metadata integrity audit: every live logical
+    /// page maps to exactly one live physical page and vice versa, even
+    /// when faults aborted migrations mid-copy.
+    pub integrity: Result<(), IntegrityError>,
+}
+
+/// The Triple-A all-flash array (or its non-autonomic baseline).
+///
+/// Construct with [`Array::new`], then [`Array::run`] a [`Trace`] through
+/// it to obtain a [`RunReport`]. Runs are deterministic: the same config,
+/// mode, and trace always produce identical reports.
+///
+/// # Example
+///
+/// ```
+/// use triplea_core::{Array, ArrayConfig, IoOp, ManagementMode, Trace, TraceRequest};
+/// use triplea_ftl::LogicalPage;
+/// use triplea_sim::SimTime;
+///
+/// let trace = Trace::new(vec![TraceRequest::new(SimTime::ZERO, IoOp::Read, LogicalPage(0), 1)]);
+/// let report = Array::new(ArrayConfig::small_test(), ManagementMode::Autonomic).run(&trace);
+/// assert_eq!(report.completed(), 1);
+/// ```
+pub struct Array {
+    e: Engine,
+}
+
+impl std::fmt::Debug for Array {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Array")
+            .field("mode", &self.e.mode)
+            .field("clusters", &self.e.clusters.len())
+            .finish()
+    }
+}
+
+impl Array {
+    /// Builds an idle array from a configuration.
+    ///
+    /// A configured [`FimmFaultEvent`](crate::FimmFaultEvent) that
+    /// addresses a cluster or FIMM outside the array is ignored — the
+    /// [`ArrayConfigBuilder`](crate::ArrayConfigBuilder) is the
+    /// validation gate; a hand-assembled [`FaultConfig`](crate::FaultConfig)
+    /// must not crash the simulator.
+    pub fn new(cfg: ArrayConfig, mode: ManagementMode) -> Self {
+        let topo = cfg.shape.topology;
+        let mut clusters: Vec<ClusterState> = topo
+            .iter_clusters()
+            .map(|id| ClusterState::new(&cfg, id))
+            .collect();
+        let mut switches: Vec<Switch> = (0..topo.switches)
+            .map(|_| Switch::new(&cfg.pcie, topo.clusters_per_switch))
+            .collect();
+        Self::arm_faults(&cfg, &mut clusters, &mut switches);
+        let mut ftl = if cfg.mapping_cache_pages > 0 {
+            Ftl::with_mapping_cache(cfg.shape, cfg.mapping_cache_pages)
+        } else {
+            Ftl::new(cfg.shape)
+        };
+        ftl.set_gc_policy(cfg.gc_policy);
+        if let Some(pl) = cfg.faults.power_loss {
+            // Metadata mutations must be journaled from the first write,
+            // or the recovery scan would have nothing to replay.
+            ftl.enable_journal(JournalConfig {
+                flush_every: pl.flush_every,
+                checkpoint_every: pl.checkpoint_every,
+            });
+        }
+        let e = Engine {
+            ftl,
+            rc_queue: CreditQueue::new("rc", cfg.pcie.rc_queue),
+            switches,
+            clusters,
+            auto: AutonomicState::new(cfg.autonomic, cfg.seed),
+            front: FrontDoor::new(&cfg),
+            reqs: Vec::new(),
+            relocs: Vec::new(),
+            queue: EventQueue::new(),
+            first_submit: SimTime::MAX,
+            last_complete: SimTime::ZERO,
+            lat: Histogram::new(),
+            rlat: Histogram::new(),
+            wlat: Histogram::new(),
+            bd_sum: Breakdown::default(),
+            attr_link: 0,
+            attr_storage: 0,
+            series: TimeSeries::new(),
+            events: 0,
+            dropped_writes: 0,
+            faults: FaultStats::default(),
+            recovery: RecoveryStats::default(),
+            rebuilds: Vec::new(),
+            degraded_lat: Histogram::new(),
+            retired_fimms: Vec::new(),
+            recorder: None,
+            mode,
+            cfg,
+        };
+        Array { e }
+    }
+
+    /// Attaches an event recorder to every component of the array. Each
+    /// component's [`TracePort`] is stamped with its hierarchical
+    /// position (cluster, FIMM, package), so the harvested
+    /// [`RunTrace`] — returned by [`Array::run_verified`] — carries
+    /// per-lane Chrome-trace output and `cluster.N.fimm.M.*` metrics.
+    pub fn with_recorder(mut self, cfg: TraceConfig) -> Self {
+        let rec = SharedRecorder::new(cfg);
+        let e = &mut self.e;
+        let port = |scope| TracePort::attached(rec.clone(), scope);
+        e.ftl.attach_trace(port(TraceScope::array()));
+        e.auto.attach_trace(port(TraceScope::array()));
+        e.rc_queue.attach_trace(port(TraceScope::array()));
+        let cps = e.cfg.shape.topology.clusters_per_switch;
+        for (s, sw) in e.switches.iter_mut().enumerate() {
+            let sw_scope = TraceScope::array().unit(s as u32);
+            sw.uplink.down.attach_trace(port(sw_scope));
+            sw.uplink.up.attach_trace(port(sw_scope));
+            for (p, link) in sw.downlinks.iter_mut().enumerate() {
+                let scope = TraceScope::cluster(s as u32 * cps + p as u32);
+                link.down.attach_trace(port(scope));
+                link.up.attach_trace(port(scope));
+            }
+            for (p, q) in sw.port_queues.iter_mut().enumerate() {
+                q.attach_trace(port(TraceScope::cluster(s as u32 * cps + p as u32)));
+            }
+        }
+        for (g, cl) in e.clusters.iter_mut().enumerate() {
+            let g = g as u32;
+            cl.bus.attach_trace(port(TraceScope::cluster(g)));
+            cl.ep_queue.attach_trace(port(TraceScope::cluster(g)));
+            for (f, fimm) in cl.fimms.iter_mut().enumerate() {
+                fimm.attach_trace(port(TraceScope::fimm(g, f as u32)));
+            }
+        }
+        e.recorder = Some(rec);
+        self
+    }
+
+    /// Applies the configured fault plan to freshly built hardware. A
+    /// quiet plan arms nothing, so fault-free runs stay bit-identical to
+    /// builds that predate fault injection.
+    fn arm_faults(cfg: &ArrayConfig, clusters: &mut [ClusterState], switches: &mut [Switch]) {
+        let fc = &cfg.faults;
+        if !fc.flash.is_quiet() {
+            for (ci, cl) in clusters.iter_mut().enumerate() {
+                for (fi, fimm) in cl.fimms.iter_mut().enumerate() {
+                    // Distinct RNG stream per FIMM (and, inside, per
+                    // package), all derived from the one master seed.
+                    let k = ((ci as u64) << 8) | fi as u64;
+                    fimm.set_fault_profile(fc.flash, fc.seed ^ (k + 1).wrapping_mul(GOLDEN));
+                }
+            }
+        }
+        if !fc.pcie.is_quiet() {
+            let mut k = 0u64;
+            for sw in switches.iter_mut() {
+                for link in std::iter::once(&mut sw.uplink).chain(sw.downlinks.iter_mut()) {
+                    link.down
+                        .set_faults(fc.pcie, fc.seed ^ (2 * k + 1).wrapping_mul(GOLDEN));
+                    link.up
+                        .set_faults(fc.pcie, fc.seed ^ (2 * k + 2).wrapping_mul(GOLDEN));
+                    k += 1;
+                }
+            }
+        }
+        for ev in fc.fimm_events.iter().flatten() {
+            // Events addressing hardware outside the array are skipped,
+            // not panicked on: the builder validates user input, and a
+            // fault plan is itself a fallible input, not an invariant.
+            let Some(cl) = clusters.get_mut(ev.cluster as usize) else {
+                continue;
+            };
+            let Some(fimm) = cl.fimms.get_mut(ev.fimm as usize) else {
+                continue;
+            };
+            fimm.schedule_fault(SimTime::from_nanos(ev.at_ns), ev.kind);
+        }
+    }
+
+    /// The configuration in force.
+    pub fn config(&self) -> &ArrayConfig {
+        &self.e.cfg
+    }
+
+    /// The management mode in force.
+    pub fn mode(&self) -> ManagementMode {
+        self.e.mode
+    }
+
+    /// Replays `trace` through the array to completion and reports.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a trace record has `pages == 0`, addresses a page
+    /// outside the array, or (on a tenant-enabled array) names a tenant
+    /// outside the configured table.
+    pub fn run(self, trace: &Trace) -> RunReport {
+        self.run_verified(trace).report
+    }
+
+    /// Like [`Array::run`], but additionally performs an end-to-end FTL
+    /// metadata integrity check after the run — every relocated page must
+    /// map to exactly one live physical page and vice versa, proving that
+    /// no page was lost or duplicated even when faults aborted migrations
+    /// mid-copy — and harvests the event trace when a recorder was
+    /// attached with [`Array::with_recorder`].
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`Array::run`].
+    pub fn run_verified(self, trace: &Trace) -> VerifiedRun {
+        let mut runner = self.into_runner();
+        for r in trace.requests() {
+            runner.submit(r);
+        }
+        runner.finish()
+    }
+
+    /// Converts the idle array into an [`ArrayRunner`]: the same engine,
+    /// driven incrementally instead of to completion. The federation
+    /// layer uses this to interleave N member arrays inside one
+    /// deterministic epoch loop; [`Array::run_verified`] is this runner
+    /// with every request submitted before the first step.
+    pub fn into_runner(self) -> ArrayRunner {
+        ArrayRunner {
+            e: Box::new(self.e),
+            armed: false,
+        }
+    }
+}
+
+/// An [`Array`] engine driven incrementally: requests are injected one
+/// at a time with [`ArrayRunner::submit`] and simulated time advances in
+/// bounded steps with [`ArrayRunner::step_until`], so several arrays can
+/// be co-simulated deterministically by one scheduler (see the
+/// `federation` module). [`Array::run_verified`] is the special case
+/// that submits the whole trace and then calls [`ArrayRunner::finish`],
+/// so both drivers share one event loop.
+pub struct ArrayRunner {
+    e: Box<Engine>,
+    /// Whether the recovery plan (the power cut and the hot-spare
+    /// rebuilds) is on the calendar. It is armed by the first
+    /// [`ArrayRunner::step_until`] or [`ArrayRunner::finish`], after the
+    /// requests submitted up front, so "submit everything, then drain"
+    /// orders same-instant events exactly as [`Array::run_verified`].
+    armed: bool,
+}
+
+impl std::fmt::Debug for ArrayRunner {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ArrayRunner")
+            .field("mode", &self.e.mode)
+            .field("submitted", &self.submitted())
+            .field("completed", &self.completed())
+            .finish()
+    }
+}
+
+impl ArrayRunner {
+    /// The configuration in force.
+    pub fn config(&self) -> &ArrayConfig {
+        &self.e.cfg
+    }
+
+    /// Injects one request, returning its id for later
+    /// [`ArrayRunner::is_done`] / [`ArrayRunner::is_lost`] polling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pages == 0`, the address range leaves the array, or
+    /// (on a tenant-enabled array) the tenant is outside the configured
+    /// table. The submission time must not be earlier than any instant
+    /// already stepped past.
+    pub fn submit(&mut self, r: &crate::request::TraceRequest) -> u32 {
+        let e = &mut *self.e;
+        let id = e.reqs.len() as u32;
+        let total_pages = e.cfg.shape.total_pages();
+        let n_tenants = e.cfg.tenants.len();
+        assert!(r.pages >= 1, "request {id} has zero pages");
+        assert!(
+            r.lpn
+                .0
+                .checked_add(r.pages as u64)
+                .is_some_and(|end| end <= total_pages),
+            "request {id} exceeds the address space"
+        );
+        assert!(
+            n_tenants == 0 || r.tenant.index() < n_tenants,
+            "request {id} names {} but the config has {n_tenants} tenants",
+            r.tenant
+        );
+        e.reqs.push(RequestState::new(r));
+        e.queue.push(r.at, Ev::Submit(id));
+        e.first_submit = e.first_submit.min(r.at);
+        id
+    }
+
+    /// Drains every event strictly before `t`.
+    pub fn step_until(&mut self, t: SimTime) {
+        self.drain(Some(t));
+    }
+
+    /// `true` when the event calendar is empty (every injected request
+    /// has either completed or been lost to a power cut). A runner that
+    /// has never stepped is not idle: its recovery plan is still to be
+    /// armed.
+    pub fn is_idle(&self) -> bool {
+        self.armed && self.e.queue.is_empty()
+    }
+
+    /// Requests injected so far.
+    pub fn submitted(&self) -> u64 {
+        self.e.reqs.len() as u64
+    }
+
+    /// Requests completed so far.
+    pub fn completed(&self) -> u64 {
+        self.e.lat.count()
+    }
+
+    /// In-flight requests lost to a power cut so far.
+    pub fn lost(&self) -> u64 {
+        self.e.recovery.lost_inflight_requests
+    }
+
+    /// Cumulative 99th-percentile completion latency, ns (0 until the
+    /// first completion).
+    pub fn p99_ns(&self) -> u64 {
+        self.e.lat.percentile(0.99)
+    }
+
+    /// `true` once request `id` has completed.
+    pub fn is_done(&self, id: u32) -> bool {
+        self.e.reqs[id as usize].done
+    }
+
+    /// `true` when request `id` was in flight at a power cut and will
+    /// never complete (its completion callback died with the calendar).
+    pub fn is_lost(&self, id: u32) -> bool {
+        let rs = &self.e.reqs[id as usize];
+        !rs.done && rs.stage == Stage::Done
+    }
+
+    /// Completion instant of request `id` ([`SimTime::ZERO`] until it
+    /// completes).
+    pub fn finish_time(&self, id: u32) -> SimTime {
+        self.e.reqs[id as usize].finish
+    }
+
+    /// Drains every remaining event, audits FTL metadata integrity, and
+    /// produces the run outcome.
+    pub fn finish(mut self) -> VerifiedRun {
+        self.drain(None);
+        let mut e = self.e;
+        if e.first_submit == SimTime::MAX {
+            e.first_submit = SimTime::ZERO;
+        }
+        let integrity = e.ftl.verify_integrity();
+        let run_trace = e.harvest_trace();
+        VerifiedRun {
+            report: e.into_report(),
+            trace: run_trace,
+            integrity,
+        }
+    }
+
+    /// The event loop: arms the recovery plan on first use, then pops
+    /// and handles events strictly before `until` (every event when
+    /// `None`).
+    fn drain(&mut self, until: Option<SimTime>) {
+        if !self.armed {
+            self.armed = true;
+            self.e.arm_recovery();
+        }
+        let e = &mut *self.e;
+        loop {
+            let next = match until {
+                Some(t) => e.queue.pop_before(t),
+                None => e.queue.pop(),
+            };
+            let Some((now, ev)) = next else {
+                break;
+            };
+            if let Some(rec) = &e.recorder {
+                // Timeless components (the FTL, credit queues) emit at
+                // the recorder clock; keep it on the event loop's time.
+                rec.set_now(now);
+            }
+            e.events += 1;
+            e.handle(now, ev);
+        }
+    }
+}
+
+impl Engine {
+    fn page_bytes(&self) -> u64 {
+        self.cfg.shape.flash.page_size as u64
+    }
+
+    fn cluster_global(&self, id: triplea_pcie::ClusterId) -> u32 {
+        self.cfg.shape.topology.global_index(id)
+    }
+
+    /// Samples one FIMM's read backlog into its queue-depth series.
+    /// Only records while a recorder is attached, so untraced runs
+    /// allocate nothing.
+    fn sample_qdepth(&mut self, now: SimTime, c: usize, fimm: usize) {
+        if self.recorder.is_some() {
+            let v = self.clusters[c].pending_read_pages[fimm] as f64;
+            self.clusters[c].qdepth[fimm].push(now, v);
+        }
+    }
+
+    /// Records an engine-level event under `scope`. `f` builds the
+    /// payload and only runs when a recorder is attached.
+    #[inline]
+    fn emit(&self, scope: TraceScope, f: impl FnOnce() -> TraceEventKind) {
+        if let Some(rec) = &self.recorder {
+            rec.emit(scope, f());
+        }
+    }
+
+    /// Routes one event to the layer that owns it.
+    fn handle(&mut self, now: SimTime, ev: Ev) {
+        match ev {
+            // front.rs: the host side
+            Ev::Submit(r) => self.on_submit(now, r),
+            Ev::Complete(r) => self.on_complete(now, r),
+            // fabric.rs: root complex, switch and endpoint hops
+            Ev::RcGranted(r) => self.on_rc_granted(now, r),
+            Ev::SwAdmit(r) => self.on_sw_admit(now, r),
+            Ev::SwGranted(r) => self.on_sw_granted(now, r),
+            Ev::ArriveSw(r) => self.on_arrive_sw(now, r),
+            Ev::EpAdmit(r) => self.on_ep_admit(now, r),
+            Ev::EpGranted(r) => self.on_ep_granted(now, r),
+            Ev::ArriveEp(r) => self.on_arrive_ep(now, r),
+            Ev::EpFree(c) => self.on_ep_free(now, c),
+            Ev::RespAtSw(r) => self.on_resp_at_sw(now, r),
+            Ev::RespAtRc(r) => self.on_resp_at_rc(now, r),
+            // storage.rs: ONFi bus, FIMMs, write buffer
+            Ev::EpService(r) => self.on_ep_service(now, r),
+            Ev::PartFlashDone { req, fimm, pages } => {
+                self.on_part_flash_done(now, req, fimm, pages)
+            }
+            Ev::PartDataDone(r) => self.on_part_data_done(now, r),
+            Ev::WriteProgrammed {
+                cluster,
+                fimm,
+                buf_cluster,
+            } => self.on_write_programmed(now, cluster, fimm, buf_cluster),
+            // management.rs: migration
+            Ev::MigArrive(m) => self.on_mig_arrive(now, m),
+            Ev::MigPageDone {
+                reloc,
+                idx,
+                cluster,
+                fimm,
+            } => self.on_mig_page_done(now, reloc, idx, cluster, fimm),
+            // recovery.rs: power loss and rebuild
+            Ev::PowerLoss => self.on_power_loss(now),
+            Ev::RebuildStep(i) => self.on_rebuild_step(now, i),
+        }
+    }
+}

@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 
 use triplea_fimm::{Fimm, OnfiBus};
-use triplea_pcie::{ClusterId, Endpoint};
+use triplea_pcie::{ClusterId, CreditQueue};
 use triplea_sim::stats::TimeSeries;
 use triplea_sim::SimTime;
 
@@ -15,7 +15,9 @@ use crate::config::ArrayConfig;
 #[derive(Clone, Debug)]
 pub(crate) struct ClusterState {
     pub id: ClusterId,
-    pub ep: Endpoint,
+    /// The endpoint's downstream buffer: requests admitted into the
+    /// cluster whose responses are not yet on the wire (paper §3.4).
+    pub ep_queue: CreditQueue,
     pub bus: OnfiBus,
     pub fimms: Vec<Fimm>,
     /// Write-back buffer capacity in pages.
@@ -44,7 +46,7 @@ impl ClusterState {
         let n = cfg.shape.fimms_per_cluster as usize;
         ClusterState {
             id,
-            ep: Endpoint::new(&cfg.pcie),
+            ep_queue: CreditQueue::new("ep", cfg.pcie.ep_queue),
             bus: OnfiBus::new(cfg.flash_timing.onfi),
             fimms: (0..n)
                 .map(|_| {
@@ -134,6 +136,7 @@ mod tests {
         assert_eq!(c.fimms.len(), cfg.shape.fimms_per_cluster as usize);
         assert_eq!(c.wbuf_free(), cfg.write_buffer_pages);
         assert_eq!(c.pending_read_pages.len(), c.fimms.len());
+        assert_eq!(c.ep_queue.capacity(), cfg.pcie.ep_queue);
     }
 
     #[test]

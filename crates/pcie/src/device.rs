@@ -1,31 +1,8 @@
-//! The three PCI-E device roles of the array fabric.
-
-use triplea_sim::Nanos;
+//! The PCI-E switch of the array fabric.
 
 use crate::flow::CreditQueue;
 use crate::link::DuplexLink;
 use crate::topology::PcieParams;
-
-/// The PCI-E root complex: generates transactions on behalf of hosts and
-/// routes between its ports (paper §2.1). Holds the array's front-end
-/// queue, whose occupancy limit the paper sets to 650–1000 entries.
-#[derive(Clone, Debug)]
-pub struct RootComplex {
-    /// Front-end transaction queue (bounded).
-    pub queue: CreditQueue,
-    /// Routing latency per packet.
-    pub route_ns: Nanos,
-}
-
-impl RootComplex {
-    /// Creates a root complex from fabric parameters.
-    pub fn new(params: &PcieParams) -> Self {
-        RootComplex {
-            queue: CreditQueue::new("rc", params.rc_queue),
-            route_ns: params.rc_route_ns,
-        }
-    }
-}
 
 /// A PCI-E switch: virtual bridges between one upstream port (toward the
 /// RC) and many downstream ports (toward cluster endpoints), forwarding
@@ -43,8 +20,6 @@ pub struct Switch {
     pub uplink: DuplexLink,
     /// Links to the cluster endpoints, one per downstream port.
     pub downlinks: Vec<DuplexLink>,
-    /// Routing latency per packet.
-    pub route_ns: Nanos,
 }
 
 impl Switch {
@@ -64,7 +39,6 @@ impl Switch {
             downlinks: (0..ports)
                 .map(|_| DuplexLink::new(params.gen, params.lanes, params.propagation_ns))
                 .collect(),
-            route_ns: params.switch_route_ns,
         }
     }
 
@@ -74,40 +48,10 @@ impl Switch {
     }
 }
 
-/// A cluster's PCI-E endpoint (paper §3.4, Figure 4): device layers that
-/// dis/assemble packets, bounded up/downstream buffers, and control logic
-/// (the HAL lives host-side in `triplea-ftl`).
-#[derive(Clone, Debug)]
-pub struct Endpoint {
-    /// Downstream buffer: requests admitted into the cluster but not yet
-    /// completed by the flash backend.
-    pub queue: CreditQueue,
-    /// Device-layer latency per packet (strip/add headers, CRC).
-    pub device_ns: Nanos,
-}
-
-impl Endpoint {
-    /// Creates an endpoint from fabric parameters.
-    pub fn new(params: &PcieParams) -> Self {
-        Endpoint {
-            queue: CreditQueue::new("ep", params.ep_queue),
-            device_ns: params.ep_device_ns,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::Admission;
     use triplea_sim::SimTime;
-
-    #[test]
-    fn rc_queue_bounded_by_params() {
-        let rc = RootComplex::new(&PcieParams::default());
-        assert_eq!(rc.queue.capacity(), 800);
-        assert_eq!(rc.route_ns, 200);
-    }
 
     #[test]
     fn switch_has_requested_ports() {
@@ -121,17 +65,6 @@ mod tests {
     #[should_panic(expected = "downstream ports")]
     fn switch_zero_ports_panics() {
         Switch::new(&PcieParams::default(), 0);
-    }
-
-    #[test]
-    fn endpoint_admission_and_backpressure() {
-        let mut ep = Endpoint::new(&PcieParams {
-            ep_queue: 2,
-            ..PcieParams::default()
-        });
-        assert_eq!(ep.queue.admit(1), Admission::Admitted);
-        assert_eq!(ep.queue.admit(2), Admission::Admitted);
-        assert_eq!(ep.queue.admit(3), Admission::Queued);
     }
 
     #[test]

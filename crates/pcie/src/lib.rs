@@ -12,8 +12,10 @@
 //!   control: a transmitter may only send when the receiver has space,
 //!   so full buffers back-pressure upstream (the "queue stall" times of
 //!   the paper's Figure 15).
-//! * [`Switch`], [`RootComplex`], [`Endpoint`] — the three device roles,
-//!   with address routing over a configurable [`Topology`].
+//! * [`Switch`] — one upstream port and per-downstream-port buffers and
+//!   links, with address routing over a configurable [`Topology`]. The
+//!   root complex and the cluster endpoints are each one [`CreditQueue`]
+//!   held by the array engine; their latencies live in [`PcieParams`].
 //!
 //! # Example
 //!
@@ -35,7 +37,7 @@ mod flow;
 mod link;
 mod topology;
 
-pub use device::{Endpoint, RootComplex, Switch};
+pub use device::Switch;
 pub use flow::{Admission, CreditQueue};
 pub use link::{DuplexLink, LinkGen, PcieFaultProfile, PcieLink};
 pub use topology::{ClusterId, PcieParams, Topology};

@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 
 use triple_a::core::{
-    Array, ArrayConfig, FaultConfig, FimmFaultEvent, FimmFaultKind, FlashFaultProfile,
-    ManagementMode, PcieFaultProfile, PowerLossEvent,
+    Array, ArrayConfig, FaultConfig, FimmFaultEvent, FimmFaultKind, FlashFaultProfile, IoOp,
+    ManagementMode, PcieFaultProfile, PowerLossEvent, TenantId, TenantSpec, Trace, TraceRequest,
 };
 use triple_a::ftl::{Ftl, LogicalPage};
 use triple_a::pcie::ClusterId;
@@ -331,6 +331,80 @@ fn power_loss_after_the_burst_loses_nothing() {
     assert_eq!(rec.power_losses, 1);
     assert_eq!(rec.lost_inflight_requests, 0);
     assert_eq!(run.report.completed(), trace.len() as u64);
+}
+
+/// The stepped runner through the tenant front door: eight tenants, 2 %
+/// transient read faults, a module death covered by a hot spare, and a
+/// journaled power cut that lands while the rebuild is in progress.
+/// Submitting everything and stepping in 10 µs epochs must report
+/// exactly what `run_verified` reports — arbitration, the rebuild and
+/// the remount all run inside the epoch loop.
+#[test]
+fn tenanted_power_loss_stepped_matches_one_shot() {
+    let cfg = small_with(|c| {
+        c.tenants = (0..8)
+            .map(|t| {
+                if t % 4 == 0 {
+                    TenantSpec::interactive()
+                } else {
+                    TenantSpec::batch()
+                }
+            })
+            .collect();
+        c.hot_spares = 1;
+        c.faults = FaultConfig {
+            flash: FlashFaultProfile {
+                read_transient_prob: 0.02,
+                ..FlashFaultProfile::default()
+            },
+            seed: 19,
+            ..FaultConfig::default()
+        }
+        .with_fimm_event(FimmFaultEvent {
+            cluster: 0,
+            fimm: 1,
+            at_ns: 300_000,
+            kind: FimmFaultKind::Dead,
+        })
+        .with_power_loss(PowerLossEvent::at(900_000));
+    });
+    // A hot read stream with every third request turned into a write,
+    // dealt round-robin to the tenants.
+    let trace: Trace = hot_read_trace(&cfg)
+        .requests()
+        .iter()
+        .take(2_000)
+        .enumerate()
+        .map(|(i, r)| {
+            let op = if i % 3 == 0 { IoOp::Write } else { IoOp::Read };
+            TraceRequest::for_tenant(TenantId(i as u32 % 8), r.at, op, r.lpn, r.pages)
+        })
+        .collect();
+    let run = Array::new(cfg.clone(), ManagementMode::Autonomic).run_verified(&trace);
+    run.integrity.expect("the remount replays to coherent metadata");
+    let rec = run.report.recovery_stats();
+    assert_eq!(rec.power_losses, 1, "the scheduled cut must fire");
+    assert_eq!(rec.rebuilds_completed, 1, "the spare must take over");
+    assert!(rec.lost_inflight_requests > 0, "the cut must catch work in flight");
+    assert!(run.report.fault_stats().transient_read_faults > 0);
+    assert_eq!(run.report.tenant_stats().len(), 8);
+    assert_eq!(
+        run.report.completed() + rec.lost_inflight_requests,
+        trace.len() as u64,
+        "every request must complete or be accounted lost"
+    );
+
+    let mut runner = Array::new(cfg, ManagementMode::Autonomic).into_runner();
+    for r in trace.requests() {
+        runner.submit(r);
+    }
+    let mut t = SimTime::ZERO;
+    while !runner.is_idle() {
+        t += 10_000;
+        runner.step_until(t);
+    }
+    let stepped = runner.finish();
+    assert_eq!(stepped.report, run.report, "stepped and one-shot runs disagree");
 }
 
 proptest! {

@@ -1,16 +1,21 @@
 //! A counting [`GlobalAlloc`] wrapper over the system allocator.
 //!
-//! Two consumers install it as (or under) their `#[global_allocator]`:
+//! These consumers install it as (or under) their `#[global_allocator]`:
 //!
 //! * the simulator benchmark in `benchmark/`, which reports heap
 //!   allocations per request (`core.allocs_per_req`), a
 //!   machine-independent companion to its host times;
 //! * `crates/sim/tests/zero_alloc.rs`, which pins down that the
-//!   disabled-recorder trace emit path performs **zero** allocations.
+//!   disabled-recorder trace emit path performs **zero** allocations;
+//! * `tests/zero_alloc.rs` at the workspace root, the engine's gate:
+//!   a run over 2N requests may allocate only a small constant more
+//!   than a run over N, so the request path allocates nothing per
+//!   request once its buffers have grown;
+//! * `crates/ftl/tests/map_heap.rs`, which bounds the page map's heap.
 //!
 //! The counters are process-global relaxed atomics: cheap enough to
 //! leave on for a whole benchmark run, precise as long as readers
-//! bracket a single-threaded region (which both consumers do). When the allocator
+//! bracket a single-threaded region (which every consumer does). When the allocator
 //! is *not* installed the counters simply stay at zero.
 //!
 //! This crate is the one deliberate exception to the workspace-wide

@@ -80,9 +80,8 @@ impl Engine {
         };
         // Pin physical locations at routing time: migrations that land
         // while this request is in flight keep the old copy readable.
-        let locs: Vec<_> = (0..pages)
-            .map(|i| self.ftl.locate(LogicalPage(lpn.0 + i as u64)))
-            .collect();
+        let mut locs = self.scratch.locs.pop().unwrap_or_default();
+        locs.extend((0..pages).map(|i| self.ftl.locate(LogicalPage(lpn.0 + i as u64))));
         let cluster = self.cluster_global(locs[0].cluster);
         {
             let rs = &mut self.reqs[r as usize];
@@ -110,7 +109,7 @@ impl Engine {
                 loc.fimm,
                 now,
                 loc.addr.package,
-                &FlashCommand::read(loc.addr.page),
+                &FlashCommand::read(&loc.addr.page),
             ) {
                 t = t.max(rd.end);
                 let rs = &mut self.reqs[r as usize];

@@ -110,6 +110,9 @@ impl Engine {
         let submit = rs.submit;
         let bd = rs.bd;
         let cluster = rs.cluster;
+        let mut locs = std::mem::take(&mut rs.locs);
+        locs.clear();
+        self.scratch.locs.push(locs);
         self.emit(TraceScope::cluster(cluster), || TraceEventKind::Complete {
             req: r,
             latency_ns: total,
@@ -218,14 +221,16 @@ impl Engine {
     /// [`Engine::tenant_autonomics`] for a queue-examination event: the
     /// most demanding tenant among the stalled waiters (tightest
     /// `sla_p99_ns`, ties to the lower id) sets the pace.
-    pub(super) fn waiters_autonomics(&self, waiters: &[u32]) -> (Nanos, Nanos, Nanos) {
+    pub(super) fn waiters_autonomics(
+        &self,
+        waiters: impl Iterator<Item = u32>,
+    ) -> (Nanos, Nanos, Nanos) {
         let base = (SLA_NS, LAGGARD_COOLDOWN_NS, ESCALATION_COOLDOWN_NS);
         if self.front.is_none() {
             return base;
         }
         let tightest = waiters
-            .iter()
-            .map(|&w| self.reqs[w as usize].tenant)
+            .map(|w| self.reqs[w as usize].tenant)
             .min_by_key(|t| {
                 (
                     self.cfg.tenants.get(*t).map_or(u64::MAX, |s| s.sla_p99_ns),

@@ -166,16 +166,14 @@ impl Engine {
     /// *all* FIMMs are laggards (escalate to inter-cluster migration).
     pub(super) fn examine_queue(&mut self, now: SimTime, cluster: u32) {
         let n_fimms = self.cfg.shape.fimms_per_cluster as usize;
-        let waiters: Vec<u32> = self.clusters[cluster as usize]
-            .ep_queue
-            .waiter_ids()
-            .map(|w| w as u32)
-            .collect();
-        if waiters.len() < 2 {
+        let c = cluster as usize;
+        let n_waiters = self.clusters[c].ep_queue.waiting();
+        if n_waiters < 2 {
             return;
         }
-        let mut counts = vec![0u32; n_fimms];
-        for &w in &waiters {
+        let counts = &mut self.scratch.per_fimm;
+        counts.fill(0);
+        for w in self.clusters[c].ep_queue.waiter_ids() {
             if let Some(loc) = self.reqs[w as usize].locs.first() {
                 counts[loc.fimm as usize] += 1;
             }
@@ -185,15 +183,17 @@ impl Engine {
         if max == 0 {
             return;
         }
+        let laggard = counts.iter().position(|&c| c == max).unwrap_or(0) as u32;
         // A full queue only signals *storage* contention when the FIMMs
         // actually hold stalled work beyond the SLA budget (otherwise
         // the pile-up is a link problem, handled by Eq. 1 migration).
-        let (sla, laggard_cd, escalation_cd) = self.waiters_autonomics(&waiters);
+        let waiters = self.clusters[c].ep_queue.waiter_ids().map(|w| w as u32);
+        let (sla, laggard_cd, escalation_cd) = self.waiters_autonomics(waiters);
         let backlog_of = |f: u32| {
             self.cfg
-                .eq3_backlog_ns(self.clusters[cluster as usize].fimm_read_backlog_pages(f))
+                .eq3_backlog_ns(self.clusters[c].fimm_read_backlog_pages(f))
         };
-        if max - min <= 1 && waiters.len() >= n_fimms * 2 {
+        if max - min <= 1 && n_waiters >= n_fimms * 2 {
             // All FIMMs look equally stalled: escalate (§4.2) — but only
             // if every FIMM really holds stalled work, and at most once
             // per cooldown window per cluster.
@@ -202,24 +202,23 @@ impl Engine {
                     .auto
                     .register_escalation_with_cooldown(cluster, now, escalation_cd)
             {
-                for &w in &waiters {
+                for w in self.clusters[c].ep_queue.waiter_ids() {
                     self.reqs[w as usize].escalate = true;
                 }
             }
             return;
         }
-        let laggard = counts.iter().position(|&c| c == max).unwrap_or(0) as u32;
         if backlog_of(laggard) <= sla {
             return;
         }
-        let min_other = self.min_sibling_backlog(cluster as usize, laggard);
-        let laggard_backlog = self.clusters[cluster as usize].fimm_read_backlog_pages(laggard);
+        let min_other = self.min_sibling_backlog(c, laggard);
+        let laggard_backlog = self.clusters[c].fimm_read_backlog_pages(laggard);
         if (laggard_backlog as f64) < LAGGARD_IMBALANCE * (min_other.max(1) as f64) {
             return;
         }
         // Repair traffic in progress on this FIMM: the stall is our own
         // doing, not a layout problem.
-        if self.clusters[cluster as usize].pending_prog_pages[laggard as usize] > 0 {
+        if self.clusters[c].pending_prog_pages[laggard as usize] > 0 {
             return;
         }
         if !self
@@ -228,7 +227,7 @@ impl Engine {
         {
             return;
         }
-        for &w in &waiters {
+        for w in self.clusters[c].ep_queue.waiter_ids() {
             let rs = &mut self.reqs[w as usize];
             if rs.locs.first().map(|l| l.fimm) == Some(laggard) {
                 rs.laggard_fimm = Some(laggard);
@@ -329,7 +328,7 @@ impl Engine {
         match self.clusters[c].fimms[fimm as usize].begin_op(
             res.end,
             loc.addr.package,
-            &FlashCommand::program(loc.addr.page),
+            &FlashCommand::program(&loc.addr.page),
         ) {
             Ok(op) => {
                 self.clusters[c].relocs_in += 1;
@@ -463,7 +462,7 @@ impl Engine {
                 loc.fimm,
                 now,
                 loc.addr.package,
-                &FlashCommand::read(loc.addr.page),
+                &FlashCommand::read(&loc.addr.page),
             ) {
                 t_ready = t_ready.max(op.end);
             }

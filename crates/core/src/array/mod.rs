@@ -12,8 +12,8 @@
 //! layer's state and the handlers for its `Ev` variants;
 //! `Engine::handle` only dispatches.
 
-use triplea_fimm::Fimm;
-use triplea_ftl::{Ftl, IntegrityError, JournalConfig};
+use triplea_fimm::{Fimm, FimmAddr};
+use triplea_ftl::{hal, Ftl, IntegrityError, JournalConfig, PhysLoc};
 use triplea_pcie::{CreditQueue, Switch};
 use triplea_sim::stats::{Histogram, TimeSeries};
 use triplea_sim::trace::{
@@ -89,6 +89,22 @@ enum Ev {
     RebuildStep(u32),
 }
 
+/// Buffers the request path reuses instead of allocating per request
+/// (DESIGN.md, "Per-request allocation").
+#[derive(Default)]
+struct Scratch {
+    /// Emptied `RequestState::locs` buffers, returned at completion and
+    /// refilled when the next request is routed.
+    locs: Vec<Vec<PhysLoc>>,
+    /// One FIMM's pages of the read being issued.
+    pages: Vec<FimmAddr>,
+    /// The HAL's commands for `pages`.
+    cmds: hal::Composed,
+    /// Stalled endpoint waiters per FIMM, for queue examination; one
+    /// slot per FIMM of a cluster.
+    per_fimm: Vec<u32>,
+}
+
 struct Engine {
     cfg: ArrayConfig,
     mode: ManagementMode,
@@ -137,6 +153,7 @@ struct Engine {
     /// harvest reads; `None` keeps the run byte-identical to untraced
     /// builds.
     recorder: Option<SharedRecorder>,
+    scratch: Scratch,
 }
 
 /// The outcome of [`Array::run_verified`]: the performance report, the
@@ -244,6 +261,10 @@ impl Array {
             degraded_lat: Histogram::new(),
             retired_fimms: Vec::new(),
             recorder: None,
+            scratch: Scratch {
+                per_fimm: vec![0; cfg.shape.fimms_per_cluster as usize],
+                ..Scratch::default()
+            },
             mode,
             cfg,
         };

@@ -260,7 +260,7 @@ impl Engine {
                     if let Ok(rd) = self.clusters[c].fimms[sf as usize].begin_op_recovery(
                         t,
                         unit.package,
-                        &FlashCommand::read(addr),
+                        &FlashCommand::read(&addr),
                     ) {
                         t = t.max(rd.end);
                     }
@@ -272,7 +272,7 @@ impl Engine {
             // read: NAND programs are strictly in-order within a block,
             // and the allocator will resume at page `programmed`.
             if let Some(spare) = self.rebuilds[idx].spare.as_mut() {
-                if let Ok(op) = spare.begin_op(t, unit.package, &FlashCommand::program(addr)) {
+                if let Ok(op) = spare.begin_op(t, unit.package, &FlashCommand::program(&addr)) {
                     t = op.end;
                 }
                 // The spare can grow its own bad blocks under its fault

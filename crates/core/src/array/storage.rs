@@ -3,7 +3,7 @@
 //! buffer and programs, and garbage collection.
 
 use triplea_flash::{FlashCommand, FlashError, OpKind, OpTiming};
-use triplea_ftl::{hal, FtlError, LogicalPage};
+use triplea_ftl::{hal, FtlError, LogicalPage, PhysLoc};
 use triplea_sim::trace::{TraceEventKind, TraceScope};
 use triplea_sim::SimTime;
 
@@ -82,24 +82,19 @@ impl Engine {
     }
 
     fn issue_flash_reads(&mut self, now: SimTime, r: u32) {
-        let (locs, cluster) = {
-            let rs = &self.reqs[r as usize];
-            (rs.locs.clone(), rs.cluster)
-        };
+        let cluster = self.reqs[r as usize].cluster;
         let c = cluster as usize;
         let n_fimms = self.cfg.shape.fimms_per_cluster;
-
-        // Group the request's pages by FIMM (pages that migrated away
+        let topo = self.cfg.shape.topology;
+        // The FIMM that serves a page (pages that migrated away
         // mid-flight are served locally as a fallback).
-        let mut by_fimm: Vec<Vec<triplea_fimm::FimmAddr>> = vec![Vec::new(); n_fimms as usize];
-        for loc in &locs {
-            let fimm = if self.cluster_global(loc.cluster) == cluster {
+        let fimm_of = move |loc: &PhysLoc| {
+            if topo.global_index(loc.cluster) == cluster {
                 loc.fimm
             } else {
                 loc.fimm % n_fimms
-            };
-            by_fimm[fimm as usize].push(loc.addr);
-        }
+            }
+        };
 
         // Eq. 3's budget and the detector debounce follow the owning
         // tenant's contract: a read for an interactive tenant trips (and
@@ -108,21 +103,29 @@ impl Engine {
             self.mode == ManagementMode::Autonomic && self.auto.params().laggard.monitors_latency();
         let budget = monitors.then(|| self.tenant_autonomics(self.reqs[r as usize].tenant));
 
-        for (fimm, addrs) in by_fimm.into_iter().enumerate() {
-            if addrs.is_empty() {
-                continue;
-            }
-            for cc in hal::compose(OpKind::Read, &addrs) {
+        // The pinned locations and the scratch buffers leave `self` while
+        // the loop issues through `&mut self`; nothing it calls reads them.
+        let locs = std::mem::take(&mut self.reqs[r as usize].locs);
+        let mut pages = std::mem::take(&mut self.scratch.pages);
+        let mut cmds = std::mem::take(&mut self.scratch.cmds);
+        // FIMMs in ascending order, each FIMM's pages in request order.
+        let mut next = locs.iter().map(fimm_of).min();
+        while let Some(home) = next {
+            pages.clear();
+            pages.extend(locs.iter().filter(|l| fimm_of(l) == home).map(|l| l.addr));
+            cmds.clear();
+            hal::compose(OpKind::Read, &pages, &mut cmds);
+            for cc in cmds.iter() {
                 let n = cc.cmd.page_count() as u32;
                 let cmd_res = self.clusters[c].bus.command_cycle(now);
-                let served = self.issue_read_op(c, fimm as u32, cmd_res.end, cc.package, &cc.cmd);
+                let served = self.issue_read_op(c, home, cmd_res.end, cc.package, &cc.cmd);
                 // A dead home module fails over to a live sibling; from
                 // here on, account everything against the serving FIMM.
                 // When every module in the cluster is dead the data is
                 // unreachable: the part completes with no flash time so
                 // the request still terminates (issue_read_op counts it
                 // unserviceable).
-                let fimm = served.map_or(fimm, |(sf, _)| sf as usize);
+                let fimm = served.map_or(home, |(sf, _)| sf) as usize;
                 self.clusters[c].pending_read_pages[fimm] += n as u64;
                 self.sample_qdepth(now, c, fimm);
                 let rs = &mut self.reqs[r as usize];
@@ -147,7 +150,11 @@ impl Engine {
                     },
                 );
             }
+            next = locs.iter().map(fimm_of).filter(|&f| f > home).min();
         }
+        self.reqs[r as usize].locs = locs;
+        self.scratch.pages = pages;
+        self.scratch.cmds = cmds;
     }
 
     pub(super) fn on_part_flash_done(&mut self, now: SimTime, r: u32, fimm: u32, pages: u32) {
@@ -223,7 +230,7 @@ impl Engine {
                 match self.clusters[tc].fimms[loc.fimm as usize].begin_op(
                     res.end,
                     loc.addr.package,
-                    &FlashCommand::program(loc.addr.page),
+                    &FlashCommand::program(&loc.addr.page),
                 ) {
                     Ok(op) => break Some((loc, tc, op)),
                     Err(e) => {
@@ -343,7 +350,7 @@ impl Engine {
                         f as u32,
                         now,
                         old.addr.package,
-                        &FlashCommand::read(old.addr.page),
+                        &FlashCommand::read(&old.addr.page),
                     ) {
                         Some((_, rd)) => rd.end,
                         None => now,
@@ -352,7 +359,7 @@ impl Engine {
                     if let Err(e) = self.clusters[c].fimms[new_loc.fimm as usize].begin_op(
                         rd_end,
                         new_loc.addr.package,
-                        &FlashCommand::program(new_loc.addr.page),
+                        &FlashCommand::program(&new_loc.addr.page),
                     ) {
                         // The rewrite's target block went bad mid-GC:
                         // retire it so the allocator stops handing out
@@ -372,8 +379,11 @@ impl Engine {
             block: work.block,
             page: 0,
         };
-        match self.clusters[c].fimms[f].begin_op(now, work.package, &FlashCommand::erase(erase_addr))
-        {
+        match self.clusters[c].fimms[f].begin_op(
+            now,
+            work.package,
+            &FlashCommand::erase(&erase_addr),
+        ) {
             Err(FlashError::EraseFailed(_)) => {
                 // Injected erase hard-failure: the victim is a grown bad
                 // block. Quarantine it instead of recycling so it never

@@ -1,7 +1,7 @@
 //! Array configuration.
 
 use triplea_fimm::FimmFaultKind;
-use triplea_flash::{FlashFaultProfile, FlashTiming};
+use triplea_flash::{FlashFaultProfile, FlashGeometry, FlashTiming};
 use triplea_ftl::{ArrayShape, GcPolicy};
 use triplea_pcie::{PcieFaultProfile, PcieParams, Topology};
 use triplea_sim::Nanos;
@@ -345,6 +345,16 @@ pub enum ConfigError {
         /// Which field is zero (`weight`, `sla_p99_ns`, or `qd_limit`).
         field: &'static str,
     },
+    /// A flash dimension exceeds what one flash command can address
+    /// ([`FlashGeometry::MAX_DIES`], [`FlashGeometry::MAX_PLANES`]).
+    GeometryTooWide {
+        /// Which dimension (`flash.dies` or `flash.planes`).
+        field: &'static str,
+        /// The configured value.
+        value: u32,
+        /// The supported maximum.
+        max: u32,
+    },
     /// More tenants than the front door supports.
     TooManyTenants {
         /// Configured tenant count.
@@ -395,6 +405,12 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::BadTenantSpec { index, field } => {
                 write!(f, "tenant #{index}: `{field}` must be nonzero")
+            }
+            ConfigError::GeometryTooWide { field, value, max } => {
+                write!(
+                    f,
+                    "`{field}` = {value} exceeds the {max} a flash command can address"
+                )
             }
             ConfigError::TooManyTenants { count, max } => {
                 write!(f, "{count} tenants configured; the front door supports at most {max}")
@@ -534,10 +550,11 @@ impl ArrayConfig {
     /// # Errors
     ///
     /// The first [`ConfigError`] found, in a deterministic order
-    /// (dimensions, queues, thresholds, fault probabilities, fault
-    /// events, migration extent).
+    /// (dimensions, flash widths, queues, thresholds, fault
+    /// probabilities, fault events, migration extent).
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let dims: [(&'static str, u64); 7] = [
+        let flash = &self.shape.flash;
+        let dims: [(&'static str, u64); 10] = [
             ("topology.switches", self.shape.topology.switches as u64),
             (
                 "topology.clusters_per_switch",
@@ -545,13 +562,25 @@ impl ArrayConfig {
             ),
             ("fimms_per_cluster", self.shape.fimms_per_cluster as u64),
             ("packages_per_fimm", self.shape.packages_per_fimm as u64),
-            ("flash.dies", self.shape.flash.dies as u64),
+            ("flash.dies", flash.dies as u64),
+            ("flash.planes", flash.planes as u64),
+            ("flash.blocks_per_plane", flash.blocks_per_plane as u64),
+            ("flash.pages_per_block", flash.pages_per_block as u64),
             ("pcie.lanes", self.pcie.lanes as u64),
             ("write_buffer_pages", self.write_buffer_pages as u64),
         ];
         for (field, v) in dims {
             if v == 0 {
                 return Err(ConfigError::ZeroDimension { field });
+            }
+        }
+        let widths = [
+            ("flash.dies", flash.dies, FlashGeometry::MAX_DIES),
+            ("flash.planes", flash.planes, FlashGeometry::MAX_PLANES),
+        ];
+        for (field, value, max) in widths {
+            if value > max {
+                return Err(ConfigError::GeometryTooWide { field, value, max });
             }
         }
         let queues: [(&'static str, usize); 3] = [
@@ -859,6 +888,61 @@ mod tests {
         );
         let err = ArrayConfig::builder().topology(0, 16).build().unwrap_err();
         assert!(matches!(err, ConfigError::ZeroDimension { .. }), "{err}");
+    }
+
+    #[test]
+    fn builder_rejects_empty_flash_geometry() {
+        for field in [
+            "flash.planes",
+            "flash.blocks_per_plane",
+            "flash.pages_per_block",
+        ] {
+            let err = ArrayConfig::small_builder()
+                .tune(|c| {
+                    let g = &mut c.shape.flash;
+                    *match field {
+                        "flash.planes" => &mut g.planes,
+                        "flash.blocks_per_plane" => &mut g.blocks_per_plane,
+                        _ => &mut g.pages_per_block,
+                    } = 0;
+                })
+                .build()
+                .unwrap_err();
+            assert_eq!(err, ConfigError::ZeroDimension { field });
+        }
+    }
+
+    #[test]
+    fn builder_rejects_flash_geometry_wider_than_a_command() {
+        let max = FlashGeometry::MAX_DIES;
+        let ok = ArrayConfig::small_builder().tune(|c| c.shape.flash.dies = max);
+        assert!(ok.build().is_ok());
+        let err = ArrayConfig::small_builder()
+            .tune(|c| c.shape.flash.dies = max + 1)
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::GeometryTooWide {
+                field: "flash.dies",
+                value: max + 1,
+                max
+            }
+        );
+        assert!(err.to_string().contains("flash command"), "{err}");
+        let max = FlashGeometry::MAX_PLANES;
+        let err = ArrayConfig::small_builder()
+            .tune(|c| c.shape.flash.planes = max + 1)
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::GeometryTooWide {
+                field: "flash.planes",
+                value: max + 1,
+                max
+            }
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! let mut fimm = Fimm::new(8, FlashGeometry::default(), FlashTiming::default());
 //! let mut bus = OnfiBus::new(FlashTiming::default().onfi);
 //! let addr = FimmAddr { package: 3, page: PageAddr { die: 0, plane: 0, block: 0, page: 0 } };
-//! let op = fimm.begin_op(SimTime::ZERO, addr.package, &FlashCommand::read(addr.page))?;
+//! let op = fimm.begin_op(SimTime::ZERO, addr.package, &FlashCommand::read(&addr.page))?;
 //! let xfer = bus.transfer(op.end, 4096); // move the page to the endpoint
 //! assert!(xfer.end > op.end);
 //! # Ok::<(), triplea_flash::FlashError>(())

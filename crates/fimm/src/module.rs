@@ -341,10 +341,10 @@ mod tests {
     fn packages_operate_independently() {
         let mut f = fimm();
         let a = f
-            .begin_op(SimTime::ZERO, 0, &FlashCommand::read(addr(0, 0, 0).page))
+            .begin_op(SimTime::ZERO, 0, &FlashCommand::read(&addr(0, 0, 0).page))
             .unwrap();
         let b = f
-            .begin_op(SimTime::ZERO, 1, &FlashCommand::read(addr(1, 0, 0).page))
+            .begin_op(SimTime::ZERO, 1, &FlashCommand::read(&addr(1, 0, 0).page))
             .unwrap();
         assert_eq!(a.die_wait, 0);
         assert_eq!(b.die_wait, 0, "different packages never contend on dies");
@@ -353,10 +353,10 @@ mod tests {
     #[test]
     fn same_package_same_die_contends() {
         let mut f = fimm();
-        f.begin_op(SimTime::ZERO, 2, &FlashCommand::read(addr(2, 0, 0).page))
+        f.begin_op(SimTime::ZERO, 2, &FlashCommand::read(&addr(2, 0, 0).page))
             .unwrap();
         let second = f
-            .begin_op(SimTime::ZERO, 2, &FlashCommand::read(addr(2, 0, 1).page))
+            .begin_op(SimTime::ZERO, 2, &FlashCommand::read(&addr(2, 0, 1).page))
             .unwrap();
         assert!(second.die_wait > 0);
     }
@@ -381,7 +381,7 @@ mod tests {
     fn idle_tracking() {
         let mut f = fimm();
         assert!(f.is_idle_at(SimTime::ZERO));
-        f.begin_op(SimTime::ZERO, 0, &FlashCommand::read(addr(0, 0, 0).page))
+        f.begin_op(SimTime::ZERO, 0, &FlashCommand::read(&addr(0, 0, 0).page))
             .unwrap();
         assert!(!f.is_idle_at(SimTime::ZERO));
         assert!(f.is_idle_at(f.package_free_at(0)));
@@ -390,11 +390,15 @@ mod tests {
     #[test]
     fn stats_aggregate_packages() {
         let mut f = fimm();
-        f.begin_op(SimTime::ZERO, 0, &FlashCommand::read(addr(0, 0, 0).page))
+        f.begin_op(SimTime::ZERO, 0, &FlashCommand::read(&addr(0, 0, 0).page))
             .unwrap();
-        f.begin_op(SimTime::ZERO, 1, &FlashCommand::program(addr(1, 0, 0).page))
-            .unwrap();
-        f.begin_op(SimTime::ZERO, 2, &FlashCommand::erase(addr(2, 0, 0).page))
+        f.begin_op(
+            SimTime::ZERO,
+            1,
+            &FlashCommand::program(&addr(1, 0, 0).page),
+        )
+        .unwrap();
+        f.begin_op(SimTime::ZERO, 2, &FlashCommand::erase(&addr(2, 0, 0).page))
             .unwrap();
         let s = f.stats();
         assert_eq!((s.reads, s.programs, s.erases), (1, 1, 1));
@@ -407,15 +411,15 @@ mod tests {
         f.schedule_fault(SimTime::from_us(100), FimmFaultKind::Dead);
         assert!(!f.is_dead_at(SimTime::from_us(99)));
         assert!(f
-            .begin_op(SimTime::from_us(99), 0, &FlashCommand::read(addr(0, 0, 0).page))
+            .begin_op(SimTime::from_us(99), 0, &FlashCommand::read(&addr(0, 0, 0).page))
             .is_ok());
         assert!(f.is_dead_at(SimTime::from_us(100)));
         assert_eq!(
-            f.begin_op(SimTime::from_us(100), 0, &FlashCommand::read(addr(0, 0, 0).page)),
+            f.begin_op(SimTime::from_us(100), 0, &FlashCommand::read(&addr(0, 0, 0).page)),
             Err(FlashError::ModuleFailed)
         );
         assert_eq!(
-            f.begin_op_recovery(SimTime::from_us(200), 1, &FlashCommand::read(addr(1, 0, 0).page)),
+            f.begin_op_recovery(SimTime::from_us(200), 1, &FlashCommand::read(&addr(1, 0, 0).page)),
             Err(FlashError::ModuleFailed),
             "recovery reads cannot resurrect a dead module"
         );
@@ -427,11 +431,11 @@ mod tests {
         let mut f = fimm();
         f.schedule_fault(SimTime::from_us(50), FimmFaultKind::Slowdown(8));
         let before = f
-            .begin_op(SimTime::ZERO, 0, &FlashCommand::read(addr(0, 0, 0).page))
+            .begin_op(SimTime::ZERO, 0, &FlashCommand::read(&addr(0, 0, 0).page))
             .unwrap();
         assert_eq!(before.end - before.start, 26_000, "healthy before deadline");
         let after = f
-            .begin_op(SimTime::from_us(50), 1, &FlashCommand::read(addr(1, 0, 0).page))
+            .begin_op(SimTime::from_us(50), 1, &FlashCommand::read(&addr(1, 0, 0).page))
             .unwrap();
         assert_eq!(after.end - after.start, 8 * 26_000, "laggard after");
         assert!(!f.is_dead_at(SimTime::from_us(1_000)), "slow, not dead");
@@ -446,7 +450,7 @@ mod tests {
         let mut slow = fimm();
         slow.schedule_fault(SimTime::ZERO, FimmFaultKind::Slowdown(4));
         let t = slow
-            .begin_op(SimTime::ZERO, 0, &FlashCommand::read(addr(0, 0, 0).page))
+            .begin_op(SimTime::ZERO, 0, &FlashCommand::read(&addr(0, 0, 0).page))
             .unwrap();
         assert_eq!(t.end - t.start, 4 * 26_000, "t=0 slowdown hits op at t=0");
 
@@ -454,7 +458,7 @@ mod tests {
         dead.schedule_fault(SimTime::ZERO, FimmFaultKind::Dead);
         assert!(dead.is_dead_at(SimTime::ZERO));
         assert_eq!(
-            dead.begin_op(SimTime::ZERO, 0, &FlashCommand::read(addr(0, 0, 0).page)),
+            dead.begin_op(SimTime::ZERO, 0, &FlashCommand::read(&addr(0, 0, 0).page)),
             Err(FlashError::ModuleFailed)
         );
     }
@@ -465,7 +469,7 @@ mod tests {
         f.schedule_fault(SimTime::from_us(10), FimmFaultKind::Slowdown(2));
         f.schedule_fault(SimTime::from_us(10), FimmFaultKind::Slowdown(4));
         let t = f
-            .begin_op(SimTime::from_us(10), 0, &FlashCommand::read(addr(0, 0, 0).page))
+            .begin_op(SimTime::from_us(10), 0, &FlashCommand::read(&addr(0, 0, 0).page))
             .unwrap();
         assert_eq!(t.end - t.start, 8 * 26_000, "2x and 4x compound to 8x");
         assert_eq!(f.scheduled_faults().len(), 2);
@@ -482,7 +486,7 @@ mod tests {
             f.schedule_fault(SimTime::from_us(10), first);
             f.schedule_fault(SimTime::from_us(10), second);
             assert_eq!(
-                f.begin_op(SimTime::from_us(10), 0, &FlashCommand::read(addr(0, 0, 0).page)),
+                f.begin_op(SimTime::from_us(10), 0, &FlashCommand::read(&addr(0, 0, 0).page)),
                 Err(FlashError::ModuleFailed)
             );
         }
@@ -505,11 +509,11 @@ mod tests {
             ]
         );
         let t = f
-            .begin_op(SimTime::from_us(20), 0, &FlashCommand::read(addr(0, 0, 0).page))
+            .begin_op(SimTime::from_us(20), 0, &FlashCommand::read(&addr(0, 0, 0).page))
             .unwrap();
         assert_eq!(t.end - t.start, 2 * 26_000, "only the first fault is due");
         let t = f
-            .begin_op(SimTime::from_us(30), 1, &FlashCommand::read(addr(1, 0, 0).page))
+            .begin_op(SimTime::from_us(30), 1, &FlashCommand::read(&addr(1, 0, 0).page))
             .unwrap();
         assert_eq!(t.end - t.start, 30 * 26_000, "all three compound: 2*3*5");
     }
@@ -526,7 +530,7 @@ mod tests {
         );
         for pkg in 0..f.package_count() {
             assert!(f
-                .begin_op(SimTime::ZERO, pkg, &FlashCommand::read(addr(pkg, 0, 0).page))
+                .begin_op(SimTime::ZERO, pkg, &FlashCommand::read(&addr(pkg, 0, 0).page))
                 .unwrap_err()
                 .is_transient());
         }

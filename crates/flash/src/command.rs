@@ -42,49 +42,42 @@ pub enum CmdMode {
 
 /// A fully-formed flash command as composed by the HAL.
 ///
+/// The command borrows its targets, so building one never allocates:
+/// the single-page constructors view one address as a one-element
+/// slice, and the HAL's multi-target commands point into its reused
+/// output buffer.
+///
 /// Construct via [`FlashCommand::read`]/[`FlashCommand::program`]/
-/// [`FlashCommand::erase`] or the multi-target `*_multi` constructors,
-/// then validate against a geometry with [`FlashCommand::validate`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FlashCommand {
+/// [`FlashCommand::erase`] or [`FlashCommand::multi`], then validate
+/// against a geometry with [`FlashCommand::validate`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FlashCommand<'a> {
     /// Operation performed on every target.
     pub kind: OpKind,
     /// Target pages (for erase: any page in the doomed block).
-    pub targets: Vec<PageAddr>,
+    pub targets: &'a [PageAddr],
     /// Parallelism mode; must be consistent with `targets`.
     pub mode: CmdMode,
 }
 
-impl FlashCommand {
+impl<'a> FlashCommand<'a> {
     /// Single-page read.
-    pub fn read(addr: PageAddr) -> Self {
-        FlashCommand {
-            kind: OpKind::Read,
-            targets: vec![addr],
-            mode: CmdMode::Normal,
-        }
+    pub fn read(addr: &'a PageAddr) -> Self {
+        Self::multi(OpKind::Read, std::slice::from_ref(addr), CmdMode::Normal)
     }
 
     /// Single-page program.
-    pub fn program(addr: PageAddr) -> Self {
-        FlashCommand {
-            kind: OpKind::Program,
-            targets: vec![addr],
-            mode: CmdMode::Normal,
-        }
+    pub fn program(addr: &'a PageAddr) -> Self {
+        Self::multi(OpKind::Program, std::slice::from_ref(addr), CmdMode::Normal)
     }
 
     /// Block erase (the page component of `addr` is ignored).
-    pub fn erase(addr: PageAddr) -> Self {
-        FlashCommand {
-            kind: OpKind::Erase,
-            targets: vec![addr],
-            mode: CmdMode::Normal,
-        }
+    pub fn erase(addr: &'a PageAddr) -> Self {
+        Self::multi(OpKind::Erase, std::slice::from_ref(addr), CmdMode::Normal)
     }
 
     /// Multi-target command with an explicit mode.
-    pub fn multi(kind: OpKind, targets: Vec<PageAddr>, mode: CmdMode) -> Self {
+    pub fn multi(kind: OpKind, targets: &'a [PageAddr], mode: CmdMode) -> Self {
         FlashCommand {
             kind,
             targets,
@@ -113,7 +106,7 @@ impl FlashCommand {
         if self.targets.is_empty() {
             return Err(FlashError::EmptyCommand);
         }
-        for &t in &self.targets {
+        for &t in self.targets {
             geom.check(t)?;
         }
         match self.mode {
@@ -125,7 +118,7 @@ impl FlashCommand {
             CmdMode::MultiPlane => {
                 let die = self.targets[0].die;
                 let mut seen = 0u64;
-                for &t in &self.targets {
+                for &t in self.targets {
                     if t.die != die {
                         return Err(FlashError::PlaneConflict);
                     }
@@ -138,7 +131,7 @@ impl FlashCommand {
             }
             CmdMode::DieInterleave => {
                 let mut seen = 0u64;
-                for &t in &self.targets {
+                for &t in self.targets {
                     let bit = 1u64 << t.die;
                     if seen & bit != 0 {
                         return Err(FlashError::DieConflict);
@@ -173,9 +166,9 @@ mod tests {
     fn single_target_constructors() {
         let g = FlashGeometry::default();
         for cmd in [
-            FlashCommand::read(a(0, 0, 0)),
-            FlashCommand::program(a(1, 1, 5)),
-            FlashCommand::erase(a(0, 7, 0)),
+            FlashCommand::read(&a(0, 0, 0)),
+            FlashCommand::program(&a(1, 1, 5)),
+            FlashCommand::erase(&a(0, 7, 0)),
         ] {
             assert!(cmd.validate(&g).is_ok(), "{cmd:?}");
             assert_eq!(cmd.page_count(), 1);
@@ -185,63 +178,51 @@ mod tests {
     #[test]
     fn normal_mode_rejects_multi_target() {
         let g = FlashGeometry::default();
-        let cmd = FlashCommand::multi(OpKind::Read, vec![a(0, 0, 0), a(0, 1, 0)], CmdMode::Normal);
+        let targets = [a(0, 0, 0), a(0, 1, 0)];
+        let cmd = FlashCommand::multi(OpKind::Read, &targets, CmdMode::Normal);
         assert_eq!(cmd.validate(&g), Err(FlashError::ModeMismatch));
     }
 
     #[test]
     fn multiplane_requires_distinct_planes_same_die() {
         let g = FlashGeometry::default();
-        let ok = FlashCommand::multi(
-            OpKind::Read,
-            vec![a(0, 0, 3), a(0, 1, 3)],
-            CmdMode::MultiPlane,
-        );
+        let targets = [a(0, 0, 3), a(0, 1, 3)];
+        let ok = FlashCommand::multi(OpKind::Read, &targets, CmdMode::MultiPlane);
         assert!(ok.validate(&g).is_ok());
 
-        let same_plane = FlashCommand::multi(
-            OpKind::Read,
-            vec![a(0, 0, 3), a(0, 2, 3)],
-            CmdMode::MultiPlane,
-        );
+        let targets = [a(0, 0, 3), a(0, 2, 3)];
+        let same_plane = FlashCommand::multi(OpKind::Read, &targets, CmdMode::MultiPlane);
         assert_eq!(same_plane.validate(&g), Err(FlashError::PlaneConflict));
 
-        let cross_die = FlashCommand::multi(
-            OpKind::Read,
-            vec![a(0, 0, 3), a(1, 1, 3)],
-            CmdMode::MultiPlane,
-        );
+        let targets = [a(0, 0, 3), a(1, 1, 3)];
+        let cross_die = FlashCommand::multi(OpKind::Read, &targets, CmdMode::MultiPlane);
         assert_eq!(cross_die.validate(&g), Err(FlashError::PlaneConflict));
     }
 
     #[test]
     fn die_interleave_requires_distinct_dies() {
         let g = FlashGeometry::default();
-        let ok = FlashCommand::multi(
-            OpKind::Program,
-            vec![a(0, 0, 0), a(1, 0, 0)],
-            CmdMode::DieInterleave,
-        );
+        let targets = [a(0, 0, 0), a(1, 0, 0)];
+        let ok = FlashCommand::multi(OpKind::Program, &targets, CmdMode::DieInterleave);
         assert!(ok.validate(&g).is_ok());
-        let dup = FlashCommand::multi(
-            OpKind::Program,
-            vec![a(0, 0, 0), a(0, 1, 0)],
-            CmdMode::DieInterleave,
-        );
+        let targets = [a(0, 0, 0), a(0, 1, 0)];
+        let dup = FlashCommand::multi(OpKind::Program, &targets, CmdMode::DieInterleave);
         assert_eq!(dup.validate(&g), Err(FlashError::DieConflict));
     }
 
     #[test]
     fn cache_erase_is_nonsense() {
         let g = FlashGeometry::default();
-        let cmd = FlashCommand::multi(OpKind::Erase, vec![a(0, 0, 0)], CmdMode::Cache);
+        let targets = [a(0, 0, 0)];
+        let cmd = FlashCommand::multi(OpKind::Erase, &targets, CmdMode::Cache);
         assert_eq!(cmd.validate(&g), Err(FlashError::ModeMismatch));
     }
 
     #[test]
     fn empty_command_rejected() {
         let g = FlashGeometry::default();
-        let cmd = FlashCommand::multi(OpKind::Read, vec![], CmdMode::Normal);
+        let targets = [];
+        let cmd = FlashCommand::multi(OpKind::Read, &targets, CmdMode::Normal);
         assert_eq!(cmd.validate(&g), Err(FlashError::EmptyCommand));
     }
 

@@ -36,6 +36,15 @@ impl Default for FlashGeometry {
 }
 
 impl FlashGeometry {
+    /// Most dies per package a command can address:
+    /// [`FlashCommand::validate`](crate::FlashCommand::validate) tracks
+    /// the dies a command touches in a 64-bit mask.
+    pub const MAX_DIES: u32 = 64;
+
+    /// Most planes per die a command can address, for the same reason
+    /// as [`FlashGeometry::MAX_DIES`].
+    pub const MAX_PLANES: u32 = 64;
+
     /// Total number of blocks in the package.
     pub fn total_blocks(&self) -> u64 {
         self.dies as u64 * self.planes as u64 * self.blocks_per_plane as u64

@@ -19,7 +19,7 @@
 //! let geom = FlashGeometry::default();
 //! let mut pkg = Package::new(geom, FlashTiming::default());
 //! let addr = PageAddr { die: 0, plane: 0, block: 0, page: 0 };
-//! let op = pkg.begin_op(SimTime::ZERO, &FlashCommand::read(addr))?;
+//! let op = pkg.begin_op(SimTime::ZERO, &FlashCommand::read(&addr))?;
 //! assert_eq!(op.die_wait, 0);
 //! # Ok::<(), triplea_flash::FlashError>(())
 //! ```

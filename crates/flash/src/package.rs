@@ -221,7 +221,7 @@ impl Package {
                 let mut start = SimTime::MAX;
                 let mut end = SimTime::ZERO;
                 let mut wait: Nanos = 0;
-                for &t in &cmd.targets {
+                for &t in cmd.targets {
                     let r = self.dies[t.die as usize].reserve(now, exe);
                     start = start.min(r.start);
                     end = end.max(r.end);
@@ -318,7 +318,7 @@ impl Package {
     }
 
     fn check_state(&self, cmd: &FlashCommand) -> Result<(), FlashError> {
-        for &t in &cmd.targets {
+        for &t in cmd.targets {
             let bidx = self.geom.block_index(t);
             // Retirement stops program/erase; the stored charge is still
             // readable, which is what lets live data be copied off a
@@ -340,7 +340,7 @@ impl Package {
     }
 
     fn apply_state(&mut self, cmd: &FlashCommand) {
-        for &t in &cmd.targets {
+        for &t in cmd.targets {
             let bidx = self.geom.block_index(t);
             match cmd.kind {
                 OpKind::Program => {
@@ -378,10 +378,10 @@ mod tests {
     fn read_reserves_die() {
         let mut p = pkg();
         let t1 = p
-            .begin_op(SimTime::ZERO, &FlashCommand::read(a(0, 0, 0)))
+            .begin_op(SimTime::ZERO, &FlashCommand::read(&a(0, 0, 0)))
             .unwrap();
         let t2 = p
-            .begin_op(SimTime::ZERO, &FlashCommand::read(a(0, 0, 1)))
+            .begin_op(SimTime::ZERO, &FlashCommand::read(&a(0, 0, 1)))
             .unwrap();
         assert_eq!(t1.die_wait, 0);
         assert_eq!(t2.die_wait, 26_000, "second read waits one t_exe");
@@ -392,10 +392,10 @@ mod tests {
     #[test]
     fn dies_are_independent() {
         let mut p = pkg();
-        p.begin_op(SimTime::ZERO, &FlashCommand::read(a(0, 0, 0)))
+        p.begin_op(SimTime::ZERO, &FlashCommand::read(&a(0, 0, 0)))
             .unwrap();
         let other = p
-            .begin_op(SimTime::ZERO, &FlashCommand::read(a(1, 0, 0)))
+            .begin_op(SimTime::ZERO, &FlashCommand::read(&a(1, 0, 0)))
             .unwrap();
         assert_eq!(other.die_wait, 0);
     }
@@ -403,11 +403,8 @@ mod tests {
     #[test]
     fn die_interleave_parallelises() {
         let mut p = pkg();
-        let cmd = FlashCommand::multi(
-            OpKind::Read,
-            vec![a(0, 0, 0), a(1, 0, 0)],
-            CmdMode::DieInterleave,
-        );
+        let targets = [a(0, 0, 0), a(1, 0, 0)];
+        let cmd = FlashCommand::multi(OpKind::Read, &targets, CmdMode::DieInterleave);
         let t = p.begin_op(SimTime::ZERO, &cmd).unwrap();
         assert_eq!(t.end - t.start, 26_000, "both dies in parallel");
     }
@@ -415,11 +412,8 @@ mod tests {
     #[test]
     fn multiplane_single_die_reservation() {
         let mut p = pkg();
-        let cmd = FlashCommand::multi(
-            OpKind::Read,
-            vec![a(0, 0, 5), a(0, 1, 5)],
-            CmdMode::MultiPlane,
-        );
+        let targets = [a(0, 0, 5), a(0, 1, 5)];
+        let cmd = FlashCommand::multi(OpKind::Read, &targets, CmdMode::MultiPlane);
         let t = p.begin_op(SimTime::ZERO, &cmd).unwrap();
         assert_eq!(t.end - t.start, 26_000, "planes run concurrently");
         assert!(!p.is_idle_at(SimTime::from_nanos(1_000)));
@@ -429,11 +423,8 @@ mod tests {
     #[test]
     fn cache_mode_chains_array_ops() {
         let mut p = pkg();
-        let cmd = FlashCommand::multi(
-            OpKind::Read,
-            vec![a(0, 0, 0), a(0, 0, 1), a(0, 0, 2)],
-            CmdMode::Cache,
-        );
+        let targets = [a(0, 0, 0), a(0, 0, 1), a(0, 0, 2)];
+        let cmd = FlashCommand::multi(OpKind::Read, &targets, CmdMode::Cache);
         let t = p.begin_op(SimTime::ZERO, &cmd).unwrap();
         assert_eq!(t.end - t.start, 3 * 26_000);
     }
@@ -442,19 +433,19 @@ mod tests {
     fn program_order_enforced() {
         let mut p = pkg();
         assert!(p
-            .begin_op(SimTime::ZERO, &FlashCommand::program(a(0, 0, 0)))
+            .begin_op(SimTime::ZERO, &FlashCommand::program(&a(0, 0, 0)))
             .is_ok());
         assert!(p
-            .begin_op(SimTime::ZERO, &FlashCommand::program(a(0, 0, 1)))
+            .begin_op(SimTime::ZERO, &FlashCommand::program(&a(0, 0, 1)))
             .is_ok());
         // skipping page 2 -> page 3 is out of order
         assert_eq!(
-            p.begin_op(SimTime::ZERO, &FlashCommand::program(a(0, 0, 3))),
+            p.begin_op(SimTime::ZERO, &FlashCommand::program(&a(0, 0, 3))),
             Err(FlashError::ProgramOrder(a(0, 0, 3)))
         );
         // rewriting page 0 without erase is forbidden
         assert_eq!(
-            p.begin_op(SimTime::ZERO, &FlashCommand::program(a(0, 0, 0))),
+            p.begin_op(SimTime::ZERO, &FlashCommand::program(&a(0, 0, 0))),
             Err(FlashError::OverwriteWithoutErase(a(0, 0, 0)))
         );
     }
@@ -462,12 +453,12 @@ mod tests {
     #[test]
     fn erase_resets_program_pointer() {
         let mut p = pkg();
-        p.begin_op(SimTime::ZERO, &FlashCommand::program(a(0, 0, 0)))
+        p.begin_op(SimTime::ZERO, &FlashCommand::program(&a(0, 0, 0)))
             .unwrap();
-        p.begin_op(SimTime::ZERO, &FlashCommand::erase(a(0, 0, 0)))
+        p.begin_op(SimTime::ZERO, &FlashCommand::erase(&a(0, 0, 0)))
             .unwrap();
         assert!(p
-            .begin_op(SimTime::ZERO, &FlashCommand::program(a(0, 0, 0)))
+            .begin_op(SimTime::ZERO, &FlashCommand::program(&a(0, 0, 0)))
             .is_ok());
         assert_eq!(p.wear_report().total_erases, 1);
     }
@@ -479,19 +470,19 @@ mod tests {
             ..FlashGeometry::default()
         };
         let mut p = Package::new(geom, FlashTiming::default());
-        p.begin_op(SimTime::ZERO, &FlashCommand::erase(a(0, 0, 0)))
+        p.begin_op(SimTime::ZERO, &FlashCommand::erase(&a(0, 0, 0)))
             .unwrap();
         assert_eq!(
-            p.begin_op(SimTime::ZERO, &FlashCommand::erase(a(0, 0, 0))),
+            p.begin_op(SimTime::ZERO, &FlashCommand::erase(&a(0, 0, 0))),
             Err(FlashError::WornOut(a(0, 0, 0)))
         );
         assert_eq!(
-            p.begin_op(SimTime::ZERO, &FlashCommand::program(a(0, 0, 0))),
+            p.begin_op(SimTime::ZERO, &FlashCommand::program(&a(0, 0, 0))),
             Err(FlashError::WornOut(a(0, 0, 0)))
         );
         // other blocks unaffected
         assert!(p
-            .begin_op(SimTime::ZERO, &FlashCommand::read(a(0, 2, 0)))
+            .begin_op(SimTime::ZERO, &FlashCommand::read(&a(0, 2, 0)))
             .is_ok());
     }
 
@@ -499,10 +490,10 @@ mod tests {
     fn mlc_pairing_affects_program_timing() {
         let mut p = Package::new(FlashGeometry::default(), FlashTiming::mlc());
         let fast = p
-            .begin_op(SimTime::ZERO, &FlashCommand::program(a(0, 0, 0)))
+            .begin_op(SimTime::ZERO, &FlashCommand::program(&a(0, 0, 0)))
             .unwrap();
         let slow = p
-            .begin_op(SimTime::ZERO, &FlashCommand::program(a(0, 0, 1)))
+            .begin_op(SimTime::ZERO, &FlashCommand::program(&a(0, 0, 1)))
             .unwrap();
         assert_eq!(fast.end - fast.start, 601_000, "LSB page");
         assert_eq!(slow.end - slow.start, 1_201_000, "MSB page 2x slower");
@@ -519,7 +510,7 @@ mod tests {
             7,
         );
         let err = p
-            .begin_op(SimTime::ZERO, &FlashCommand::read(a(0, 0, 0)))
+            .begin_op(SimTime::ZERO, &FlashCommand::read(&a(0, 0, 0)))
             .unwrap_err();
         assert_eq!(err, FlashError::ReadTransient(a(0, 0, 0)));
         assert!(err.is_transient());
@@ -529,7 +520,7 @@ mod tests {
         // The recovery path is immune and queues behind the burned slot:
         // exactly the ECC re-read penalty.
         let t = p
-            .begin_op_recovery(SimTime::ZERO, &FlashCommand::read(a(0, 0, 0)))
+            .begin_op_recovery(SimTime::ZERO, &FlashCommand::read(&a(0, 0, 0)))
             .unwrap();
         assert_eq!(t.die_wait, 26_000);
         assert_eq!(p.stats().reads, 1);
@@ -546,7 +537,7 @@ mod tests {
             7,
         );
         let err = p
-            .begin_op(SimTime::ZERO, &FlashCommand::program(a(0, 0, 0)))
+            .begin_op(SimTime::ZERO, &FlashCommand::program(&a(0, 0, 0)))
             .unwrap_err();
         assert_eq!(err, FlashError::ProgramFailed(a(0, 0, 0)));
         assert!(err.is_device_failure());
@@ -556,12 +547,12 @@ mod tests {
         assert_eq!(p.wear_report().retired_blocks, 1);
         // The grown bad block now rejects everything, faults or not.
         assert_eq!(
-            p.begin_op_recovery(SimTime::ZERO, &FlashCommand::program(a(0, 0, 0))),
+            p.begin_op_recovery(SimTime::ZERO, &FlashCommand::program(&a(0, 0, 0))),
             Err(FlashError::WornOut(a(0, 0, 0)))
         );
         // Other blocks are unaffected (and erase faults are off).
         assert!(p
-            .begin_op(SimTime::ZERO, &FlashCommand::erase(a(0, 2, 0)))
+            .begin_op(SimTime::ZERO, &FlashCommand::erase(&a(0, 2, 0)))
             .is_ok());
     }
 
@@ -578,7 +569,7 @@ mod tests {
                 .map(|i| {
                     p.begin_op(
                         SimTime::from_us(i * 100),
-                        &FlashCommand::read(a(0, 0, (i % 32) as u32)),
+                        &FlashCommand::read(&a(0, 0, (i % 32) as u32)),
                     )
                     .is_err()
                 })
@@ -594,7 +585,7 @@ mod tests {
         let mut p = pkg();
         p.set_latency_scale(4);
         let t = p
-            .begin_op(SimTime::ZERO, &FlashCommand::read(a(0, 0, 0)))
+            .begin_op(SimTime::ZERO, &FlashCommand::read(&a(0, 0, 0)))
             .unwrap();
         assert_eq!(t.end - t.start, 4 * 26_000);
         assert_eq!(p.latency_scale(), 4);
@@ -608,7 +599,8 @@ mod tests {
         armed.set_faults(FlashFaultProfile::default(), 99);
         let mut plain = pkg();
         for i in 0..32u32 {
-            let cmd = FlashCommand::read(a(0, 0, i));
+            let addr = a(0, 0, i);
+            let cmd = FlashCommand::read(&addr);
             assert_eq!(
                 armed.begin_op(SimTime::ZERO, &cmd),
                 plain.begin_op(SimTime::ZERO, &cmd)
@@ -620,11 +612,8 @@ mod tests {
     #[test]
     fn invalid_command_leaves_state_untouched() {
         let mut p = pkg();
-        let bad = FlashCommand::multi(
-            OpKind::Program,
-            vec![a(0, 0, 0), a(0, 2, 0)],
-            CmdMode::MultiPlane,
-        );
+        let targets = [a(0, 0, 0), a(0, 2, 0)];
+        let bad = FlashCommand::multi(OpKind::Program, &targets, CmdMode::MultiPlane);
         assert!(p.begin_op(SimTime::ZERO, &bad).is_err());
         assert_eq!(p.stats().programs, 0);
         assert!(p.is_idle_at(SimTime::ZERO));

@@ -35,7 +35,7 @@ fn ftl_allocations_execute_on_real_packages() {
             .begin_op(
                 SimTime::from_us(i),
                 loc.addr.package,
-                &FlashCommand::program(loc.addr.page),
+                &FlashCommand::program(&loc.addr.page),
             )
             .unwrap_or_else(|e| panic!("allocation {i} physically invalid: {e}"));
     }
@@ -55,7 +55,7 @@ fn gc_cycle_executes_on_real_packages() {
         fimm.begin_op(
             SimTime::from_us(*t),
             addr.package,
-            &FlashCommand::program(addr.page),
+            &FlashCommand::program(&addr.page),
         )
         .expect("program order preserved");
     }
@@ -78,7 +78,7 @@ fn gc_cycle_executes_on_real_packages() {
                 fimm.begin_op(
                     SimTime::from_us(t),
                     work.package,
-                    &FlashCommand::erase(PageAddr {
+                    &FlashCommand::erase(&PageAddr {
                         die: work.die,
                         plane: work.block % shape.flash.planes,
                         block: work.block,
@@ -113,9 +113,10 @@ proptest! {
                 page: PageAddr { die, plane: block % geom.planes, block, page },
             })
             .collect();
-        let cmds = hal::compose(OpKind::Read, &pages);
+        let mut cmds = hal::Composed::new();
+        hal::compose(OpKind::Read, &pages, &mut cmds);
         let mut covered = 0usize;
-        for c in &cmds {
+        for c in cmds.iter() {
             prop_assert!(c.cmd.validate(&geom).is_ok(), "invalid: {:?}", c.cmd);
             covered += c.cmd.page_count();
         }

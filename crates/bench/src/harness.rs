@@ -198,7 +198,7 @@ impl Experiment {
 }
 
 /// The measured data of one sweep point.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, serde::Serialize)]
 pub struct PointResult {
     /// The point's label, copied from the spec.
     pub label: String,
@@ -209,7 +209,7 @@ pub struct PointResult {
 }
 
 /// All results of one experiment, in spec order.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, serde::Serialize)]
 pub struct ExperimentResult {
     /// Experiment name (artifact stem).
     pub name: String,

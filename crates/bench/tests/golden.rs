@@ -176,7 +176,7 @@ fn perturbed_config_fails_snapshot_with_readable_diff() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 24 })]
 
     /// Satellite property: runner output is a pure function of the
     /// spec — invariant under worker-thread count and task completion

@@ -15,7 +15,7 @@ use crate::config::{AutonomicParams, COLD_BUS_THRESHOLD};
 
 /// Activity counters of the autonomic management module.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 pub struct AutonomicStats {
     /// Eq. 1 hot-cluster detections.
     pub hot_detections: u64,

@@ -10,7 +10,7 @@ use crate::tenant::{TenantConfig, TenantSpec};
 
 /// Whether the array runs the autonomic management module.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 pub enum ManagementMode {
     /// The paper's baseline: no contention detection, static layout.
     NonAutonomic,

@@ -81,7 +81,7 @@ pub struct FederationRun {
 /// Federation-level counters and distributions, serialized into bench
 /// artifacts alongside the per-array reports.
 #[derive(Clone, Debug, Default, PartialEq)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 pub struct FederationStats {
     /// Member arrays.
     pub arrays: u32,
@@ -1134,8 +1134,28 @@ mod tests {
             .unwrap();
         let stats = fed.run_verified(&walk(50, 1_000, 500)).report.stats;
         let json = serde_json::to_string(&stats).unwrap();
-        let back: FederationStats = serde_json::from_str(&json).unwrap();
-        assert_eq!(stats, back);
+        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&v).unwrap(), json);
+        let pretty = serde_json::to_string_pretty(&stats).unwrap();
+        let vp: serde_json::Value = serde_json::from_str(&pretty).unwrap();
+        assert_eq!(serde_json::to_string_pretty(&vp).unwrap(), pretty);
+        assert_eq!(vp, v);
+        assert_eq!(v["arrays"].as_u64(), Some(u64::from(stats.arrays)));
+        assert_eq!(
+            v["stripe_width"].as_u64(),
+            Some(u64::from(stats.stripe_width))
+        );
+        assert_eq!(v["volume_requests"].as_u64(), Some(stats.volume_requests));
+        assert_eq!(v["completed"].as_u64(), Some(stats.completed));
+        assert_eq!(v["fragments"].as_u64(), Some(stats.fragments));
+        assert_eq!(v["p99_ns"].as_u64(), Some(stats.p99_ns));
+        let per_array: Vec<u64> = v["per_array_fragments"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|n| n.as_u64().unwrap())
+            .collect();
+        assert_eq!(per_array, stats.per_array_fragments);
     }
 
     #[test]

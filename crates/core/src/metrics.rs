@@ -15,7 +15,7 @@ use crate::tenant::TenantStats;
 /// All-zero (see [`FaultStats::any`]) whenever the configured
 /// [`FaultConfig`](crate::FaultConfig) is quiet.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 pub struct FaultStats {
     /// Read commands that failed ECC and were re-issued (flash layer).
     pub transient_read_faults: u64,
@@ -84,7 +84,7 @@ impl std::fmt::Display for FaultStats {
 /// All-zero (see [`RecoveryStats::any`]) when no power loss was
 /// scheduled and no rebuild ran.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 pub struct RecoveryStats {
     /// Whole-array power cuts survived.
     pub power_losses: u64,
@@ -147,7 +147,7 @@ impl std::fmt::Display for RecoveryStats {
 
 /// Everything measured during a run; the benchmark harness derives every
 /// table row and figure series from this.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, serde::Serialize)]
 pub struct RunReport {
     pub(crate) mode: ManagementMode,
     pub(crate) completed: u64,

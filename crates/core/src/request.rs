@@ -127,7 +127,7 @@ impl FromIterator<TraceRequest> for Trace {
 /// Per-request latency decomposition, in nanoseconds. The buckets map
 /// onto the paper's Figure 15 stack and Table 2 columns.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 pub struct Breakdown {
     /// Waiting for a root-complex queue entry (host backlog).
     pub rc_stall: Nanos,

@@ -40,7 +40,7 @@ use triplea_sim::Nanos;
 /// Identifies one tenant: an index into the configured
 /// [`TenantConfig`] spec table (`0..n`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 pub struct TenantId(pub u32);
 
 impl TenantId {
@@ -63,7 +63,7 @@ impl std::fmt::Display for TenantId {
 
 /// One tenant's service contract.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 pub struct TenantSpec {
     /// Weighted-fair share of root-complex dispatch slots (≥ 1).
     pub weight: u32,
@@ -209,11 +209,6 @@ impl WeightedArbiter {
         }
     }
 
-    /// Number of lanes.
-    pub fn tenants(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Parks request `req` on tenant `t`'s submission lane.
     ///
     /// # Panics
@@ -265,28 +260,6 @@ impl WeightedArbiter {
         lane.inflight = lane.inflight.saturating_sub(1);
     }
 
-    /// Requests currently in flight for `t`.
-    pub fn inflight(&self, t: TenantId) -> usize {
-        self.lanes[t.index()].inflight
-    }
-
-    /// Requests parked on `t`'s lane.
-    pub fn waiting(&self, t: TenantId) -> usize {
-        self.lanes[t.index()].waiting.len()
-    }
-
-    /// Total parked requests across all lanes.
-    pub fn total_waiting(&self) -> usize {
-        self.lanes.iter().map(|l| l.waiting.len()).sum()
-    }
-
-    /// All parked request ids, lane-major (tenant 0's FIFO first) — the
-    /// queue-examination laggard detector walks these exactly as it
-    /// walks the root complex's own waiter list.
-    pub fn waiter_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.lanes.iter().flat_map(|l| l.waiting.iter().copied())
-    }
-
     /// Discards every parked and in-flight entry and rewinds the
     /// virtual clocks — a power cycle of the front door. Lane
     /// *contents* are volatile; the spec table is not.
@@ -304,7 +277,7 @@ impl WeightedArbiter {
 /// entry per configured tenant, in tenant-id order. Empty on
 /// untenanted runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 pub struct TenantStats {
     /// The tenant's id (its index in the configured table).
     pub tenant: u32,
@@ -417,8 +390,8 @@ mod tests {
         assert!(arb.grant().is_some());
         assert!(arb.grant().is_some());
         assert!(arb.grant().is_none(), "qd_limit reached");
-        assert_eq!(arb.inflight(TenantId(0)), 2);
-        assert_eq!(arb.waiting(TenantId(0)), 3);
+        assert_eq!(arb.lanes[0].inflight, 2);
+        assert_eq!(arb.lanes[0].waiting.len(), 3);
         arb.complete(TenantId(0));
         assert!(arb.grant().is_some(), "slot freed");
     }
@@ -474,19 +447,9 @@ mod tests {
         arb.enqueue(TenantId(0), 2);
         arb.grant();
         arb.power_cycle();
-        assert_eq!(arb.total_waiting(), 0);
-        assert_eq!(arb.inflight(TenantId(0)), 0);
+        assert!(arb.lanes[0].waiting.is_empty());
+        assert_eq!(arb.lanes[0].inflight, 0);
         assert!(arb.grant().is_none());
-    }
-
-    #[test]
-    fn waiter_ids_walk_lanes_in_order() {
-        let mut arb = WeightedArbiter::new(&specs(&[1, 1]));
-        arb.enqueue(TenantId(1), 20);
-        arb.enqueue(TenantId(0), 10);
-        arb.enqueue(TenantId(0), 11);
-        let ids: Vec<u32> = arb.waiter_ids().collect();
-        assert_eq!(ids, vec![10, 11, 20]);
     }
 
     #[test]

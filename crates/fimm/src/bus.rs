@@ -14,7 +14,6 @@ use triplea_sim::{FifoResource, Nanos, Reservation, SimTime};
 pub struct OnfiBus {
     timing: OnfiTiming,
     res: FifoResource,
-    transfers: u64,
     bytes: u64,
     trace: TracePort,
 }
@@ -25,7 +24,6 @@ impl OnfiBus {
         OnfiBus {
             timing,
             res: FifoResource::new("onfi-bus"),
-            transfers: 0,
             bytes: 0,
             trace: TracePort::off(),
         }
@@ -43,7 +41,6 @@ impl OnfiBus {
     /// contention charged to the caller.
     pub fn transfer(&mut self, now: SimTime, bytes: u64) -> Reservation {
         let dur = self.timing.dma_nanos(bytes) + self.timing.cmd_overhead;
-        self.transfers += 1;
         self.bytes += bytes;
         let r = self.res.reserve(now, dur);
         self.trace.emit_at(r.start, || {
@@ -59,7 +56,6 @@ impl OnfiBus {
     /// Reserves the bus for a command-only cycle (no payload), e.g. the
     /// command/address phase of a read before the die starts.
     pub fn command_cycle(&mut self, now: SimTime) -> Reservation {
-        self.transfers += 1;
         let r = self.res.reserve(now, self.timing.cmd_overhead);
         self.trace.emit_at(r.start, || {
             TraceEventKind::BusAcquire {
@@ -94,11 +90,6 @@ impl OnfiBus {
     /// Interface timing of this bus.
     pub fn timing(&self) -> &OnfiTiming {
         &self.timing
-    }
-
-    /// Total completed transfer reservations.
-    pub fn transfer_count(&self) -> u64 {
-        self.transfers
     }
 
     /// Total payload bytes moved.
@@ -145,7 +136,6 @@ mod tests {
         b.transfer(SimTime::ZERO, 4096);
         b.transfer(SimTime::ZERO, 1024);
         b.command_cycle(SimTime::ZERO);
-        assert_eq!(b.transfer_count(), 3);
         assert_eq!(b.bytes_moved(), 5120);
         assert!(b.free_at() > SimTime::ZERO);
     }

@@ -178,11 +178,6 @@ impl Fimm {
         }
     }
 
-    /// Number of packages on the module.
-    pub fn package_count(&self) -> u32 {
-        self.packages.len() as u32
-    }
-
     /// Usable capacity of the module in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         self.packages
@@ -197,40 +192,6 @@ impl Fimm {
             .iter()
             .map(|p| p.geometry().total_pages())
             .sum()
-    }
-
-    /// Shared read-only access to one package.
-    pub fn package(&self, idx: u32) -> &Package {
-        &self.packages[idx as usize]
-    }
-
-    /// Linearises a [`FimmAddr`] to a module-wide page index.
-    pub fn page_index(&self, addr: FimmAddr) -> u64 {
-        let per_pkg = self.packages[0].geometry().total_pages();
-        addr.package as u64 * per_pkg
-            + self.packages[addr.package as usize]
-                .geometry()
-                .page_index(addr.page)
-    }
-
-    /// Inverse of [`Fimm::page_index`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range for the module.
-    pub fn addr_from_index(&self, idx: u64) -> FimmAddr {
-        let per_pkg = self.packages[0].geometry().total_pages();
-        let package = (idx / per_pkg) as u32;
-        assert!(
-            (package as usize) < self.packages.len(),
-            "page index out of range"
-        );
-        FimmAddr {
-            package,
-            page: self.packages[package as usize]
-                .geometry()
-                .page_from_index(idx % per_pkg),
-        }
     }
 
     /// Issues a flash command to package `package`, reserving die time.
@@ -271,21 +232,6 @@ impl Fimm {
         }
         self.fire_due_faults(now);
         self.packages[package as usize].begin_op_recovery(now, cmd)
-    }
-
-    /// `true` when every die of every package is idle at `now` — the
-    /// "target FIMM device is available" precondition of Eq. 1.
-    pub fn is_idle_at(&self, now: SimTime) -> bool {
-        self.packages.iter().all(|p| p.is_idle_at(now))
-    }
-
-    /// Earliest instant at which the given package's busiest die frees up.
-    pub fn package_free_at(&self, package: u32) -> SimTime {
-        let p = &self.packages[package as usize];
-        (0..p.geometry().dies)
-            .map(|d| p.die_free_at(d))
-            .max()
-            .unwrap_or(SimTime::ZERO)
     }
 
     /// Aggregated operation counters.
@@ -334,7 +280,7 @@ mod tests {
     fn capacity_is_64_gib() {
         // 8 packages x 8 GiB = 64 GiB, the paper's FIMM size
         assert_eq!(fimm().capacity_bytes(), 64 * 1024 * 1024 * 1024);
-        assert_eq!(fimm().package_count(), 8);
+        assert_eq!(fimm().packages.len(), 8);
     }
 
     #[test]
@@ -359,32 +305,6 @@ mod tests {
             .begin_op(SimTime::ZERO, 2, &FlashCommand::read(&addr(2, 0, 1).page))
             .unwrap();
         assert!(second.die_wait > 0);
-    }
-
-    #[test]
-    fn page_index_roundtrip() {
-        let f = fimm();
-        for idx in [0, 1, 2_097_151, 2_097_152, f.total_pages() - 1] {
-            let a = f.addr_from_index(idx);
-            assert_eq!(f.page_index(a), idx);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn addr_from_index_bounds() {
-        let f = fimm();
-        f.addr_from_index(f.total_pages());
-    }
-
-    #[test]
-    fn idle_tracking() {
-        let mut f = fimm();
-        assert!(f.is_idle_at(SimTime::ZERO));
-        f.begin_op(SimTime::ZERO, 0, &FlashCommand::read(&addr(0, 0, 0).page))
-            .unwrap();
-        assert!(!f.is_idle_at(SimTime::ZERO));
-        assert!(f.is_idle_at(f.package_free_at(0)));
     }
 
     #[test]
@@ -528,7 +448,7 @@ mod tests {
             },
             42,
         );
-        for pkg in 0..f.package_count() {
+        for pkg in 0..8 {
             assert!(f
                 .begin_op(SimTime::ZERO, pkg, &FlashCommand::read(&addr(pkg, 0, 0).page))
                 .unwrap_err()

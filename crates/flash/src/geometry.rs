@@ -85,34 +85,6 @@ impl FlashGeometry {
         Ok(())
     }
 
-    /// Linearises a (die, plane, block, page) address into a package-wide
-    /// page index; the inverse of [`FlashGeometry::page_from_index`].
-    pub fn page_index(&self, addr: PageAddr) -> u64 {
-        let blocks_per_die = (self.blocks_per_plane * self.planes) as u64;
-        let block_global = addr.die as u64 * blocks_per_die + addr.block as u64;
-        block_global * self.pages_per_block as u64 + addr.page as u64
-    }
-
-    /// Reconstructs an address from a package-wide page index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` exceeds [`FlashGeometry::total_pages`].
-    pub fn page_from_index(&self, idx: u64) -> PageAddr {
-        assert!(idx < self.total_pages(), "page index out of range");
-        let blocks_per_die = (self.blocks_per_plane * self.planes) as u64;
-        let block_global = idx / self.pages_per_block as u64;
-        let page = (idx % self.pages_per_block as u64) as u32;
-        let die = (block_global / blocks_per_die) as u32;
-        let block = (block_global % blocks_per_die) as u32;
-        PageAddr {
-            die,
-            plane: self.plane_of_block(block),
-            block,
-            page,
-        }
-    }
-
     /// Package-wide block index of an address (for wear bookkeeping).
     pub fn block_index(&self, addr: PageAddr) -> u64 {
         let blocks_per_die = (self.blocks_per_plane * self.planes) as u64;
@@ -201,23 +173,6 @@ mod tests {
         ] {
             assert!(g.check(bad).is_err(), "{bad:?} accepted");
         }
-    }
-
-    #[test]
-    fn page_index_roundtrip() {
-        let g = FlashGeometry::default();
-        for idx in [0u64, 1, 127, 128, 1_048_575, g.total_pages() - 1] {
-            let addr = g.page_from_index(idx);
-            assert!(g.check(addr).is_ok(), "{addr:?}");
-            assert_eq!(g.page_index(addr), idx);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn page_from_index_bounds() {
-        let g = FlashGeometry::default();
-        g.page_from_index(g.total_pages());
     }
 
     #[test]

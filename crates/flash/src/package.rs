@@ -138,18 +138,6 @@ impl Package {
         self.wear.report()
     }
 
-    /// Instant the given die becomes free.
-    pub fn die_free_at(&self, die: u32) -> SimTime {
-        self.dies[die as usize].free_at()
-    }
-
-    /// `true` when every die is idle at `now` — the paper's Eq. 1 only
-    /// classifies a cluster as hot *"when the target FIMM device is
-    /// available to serve I/O requests"*.
-    pub fn is_idle_at(&self, now: SimTime) -> bool {
-        self.dies.iter().all(|d| d.is_free_at(now))
-    }
-
     /// Validates and accepts a command, reserving die time.
     ///
     /// Returns the operation timing; the caller (the FIMM) layers channel
@@ -365,6 +353,11 @@ mod tests {
         Package::new(FlashGeometry::default(), FlashTiming::default())
     }
 
+    /// `true` when every die is idle at `now`.
+    fn idle_at(p: &Package, now: SimTime) -> bool {
+        p.dies.iter().all(|d| d.is_free_at(now))
+    }
+
     fn a(die: u32, block: u32, page: u32) -> PageAddr {
         PageAddr {
             die,
@@ -416,8 +409,8 @@ mod tests {
         let cmd = FlashCommand::multi(OpKind::Read, &targets, CmdMode::MultiPlane);
         let t = p.begin_op(SimTime::ZERO, &cmd).unwrap();
         assert_eq!(t.end - t.start, 26_000, "planes run concurrently");
-        assert!(!p.is_idle_at(SimTime::from_nanos(1_000)));
-        assert!(p.is_idle_at(SimTime::from_nanos(26_000)));
+        assert!(!idle_at(&p, SimTime::from_nanos(1_000)));
+        assert!(idle_at(&p, SimTime::from_nanos(26_000)));
     }
 
     #[test]
@@ -514,7 +507,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, FlashError::ReadTransient(a(0, 0, 0)));
         assert!(err.is_transient());
-        assert!(!p.is_idle_at(SimTime::ZERO), "failed attempt burns the die");
+        assert!(!idle_at(&p, SimTime::ZERO), "failed attempt burns the die");
         assert_eq!(p.stats().reads, 0, "failed read not counted as served");
         assert_eq!(p.fault_stats().read_transients, 1);
         // The recovery path is immune and queues behind the burned slot:
@@ -616,6 +609,6 @@ mod tests {
         let bad = FlashCommand::multi(OpKind::Program, &targets, CmdMode::MultiPlane);
         assert!(p.begin_op(SimTime::ZERO, &bad).is_err());
         assert_eq!(p.stats().programs, 0);
-        assert!(p.is_idle_at(SimTime::ZERO));
+        assert!(idle_at(&p, SimTime::ZERO));
     }
 }

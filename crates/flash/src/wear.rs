@@ -124,7 +124,7 @@ impl WearTracker {
 
 /// Aggregate wear statistics for one package (or, merged, a whole array).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 pub struct WearReport {
     /// Total erase operations performed.
     pub total_erases: u64,

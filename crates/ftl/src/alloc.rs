@@ -57,7 +57,6 @@ pub struct FimmAllocator {
     streams: Vec<Stream>,
     rr: usize,
     erase_counts: FxHashMap<BlockKey, u32>,
-    allocated: u64,
     retired: u64,
 }
 
@@ -84,7 +83,6 @@ impl FimmAllocator {
             streams,
             rr: 0,
             erase_counts: FxHashMap::default(),
-            allocated: 0,
             retired: 0,
         }
     }
@@ -134,7 +132,6 @@ impl FimmAllocator {
             let idx = (self.rr + off) % n;
             if let Some(addr) = Self::try_alloc_stream(&self.geom, &mut self.streams[idx]) {
                 self.rr = (idx + 1) % n;
-                self.allocated += 1;
                 return Some(addr);
             }
         }
@@ -208,16 +205,6 @@ impl FimmAllocator {
             .map(|s| (self.geom.blocks_per_plane - s.fresh_next) as u64 + s.recycled.len() as u64)
             .sum()
     }
-
-    /// Total pages allocated over the allocator's lifetime.
-    pub fn total_allocated(&self) -> u64 {
-        self.allocated
-    }
-
-    /// Number of independent write streams.
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
-    }
 }
 
 #[cfg(test)]
@@ -275,7 +262,6 @@ mod tests {
         }
         assert!(a.alloc().is_none());
         assert_eq!(a.free_blocks(), 0);
-        assert_eq!(a.total_allocated(), capacity);
     }
 
     #[test]
@@ -335,6 +321,6 @@ mod tests {
     #[test]
     fn stream_count_is_product() {
         let a = FimmAllocator::new(8, geom());
-        assert_eq!(a.stream_count(), 8 * 2 * 2);
+        assert_eq!(a.streams.len(), 8 * 2 * 2);
     }
 }

@@ -17,7 +17,7 @@ use crate::shape::{ArrayShape, LogicalPage, PhysLoc};
 /// Counters describing FTL activity; the §6.5 wear-out analysis compares
 /// `migration_writes` against `host_writes`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 pub struct FtlStats {
     /// Pages written on behalf of hosts.
     pub host_writes: u64,
@@ -144,7 +144,6 @@ pub struct Ftl {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum WriteClass {
     Host,
-    Migration,
     Gc,
 }
 
@@ -207,11 +206,6 @@ impl Ftl {
                 hit
             }
         }
-    }
-
-    /// The mapping cache, if one is configured.
-    pub fn mapping_cache(&self) -> Option<&MappingCache> {
-        self.mapcache.as_ref()
     }
 
     /// The array shape this FTL manages.
@@ -284,7 +278,6 @@ impl Ftl {
         self.record_program(lpn, new_loc);
         match class {
             WriteClass::Host => self.stats.host_writes += 1,
-            WriteClass::Migration => self.stats.migration_writes += 1,
             WriteClass::Gc => self.stats.gc_writes += 1,
         }
         self.journal_append(JournalRecord::Write {
@@ -364,23 +357,6 @@ impl Ftl {
             (cur.cluster, cur.fimm)
         });
         self.write_internal(lpn, t, WriteClass::Host)
-    }
-
-    /// Relocates a page as part of autonomic data migration or layout
-    /// reshaping, counting the extra write separately for the §6.5
-    /// wear-out analysis.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Ftl::write_alloc`].
-    pub fn migrate(
-        &mut self,
-        lpn: LogicalPage,
-        to_cluster: ClusterId,
-        to_fimm: u32,
-    ) -> Result<PhysLoc, FtlError> {
-        self.check_lpn(lpn)?;
-        self.write_internal(lpn, (to_cluster, to_fimm), WriteClass::Migration)
     }
 
     /// First half of clone-then-unlink migration (§4.1): allocates and
@@ -735,11 +711,6 @@ impl Ftl {
         });
     }
 
-    /// Free blocks (fresh + recycled) left in one FIMM's allocator.
-    pub fn fimm_free_blocks(&mut self, cluster: ClusterId, fimm: u32) -> u64 {
-        self.allocator(cluster, fimm).free_blocks()
-    }
-
     /// A copy of the durable translation state with no journal, mapping
     /// cache or trace: the journal's initial checkpoint.
     fn shadow(&self) -> Ftl {
@@ -769,14 +740,6 @@ impl Ftl {
     /// Journal activity counters; `None` when journaling is off.
     pub fn journal_stats(&self) -> Option<JournalStats> {
         self.journal.as_ref().map(|j| j.stats)
-    }
-
-    /// Journal records not yet made durable by a group commit — exactly
-    /// what the next power cut would lose.
-    pub fn journal_unflushed(&self) -> u64 {
-        self.journal
-            .as_ref()
-            .map_or(0, |j| (j.records.len() - j.flushed) as u64)
     }
 
     /// Appends a mutation record (no-op when journaling is off, which
@@ -969,7 +932,9 @@ mod tests {
             switch: home.cluster.switch,
             index: (home.cluster.index + 1) % f.shape().topology.clusters_per_switch,
         };
-        let new = f.migrate(lpn, target, 0).unwrap();
+        let new = f.migrate_prepare(lpn, target, 0).unwrap();
+        assert!(f.migrate_commit(lpn, new, home));
+        assert_eq!(f.locate(lpn), new);
         assert_eq!(new.cluster, target);
         assert_eq!(f.stats().migration_writes, 1);
         assert_eq!(f.stats().host_writes, 0);
@@ -1002,14 +967,14 @@ mod tests {
         // on the home fimm of lpn 0.
         let work = f.gc_pick(home.cluster, home.fimm);
         if let Some(work) = work {
-            let before = f.fimm_free_blocks(work.cluster, work.fimm);
+            let before = f.allocator(work.cluster, work.fimm).free_blocks();
             let valid = work.valid.clone();
             for lpn in valid {
                 f.gc_rewrite(lpn, &work).unwrap();
             }
             f.gc_finish(&work);
             assert_eq!(f.stats().gc_erases, 1);
-            assert!(f.fimm_free_blocks(work.cluster, work.fimm) > before);
+            assert!(f.allocator(work.cluster, work.fimm).free_blocks() > before);
         } else {
             panic!("expected a GC victim after heavy overwrites");
         }
@@ -1172,10 +1137,10 @@ mod tests {
         for lpn in work.valid.clone() {
             f.gc_rewrite(lpn, &work).unwrap();
         }
-        let before = f.fimm_free_blocks(work.cluster, work.fimm);
+        let before = f.allocator(work.cluster, work.fimm).free_blocks();
         f.gc_finish_failed(&work);
         assert_eq!(
-            f.fimm_free_blocks(work.cluster, work.fimm),
+            f.allocator(work.cluster, work.fimm).free_blocks(),
             before,
             "failed erase returns nothing to the pool"
         );
@@ -1204,7 +1169,7 @@ mod tests {
         for i in 0..100 {
             assert!(f.map_access(LogicalPage(i * 9_999)));
         }
-        assert!(f.mapping_cache().is_none());
+        assert!(f.mapcache.is_none());
     }
 
     #[test]
@@ -1212,7 +1177,7 @@ mod tests {
         let mut f = Ftl::with_mapping_cache(ArrayShape::small_test(), 2);
         assert!(!f.map_access(LogicalPage(0)), "cold miss");
         assert!(f.map_access(LogicalPage(1)), "same translation page");
-        let c = f.mapping_cache().unwrap();
+        let c = f.mapcache.as_ref().unwrap();
         assert_eq!(c.stats(), (1, 1));
     }
 
@@ -1249,7 +1214,7 @@ mod tests {
         let mut f = ftl();
         let c = ClusterId::default();
         assert!(!f.needs_gc(c, 0, 1));
-        let total = f.fimm_free_blocks(c, 0);
+        let total = f.allocator(c, 0).free_blocks();
         assert!(f.needs_gc(c, 0, total + 1));
     }
 
@@ -1318,7 +1283,8 @@ mod tests {
         let lpn = LogicalPage(123);
         let home = f.locate(lpn);
         f.write_alloc(lpn, None).unwrap();
-        assert_eq!(f.journal_unflushed(), 1);
+        let journal = f.journal.as_ref().unwrap();
+        assert_eq!(journal.records.len() - journal.flushed, 1);
         let out = f.power_loss().unwrap();
         assert_eq!(out.dropped, 1);
         assert_eq!(out.replayed, 0);
@@ -1660,7 +1626,7 @@ mod tests {
         }
 
         proptest! {
-            #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+            #![proptest_config(ProptestConfig { cases: 48 })]
 
             /// After every operation of a random sequence, under every
             /// policy: the indexed pick equals the scan on every FIMM,
@@ -1816,7 +1782,7 @@ mod tests {
         }
 
         proptest! {
-            #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+            #![proptest_config(ProptestConfig { cases: 48 })]
 
             /// Over random journaled sequences: after every checkpoint
             /// the shadow equals a deep copy of the live FTL, and every

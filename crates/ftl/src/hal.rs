@@ -377,7 +377,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig { cases: 512 })]
 
         /// Over random page groups — several packages; equal and
         /// distinct dies, planes and blocks; sequential runs; every

@@ -155,11 +155,6 @@ impl HybridFtl {
         b
     }
 
-    /// `true` when the newest copy of `lpn` lives in a log block.
-    pub fn is_in_log(&self, lpn: u64) -> bool {
-        self.log_map.contains_key(&lpn)
-    }
-
     /// Writes one logical page (appends to the active log block),
     /// triggering log reclamation when the logs are full.
     ///
@@ -258,7 +253,7 @@ mod tests {
         }
         assert_eq!(f.stats().merges, 0);
         assert_eq!(f.stats().host_writes, 64);
-        assert!(f.is_in_log(0));
+        assert!(f.log_map.contains_key(&0), "page 0 lives in a log block");
     }
 
     #[test]
@@ -349,7 +344,7 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+            #![proptest_config(ProptestConfig { cases: 64 })]
 
             /// Any overwrite stream keeps the invariants: WA >= 1, the
             /// log map never exceeds the log capacity, and the mapping

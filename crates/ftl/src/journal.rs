@@ -66,7 +66,7 @@ impl Default for JournalConfig {
 
 /// Counters describing journal activity.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 pub struct JournalStats {
     /// Records appended over the journal's lifetime.
     pub appended: u64,
@@ -100,7 +100,7 @@ pub struct RecoveryOutcome {
 /// execution produced (replay re-derives and cross-checks it).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum JournalRecord {
-    /// A page write: host, migration (one-shot), or GC rewrite.
+    /// A page write: host write or GC rewrite.
     Write {
         lpn: LogicalPage,
         cluster: ClusterId,

@@ -77,15 +77,6 @@ impl StripedLayout {
         }
     }
 
-    /// The cluster that a logical page maps to by default — cheap enough
-    /// for workload generators steering load onto specific clusters.
-    pub fn cluster_of(&self, lpn: LogicalPage) -> ClusterId {
-        let per_cluster = self.shape.pages_per_cluster();
-        self.shape
-            .topology
-            .cluster_from_global((lpn.0 / per_cluster).min(u32::MAX as u64) as u32)
-    }
-
     /// The first logical page of a cluster's contiguous region.
     pub fn region_start(&self, cluster: ClusterId) -> LogicalPage {
         LogicalPage(
@@ -134,7 +125,6 @@ mod tests {
         let next = l.locate(LogicalPage(per_cluster));
         assert_eq!(first.cluster, last.cluster);
         assert_ne!(last.cluster, next.cluster);
-        assert_eq!(l.cluster_of(LogicalPage(per_cluster)), next.cluster);
     }
 
     #[test]
@@ -142,7 +132,7 @@ mod tests {
         let l = layout();
         for id in l.shape().topology.iter_clusters().collect::<Vec<_>>() {
             let start = l.region_start(id);
-            assert_eq!(l.cluster_of(start), id);
+            assert_eq!(l.locate(start).cluster, id);
         }
     }
 

@@ -922,7 +922,7 @@ mod tests {
         }
 
         proptest! {
-            #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+            #![proptest_config(ProptestConfig { cases: 64 })]
 
             /// Over random sequences of remaps, home returns, lookups and
             /// copies between two maps of different shapes, the map and

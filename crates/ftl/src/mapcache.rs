@@ -80,21 +80,6 @@ impl MappingCache {
         (self.hits, self.misses)
     }
 
-    /// Fraction of accesses that hit (0 when never accessed).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Number of resident translation pages.
-    pub fn resident_pages(&self) -> usize {
-        self.resident.len()
-    }
-
     /// Configured capacity in translation pages.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -125,7 +110,7 @@ mod tests {
         c.access(page(2)); // evicts page 1
         assert!(c.access(page(0)), "warm page survived");
         assert!(!c.access(page(1)), "cold page was evicted");
-        assert_eq!(c.resident_pages(), 2);
+        assert_eq!(c.resident.len(), 2);
     }
 
     #[test]
@@ -134,18 +119,8 @@ mod tests {
         for i in 0..100 {
             c.access(i * ENTRIES_PER_TRANSLATION_PAGE);
         }
-        assert_eq!(c.resident_pages(), 3);
+        assert_eq!(c.resident.len(), 3);
         assert_eq!(c.capacity(), 3);
-    }
-
-    #[test]
-    fn hit_rate_tracks_ratio() {
-        let mut c = MappingCache::new(1);
-        assert_eq!(c.hit_rate(), 0.0);
-        c.access(0);
-        c.access(1);
-        c.access(2);
-        assert!((c.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

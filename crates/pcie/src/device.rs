@@ -41,11 +41,6 @@ impl Switch {
                 .collect(),
         }
     }
-
-    /// Number of downstream ports.
-    pub fn port_count(&self) -> u32 {
-        self.downlinks.len() as u32
-    }
 }
 
 #[cfg(test)]
@@ -56,7 +51,7 @@ mod tests {
     #[test]
     fn switch_has_requested_ports() {
         let sw = Switch::new(&PcieParams::default(), 16);
-        assert_eq!(sw.port_count(), 16);
+        assert_eq!(sw.downlinks.len(), 16);
         assert_eq!(sw.port_queues.len(), 16);
         assert_eq!(sw.port_queues[0].capacity(), 64);
     }

@@ -43,9 +43,6 @@ pub struct CreditQueue {
     occupied: usize,
     waiters: VecDeque<u64>,
     high_watermark: usize,
-    total_admitted: u64,
-    total_queued: u64,
-    full_events: u64,
     trace: TracePort,
 }
 
@@ -63,9 +60,6 @@ impl CreditQueue {
             occupied: 0,
             waiters: VecDeque::new(),
             high_watermark: 0,
-            total_admitted: 0,
-            total_queued: 0,
-            full_events: 0,
             trace: TracePort::off(),
         }
     }
@@ -82,11 +76,8 @@ impl CreditQueue {
         if self.occupied < self.capacity {
             self.occupied += 1;
             self.high_watermark = self.high_watermark.max(self.occupied);
-            self.total_admitted += 1;
             Admission::Admitted
         } else {
-            self.full_events += 1;
-            self.total_queued += 1;
             self.waiters.push_back(id);
             self.trace.emit(|| TraceEventKind::QueueFull {
                 occupied: self.occupied,
@@ -102,7 +93,6 @@ impl CreditQueue {
     pub fn release(&mut self) -> Option<u64> {
         debug_assert!(self.occupied > 0, "release without admit");
         if let Some(id) = self.waiters.pop_front() {
-            self.total_admitted += 1;
             Some(id)
         } else {
             self.occupied -= 1;
@@ -111,23 +101,12 @@ impl CreditQueue {
     }
 
     /// Discards every held credit and parked waiter — a power cycle of
-    /// the owning device. The buffer's *contents* are volatile; its
-    /// lifetime statistics (watermarks, admission totals) describe
-    /// history and survive so post-mortem reports stay complete.
+    /// the owning device. The buffer's *contents* are volatile; its high
+    /// watermark describes history and survives so post-mortem reports
+    /// stay complete.
     pub fn power_cycle(&mut self) {
         self.occupied = 0;
         self.waiters.clear();
-    }
-
-    /// Removes a parked waiter (e.g. a cancelled request). Returns `true`
-    /// if it was found.
-    pub fn cancel_waiter(&mut self, id: u64) -> bool {
-        if let Some(pos) = self.waiters.iter().position(|&w| w == id) {
-            self.waiters.remove(pos);
-            true
-        } else {
-            false
-        }
     }
 
     /// Credits currently held.
@@ -158,21 +137,6 @@ impl CreditQueue {
     /// Peak occupancy observed.
     pub fn high_watermark(&self) -> usize {
         self.high_watermark
-    }
-
-    /// Number of admissions that found the buffer full.
-    pub fn full_events(&self) -> u64 {
-        self.full_events
-    }
-
-    /// Total IDs ever granted a credit.
-    pub fn total_admitted(&self) -> u64 {
-        self.total_admitted
-    }
-
-    /// Total IDs that had to park.
-    pub fn total_queued(&self) -> u64 {
-        self.total_queued
     }
 
     /// Diagnostic name.
@@ -228,25 +192,11 @@ mod tests {
     }
 
     #[test]
-    fn cancel_waiter_removes_only_target() {
-        let mut q = CreditQueue::new("q", 1);
-        q.admit(1);
-        q.admit(2);
-        q.admit(3);
-        assert!(q.cancel_waiter(2));
-        assert!(!q.cancel_waiter(2));
-        assert_eq!(q.release(), Some(3));
-    }
-
-    #[test]
     fn statistics_track_traffic() {
         let mut q = CreditQueue::new("q", 1);
         q.admit(1);
         q.admit(2);
         q.release();
-        assert_eq!(q.total_admitted(), 2);
-        assert_eq!(q.total_queued(), 1);
-        assert_eq!(q.full_events(), 1);
         assert_eq!(q.high_watermark(), 1);
         assert_eq!(q.name(), "q");
     }

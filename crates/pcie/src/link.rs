@@ -56,7 +56,6 @@ pub struct PcieLink {
     lanes: u32,
     propagation: Nanos,
     res: FifoResource,
-    packets: u64,
     bytes: u64,
     faults: PcieFaultProfile,
     fault_rng: SplitMix64,
@@ -77,7 +76,6 @@ impl PcieLink {
             lanes,
             propagation,
             res: FifoResource::new("pcie-link"),
-            packets: 0,
             bytes: 0,
             faults: PcieFaultProfile::default(),
             fault_rng: SplitMix64::new(0),
@@ -131,7 +129,6 @@ impl PcieLink {
             self.replays += 1;
             replayed = true;
         }
-        self.packets += 1;
         self.bytes += bytes;
         let r = self.res.reserve(now, dur);
         self.trace.emit_at(r.start, || TraceEventKind::LinkTx {
@@ -167,11 +164,6 @@ impl PcieLink {
     /// Instant the link next becomes free.
     pub fn free_at(&self) -> SimTime {
         self.res.free_at()
-    }
-
-    /// Packets transmitted so far.
-    pub fn packet_count(&self) -> u64 {
-        self.packets
     }
 
     /// Payload-plus-overhead bytes transmitted so far.
@@ -226,7 +218,6 @@ mod tests {
         let b = l.transmit(SimTime::ZERO, 250);
         assert_eq!(a.wait, 0);
         assert_eq!(b.wait, 1_000);
-        assert_eq!(l.packet_count(), 2);
         assert_eq!(l.bytes_sent(), 500);
     }
 

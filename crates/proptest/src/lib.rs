@@ -22,22 +22,17 @@
 /// Pseudo-random generation state and run configuration.
 pub mod test_runner {
     /// How many cases each `proptest!` test runs, mirroring the real
-    /// `ProptestConfig`. Extra knobs are accepted and ignored so call
-    /// sites can use struct-update syntax.
+    /// `ProptestConfig`'s one knob the workspace sets (the stub never
+    /// shrinks a failing case).
     #[derive(Clone, Debug)]
     pub struct ProptestConfig {
         /// Number of generated cases per property.
         pub cases: u32,
-        /// Accepted for API compatibility; shrinking is not implemented.
-        pub max_shrink_iters: u32,
     }
 
     impl Default for ProptestConfig {
         fn default() -> Self {
-            ProptestConfig {
-                cases: 256,
-                max_shrink_iters: 0,
-            }
+            ProptestConfig { cases: 256 }
         }
     }
 
@@ -407,7 +402,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig { cases: 16 })]
 
         #[test]
         fn macro_generates_tuples(
@@ -433,7 +428,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig { cases: 32 })]
 
         #[test]
         fn oneof_draws_from_every_arm(

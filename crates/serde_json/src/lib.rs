@@ -1,36 +1,34 @@
 //! Offline, deterministic subset of the
 //! [serde_json](https://docs.rs/serde_json) API.
 //!
-//! Backed by the vendored `serde` stub's [`Value`] data model. Two
-//! properties matter to the golden-snapshot suite and are guaranteed
-//! here:
+//! Backed by the vendored `serde` stub's [`Value`] data model. Typed
+//! values serialize to text; text parses only to a [`Value`] tree
+//! ([`from_str`]), never back into a typed value. Two properties matter
+//! to the golden-snapshot suite and are guaranteed here:
 //!
 //! * **Byte-stable output.** Object keys keep insertion order and
 //!   floats render via Rust's shortest-round-trip formatter (with a
 //!   `.0` suffix forced onto integral values), so equal `Value` trees
 //!   always produce identical text.
-//! * **Lossless round-trips.** `from_str(&to_string(v)) == v` for every
-//!   tree the workspace produces: integers stay integers, floats
-//!   re-parse to the same bits, `u128` travels as a decimal string.
+//! * **Lossless round-trips.** `from_str::<Value>(&to_string(v)) == v`
+//!   for every tree the workspace produces: integers stay integers,
+//!   floats re-parse to the same bits, `u128` travels as a decimal
+//!   string.
 //!
 //! Non-finite floats are rejected at serialization time (JSON has no
-//! representation for them), matching real serde_json's behaviour.
+//! representation for them), and the parser refuses input nested deeper
+//! than 128 arrays and objects; both match real serde_json's behaviour.
 
 #![forbid(unsafe_code)]
 
 use std::fmt::Write as _;
 
+use serde::Serialize;
 pub use serde::{Error, Value};
-use serde::{Deserialize, Serialize};
 
 /// Converts any serializable value into a [`Value`] tree.
 pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
     value.to_value()
-}
-
-/// Rebuilds a typed value from a [`Value`] tree.
-pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
-    T::from_value(value)
 }
 
 /// Serializes to compact JSON text.
@@ -49,11 +47,16 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
-/// Parses JSON text into a typed value.
-pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
-    let value = parse_value(text)?;
-    T::from_value(&value)
+/// Parses JSON text into a [`Value`] tree. The type parameter is, in
+/// practice, `Value` itself; it exists so `from_str::<Value>(..)` and
+/// `let v: Value = from_str(..)` read as they do with real serde_json.
+pub fn from_str<T: From<Value>>(text: &str) -> Result<T, Error> {
+    parse_value(text).map(T::from)
 }
+
+/// Deepest nesting of arrays and objects [`from_str`] accepts, as in real
+/// serde_json; deeper input is an error rather than a stack overflow.
+const MAX_DEPTH: usize = 128;
 
 fn emit(v: &Value, indent: Option<usize>, depth: usize, out: &mut String) -> Result<(), Error> {
     match v {
@@ -150,7 +153,7 @@ fn emit_string(s: &str, out: &mut String) {
 fn parse_value(text: &str) -> Result<Value, Error> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_at(bytes, &mut pos)?;
+    let v = parse_at(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error::msg(format!("trailing data at byte {pos}")));
@@ -178,11 +181,19 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), Error> {
     }
 }
 
-fn parse_at(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Parses one value starting at `*pos`, inside `depth` enclosing arrays
+/// and objects.
+fn parse_at(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(bytes, pos);
     let Some(&b) = bytes.get(*pos) else {
         return Err(Error::msg("unexpected end of input"));
     };
+    if matches!(b, b'[' | b'{') && depth == MAX_DEPTH {
+        return Err(Error::msg(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )));
+    }
     match b {
         b'n' => parse_lit(bytes, pos, "null", Value::Null),
         b't' => parse_lit(bytes, pos, "true", Value::Bool(true)),
@@ -197,7 +208,7 @@ fn parse_at(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_at(bytes, pos)?);
+                items.push(parse_at(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -221,7 +232,7 @@ fn parse_at(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 skip_ws(bytes, pos);
                 let key = parse_string(bytes, pos)?;
                 expect(bytes, pos, b':')?;
-                let value = parse_at(bytes, pos)?;
+                let value = parse_at(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -417,10 +428,31 @@ mod tests {
     }
 
     #[test]
-    fn typed_round_trip_via_derive_traits() {
+    fn typed_values_serialize_to_the_same_text_as_their_tree() {
         let v: Vec<(u64, f64)> = vec![(1, 0.5), (2, 1.5)];
         let text = to_string(&v).unwrap();
-        let back: Vec<(u64, f64)> = from_str(&text).unwrap();
-        assert_eq!(back, v);
+        assert_eq!(text, "[[1,0.5],[2,1.5]]");
+        let tree: Value = from_str(&text).unwrap();
+        assert_eq!(tree, to_value(&v));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let mut v: Value = from_str(&nested(MAX_DEPTH)).unwrap();
+        for _ in 1..MAX_DEPTH {
+            v = v[0].clone();
+        }
+        assert_eq!(v, Value::Array(vec![]));
+        let err = from_str::<Value>(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(
+            err.to_string().contains(&format!("byte {MAX_DEPTH}")),
+            "{err}"
+        );
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(from_str::<Value>(&objects).is_err());
+        // Deep enough to overflow the stack of a parser with no limit.
+        let err = from_str::<Value>(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper"), "{err}");
     }
 }

@@ -100,11 +100,6 @@ impl FifoResource {
     pub fn name(&self) -> &'static str {
         self.name
     }
-
-    /// Total busy nanoseconds accumulated so far.
-    pub fn busy_nanos(&self) -> Nanos {
-        self.util.busy_nanos()
-    }
 }
 
 #[cfg(test)]

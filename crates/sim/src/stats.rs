@@ -31,7 +31,7 @@ const BUCKETS: usize = 1920;
 /// // quantile is exact:
 /// assert_eq!(h.percentile(1.0), h.max());
 /// ```
-#[derive(Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, serde::Serialize)]
 pub struct Histogram {
     counts: Vec<u64>,
     count: u64,
@@ -274,11 +274,6 @@ impl UtilizationTracker {
         }
     }
 
-    /// Total busy nanoseconds since construction.
-    pub fn busy_nanos(&self) -> Nanos {
-        self.busy
-    }
-
     /// The sliding-window width.
     pub fn window(&self) -> Nanos {
         self.window
@@ -319,7 +314,7 @@ impl Default for UtilizationTracker {
 
 /// A time-series sampler: `(instant, value)` pairs, e.g. the per-request
 /// latency series of Figure 16.
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, serde::Serialize)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }
@@ -363,16 +358,6 @@ impl TimeSeries {
             .map(|i| self.points[(i as f64 * step) as usize])
             .collect()
     }
-}
-
-/// Mean and (population) standard deviation of a slice; `(0, 0)` if empty.
-pub fn mean_std(xs: &[f64]) -> (f64, f64) {
-    if xs.is_empty() {
-        return (0.0, 0.0);
-    }
-    let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-    let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / xs.len() as f64;
-    (mean, var.sqrt())
 }
 
 #[cfg(test)]
@@ -459,7 +444,7 @@ mod tests {
         let mut m = UtilizationTracker::new();
         m.add_busy(SimTime::ZERO, 25_000);
         assert!((m.utilization(SimTime::from_nanos(100_000)) - 0.25).abs() < 1e-9);
-        assert_eq!(m.busy_nanos(), 25_000);
+        assert_eq!(m.busy, 25_000);
     }
 
     #[test]
@@ -492,13 +477,5 @@ mod tests {
         assert_eq!(t[0].1, 0.0);
         assert_eq!(s.len(), 1_000);
         assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn mean_std_basic() {
-        let (m, s) = mean_std(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert!((m - 5.0).abs() < 1e-12);
-        assert!((s - 2.0).abs() < 1e-12);
-        assert_eq!(mean_std(&[]), (0.0, 0.0));
     }
 }

@@ -26,7 +26,7 @@ pub type Nanos = u64;
 /// assert_eq!(t - SimTime::ZERO, 2_500);
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -739,11 +739,6 @@ impl TracePort {
         }
     }
 
-    /// `true` when events will actually be recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.rec.is_some()
-    }
-
     /// The scope this port stamps onto events.
     pub fn scope(&self) -> TraceScope {
         self.scope
@@ -1159,7 +1154,7 @@ mod tests {
             ev(0)
         });
         assert!(!ran, "payload closure must not run when detached");
-        assert!(!port.is_enabled());
+        assert!(port.rec.is_none());
     }
 
     #[test]

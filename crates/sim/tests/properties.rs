@@ -7,7 +7,7 @@ use triplea_sim::stats::{Histogram, UtilizationTracker};
 use triplea_sim::SimTime;
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 64 })]
 
     /// Merging two histograms is indistinguishable from recording the
     /// interleaved stream into one.

@@ -1,6 +1,6 @@
 //! Synthetic trace generation from workload profiles.
 
-use triplea_core::{ArrayConfig, IoOp, TenantId, Trace, TraceRequest};
+use triplea_core::{ArrayConfig, IoOp, Trace, TraceRequest};
 use triplea_ftl::{LogicalPage, StripedLayout};
 use triplea_pcie::ClusterId;
 use triplea_sim::{SimTime, SplitMix64};
@@ -180,9 +180,6 @@ pub(crate) struct PhaseParams<'a> {
     pub burst: Option<crate::dist::BurstShape>,
     /// Simulated time the phase starts at (arrivals are relative to it).
     pub base_ns: u64,
-    /// Tenant the phase's requests are submitted as
-    /// ([`TenantId::DEFAULT`] on untenanted arrays).
-    pub tenant: TenantId,
 }
 
 /// Emits one phase's requests into `out`, advancing `rng` and the
@@ -236,8 +233,7 @@ pub(crate) fn emit_phase(
                 Some(b) => b.arrival_ns(i as u64, p.gap_ns),
                 None => i as u64 * p.gap_ns,
             };
-        out.push(TraceRequest::for_tenant(
-            p.tenant,
+        out.push(TraceRequest::new(
             SimTime::from_nanos(at_ns),
             if is_read { IoOp::Read } else { IoOp::Write },
             LogicalPage(base + slot * p.pages as u64),
@@ -276,7 +272,6 @@ pub(crate) fn synthesize(cfg: &ArrayConfig, seed: u64, spec: &SynthSpec) -> Trac
             zipf_theta: spec.zipf_theta,
             burst: spec.burst,
             base_ns: 0,
-            tenant: TenantId::DEFAULT,
         },
     );
     Trace::new(out)

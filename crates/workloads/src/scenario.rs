@@ -40,7 +40,7 @@
 //! assert_eq!(scenario.phases().len(), 4);
 //! ```
 
-use triplea_core::{ArrayConfig, TenantId, Trace};
+use triplea_core::{ArrayConfig, Trace};
 use triplea_pcie::ClusterId;
 use triplea_sim::SplitMix64;
 use triplea_ftl::StripedLayout;
@@ -51,6 +51,10 @@ use crate::profile::WorkloadProfile;
 
 /// One homogeneous stretch of a scenario: a request budget, an arrival
 /// law, Table-1 style marginals, and a rotation of the hot cluster set.
+///
+/// A phase carries no tenant: every request it emits belongs to
+/// `TenantId::DEFAULT`. A multi-tenant run tags each stream's requests
+/// with `TraceRequest::owned_by` before merging the streams.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Phase {
     /// Shape tag, for diagnostics and artifact labels.
@@ -77,10 +81,6 @@ pub struct Phase {
     pub zipf_theta: f64,
     /// Optional ON/OFF arrival shaping within the phase.
     pub burst: Option<BurstShape>,
-    /// Tenant the phase's requests are submitted as
-    /// ([`TenantId::DEFAULT`] on untenanted arrays); see
-    /// [`ScenarioTrace::bind_tenant`].
-    pub tenant: TenantId,
 }
 
 impl Phase {
@@ -98,7 +98,6 @@ impl Phase {
             hot_rotation: 0,
             zipf_theta: 0.0,
             burst: None,
-            tenant: TenantId::DEFAULT,
         }
     }
 
@@ -226,7 +225,6 @@ impl ScenarioTrace {
                 hot_rotation: profile.hot_clusters + c as u32,
                 zipf_theta: 0.99,
                 burst: None,
-                tenant: TenantId::DEFAULT,
             });
         }
         ScenarioTrace::from_phases("flash_crowd", phases)
@@ -281,17 +279,6 @@ impl ScenarioTrace {
     /// Pages in each hot cluster's hot region (smaller ⇒ more reuse).
     pub fn hot_region_pages(mut self, n: u64) -> Self {
         self.hot_region_pages = n.max(self.pages as u64);
-        self
-    }
-
-    /// Stamps every phase as `tenant`'s traffic, so the whole shape can
-    /// be blended into a multi-tenant run (e.g. a diurnal batch stream
-    /// plus a flash-crowd interactive stream) by passing the built
-    /// traces' requests, concatenated, to `Trace::new`.
-    pub fn bind_tenant(mut self, tenant: TenantId) -> Self {
-        for p in &mut self.phases {
-            p.tenant = tenant;
-        }
         self
     }
 
@@ -361,7 +348,6 @@ impl ScenarioTrace {
                     zipf_theta: phase.zipf_theta,
                     burst: phase.burst,
                     base_ns,
-                    tenant: phase.tenant,
                 },
             );
             base_ns += phase.span_ns();
@@ -391,7 +377,7 @@ fn rotated_hot_ids(total: u32, clusters_per_switch: u32, phase: &Phase) -> Vec<C
 mod tests {
     use super::*;
     use crate::analysis::analyze;
-    use triplea_core::Topology;
+    use triplea_core::{TenantId, Topology};
 
     fn wide() -> ArrayConfig {
         let mut c = ArrayConfig::small_test();
@@ -574,22 +560,10 @@ mod tests {
     }
 
     #[test]
-    fn bound_scenario_stamps_every_request_with_its_tenant() {
+    fn scenario_requests_belong_to_the_default_tenant() {
         let cfg = wide();
-        let s = ScenarioTrace::flash_crowd(profile("fin"), 2_000, 2_000, 250, 2)
-            .bind_tenant(TenantId(3));
-        assert!(s.phases().iter().all(|p| p.tenant == TenantId(3)));
-        let t = s.build(&cfg, 7);
-        assert!(t.requests().iter().all(|r| r.tenant == TenantId(3)));
-        // Default-constructed shapes stay on the anonymous tenant, so
-        // untenanted arrays replay them unchanged.
         let plain = ScenarioTrace::flash_crowd(profile("fin"), 2_000, 2_000, 250, 2).build(&cfg, 7);
+        // Untenanted arrays replay a scenario unchanged.
         assert!(plain.requests().iter().all(|r| r.tenant == TenantId::DEFAULT));
-        // Binding only re-stamps ownership; the arrival schedule and
-        // address stream are untouched.
-        assert_eq!(plain.len(), t.len());
-        for (a, b) in plain.requests().iter().zip(t.requests()) {
-            assert_eq!((a.at, a.op, a.lpn, a.pages), (b.at, b.op, b.lpn, b.pages));
-        }
     }
 }

@@ -32,7 +32,7 @@ fn census_visible() -> Vec<WorkloadProfile> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 16 })]
 
     /// Read/write mix: the measured read ratio of a synthesized trace
     /// tracks the profile's configured ratio for every profile and any

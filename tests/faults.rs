@@ -408,7 +408,7 @@ fn tenanted_power_loss_stepped_matches_one_shot() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 48 })]
 
     /// Power loss injected at an arbitrary instant across the whole
     /// write burst (and a little past it), or exactly on one of its

@@ -43,10 +43,7 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 24,
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig { cases: 24 })]
 
     #[test]
     fn every_request_completes_in_both_modes(trace in arb_trace()) {
@@ -269,10 +266,7 @@ fn arb_volume_trace(volume_pages: u64) -> impl Strategy<Value = Trace> {
 proptest! {
     // Federation runs simulate several member arrays per case; keep the
     // case count low so the suite stays quick.
-    #![proptest_config(ProptestConfig {
-        cases: 6,
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig { cases: 6 })]
 
     /// Partitioning one volume across more (or replicated) member
     /// arrays must not change how much work completes: the federation

@@ -97,7 +97,7 @@ fn gc_cycle_executes_on_real_packages() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 64 })]
 
     /// Any set of in-range pages composes into commands that validate
     /// against the geometry and cover exactly the input pages.

@@ -333,15 +333,7 @@ impl Engine {
             Ok(op) => {
                 self.clusters[c].relocs_in += 1;
                 self.clusters[c].pending_prog_pages[fimm as usize] += 1;
-                self.queue.push(
-                    op.end,
-                    Ev::MigPageDone {
-                        reloc,
-                        idx,
-                        cluster,
-                        fimm,
-                    },
-                );
+                self.queue.push(op.end, Ev::MigPageDone { reloc, idx });
             }
             Err(e) => {
                 // The clone's program failed mid-copy (bad block or dead
@@ -516,25 +508,24 @@ impl Engine {
         }
     }
 
-    pub(super) fn on_mig_page_done(
-        &mut self,
-        now: SimTime,
-        reloc: u32,
-        idx: u32,
-        cluster: u32,
-        fimm: u32,
-    ) {
-        self.clusters[cluster as usize].pending_prog_pages[fimm as usize] -= 1;
+    pub(super) fn on_mig_page_done(&mut self, now: SimTime, reloc: u32, idx: u32) {
         // Clone-then-unlink: the copy is durable, switch readers over
-        // (unless a host write superseded the data mid-clone).
+        // (`migrate_commit` drops the clone instead if a host write
+        // superseded the data mid-clone). `new` is set just before the
+        // program's event is pushed, and only a failed program, which
+        // pushes none, clears it.
         let page = self.relocs[reloc as usize].pages[idx as usize];
-        if let Some(new_loc) = page.new {
-            self.ftl
-                .migrate_commit(LogicalPage(page.lpn), new_loc, page.old);
-            self.emit(TraceScope::fimm(cluster, fimm), || {
-                TraceEventKind::RelocCommit { lpn: page.lpn }
-            });
-        }
+        let new_loc = page
+            .new
+            .expect("a programmed relocation page has a new home");
+        let cluster = self.cluster_global(new_loc.cluster);
+        let fimm = new_loc.fimm;
+        self.clusters[cluster as usize].pending_prog_pages[fimm as usize] -= 1;
+        self.ftl
+            .migrate_commit(LogicalPage(page.lpn), new_loc, page.old);
+        self.emit(TraceScope::fimm(cluster, fimm), || {
+            TraceEventKind::RelocCommit { lpn: page.lpn }
+        });
         self.maybe_gc(now, cluster, fimm);
         self.finish_reloc_page(reloc, idx as usize);
     }

@@ -76,11 +76,10 @@ enum Ev {
     RespAtRc(u32),
     Complete(u32),
     MigArrive(u32),
+    /// Page `idx` of `relocs[reloc]` is programmed at its new home.
     MigPageDone {
         reloc: u32,
         idx: u32,
-        cluster: u32,
-        fimm: u32,
     },
     /// The configured power cut fires: volatile state is lost, the FTL
     /// journal is replayed, and the array remounts.
@@ -88,6 +87,10 @@ enum Ev {
     /// One unit of hot-spare rebuild work for `rebuilds[i]`.
     RebuildStep(u32),
 }
+
+// A calendar entry is `(time, seq, Ev)`: a 16-byte `Ev` keeps it at 32
+// bytes, and every request pushes and pops ≈15 of them.
+const _: () = assert!(size_of::<Ev>() <= 16);
 
 /// Buffers the request path reuses instead of allocating per request
 /// (DESIGN.md, "Per-request allocation").
@@ -383,6 +386,7 @@ impl Array {
     /// Same conditions as [`Array::run`].
     pub fn run_verified(self, trace: &Trace) -> VerifiedRun {
         let mut runner = self.into_runner();
+        runner.e.reqs.reserve_exact(trace.len());
         for r in trace.requests() {
             runner.submit(r);
         }
@@ -623,12 +627,7 @@ impl Engine {
             } => self.on_write_programmed(now, cluster, fimm, buf_cluster),
             // management.rs: migration
             Ev::MigArrive(m) => self.on_mig_arrive(now, m),
-            Ev::MigPageDone {
-                reloc,
-                idx,
-                cluster,
-                fimm,
-            } => self.on_mig_page_done(now, reloc, idx, cluster, fimm),
+            Ev::MigPageDone { reloc, idx } => self.on_mig_page_done(now, reloc, idx),
             // recovery.rs: power loss and rebuild
             Ev::PowerLoss => self.on_power_loss(now),
             Ev::RebuildStep(i) => self.on_rebuild_step(now, i),

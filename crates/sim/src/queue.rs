@@ -3,16 +3,21 @@
 //! Two implementations live here:
 //!
 //! * [`EventQueue`] — the production **calendar queue**: a ring of
-//!   fixed-width time buckets for the near future plus a binary-heap
-//!   overflow for far-future events. Near-future traffic (the vast
-//!   majority of a simulation's events: resource grants, bus transfers,
-//!   completions a few microseconds out) never touches the heap, and
+//!   fixed-width time buckets for the near future, plus two far-future
+//!   stores for events beyond the ring horizon: an ordered lane for
+//!   far pushes that arrive in time order, and a binary heap for the
+//!   rest. Near-future traffic (resource grants, bus transfers,
+//!   completions a few microseconds out) never leaves the ring, and
 //!   the common push-at-`now` case is an allocation-free insertion into
-//!   the already-sorted active bucket. A push into a completely empty
-//!   queue for an instant before the active bucket — the refill after
-//!   a full drain, as when a power cut requeues every future submit —
-//!   re-anchors the active bucket just before it, so an ascending
-//!   refill goes back through the ring and the overflow heap instead
+//!   the already-sorted active bucket. A pre-submitted trace pushes its
+//!   arrivals in ascending time, so they queue at the lane's back and
+//!   leave from its front without a heap sift; only far pushes earlier
+//!   than the lane's last event (a GC backlog scheduled behind the
+//!   trace's queued arrivals) go to the heap. A push into a completely
+//!   empty queue for an instant before the active bucket — the refill
+//!   after a full drain, as when a power cut requeues every future
+//!   submit — re-anchors the active bucket just before it, so an
+//!   ascending refill goes back through the ring and the lane instead
 //!   of being sorted, one memmove each, into the front of the active
 //!   bucket.
 //! * `BaselineHeapQueue` (test-only) — the original global
@@ -25,7 +30,7 @@
 //! simulation run bit-for-bit deterministic.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
@@ -81,6 +86,12 @@ fn bucket_of(time: SimTime) -> u64 {
     time.as_nanos() >> BUCKET_SHIFT
 }
 
+/// Ring slot of absolute bucket `b`.
+#[inline]
+fn slot_of(b: u64) -> usize {
+    (b % NUM_BUCKETS as u64) as usize
+}
+
 /// A priority queue of events ordered by [`SimTime`], with FIFO tie-breaking.
 ///
 /// Events pushed at equal timestamps pop in insertion order, which makes the
@@ -113,7 +124,11 @@ pub struct EventQueue<E> {
     ring_len: usize,
     /// Absolute bucket number of the active bucket.
     cur_bucket: u64,
-    /// Far-future events (beyond the ring horizon), min-first.
+    /// Far-future events (beyond the ring horizon) pushed no earlier
+    /// than the lane's last event: sorted by `(time, seq)` by
+    /// construction, since sequence numbers only grow.
+    lane: VecDeque<Entry<E>>,
+    /// The other far-future events, min-first.
     overflow: BinaryHeap<Entry<E>>,
     next_seq: u64,
     pushed: u64,
@@ -128,6 +143,7 @@ impl<E> EventQueue<E> {
             ring: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
             ring_len: 0,
             cur_bucket: 0,
+            lane: VecDeque::new(),
             overflow: BinaryHeap::new(),
             next_seq: 0,
             pushed: 0,
@@ -145,10 +161,50 @@ impl<E> EventQueue<E> {
         if b < self.cur_bucket && self.is_empty() {
             // Refill after a full drain (a power cut requeueing future
             // submits): re-anchor just before `b` so ascending refills
-            // go back through the ring and overflow instead of each
+            // go back through the ring and lane instead of each
             // being sorted into the front of `current`.
             self.cur_bucket = b.saturating_sub(1);
         }
+        if b < self.cur_bucket + NUM_BUCKETS as u64 {
+            self.place(entry);
+        } else if self.lane.back().is_none_or(|last| last.time <= time) {
+            self.lane.push_back(entry);
+        } else {
+            self.overflow.push(entry);
+        }
+    }
+
+    /// Moves every far-future event that now fits the ring window into
+    /// its ring slot (or `current`, for events landing in the active
+    /// bucket). The lane and the heap drain one after the other: where
+    /// an event lands depends only on its bucket, and ring slots are
+    /// sorted when they become active, so the order of moves is
+    /// unobservable.
+    fn drain_overflow(&mut self) {
+        let horizon = self.cur_bucket + NUM_BUCKETS as u64;
+        while self
+            .lane
+            .front()
+            .is_some_and(|e| bucket_of(e.time) < horizon)
+        {
+            let entry = self.lane.pop_front().expect("front exists");
+            self.place(entry);
+        }
+        while self
+            .overflow
+            .peek()
+            .is_some_and(|e| bucket_of(e.time) < horizon)
+        {
+            let entry = self.overflow.pop().expect("peeked entry exists");
+            self.place(entry);
+        }
+    }
+
+    /// Files an event inside the ring window: the active bucket's
+    /// sorted `current`, or its unsorted ring slot.
+    #[inline]
+    fn place(&mut self, entry: Entry<E>) {
+        let b = bucket_of(entry.time);
         if b <= self.cur_bucket {
             // Active bucket (or a late event for an already-passed
             // instant, which must still pop before everything later):
@@ -156,64 +212,45 @@ impl<E> EventQueue<E> {
             // minimum. The dominant push-at-`now` lands at or near the
             // tail — a binary search plus a short (usually empty) move.
             let key = entry.key();
-            let idx = self
-                .current
-                .partition_point(|e| e.key() > key);
+            let idx = self.current.partition_point(|e| e.key() > key);
             self.current.insert(idx, entry);
-        } else if b < self.cur_bucket + NUM_BUCKETS as u64 {
-            self.ring[(b % NUM_BUCKETS as u64) as usize].push(entry);
-            self.ring_len += 1;
         } else {
-            self.overflow.push(entry);
+            self.ring[slot_of(b)].push(entry);
+            self.ring_len += 1;
         }
     }
 
-    /// Moves every overflow event that now fits the ring window into its
-    /// ring slot (or `current`, for events landing in the active bucket).
-    fn drain_overflow(&mut self) {
-        let horizon = self.cur_bucket + NUM_BUCKETS as u64;
-        while let Some(top) = self.overflow.peek() {
-            let b = bucket_of(top.time);
-            if b >= horizon {
-                break;
-            }
-            let entry = self.overflow.pop().expect("peeked entry exists");
-            if b <= self.cur_bucket {
-                let key = entry.key();
-                let idx = self.current.partition_point(|e| e.key() > key);
-                self.current.insert(idx, entry);
-            } else {
-                self.ring[(b % NUM_BUCKETS as u64) as usize].push(entry);
-                self.ring_len += 1;
-            }
-        }
+    /// The earliest far-future event: the lane's front or the heap's
+    /// top.
+    fn far_min(&self) -> Option<&Entry<E>> {
+        self.lane
+            .front()
+            .into_iter()
+            .chain(self.overflow.peek())
+            .min_by_key(|e| e.key())
     }
 
     /// Advances the active bucket to the next non-empty one, refilling
-    /// from the overflow heap as the horizon moves. Returns `false` when
-    /// the queue is empty.
+    /// from the far-future stores as the horizon moves. Returns `false`
+    /// when the queue is empty.
     fn advance(&mut self) -> bool {
         debug_assert!(self.current.is_empty());
         loop {
             if self.ring_len == 0 {
-                let Some(top) = self.overflow.peek() else {
+                let Some(next) = self.far_min() else {
                     return false;
                 };
                 // Long idle gap: jump straight to the next scheduled
                 // bucket instead of stepping the ring through it.
-                self.cur_bucket = bucket_of(top.time);
+                self.cur_bucket = bucket_of(next.time);
             } else {
-                // Nearest non-empty ring slot. Overflow events are at or
-                // beyond the horizon, so none can precede it.
-                let step = (1..=NUM_BUCKETS as u64)
-                    .find(|s| {
-                        !self.ring[((self.cur_bucket + s) % NUM_BUCKETS as u64) as usize]
-                            .is_empty()
-                    })
+                // Nearest non-empty ring slot. Far-future events are at
+                // or beyond the horizon, so none can precede it.
+                self.cur_bucket += self
+                    .next_ring_step()
                     .expect("ring_len > 0 implies a non-empty slot");
-                self.cur_bucket += step;
             }
-            let slot = (self.cur_bucket % NUM_BUCKETS as u64) as usize;
+            let slot = slot_of(self.cur_bucket);
             self.ring_len -= self.ring[slot].len();
             self.current.append(&mut self.ring[slot]);
             self.drain_overflow();
@@ -224,6 +261,11 @@ impl<E> EventQueue<E> {
                 return true;
             }
         }
+    }
+
+    /// Buckets from the active one to the nearest non-empty ring slot.
+    fn next_ring_step(&self) -> Option<u64> {
+        (1..=NUM_BUCKETS as u64).find(|s| !self.ring[slot_of(self.cur_bucket + s)].is_empty())
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
@@ -254,25 +296,26 @@ impl<E> EventQueue<E> {
         if let Some(e) = self.current.last() {
             return Some(e.time);
         }
-        // Cold path (diagnostics/tests): scan the pending structures.
-        let ring_min = self
-            .ring
-            .iter()
-            .flatten()
-            .map(Entry::key)
-            .min();
-        let over_min = self.overflow.peek().map(Entry::key);
-        match (ring_min, over_min) {
-            (Some(a), Some(b)) => Some(a.min(b).0),
-            (Some(a), None) => Some(a.0),
-            (None, Some(b)) => Some(b.0),
-            (None, None) => None,
-        }
+        // Cold path (diagnostics/tests). Ring slots from the active
+        // bucket on are in time order, so the nearest non-empty slot
+        // holds the ring's minimum.
+        let ring_min = self.next_ring_step().and_then(|s| {
+            self.ring[slot_of(self.cur_bucket + s)]
+                .iter()
+                .map(Entry::key)
+                .min()
+        });
+        let far_min = self.far_min().map(Entry::key);
+        ring_min
+            .into_iter()
+            .chain(far_min)
+            .min()
+            .map(|(time, _)| time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.current.len() + self.ring_len + self.overflow.len()
+        self.current.len() + self.ring_len + self.lane.len() + self.overflow.len()
     }
 
     /// `true` when no events are pending.
@@ -518,6 +561,79 @@ mod tests {
         assert_eq!(rest, drained[1..]);
     }
 
+    #[test]
+    fn an_ascending_far_future_trace_never_reaches_the_heap() {
+        let mut q = EventQueue::new();
+        let mut spec = BaselineHeapQueue::new();
+        // A pre-submitted trace: 100 k arrivals in pairs 300 ns apart,
+        // reaching ~15 ms, most of it far past the ~1 ms ring horizon.
+        let n = 100_000;
+        for i in 0..n {
+            let t = SimTime::from_nanos((i as u64 / 2) * 300);
+            q.push(t, i);
+            spec.push(t, i);
+        }
+        assert!(q.lane.len() > n * 9 / 10, "the lane holds the far arrivals");
+        assert!(q.overflow.is_empty(), "an ascending trace never heaps");
+        // Replay it as an engine would: every arrival schedules a
+        // completion 25 µs later, inside the ring.
+        let mut popped = 0;
+        while let Some((t, i)) = q.pop() {
+            assert_eq!(Some((t, i)), spec.pop());
+            assert!(q.overflow.is_empty());
+            if i < n {
+                let done = t + 25_000;
+                q.push(done, n + i);
+                spec.push(done, n + i);
+            }
+            popped += 1;
+        }
+        assert_eq!(popped, 2 * n);
+        assert!(spec.is_empty());
+    }
+
+    #[test]
+    fn a_power_cut_requeue_with_a_queued_trace_keeps_order() {
+        let mut q = EventQueue::new();
+        let mut spec = BaselineHeapQueue::new();
+        fn push(q: &mut EventQueue<u64>, spec: &mut BaselineHeapQueue<u64>, t: u64, p: u64) {
+            q.push(SimTime::from_nanos(t), p);
+            spec.push(SimTime::from_nanos(t), p);
+        }
+        // Arrivals out to ~6 ms, plus a GC backlog scheduled behind the
+        // last queued arrival: the lane and the heap are both in use.
+        for i in 0..2_000u64 {
+            push(&mut q, &mut spec, i * 3_000, i);
+        }
+        for i in 0..500u64 {
+            push(&mut q, &mut spec, 2_000_000 + i * 6_000, 10_000 + i);
+        }
+        assert!(!q.lane.is_empty() && !q.overflow.is_empty());
+        for _ in 0..300 {
+            assert_eq!(q.pop(), spec.pop());
+        }
+        // The cut: drain the calendar and requeue every future event no
+        // earlier than the remount, ascending, as the engine does.
+        assert!(!q.lane.is_empty());
+        let drained: Vec<(SimTime, u64)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            drained,
+            std::iter::from_fn(|| spec.pop()).collect::<Vec<_>>()
+        );
+        let floor = drained[0].0 + 2_000_000;
+        for &(t, p) in &drained {
+            push(&mut q, &mut spec, t.max(floor).as_nanos(), p);
+        }
+        assert!(q.overflow.is_empty(), "an ascending requeue never heaps");
+        loop {
+            let a = q.pop();
+            assert_eq!(a, spec.pop());
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -526,6 +642,7 @@ mod tests {
         const POP: u8 = 1;
         const DRAIN: u8 = 2;
         const REQUEUE: u8 = 3;
+        const RUN: u8 = 4;
 
         proptest! {
             /// Popping always yields non-decreasing timestamps, and
@@ -549,9 +666,10 @@ mod tests {
 
             /// Differential test: over randomized push/pop interleavings
             /// — same-timestamp bursts, near-future offsets, far-future
-            /// scheduling beyond the ring horizon, and full drains
-            /// followed by late refills — the calendar queue pops
-            /// exactly the same `(time, payload)` sequence as the
+            /// scheduling beyond the ring horizon, trace-like ascending
+            /// far runs with out-of-order far pushes at equal times, and
+            /// full drains followed by late refills — the calendar queue
+            /// pops exactly the same `(time, payload)` sequence as the
             /// baseline heap, event for event.
             #[test]
             fn matches_baseline_heap_differentially(
@@ -563,6 +681,8 @@ mod tests {
                         (0u64..1_000_000).prop_map(|d| (PUSH, d)),
                         // Far-future push: beyond the ~1 ms horizon.
                         (1_000_000u64..3_000_000_000).prop_map(|d| (PUSH, d)),
+                        // Trace-like far run; `delta` seeds its shape.
+                        (0u64..1 << 20).prop_map(|d| (RUN, d)),
                         // Same-timestamp burst marker (delta 0).
                         Just((PUSH, 0u64)),
                         // Pop.
@@ -576,8 +696,8 @@ mod tests {
                     1..400,
                 )
             ) {
-                let mut cal: EventQueue<usize> = EventQueue::new();
-                let mut heap: BaselineHeapQueue<usize> = BaselineHeapQueue::new();
+                let mut cal: EventQueue<u64> = EventQueue::new();
+                let mut heap: BaselineHeapQueue<u64> = BaselineHeapQueue::new();
                 // `now` tracks the pop frontier like a simulation loop,
                 // so pushes are anchored where an engine would anchor
                 // them; payload ids make ordering differences visible
@@ -586,11 +706,39 @@ mod tests {
                 // current instant.
                 let mut now = 0u64;
                 for (id, &(op, delta)) in ops.iter().enumerate() {
+                    let id = id as u64;
                     match op {
                         PUSH => {
+                            // Payloads are `id << 8`; a `RUN` numbers
+                            // its pushes in the low bits.
                             let t = SimTime::from_nanos(now + delta);
-                            cal.push(t, id);
-                            heap.push(t, id);
+                            cal.push(t, id << 8);
+                            heap.push(t, id << 8);
+                        }
+                        RUN => {
+                            // 1–32 arrivals past the horizon, 0–3
+                            // buckets apart, as a pre-submitted trace
+                            // pushes them. After every third, two
+                            // out-of-order pushes: one at the instant
+                            // two arrivals back, tying a queued
+                            // arrival's time, and one just before the
+                            // latest arrival, usually in its bucket.
+                            let len = 1 + delta % 32;
+                            let step = (delta >> 5) % 4 * 1_024;
+                            let start = now + 1_100_000 + (delta >> 7) * 1_000;
+                            let mut push = |t: u64, p: u64| {
+                                cal.push(SimTime::from_nanos(t), p);
+                                heap.push(SimTime::from_nanos(t), p);
+                            };
+                            for k in 0..len {
+                                let p = (id << 8) | (k << 2);
+                                let at = start + k * step;
+                                push(at, p);
+                                if k % 3 == 2 {
+                                    push(start + (k - 2) * step, p | 1);
+                                    push(at - 1, p | 2);
+                                }
+                            }
                         }
                         POP => {
                             let a = cal.pop();

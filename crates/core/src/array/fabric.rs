@@ -39,7 +39,7 @@ impl Engine {
     /// The switch and downstream port on request `r`'s path.
     fn port_of(&self, r: u32) -> (usize, usize) {
         let cps = self.cfg.shape.topology.clusters_per_switch;
-        let cluster = self.reqs[r as usize].cluster;
+        let cluster = self.reqs[r].cluster;
         ((cluster / cps) as usize, (cluster % cps) as usize)
     }
 
@@ -50,7 +50,7 @@ impl Engine {
     /// transmitter and when the packet arrives.
     fn hop(&mut self, r: u32, hop: Hop, at: SimTime) -> (SimTime, SimTime) {
         let (op, pages) = {
-            let rs = &self.reqs[r as usize];
+            let rs = &self.reqs[r];
             (rs.op, rs.pages)
         };
         let down = matches!(hop, Hop::ToSwitch | Hop::ToEndpoint);
@@ -69,13 +69,13 @@ impl Engine {
         };
         let res = link.transmit(at, bytes);
         let arrive = link.arrival(res.end);
-        self.reqs[r as usize].bd.pcie_wait += res.wait;
+        self.reqs[r].bd.pcie_wait += res.wait;
         (res.end, arrive)
     }
 
     pub(super) fn on_rc_granted(&mut self, now: SimTime, r: u32) {
         let (lpn, pages, wait_since) = {
-            let rs = &self.reqs[r as usize];
+            let rs = &self.reqs[r];
             (rs.lpn, rs.pages, rs.wait_since)
         };
         // Pin physical locations at routing time: migrations that land
@@ -84,7 +84,7 @@ impl Engine {
         locs.extend((0..pages).map(|i| self.ftl.locate(LogicalPage(lpn.0 + i as u64))));
         let cluster = self.cluster_global(locs[0].cluster);
         {
-            let rs = &mut self.reqs[r as usize];
+            let rs = &mut self.reqs[r];
             rs.bd.rc_stall += now - wait_since;
             rs.locs = locs;
             rs.cluster = cluster;
@@ -96,11 +96,11 @@ impl Engine {
         let mut t = now + self.cfg.pcie.rc_route_ns;
         let map_hit = self.ftl.map_access(lpn);
         self.emit(TraceScope::cluster(cluster), || TraceEventKind::Dispatch {
-            req: r,
+            req: self.reqs[r].id,
             map_miss: !map_hit,
         });
         if !map_hit {
-            let loc = self.reqs[r as usize].locs[0];
+            let loc = self.reqs[r].locs[0];
             let c = cluster as usize;
             let pb = self.page_bytes();
             let xfer = self.clusters[c].bus.transfer(now, pb);
@@ -112,7 +112,7 @@ impl Engine {
                 &FlashCommand::read(&loc.addr.page),
             ) {
                 t = t.max(rd.end);
-                let rs = &mut self.reqs[r as usize];
+                let rs = &mut self.reqs[r];
                 rs.bd.fimm_service += rd.end - rd.start;
             }
             t = t.max(xfer.end);
@@ -121,8 +121,8 @@ impl Engine {
     }
 
     pub(super) fn on_sw_admit(&mut self, now: SimTime, r: u32) {
-        self.reqs[r as usize].wait_since = now;
-        self.reqs[r as usize].stage = Stage::AtSwitch;
+        self.reqs[r].wait_since = now;
+        self.reqs[r].stage = Stage::AtSwitch;
         let (s, p) = self.port_of(r);
         match self.switches[s].port_queues[p].admit(r as u64) {
             Admission::Admitted => self.queue.push(now, Ev::SwGranted(r)),
@@ -131,8 +131,8 @@ impl Engine {
     }
 
     pub(super) fn on_sw_granted(&mut self, now: SimTime, r: u32) {
-        let wait_since = self.reqs[r as usize].wait_since;
-        self.reqs[r as usize].bd.switch_stall += now - wait_since;
+        let wait_since = self.reqs[r].wait_since;
+        self.reqs[r].bd.switch_stall += now - wait_since;
         let (_, arrive) = self.hop(r, Hop::ToSwitch, now);
         self.queue.push(arrive, Ev::ArriveSw(r));
     }
@@ -143,12 +143,12 @@ impl Engine {
     }
 
     pub(super) fn on_ep_admit(&mut self, now: SimTime, r: u32) {
-        self.reqs[r as usize].wait_since = now;
-        let c = self.reqs[r as usize].cluster as usize;
+        self.reqs[r].wait_since = now;
+        let c = self.reqs[r].cluster as usize;
         match self.clusters[c].ep_queue.admit(r as u64) {
             Admission::Admitted => self.queue.push(now, Ev::EpGranted(r)),
             Admission::Queued => {
-                self.reqs[r as usize].stalled_at_ep = true;
+                self.reqs[r].stalled_at_ep = true;
                 if self.mode == ManagementMode::Autonomic
                     && self.auto.params().laggard.examines_queue()
                 {
@@ -159,14 +159,14 @@ impl Engine {
     }
 
     pub(super) fn on_ep_granted(&mut self, now: SimTime, r: u32) {
-        let wait_since = self.reqs[r as usize].wait_since;
-        self.reqs[r as usize].bd.switch_stall += now - wait_since;
+        let wait_since = self.reqs[r].wait_since;
+        self.reqs[r].bd.switch_stall += now - wait_since;
         let (_, arrive) = self.hop(r, Hop::ToEndpoint, now);
         self.queue.push(arrive, Ev::ArriveEp(r));
     }
 
     pub(super) fn on_arrive_ep(&mut self, now: SimTime, r: u32) {
-        self.reqs[r as usize].stage = Stage::AtEp;
+        self.reqs[r].stage = Stage::AtEp;
         let (s, p) = self.port_of(r);
         if let Some(next) = self.switches[s].port_queues[p].release() {
             self.queue.push(now, Ev::SwGranted(next as u32));
@@ -178,8 +178,8 @@ impl Engine {
     /// Sends request `r`'s response (read data or write acknowledgement)
     /// from its endpoint back toward the host.
     pub(super) fn respond(&mut self, now: SimTime, r: u32) {
-        self.reqs[r as usize].stage = Stage::Responding;
-        let cluster = self.reqs[r as usize].cluster;
+        self.reqs[r].stage = Stage::Responding;
+        let cluster = self.reqs[r].cluster;
         let t0 = now + self.cfg.pcie.ep_device_ns;
         let (sent, arrive) = self.hop(r, Hop::FromEndpoint, t0);
         // The EP buffer entry frees once the response is on the wire.

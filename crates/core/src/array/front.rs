@@ -7,7 +7,7 @@ use triplea_sim::stats::Histogram;
 use triplea_sim::trace::{TraceEventKind, TraceScope};
 use triplea_sim::{Nanos, SimTime};
 
-use super::{Engine, Ev};
+use super::{Engine, Ev, Outcome};
 use crate::config::{ArrayConfig, ESCALATION_COOLDOWN_NS, LAGGARD_COOLDOWN_NS, SLA_NS};
 use crate::request::{IoOp, Stage};
 use crate::tenant::{TenantId, WeightedArbiter};
@@ -49,12 +49,12 @@ impl FrontDoor {
 
 impl Engine {
     pub(super) fn on_submit(&mut self, now: SimTime, r: u32) {
-        self.reqs[r as usize].wait_since = now;
-        self.reqs[r as usize].stage = Stage::AtRc;
+        self.reqs[r].wait_since = now;
+        self.reqs[r].stage = Stage::AtRc;
         self.emit(TraceScope::array(), || {
-            let rs = &self.reqs[r as usize];
+            let rs = &self.reqs[r];
             TraceEventKind::Submit {
-                req: r,
+                req: rs.id,
                 read: rs.op == IoOp::Read,
                 lpn: rs.lpn.0,
                 pages: rs.pages,
@@ -64,7 +64,7 @@ impl Engine {
             // Tenant mode: park the request on its owner's submission
             // lane; the weighted-fair arbiter decides who occupies the
             // next free root-complex credit.
-            let t = self.reqs[r as usize].tenant;
+            let t = self.reqs[r].tenant;
             self.front.as_mut().expect("checked above").arbiter.enqueue(t, r);
             self.pump_tenants(now);
         } else {
@@ -100,21 +100,16 @@ impl Engine {
     }
 
     pub(super) fn on_complete(&mut self, now: SimTime, r: u32) {
-        let rs = &mut self.reqs[r as usize];
-        debug_assert!(!rs.done, "request completed twice");
-        rs.done = true;
-        rs.stage = Stage::Done;
-        rs.finish = now;
-        let total = now - rs.submit;
-        let op = rs.op;
-        let submit = rs.submit;
-        let bd = rs.bd;
-        let cluster = rs.cluster;
-        let mut locs = std::mem::take(&mut rs.locs);
-        locs.clear();
-        self.scratch.locs.push(locs);
+        let rs = &self.reqs[r];
+        let (id, op, tenant, submit, bd, cluster) =
+            (rs.id, rs.op, rs.tenant, rs.submit, rs.bd, rs.cluster);
+        let total = now - submit;
+        self.free_slot(r);
+        if let Some(o) = self.outcomes.get_mut(id as usize) {
+            *o = Outcome::Done(now);
+        }
         self.emit(TraceScope::cluster(cluster), || TraceEventKind::Complete {
-            req: r,
+            req: id,
             latency_ns: total,
         });
         self.lat.record(total);
@@ -145,7 +140,7 @@ impl Engine {
         }
         self.last_complete = self.last_complete.max(now);
         if self.front.is_some() {
-            self.record_tenant_complete(r, total);
+            self.record_tenant_complete(tenant, op, total);
             self.pump_tenants(now);
         } else if let Some(next) = self.rc_queue.release() {
             self.queue.push(now, Ev::RcGranted(next as u32));
@@ -158,11 +153,7 @@ impl Engine {
     /// root-complex credit is then re-granted through the arbiter
     /// ([`Engine::pump_tenants`]), never by the queue's own FIFO —
     /// which tenant mode keeps empty.
-    fn record_tenant_complete(&mut self, r: u32, total: Nanos) {
-        let (tenant, op) = {
-            let rs = &self.reqs[r as usize];
-            (rs.tenant, rs.op)
-        };
+    fn record_tenant_complete(&mut self, tenant: TenantId, op: IoOp, total: Nanos) {
         let sla = self
             .cfg
             .tenants
@@ -230,7 +221,7 @@ impl Engine {
             return base;
         }
         let tightest = waiters
-            .map(|w| self.reqs[w as usize].tenant)
+            .map(|w| self.reqs[w].tenant)
             .min_by_key(|t| {
                 (
                     self.cfg.tenants.get(*t).map_or(u64::MAX, |s| s.sla_p99_ns),

@@ -45,7 +45,7 @@ impl Engine {
     /// or the reshape a laggard stall called for.
     pub(super) fn autonomic_read_complete(&mut self, now: SimTime, r: u32) {
         let (laggard, escalate, max_die_wait, flash_start, pages) = {
-            let rs = &self.reqs[r as usize];
+            let rs = &self.reqs[r];
             (
                 rs.laggard_fimm,
                 rs.escalate,
@@ -64,15 +64,15 @@ impl Engine {
             // only while the stall is not explained by repair programs.
             // The reshape gate uses the owner's budget: an interactive
             // tenant's stall clears a lower bar than a batch tenant's.
-            let (sla, _, _) = self.tenant_autonomics(self.reqs[r as usize].tenant);
-            let cl = self.reqs[r as usize].cluster as usize;
+            let (sla, _, _) = self.tenant_autonomics(self.reqs[r].tenant);
+            let cl = self.reqs[r].cluster as usize;
             if max_die_wait > sla && self.clusters[cl].pending_prog_pages[f as usize] == 0 {
                 self.reshape_request_pages(now, r, f);
             }
             return;
         }
         let t_latency = now - flash_start;
-        let cluster = self.reqs[r as usize].cluster as usize;
+        let cluster = self.reqs[r].cluster as usize;
         let bus_util = self.clusters[cluster].bus.windowed_utilization(now);
         let bus_busy = bus_util >= self.cfg.autonomic.hot_bus_threshold;
         // A cluster currently absorbing relocation programs looks busy
@@ -146,7 +146,7 @@ impl Engine {
                 .auto
                 .register_laggard_with_cooldown(cluster, fimm, now, laggard_cd)
             {
-                self.reqs[r as usize].laggard_fimm = Some(fimm);
+                self.reqs[r].laggard_fimm = Some(fimm);
             }
         } else if self.cfg.eq3_backlog_ns(min_other) > sla
             && self
@@ -156,7 +156,7 @@ impl Engine {
             // Every FIMM is equally backlogged: reshaping cannot help,
             // escalate to inter-cluster migration (§4.2, "all the FIMMs
             // are laggards").
-            self.reqs[r as usize].escalate = true;
+            self.reqs[r].escalate = true;
         }
     }
 
@@ -174,7 +174,7 @@ impl Engine {
         let counts = &mut self.scratch.per_fimm;
         counts.fill(0);
         for w in self.clusters[c].ep_queue.waiter_ids() {
-            if let Some(loc) = self.reqs[w as usize].locs.first() {
+            if let Some(loc) = self.reqs[w as u32].locs.first() {
                 counts[loc.fimm as usize] += 1;
             }
         }
@@ -203,7 +203,7 @@ impl Engine {
                     .register_escalation_with_cooldown(cluster, now, escalation_cd)
             {
                 for w in self.clusters[c].ep_queue.waiter_ids() {
-                    self.reqs[w as usize].escalate = true;
+                    self.reqs[w as u32].escalate = true;
                 }
             }
             return;
@@ -228,7 +228,7 @@ impl Engine {
             return;
         }
         for w in self.clusters[c].ep_queue.waiter_ids() {
-            let rs = &mut self.reqs[w as usize];
+            let rs = &mut self.reqs[w as u32];
             if rs.locs.first().map(|l| l.fimm) == Some(laggard) {
                 rs.laggard_fimm = Some(laggard);
             }
@@ -240,7 +240,7 @@ impl Engine {
     /// sibling, using shadow cloning (the data just arrived at the EP).
     fn reshape_request_pages(&mut self, now: SimTime, r: u32, laggard: u32) {
         let (lpn, pages, cluster) = {
-            let rs = &self.reqs[r as usize];
+            let rs = &self.reqs[r];
             (rs.lpn, rs.pages, rs.cluster)
         };
         let c = cluster as usize;
@@ -388,7 +388,7 @@ impl Engine {
     /// cloning), then unlink the original.
     fn start_migration(&mut self, now: SimTime, r: u32) {
         let (lpn, pages, cluster) = {
-            let rs = &self.reqs[r as usize];
+            let rs = &self.reqs[r];
             (rs.lpn, rs.pages, rs.cluster)
         };
         let src_id = self.clusters[cluster as usize].id;

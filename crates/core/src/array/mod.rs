@@ -25,7 +25,7 @@ use crate::autonomic::AutonomicState;
 use crate::cluster::ClusterState;
 use crate::config::{ArrayConfig, ManagementMode};
 use crate::metrics::{FaultStats, RecoveryStats, RunReport};
-use crate::request::{Breakdown, RequestState, Stage, Trace};
+use crate::request::{Breakdown, RequestState, RequestTable, Trace, TraceRequest};
 
 mod fabric;
 mod front;
@@ -108,6 +108,42 @@ struct Scratch {
     per_fimm: Vec<u32>,
 }
 
+/// What became of one [`ArrayRunner::submit`]ted request.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Outcome {
+    Pending,
+    Done(SimTime),
+    /// In flight at a power cut; it will never complete.
+    Lost,
+}
+
+/// A one-shot run's position in its trace. [`ArrayRunner::drain`] merges
+/// the arrival at `next` with the calendar; the stepped runner's cursor
+/// stays empty.
+#[derive(Default)]
+struct Cursor {
+    /// Index of the next arrival.
+    next: usize,
+    /// The trace's length.
+    len: usize,
+    /// No arrival is delivered before this instant: the end of the
+    /// power cut's remount window.
+    not_before: SimTime,
+}
+
+impl Cursor {
+    /// When the next arrival is due, if any is left.
+    #[inline]
+    fn due(&self, trace: &[TraceRequest]) -> Option<SimTime> {
+        trace.get(self.next).map(|r| r.at.max(self.not_before))
+    }
+
+    /// Arrivals not yet delivered.
+    fn remaining(&self) -> usize {
+        self.len - self.next
+    }
+}
+
 struct Engine {
     cfg: ArrayConfig,
     mode: ManagementMode,
@@ -121,7 +157,13 @@ struct Engine {
     /// The multi-tenant front door; `Some` exactly when the config
     /// names tenants. `None` bypasses arbitration entirely.
     front: Option<FrontDoor>,
-    reqs: Vec<RequestState>,
+    /// Requests between arrival (or stepped submission) and completion
+    /// or loss; a slot is reused once its request is finished.
+    reqs: RequestTable,
+    /// Per-submission outcomes for the stepped API's polling; only
+    /// [`ArrayRunner::submit`] grows it.
+    outcomes: Vec<Outcome>,
+    cursor: Cursor,
     relocs: Vec<Reloc>,
     queue: EventQueue<Ev>,
     // metrics; each latency histogram's count is its completion count
@@ -244,7 +286,9 @@ impl Array {
             clusters,
             auto: AutonomicState::new(cfg.autonomic, cfg.seed),
             front: FrontDoor::new(&cfg),
-            reqs: Vec::new(),
+            reqs: RequestTable::default(),
+            outcomes: Vec::new(),
+            cursor: Cursor::default(),
             relocs: Vec::new(),
             queue: EventQueue::new(),
             first_submit: SimTime::MAX,
@@ -386,18 +430,15 @@ impl Array {
     /// Same conditions as [`Array::run`].
     pub fn run_verified(self, trace: &Trace) -> VerifiedRun {
         let mut runner = self.into_runner();
-        runner.e.reqs.reserve_exact(trace.len());
-        for r in trace.requests() {
-            runner.submit(r);
-        }
+        runner.replay(trace.requests());
         runner.finish()
     }
 
     /// Converts the idle array into an [`ArrayRunner`]: the same engine,
     /// driven incrementally instead of to completion. The federation
     /// layer uses this to interleave N member arrays inside one
-    /// deterministic epoch loop; [`Array::run_verified`] is this runner
-    /// with every request submitted before the first step.
+    /// deterministic epoch loop; [`Array::run_verified`] is this runner's
+    /// event loop reading its arrivals straight from the trace.
     pub fn into_runner(self) -> ArrayRunner {
         ArrayRunner {
             e: Box::new(self.e),
@@ -410,9 +451,10 @@ impl Array {
 /// at a time with [`ArrayRunner::submit`] and simulated time advances in
 /// bounded steps with [`ArrayRunner::step_until`], so several arrays can
 /// be co-simulated deterministically by one scheduler (see the
-/// `federation` module). [`Array::run_verified`] is the special case
-/// that submits the whole trace and then calls [`ArrayRunner::finish`],
-/// so both drivers share one event loop.
+/// `federation` module). [`Array::run_verified`] drives the same event
+/// loop, taking each arrival from the trace as it falls due instead of
+/// from the calendar; on a same-instant tie the arrival goes first, as
+/// a submitted request would.
 pub struct ArrayRunner {
     e: Box<Engine>,
     /// Whether the recovery plan (the power cut and the hot-spare
@@ -448,33 +490,29 @@ impl ArrayRunner {
     /// (on a tenant-enabled array) the tenant is outside the configured
     /// table. The submission time must not be earlier than any instant
     /// already stepped past.
-    pub fn submit(&mut self, r: &crate::request::TraceRequest) -> u32 {
+    pub fn submit(&mut self, r: &TraceRequest) -> u32 {
         let e = &mut *self.e;
-        let id = e.reqs.len() as u32;
-        let total_pages = e.cfg.shape.total_pages();
-        let n_tenants = e.cfg.tenants.len();
-        assert!(r.pages >= 1, "request {id} has zero pages");
-        assert!(
-            r.lpn
-                .0
-                .checked_add(r.pages as u64)
-                .is_some_and(|end| end <= total_pages),
-            "request {id} exceeds the address space"
-        );
-        assert!(
-            n_tenants == 0 || r.tenant.index() < n_tenants,
-            "request {id} names {} but the config has {n_tenants} tenants",
-            r.tenant
-        );
-        e.reqs.push(RequestState::new(r));
-        e.queue.push(r.at, Ev::Submit(id));
-        e.first_submit = e.first_submit.min(r.at);
-        id
+        let id = e.outcomes.len();
+        e.accept(id, r);
+        e.outcomes.push(Outcome::Pending);
+        let slot = e.reqs.insert(RequestState::new(id as u32, r));
+        e.queue.push(r.at, Ev::Submit(slot));
+        id as u32
+    }
+
+    /// Checks every request of `trace`, then runs the event loop to the
+    /// end with the trace as its arrival cursor.
+    fn replay(&mut self, trace: &[TraceRequest]) {
+        for (id, r) in trace.iter().enumerate() {
+            self.e.accept(id, r);
+        }
+        self.e.cursor.len = trace.len();
+        self.drain(None, trace);
     }
 
     /// Drains every event strictly before `t`.
     pub fn step_until(&mut self, t: SimTime) {
-        self.drain(Some(t));
+        self.drain(Some(t), &[]);
     }
 
     /// `true` when the event calendar is empty (every injected request
@@ -487,7 +525,7 @@ impl ArrayRunner {
 
     /// Requests injected so far.
     pub fn submitted(&self) -> u64 {
-        self.e.reqs.len() as u64
+        self.e.outcomes.len() as u64
     }
 
     /// Requests completed so far.
@@ -508,26 +546,28 @@ impl ArrayRunner {
 
     /// `true` once request `id` has completed.
     pub fn is_done(&self, id: u32) -> bool {
-        self.e.reqs[id as usize].done
+        matches!(self.e.outcomes[id as usize], Outcome::Done(_))
     }
 
     /// `true` when request `id` was in flight at a power cut and will
     /// never complete (its completion callback died with the calendar).
     pub fn is_lost(&self, id: u32) -> bool {
-        let rs = &self.e.reqs[id as usize];
-        !rs.done && rs.stage == Stage::Done
+        self.e.outcomes[id as usize] == Outcome::Lost
     }
 
     /// Completion instant of request `id` ([`SimTime::ZERO`] until it
     /// completes).
     pub fn finish_time(&self, id: u32) -> SimTime {
-        self.e.reqs[id as usize].finish
+        match self.e.outcomes[id as usize] {
+            Outcome::Done(t) => t,
+            Outcome::Pending | Outcome::Lost => SimTime::ZERO,
+        }
     }
 
     /// Drains every remaining event, audits FTL metadata integrity, and
     /// produces the run outcome.
     pub fn finish(mut self) -> VerifiedRun {
-        self.drain(None);
+        self.drain(None, &[]);
         let mut e = self.e;
         if e.first_submit == SimTime::MAX {
             e.first_submit = SimTime::ZERO;
@@ -543,20 +583,34 @@ impl ArrayRunner {
 
     /// The event loop: arms the recovery plan on first use, then pops
     /// and handles events strictly before `until` (every event when
-    /// `None`).
-    fn drain(&mut self, until: Option<SimTime>) {
+    /// `None`). Arrivals from `trace` (empty on a stepped run) merge in
+    /// at the cursor: calendar events strictly before an arrival's
+    /// instant go first, then the arrival, so it wins every tie.
+    fn drain(&mut self, until: Option<SimTime>, trace: &[TraceRequest]) {
         if !self.armed {
             self.armed = true;
             self.e.arm_recovery();
         }
         let e = &mut *self.e;
         loop {
-            let next = match until {
+            let due = e.cursor.due(trace);
+            let bound = match (due, until) {
+                (Some(a), Some(u)) => Some(a.min(u)),
+                (a, u) => a.or(u),
+            };
+            let next = match bound {
                 Some(t) => e.queue.pop_before(t),
                 None => e.queue.pop(),
             };
-            let Some((now, ev)) = next else {
-                break;
+            let (now, ev) = match (next, due) {
+                (Some(next), _) => next,
+                (None, Some(t)) if until.is_none_or(|u| t < u) => {
+                    let id = e.cursor.next;
+                    e.cursor.next += 1;
+                    let slot = e.reqs.insert(RequestState::new(id as u32, &trace[id]));
+                    (t, Ev::Submit(slot))
+                }
+                (None, _) => break,
             };
             if let Some(rec) = &e.recorder {
                 // Timeless components (the FTL, credit queues) emit at
@@ -570,6 +624,40 @@ impl ArrayRunner {
 }
 
 impl Engine {
+    /// Checks request `id` before it may enter the array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pages == 0`, the address range leaves the array, or
+    /// (on a tenant-enabled array) the tenant is outside the configured
+    /// table.
+    fn accept(&mut self, id: usize, r: &TraceRequest) {
+        let total_pages = self.cfg.shape.total_pages();
+        let n_tenants = self.cfg.tenants.len();
+        assert!(r.pages >= 1, "request {id} has zero pages");
+        assert!(
+            r.lpn
+                .0
+                .checked_add(r.pages as u64)
+                .is_some_and(|end| end <= total_pages),
+            "request {id} exceeds the address space"
+        );
+        assert!(
+            n_tenants == 0 || r.tenant.index() < n_tenants,
+            "request {id} names {} but the config has {n_tenants} tenants",
+            r.tenant
+        );
+        self.first_submit = self.first_submit.min(r.at);
+    }
+
+    /// Frees request slot `r` once its request has completed or been
+    /// lost, recycling its pinned-location buffer.
+    fn free_slot(&mut self, r: u32) {
+        let mut locs = self.reqs.release(r);
+        locs.clear();
+        self.scratch.locs.push(locs);
+    }
+
     fn page_bytes(&self) -> u64 {
         self.cfg.shape.flash.page_size as u64
     }

@@ -7,7 +7,7 @@ use triplea_ftl::RebuildUnit;
 use triplea_sim::trace::{TraceEventKind, TracePort, TraceScope};
 use triplea_sim::{Nanos, SimTime};
 
-use super::{Engine, Ev, GOLDEN};
+use super::{Engine, Ev, Outcome, GOLDEN};
 use crate::config::{REMOUNT_BASE_NS, REPLAY_NS_PER_RECORD};
 use crate::request::Stage;
 
@@ -136,11 +136,16 @@ impl Engine {
             }
         }
         let mut lost = 0u64;
-        for rs in self.reqs.iter_mut() {
-            if !rs.done && rs.stage != Stage::Created && rs.stage != Stage::Done {
-                rs.stage = Stage::Done;
-                lost += 1;
+        for r in 0..self.reqs.high_water() as u32 {
+            let rs = &self.reqs[r];
+            if rs.stage == Stage::Created || rs.stage == Stage::Done {
+                continue;
             }
+            if let Some(o) = self.outcomes.get_mut(rs.id as usize) {
+                *o = Outcome::Lost;
+            }
+            self.free_slot(r);
+            lost += 1;
         }
         self.rc_queue.power_cycle();
         if let Some(front) = self.front.as_mut() {
@@ -180,9 +185,11 @@ impl Engine {
         self.recovery.journal_dropped += outcome.dropped;
         self.recovery.aborted_clones += outcome.aborted_clones;
         self.recovery.lost_inflight_requests += lost;
-        self.recovery.requeued_requests += future_submits.len() as u64;
+        // Arrivals still due, on the calendar (stepped) or at the trace
+        // cursor (one-shot), re-arrive once the array is back up.
+        let requeued = (future_submits.len() + self.cursor.remaining()) as u64;
+        self.recovery.requeued_requests += requeued;
         self.recovery.remount_ns += remount;
-        let requeued = future_submits.len() as u64;
         self.emit(TraceScope::array(), || TraceEventKind::PowerLoss {
             lost_requests: lost,
             requeued,
@@ -194,6 +201,7 @@ impl Engine {
         for (t, r) in future_submits {
             self.queue.push(t.max(back_up), Ev::Submit(r));
         }
+        self.cursor.not_before = back_up;
         // Rebuild copies in flight were lost with the calendar; every
         // unfinished rebuild resumes at its cursor once the array is up.
         for (i, rb) in self.rebuilds.iter().enumerate() {

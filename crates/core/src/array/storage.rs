@@ -22,19 +22,19 @@ const WRITE_REDIRECT_LIMIT: u32 = 4;
 
 impl Engine {
     pub(super) fn on_ep_service(&mut self, now: SimTime, r: u32) {
-        self.reqs[r as usize].stage = Stage::Flash;
-        self.reqs[r as usize].flash_start = now;
-        match self.reqs[r as usize].op {
+        self.reqs[r].stage = Stage::Flash;
+        self.reqs[r].flash_start = now;
+        match self.reqs[r].op {
             IoOp::Read => self.issue_flash_reads(now, r),
             IoOp::Write => {
-                let pages = self.reqs[r as usize].pages as usize;
-                let c = self.reqs[r as usize].cluster as usize;
+                let pages = self.reqs[r].pages as usize;
+                let c = self.reqs[r].cluster as usize;
                 if self.clusters[c].wbuf_free() >= pages {
                     self.clusters[c].wbuf_used += pages;
                     self.do_write(now, r);
                 } else {
-                    self.reqs[r as usize].wait_since = now;
-                    self.reqs[r as usize].stalled_wbuf = true;
+                    self.reqs[r].wait_since = now;
+                    self.reqs[r].stalled_wbuf = true;
                     self.clusters[c].wbuf_waiters.push_back(r);
                 }
             }
@@ -82,7 +82,7 @@ impl Engine {
     }
 
     fn issue_flash_reads(&mut self, now: SimTime, r: u32) {
-        let cluster = self.reqs[r as usize].cluster;
+        let cluster = self.reqs[r].cluster;
         let c = cluster as usize;
         let n_fimms = self.cfg.shape.fimms_per_cluster;
         let topo = self.cfg.shape.topology;
@@ -101,11 +101,11 @@ impl Engine {
         // re-trips) laggard reshaping sooner than one for a batch tenant.
         let monitors =
             self.mode == ManagementMode::Autonomic && self.auto.params().laggard.monitors_latency();
-        let budget = monitors.then(|| self.tenant_autonomics(self.reqs[r as usize].tenant));
+        let budget = monitors.then(|| self.tenant_autonomics(self.reqs[r].tenant));
 
         // The pinned locations and the scratch buffers leave `self` while
         // the loop issues through `&mut self`; nothing it calls reads them.
-        let locs = std::mem::take(&mut self.reqs[r as usize].locs);
+        let locs = std::mem::take(&mut self.reqs[r].locs);
         let mut pages = std::mem::take(&mut self.scratch.pages);
         let mut cmds = std::mem::take(&mut self.scratch.cmds);
         // FIMMs in ascending order, each FIMM's pages in request order.
@@ -128,7 +128,7 @@ impl Engine {
                 let fimm = served.map_or(home, |(sf, _)| sf) as usize;
                 self.clusters[c].pending_read_pages[fimm] += n as u64;
                 self.sample_qdepth(now, c, fimm);
-                let rs = &mut self.reqs[r as usize];
+                let rs = &mut self.reqs[r];
                 rs.bd.bus_wait += cmd_res.wait;
                 rs.pending_parts += 1;
                 let mut done = cmd_res.end;
@@ -152,19 +152,19 @@ impl Engine {
             }
             next = locs.iter().map(fimm_of).filter(|&f| f > home).min();
         }
-        self.reqs[r as usize].locs = locs;
+        self.reqs[r].locs = locs;
         self.scratch.pages = pages;
         self.scratch.cmds = cmds;
     }
 
     pub(super) fn on_part_flash_done(&mut self, now: SimTime, r: u32, fimm: u32, pages: u32) {
-        let c = self.reqs[r as usize].cluster as usize;
+        let c = self.reqs[r].cluster as usize;
         self.clusters[c].pending_read_pages[fimm as usize] -= pages as u64;
         self.sample_qdepth(now, c, fimm as usize);
         let bytes = pages as u64 * self.page_bytes();
         let res = self.clusters[c].bus.transfer(now, bytes);
         {
-            let rs = &mut self.reqs[r as usize];
+            let rs = &mut self.reqs[r];
             rs.bd.bus_wait += res.wait;
             rs.bd.fimm_service += res.end - res.start;
         }
@@ -172,8 +172,8 @@ impl Engine {
     }
 
     pub(super) fn on_part_data_done(&mut self, now: SimTime, r: u32) {
-        self.reqs[r as usize].pending_parts -= 1;
-        if self.reqs[r as usize].pending_parts > 0 {
+        self.reqs[r].pending_parts -= 1;
+        if self.reqs[r].pending_parts > 0 {
             return;
         }
         if self.mode == ManagementMode::Autonomic {
@@ -184,7 +184,7 @@ impl Engine {
 
     fn do_write(&mut self, now: SimTime, r: u32) {
         let (lpn, pages, cluster, stalled) = {
-            let rs = &self.reqs[r as usize];
+            let rs = &self.reqs[r];
             (rs.lpn, rs.pages, rs.cluster, rs.stalled_wbuf)
         };
         let c = cluster as usize;
@@ -289,14 +289,14 @@ impl Engine {
         self.maybe_gc(now, cluster, fimm);
         // Admit parked writes that now fit.
         while let Some(&head) = self.clusters[b].wbuf_waiters.front() {
-            let need = self.reqs[head as usize].pages as usize;
+            let need = self.reqs[head].pages as usize;
             if self.clusters[b].wbuf_free() < need {
                 break;
             }
             self.clusters[b].wbuf_waiters.pop_front();
             self.clusters[b].wbuf_used += need;
-            let wait_since = self.reqs[head as usize].wait_since;
-            self.reqs[head as usize].bd.wbuf_wait += now - wait_since;
+            let wait_since = self.reqs[head].wait_since;
+            self.reqs[head].bd.wbuf_wait += now - wait_since;
             self.do_write(now, head);
         }
     }

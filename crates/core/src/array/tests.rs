@@ -684,3 +684,134 @@ fn rc_queue_capacity_follows_config() {
     let array = Array::new(cfg, ManagementMode::Autonomic);
     assert_eq!(array.e.rc_queue.capacity(), 7);
 }
+
+/// Submits `trace` to `array`'s stepped runner and steps it in 10 µs
+/// epochs until idle.
+fn stepped(array: Array, trace: &Trace) -> ArrayRunner {
+    let mut runner = array.into_runner();
+    for r in trace.requests() {
+        runner.submit(r);
+    }
+    let mut t = SimTime::ZERO;
+    while !runner.is_idle() {
+        t += 10_000;
+        runner.step_until(t);
+    }
+    runner
+}
+
+/// Most requests between arrival and completion at once, from the
+/// completion instants of a stepped run. At a shared instant the
+/// arrival is counted before the completion, the order the event loop
+/// handles them in.
+fn peak_in_flight(trace: &Trace, runner: &ArrayRunner) -> usize {
+    // `(instant, completes)`: `false` sorts first, so arrivals lead.
+    let mut edges: Vec<(SimTime, bool)> = trace
+        .requests()
+        .iter()
+        .enumerate()
+        .flat_map(|(id, r)| [(r.at, false), (runner.finish_time(id as u32), true)])
+        .collect();
+    edges.sort_unstable();
+    let (mut live, mut peak) = (0, 0);
+    for (_, completes) in edges {
+        if completes {
+            live -= 1;
+        } else {
+            live += 1;
+            peak = peak.max(live);
+        }
+    }
+    peak
+}
+
+#[test]
+fn request_table_stays_within_peak_in_flight() {
+    let cfg = ArrayConfig::small_test();
+    // Uncontended reads striped over every cluster.
+    let trace: Trace = (0..20_000u64)
+        .map(|i| {
+            let lpn = (i * 7_919) % cfg.shape.total_pages();
+            TraceRequest::new(
+                SimTime::from_nanos(i * 4_000),
+                IoOp::Read,
+                LogicalPage(lpn),
+                1,
+            )
+        })
+        .collect();
+    let reference = stepped(Array::new(cfg.clone(), ManagementMode::Autonomic), &trace);
+    let peak = peak_in_flight(&trace, &reference);
+    assert!(
+        peak < 64,
+        "the trace should be uncontended: {peak} in flight"
+    );
+    let mut runner = Array::new(cfg, ManagementMode::Autonomic).into_runner();
+    runner.replay(trace.requests());
+    assert_eq!(runner.e.reqs.high_water(), peak);
+    assert_eq!(runner.finish().report, reference.finish().report);
+}
+
+#[test]
+fn power_cut_frees_the_slots_of_lost_requests() {
+    use crate::config::PowerLossEvent;
+    const BURST: u64 = 48;
+    let mut cfg = ArrayConfig::small_test();
+    cfg.faults = cfg.faults.with_power_loss(PowerLossEvent::at(5_000));
+    // A burst in flight at the cut, and the same burst again long after
+    // the remount.
+    let trace: Trace = (0..2 * BURST)
+        .map(|i| read_at(if i < BURST { 0 } else { 20_000 }, i % BURST * 97))
+        .collect();
+    let mut runner = Array::new(cfg, ManagementMode::Autonomic).into_runner();
+    runner.replay(trace.requests());
+    assert_eq!(runner.lost(), BURST, "the whole first burst is in flight");
+    assert_eq!(
+        runner.e.reqs.high_water(),
+        BURST as usize,
+        "the second burst reuses the lost requests' slots"
+    );
+    let run = runner.finish();
+    assert_eq!(run.report.completed(), BURST);
+    assert_eq!(run.report.recovery_stats().requeued_requests, BURST);
+}
+
+#[test]
+fn same_instant_arrivals_and_completions_order_like_the_stepped_runner() {
+    let array = || {
+        Array::new(ArrayConfig::small_test(), ManagementMode::Autonomic)
+            .with_recorder(TraceConfig::all().with_capacity(1 << 16))
+    };
+    // Three reads sharing an instant, then two more at each instant one
+    // of those completes.
+    let first: Vec<TraceRequest> = (0..3).map(|i| read_at(0, i * 5)).collect();
+    let alone = stepped(array(), &Trace::new(first.clone()));
+    let mut requests = first;
+    for id in 0..3 {
+        let at = alone.finish_time(id);
+        for k in 0..2 {
+            requests.push(TraceRequest::new(
+                at,
+                IoOp::Read,
+                LogicalPage(100 + 10 * id as u64 + k),
+                1,
+            ));
+        }
+    }
+    let trace = Trace::new(requests);
+    let reference = stepped(array(), &trace);
+    let finishes: Vec<SimTime> = (0..trace.len() as u32)
+        .map(|id| reference.finish_time(id))
+        .collect();
+    assert!(
+        trace.requests().iter().any(|r| finishes.contains(&r.at)),
+        "some arrival must share its instant with a completion"
+    );
+    // The recorded order of same-instant submits and completions must
+    // match too, not only the report.
+    let one_shot = array().run_verified(&trace);
+    let reference = reference.finish();
+    assert_eq!(one_shot.report, reference.report);
+    let events = |run: VerifiedRun| run.trace.expect("recorder attached").events;
+    assert_eq!(events(one_shot), events(reference));
+}

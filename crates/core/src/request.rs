@@ -176,9 +176,12 @@ impl Breakdown {
     }
 }
 
-/// Request lifecycle stage (used for debug assertions and diagnostics).
+/// Request lifecycle stage (used for debug assertions, diagnostics and
+/// the power cut's in-flight count).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) enum Stage {
+    /// Not yet handled by `on_submit`: on a stepped run, its arrival is
+    /// still on the calendar.
     #[default]
     Created,
     AtRc,
@@ -186,12 +189,17 @@ pub(crate) enum Stage {
     AtEp,
     Flash,
     Responding,
+    /// Completed or lost to a power cut: the slot is free for reuse.
     Done,
 }
 
 /// Internal per-request simulation state.
 #[derive(Clone, Debug)]
 pub(crate) struct RequestState {
+    /// Submission index: the trace position on a one-shot run, the
+    /// [`ArrayRunner::submit`](crate::ArrayRunner::submit) id on a
+    /// stepped one. Trace events report it, never the table slot.
+    pub id: u32,
     pub op: IoOp,
     pub lpn: LogicalPage,
     pub pages: u32,
@@ -222,16 +230,12 @@ pub(crate) struct RequestState {
     /// for §4.2 write redirection).
     pub stalled_wbuf: bool,
     pub bd: Breakdown,
-    pub done: bool,
-    /// Completion instant; `SimTime::ZERO` until `done` is set. The
-    /// federation layer reads this to time volume requests spanning
-    /// several member arrays.
-    pub finish: SimTime,
 }
 
 impl RequestState {
-    pub fn new(r: &TraceRequest) -> Self {
+    pub fn new(id: u32, r: &TraceRequest) -> Self {
         RequestState {
+            id,
             op: r.op,
             lpn: r.lpn,
             pages: r.pages,
@@ -249,9 +253,61 @@ impl RequestState {
             stalled_at_ep: false,
             stalled_wbuf: false,
             bd: Breakdown::default(),
-            done: false,
-            finish: SimTime::ZERO,
         }
+    }
+}
+
+/// The engine's request table: one slot per request between arrival
+/// and completion (or loss), recycled through a free list, so its size
+/// follows what is in flight rather than the trace's length.
+#[derive(Debug, Default)]
+pub(crate) struct RequestTable {
+    slots: Vec<RequestState>,
+    /// Free slots, reused last-freed first.
+    free: Vec<u32>,
+}
+
+impl RequestTable {
+    /// Stores a new request and returns its slot.
+    pub fn insert(&mut self, rs: RequestState) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = rs;
+                slot
+            }
+            None => {
+                self.slots.push(rs);
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Frees `slot` for reuse, handing back its pinned-location buffer.
+    pub fn release(&mut self, slot: u32) -> Vec<PhysLoc> {
+        let rs = &mut self.slots[slot as usize];
+        debug_assert!(rs.stage != Stage::Done, "slot freed twice");
+        rs.stage = Stage::Done;
+        self.free.push(slot);
+        std::mem::take(&mut rs.locs)
+    }
+
+    /// Slots ever allocated: the most requests held at once.
+    pub fn high_water(&self) -> usize {
+        self.slots.len()
+    }
+}
+
+impl std::ops::Index<u32> for RequestTable {
+    type Output = RequestState;
+
+    fn index(&self, slot: u32) -> &RequestState {
+        &self.slots[slot as usize]
+    }
+}
+
+impl std::ops::IndexMut<u32> for RequestTable {
+    fn index_mut(&mut self, slot: u32) -> &mut RequestState {
+        &mut self.slots[slot as usize]
     }
 }
 
@@ -327,7 +383,7 @@ mod tests {
         assert_eq!(owned.tenant, TenantId(3));
         assert_eq!((owned.lpn, owned.pages), (LogicalPage(9), 2));
         assert_eq!(anon.owned_by(TenantId(7)).tenant, TenantId(7));
-        assert_eq!(RequestState::new(&owned).tenant, TenantId(3));
+        assert_eq!(RequestState::new(0, &owned).tenant, TenantId(3));
     }
 
     #[test]

@@ -99,9 +99,9 @@ pub enum IntegrityError {
     DoubleMapped {
         /// The physical page claimed twice.
         loc: PhysLoc,
-        /// The LPN that was seen mapping there first.
+        /// The LPN the block table records at that page.
         first: LogicalPage,
-        /// The LPN found mapping there second.
+        /// The other LPN the map also points there.
         second: LogicalPage,
     },
     /// The map points at a page the block table does not record as

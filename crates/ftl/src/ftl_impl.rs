@@ -461,38 +461,44 @@ impl Ftl {
     /// End-to-end metadata integrity check; `Err` describes the first
     /// violation found.
     ///
-    /// Verifies — with no migration in flight — that (1) no two relocated
-    /// LPNs share a physical page, (2) every relocated LPN is recorded
-    /// live at exactly its mapped location in the block tables, and (3)
-    /// every live block-table entry round-trips through the map. Together
-    /// these prove no page was lost or duplicated by writes, GC,
-    /// migration, or fault rollback. It also checks (4) that the GC
-    /// victim index lists exactly the table's GC candidates.
+    /// Verifies — with no migration in flight — that (1) every relocated
+    /// LPN is recorded live at exactly its mapped location in the block
+    /// tables, and so (2) no two relocated LPNs share a physical page:
+    /// a block-table slot holds one LPN, so a second LPN mapped to the
+    /// same page finds the first one listed there. It also checks (3)
+    /// that every live block-table entry round-trips through the map.
+    /// Together these prove no page was lost or duplicated by writes,
+    /// GC, migration, or fault rollback. Finally (4) the GC victim index
+    /// must list exactly the table's GC candidates.
     pub fn verify_integrity(&self) -> Result<(), IntegrityError> {
-        let mut seen: FxHashMap<PhysLoc, LogicalPage> = FxHashMap::default();
         for (lpn, loc) in self.map.remapped_entries() {
             if !self.shape.contains(loc) {
                 return Err(IntegrityError::OutOfRange { lpn, loc });
             }
-            if let Some(prev) = seen.insert(loc, lpn) {
-                return Err(IntegrityError::DoubleMapped {
-                    loc,
-                    first: prev,
-                    second: lpn,
-                });
-            }
             let listed = self
                 .blocks
                 .get(&self.block_of(loc))
-                .and_then(|b| b.lpns.get(&loc.addr.page.page));
-            if listed != Some(&lpn) {
-                return Err(IntegrityError::LostPage {
-                    lpn,
-                    loc,
-                    listed: listed.copied(),
-                });
+                .and_then(|b| b.lpns.get(&loc.addr.page.page))
+                .copied();
+            match listed {
+                Some(l) if l == lpn => {}
+                Some(first) if self.map.locate(first) == loc => {
+                    return Err(IntegrityError::DoubleMapped {
+                        loc,
+                        first,
+                        second: lpn,
+                    });
+                }
+                _ => return Err(IntegrityError::LostPage { lpn, loc, listed }),
             }
         }
+        self.verify_block_tables()
+    }
+
+    /// Checks (3) and (4) of [`Ftl::verify_integrity`]: block-table
+    /// entries round-trip through the map, and the victim index matches
+    /// the table.
+    fn verify_block_tables(&self) -> Result<(), IntegrityError> {
         let pages = self.shape.flash.pages_per_block;
         let index_error =
             |(cluster, fimm, key): (u32, u32, BlockKey), indexed| IntegrityError::VictimIndex {
@@ -1079,6 +1085,27 @@ mod tests {
             "{err}"
         );
         assert!(err.to_string().contains("block table records"), "{err}");
+    }
+
+    #[test]
+    fn verify_integrity_detects_double_mapping() {
+        let mut f = ftl();
+        let (a, b) = (LogicalPage(21), LogicalPage(22));
+        let loc = f.write_alloc(a, None).unwrap();
+        f.write_alloc(b, None).unwrap();
+        f.verify_integrity().unwrap();
+        // Simulate a buggy remap that points a second LPN at a live page.
+        f.map.remap(b, loc);
+        let err = f.verify_integrity().unwrap_err();
+        assert_eq!(
+            err,
+            IntegrityError::DoubleMapped {
+                loc,
+                first: a,
+                second: b
+            }
+        );
+        assert!(err.to_string().contains("mapped by both"), "{err}");
     }
 
     #[test]
@@ -1800,6 +1827,162 @@ mod tests {
                 for &op in &ops {
                     apply(&mut f, op, &mut spec);
                 }
+            }
+        }
+    }
+
+    /// Differential test of the metadata audit against the hash-map
+    /// audit it replaces, on corrupted states.
+    mod integrity_audit {
+        use super::victim_index::{apply, flatten, ops, tiny_shape};
+        use super::*;
+        use crate::layout::StripedLayout;
+        use proptest::prelude::*;
+        use std::collections::BTreeSet;
+
+        /// The audit before the block-slot check, kept as its executable
+        /// specification: a hash map of every remapped page catches two
+        /// LPNs on one page.
+        fn verify_integrity_spec(f: &Ftl) -> Result<(), IntegrityError> {
+            let mut seen: FxHashMap<PhysLoc, LogicalPage> = FxHashMap::default();
+            for (lpn, loc) in f.map.remapped_entries() {
+                if !f.shape.contains(loc) {
+                    return Err(IntegrityError::OutOfRange { lpn, loc });
+                }
+                if let Some(prev) = seen.insert(loc, lpn) {
+                    return Err(IntegrityError::DoubleMapped {
+                        loc,
+                        first: prev,
+                        second: lpn,
+                    });
+                }
+                let listed = f
+                    .blocks
+                    .get(&f.block_of(loc))
+                    .and_then(|b| b.lpns.get(&loc.addr.page.page));
+                if listed != Some(&lpn) {
+                    return Err(IntegrityError::LostPage {
+                        lpn,
+                        loc,
+                        listed: listed.copied(),
+                    });
+                }
+            }
+            f.verify_block_tables()
+        }
+
+        /// Corruption kinds [`corrupt`] knows.
+        const KINDS: u32 = 6;
+
+        /// Breaks one piece of `f`'s metadata the way a buggy
+        /// maintenance site would, addressing LPNs `a` and `b`.
+        fn corrupt(f: &mut Ftl, kind: u32, a: LogicalPage, b: LogicalPage) {
+            let loc = f.locate(a);
+            match kind {
+                // A second LPN pointed at `a`'s page.
+                0 if a != b => {
+                    f.map.remap(b, loc);
+                }
+                // `a`'s live entry dropped from its block.
+                1 => f.invalidate(a, loc),
+                // `a` sent home while its block still lists it.
+                2 => {
+                    f.map.remap(a, StripedLayout::new(f.shape).locate(a));
+                }
+                // The index forgets its first candidate.
+                3 => {
+                    if let Some(&(c, fimm, key)) = flatten(&f.victims).first() {
+                        f.victims.get_mut(&(c, fimm)).unwrap().remove(&key);
+                    }
+                }
+                // The index lists a block that is no candidate.
+                4 => index_victim(&mut f.victims, (0, 0, (99, 0, 0))),
+                // `a` mapped past the last FIMM.
+                5 => {
+                    let fimm = f.shape.fimms_per_cluster;
+                    f.map.remap(a, PhysLoc { fimm, ..loc });
+                }
+                _ => {}
+            }
+        }
+
+        /// Both audits agree, except that where the specification found
+        /// a page listing another LPN that also maps there, it blamed the
+        /// LPN it met first as lost; the block-slot check names the
+        /// double mapping.
+        fn agree(f: &Ftl) {
+            let (spec, new) = (verify_integrity_spec(f), f.verify_integrity());
+            match (&spec, &new) {
+                (
+                    Err(IntegrityError::LostPage {
+                        lpn,
+                        loc,
+                        listed: Some(other),
+                    }),
+                    Err(IntegrityError::DoubleMapped {
+                        loc: l,
+                        first,
+                        second,
+                    }),
+                ) => {
+                    prop_assert_eq!((l, first, second), (loc, other, lpn));
+                    prop_assert_eq!(f.map.locate(*other), *loc);
+                }
+                _ => prop_assert_eq!(spec, new),
+            }
+        }
+
+        fn variant(e: &IntegrityError) -> &'static str {
+            match e {
+                IntegrityError::OutOfRange { .. } => "OutOfRange",
+                IntegrityError::DoubleMapped { .. } => "DoubleMapped",
+                IntegrityError::LostPage { .. } => "LostPage",
+                IntegrityError::StaleBlockEntry { .. } => "StaleBlockEntry",
+                IntegrityError::VictimIndex { .. } => "VictimIndex",
+            }
+        }
+
+        #[test]
+        fn every_integrity_error_stays_reachable() {
+            let mut base = Ftl::new(tiny_shape());
+            // Two full rounds of one LPN's overwrites seal blocks with
+            // invalid pages, so the victim index has candidates.
+            for i in 0..64 {
+                base.write_alloc(LogicalPage(i % 4), None).unwrap();
+            }
+            base.verify_integrity().unwrap();
+            let reached: BTreeSet<&str> = (0..KINDS)
+                .map(|kind| {
+                    let mut f = base.clone();
+                    corrupt(&mut f, kind, LogicalPage(1), LogicalPage(2));
+                    agree(&f);
+                    variant(&f.verify_integrity().unwrap_err())
+                })
+                .collect();
+            assert_eq!(reached.len(), 5, "{reached:?}");
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 48 })]
+
+            /// After a random journaled sequence and one corruption, the
+            /// block-slot audit returns what the hash-map audit returns
+            /// (up to the documented double-mapping diagnosis).
+            #[test]
+            fn block_slot_audit_matches_hash_map_audit(
+                ops in ops(),
+                kind in 0u32..KINDS,
+                a in 0u64..24,
+                b in 0u64..24,
+            ) {
+                let mut f = Ftl::new(tiny_shape());
+                f.enable_journal(JournalConfig { flush_every: 4, checkpoint_every: 16 });
+                for &op in &ops {
+                    apply(&mut f, op, &mut ());
+                }
+                agree(&f);
+                corrupt(&mut f, kind, LogicalPage(a), LogicalPage(b));
+                agree(&f);
             }
         }
     }

@@ -22,11 +22,13 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// Requests in the shorter run; the longer run has twice as many.
 const N: usize = 20_000;
 
-/// Extra allocations the longer run may make. Buffers that grow by
-/// doubling (the request table, the overflow heap) cost one or two. The
-/// event calendar's 1,024 ring slots each keep the largest buffer they
-/// have needed, and a longer run meets a few larger bursts: about 40
-/// more slot growths on the read trace and 125 on the mixed ones here.
+/// Extra allocations the longer run may make. A buffer that grows by
+/// doubling, such as the calendar's overflow heap, costs one or two.
+/// The request table does not grow with the trace at all: its slots are
+/// reused, so it ends at the most requests in flight at once. The event
+/// calendar's 1,024 ring slots each keep the largest buffer they have
+/// needed, and a longer run meets a few larger bursts: about 30 more
+/// slot growths on the read trace and 125 on the mixed ones here.
 const SLACK: u64 = 256;
 
 /// Request arrival gap: well under the array's capacity for every

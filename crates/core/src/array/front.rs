@@ -9,7 +9,7 @@ use triplea_sim::{Nanos, SimTime};
 
 use super::{Engine, Ev, Outcome};
 use crate::config::{ArrayConfig, ESCALATION_COOLDOWN_NS, LAGGARD_COOLDOWN_NS, SLA_NS};
-use crate::request::{IoOp, Stage};
+use crate::request::IoOp;
 use crate::tenant::{TenantId, WeightedArbiter};
 
 /// One tenant's completion-side accumulators; each latency histogram's
@@ -50,7 +50,6 @@ impl FrontDoor {
 impl Engine {
     pub(super) fn on_submit(&mut self, now: SimTime, r: u32) {
         self.reqs[r].wait_since = now;
-        self.reqs[r].stage = Stage::AtRc;
         self.emit(TraceScope::array(), || {
             let rs = &self.reqs[r];
             TraceEventKind::Submit {

@@ -12,6 +12,8 @@
 //! layer's state and the handlers for its `Ev` variants;
 //! `Engine::handle` only dispatches.
 
+use std::collections::VecDeque;
+
 use triplea_fimm::{Fimm, FimmAddr};
 use triplea_ftl::{hal, Ftl, IntegrityError, JournalConfig, PhysLoc};
 use triplea_pcie::{CreditQueue, Switch};
@@ -46,7 +48,6 @@ pub(crate) const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 #[derive(Clone, Debug)]
 enum Ev {
-    Submit(u32),
     RcGranted(u32),
     SwAdmit(u32),
     SwGranted(u32),
@@ -117,18 +118,21 @@ enum Outcome {
     Lost,
 }
 
-/// A one-shot run's position in its trace. [`ArrayRunner::drain`] merges
-/// the arrival at `next` with the calendar; the stepped runner's cursor
-/// stays empty.
+/// The event loop's position in the arrivals it was handed: the trace
+/// on a one-shot run, the pending submissions on a stepped one.
+/// [`Engine::drain`] merges the arrival at `next` with the calendar.
 #[derive(Default)]
 struct Cursor {
     /// Index of the next arrival.
     next: usize,
-    /// The trace's length.
+    /// How many arrivals the loop was handed.
     len: usize,
     /// No arrival is delivered before this instant: the end of the
     /// power cut's remount window.
     not_before: SimTime,
+    /// The latest submission instant accepted; arrivals come in time
+    /// order.
+    latest: SimTime,
 }
 
 impl Cursor {
@@ -157,8 +161,8 @@ struct Engine {
     /// The multi-tenant front door; `Some` exactly when the config
     /// names tenants. `None` bypasses arbitration entirely.
     front: Option<FrontDoor>,
-    /// Requests between arrival (or stepped submission) and completion
-    /// or loss; a slot is reused once its request is finished.
+    /// Requests between arrival and completion or loss; a slot is reused
+    /// once its request is finished.
     reqs: RequestTable,
     /// Per-submission outcomes for the stepped API's polling; only
     /// [`ArrayRunner::submit`] grows it.
@@ -438,11 +442,14 @@ impl Array {
     /// driven incrementally instead of to completion. The federation
     /// layer uses this to interleave N member arrays inside one
     /// deterministic epoch loop; [`Array::run_verified`] is this runner's
-    /// event loop reading its arrivals straight from the trace.
-    pub fn into_runner(self) -> ArrayRunner {
+    /// event loop reading its arrivals straight from the trace. The
+    /// recovery plan (the power cut and the hot-spare rebuilds) goes on
+    /// the calendar here, after any recorder was attached.
+    pub fn into_runner(mut self) -> ArrayRunner {
+        self.e.arm_recovery();
         ArrayRunner {
             e: Box::new(self.e),
-            armed: false,
+            pending: VecDeque::new(),
         }
     }
 }
@@ -451,18 +458,15 @@ impl Array {
 /// at a time with [`ArrayRunner::submit`] and simulated time advances in
 /// bounded steps with [`ArrayRunner::step_until`], so several arrays can
 /// be co-simulated deterministically by one scheduler (see the
-/// `federation` module). [`Array::run_verified`] drives the same event
-/// loop, taking each arrival from the trace as it falls due instead of
-/// from the calendar; on a same-instant tie the arrival goes first, as
-/// a submitted request would.
+/// `federation` module). Submitted requests wait in arrival order until
+/// a step reaches them; the event loop then delivers them exactly as
+/// [`Array::run_verified`] delivers its trace: an arrival goes before
+/// every calendar event at its instant, and none is delivered inside a
+/// power cut's remount window.
 pub struct ArrayRunner {
     e: Box<Engine>,
-    /// Whether the recovery plan (the power cut and the hot-spare
-    /// rebuilds) is on the calendar. It is armed by the first
-    /// [`ArrayRunner::step_until`] or [`ArrayRunner::finish`], after the
-    /// requests submitted up front, so "submit everything, then drain"
-    /// orders same-instant events exactly as [`Array::run_verified`].
-    armed: bool,
+    /// Submitted requests not yet delivered, in submission order.
+    pending: VecDeque<TraceRequest>,
 }
 
 impl std::fmt::Debug for ArrayRunner {
@@ -486,41 +490,41 @@ impl ArrayRunner {
     ///
     /// # Panics
     ///
-    /// Panics if `pages == 0`, the address range leaves the array, or
+    /// Panics if `pages == 0`, the address range leaves the array,
     /// (on a tenant-enabled array) the tenant is outside the configured
-    /// table. The submission time must not be earlier than any instant
-    /// already stepped past.
+    /// table, or the submission time is earlier than the previous
+    /// submission's. The submission time must not be earlier than any
+    /// instant already stepped past.
     pub fn submit(&mut self, r: &TraceRequest) -> u32 {
-        let e = &mut *self.e;
-        let id = e.outcomes.len();
-        e.accept(id, r);
-        e.outcomes.push(Outcome::Pending);
-        let slot = e.reqs.insert(RequestState::new(id as u32, r));
-        e.queue.push(r.at, Ev::Submit(slot));
+        let id = self.e.outcomes.len();
+        self.e.accept(id, r);
+        self.e.outcomes.push(Outcome::Pending);
+        self.pending.push_back(*r);
         id as u32
     }
 
     /// Checks every request of `trace`, then runs the event loop to the
-    /// end with the trace as its arrival cursor.
+    /// end with the trace as its arrivals.
     fn replay(&mut self, trace: &[TraceRequest]) {
         for (id, r) in trace.iter().enumerate() {
             self.e.accept(id, r);
         }
-        self.e.cursor.len = trace.len();
-        self.drain(None, trace);
+        self.e.drain(SimTime::MAX, 0, trace);
     }
 
-    /// Drains every event strictly before `t`.
+    /// Drains every event strictly before `t`, delivering the pending
+    /// submissions due before it.
     pub fn step_until(&mut self, t: SimTime) {
-        self.drain(Some(t), &[]);
+        let first = self.e.outcomes.len() - self.pending.len();
+        let delivered = self.e.drain(t, first, self.pending.make_contiguous());
+        self.pending.drain(..delivered);
     }
 
-    /// `true` when the event calendar is empty (every injected request
-    /// has either completed or been lost to a power cut). A runner that
-    /// has never stepped is not idle: its recovery plan is still to be
-    /// armed.
+    /// `true` when every submitted request has arrived and the event
+    /// calendar is empty: each has either completed or been lost to a
+    /// power cut.
     pub fn is_idle(&self) -> bool {
-        self.armed && self.e.queue.is_empty()
+        self.pending.is_empty() && self.e.queue.is_empty()
     }
 
     /// Requests injected so far.
@@ -567,7 +571,7 @@ impl ArrayRunner {
     /// Drains every remaining event, audits FTL metadata integrity, and
     /// produces the run outcome.
     pub fn finish(mut self) -> VerifiedRun {
-        self.drain(None, &[]);
+        self.step_until(SimTime::MAX);
         let mut e = self.e;
         if e.first_submit == SimTime::MAX {
             e.first_submit = SimTime::ZERO;
@@ -580,57 +584,51 @@ impl ArrayRunner {
             integrity,
         }
     }
+}
 
-    /// The event loop: arms the recovery plan on first use, then pops
-    /// and handles events strictly before `until` (every event when
-    /// `None`). Arrivals from `trace` (empty on a stepped run) merge in
-    /// at the cursor: calendar events strictly before an arrival's
-    /// instant go first, then the arrival, so it wins every tie.
-    fn drain(&mut self, until: Option<SimTime>, trace: &[TraceRequest]) {
-        if !self.armed {
-            self.armed = true;
-            self.e.arm_recovery();
-        }
-        let e = &mut *self.e;
+impl Engine {
+    /// The event loop: pops and handles events strictly before `until`,
+    /// merging in `arrivals`, whose first is submission `first`. Calendar
+    /// events strictly before an arrival's instant go first, then the
+    /// arrival, so it wins every tie. Returns how many arrivals it
+    /// delivered.
+    fn drain(&mut self, until: SimTime, first: usize, arrivals: &[TraceRequest]) -> usize {
+        self.cursor.next = 0;
+        self.cursor.len = arrivals.len();
         loop {
-            let due = e.cursor.due(trace);
-            let bound = match (due, until) {
-                (Some(a), Some(u)) => Some(a.min(u)),
-                (a, u) => a.or(u),
-            };
-            let next = match bound {
-                Some(t) => e.queue.pop_before(t),
-                None => e.queue.pop(),
-            };
-            let (now, ev) = match (next, due) {
-                (Some(next), _) => next,
-                (None, Some(t)) if until.is_none_or(|u| t < u) => {
-                    let id = e.cursor.next;
-                    e.cursor.next += 1;
-                    let slot = e.reqs.insert(RequestState::new(id as u32, &trace[id]));
-                    (t, Ev::Submit(slot))
-                }
+            let due = self.cursor.due(arrivals);
+            let next = self.queue.pop_before(due.map_or(until, |t| t.min(until)));
+            let now = match (&next, due) {
+                (Some((now, _)), _) => *now,
+                (None, Some(t)) if t < until => t,
                 (None, _) => break,
             };
-            if let Some(rec) = &e.recorder {
+            if let Some(rec) = &self.recorder {
                 // Timeless components (the FTL, credit queues) emit at
                 // the recorder clock; keep it on the event loop's time.
                 rec.set_now(now);
             }
-            e.events += 1;
-            e.handle(now, ev);
+            self.events += 1;
+            if let Some((_, ev)) = next {
+                self.handle(now, ev);
+            } else {
+                let i = self.cursor.next;
+                self.cursor.next += 1;
+                let rs = RequestState::new((first + i) as u32, &arrivals[i]);
+                let slot = self.reqs.insert(rs);
+                self.on_submit(now, slot);
+            }
         }
+        self.cursor.next
     }
-}
 
-impl Engine {
     /// Checks request `id` before it may enter the array.
     ///
     /// # Panics
     ///
-    /// Panics if `pages == 0`, the address range leaves the array, or
-    /// (on a tenant-enabled array) the tenant is outside the configured
-    /// table.
+    /// Panics if `pages == 0`, the address range leaves the array, (on a
+    /// tenant-enabled array) the tenant is outside the configured table,
+    /// or `r` arrives before the previous request.
     fn accept(&mut self, id: usize, r: &TraceRequest) {
         let total_pages = self.cfg.shape.total_pages();
         let n_tenants = self.cfg.tenants.len();
@@ -647,6 +645,12 @@ impl Engine {
             "request {id} names {} but the config has {n_tenants} tenants",
             r.tenant
         );
+        assert!(
+            r.at >= self.cursor.latest,
+            "request {id} arrives at {} ns, before the previous request",
+            r.at.as_nanos()
+        );
+        self.cursor.latest = r.at;
         self.first_submit = self.first_submit.min(r.at);
     }
 
@@ -689,7 +693,6 @@ impl Engine {
     fn handle(&mut self, now: SimTime, ev: Ev) {
         match ev {
             // front.rs: the host side
-            Ev::Submit(r) => self.on_submit(now, r),
             Ev::Complete(r) => self.on_complete(now, r),
             // fabric.rs: root complex, switch and endpoint hops
             Ev::RcGranted(r) => self.on_rc_granted(now, r),

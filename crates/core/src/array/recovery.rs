@@ -44,7 +44,7 @@ pub(super) struct Rebuild {
 impl Engine {
     /// Schedules the configured power cut and claims one hot spare for
     /// each scheduled module death, in config order, until the spare
-    /// pool runs dry. Runs once, when the event loop first starts.
+    /// pool runs dry. Runs once, when the array becomes a runner.
     pub(super) fn arm_recovery(&mut self) {
         if let Some(pl) = self.cfg.faults.power_loss {
             self.queue.push(SimTime::from_nanos(pl.at_ns), Ev::PowerLoss);
@@ -120,25 +120,21 @@ impl Engine {
     /// management module's in-flight relocation claims, and the FTL's
     /// translation cache. Flash contents and journaled metadata survive;
     /// the mount-time recovery scan replays the journal's flushed tail
-    /// onto its checkpoint. Host requests not yet submitted re-arrive
-    /// once the array is back up (latency is still measured from the
-    /// original submit time, so the outage shows in the tail).
+    /// onto its checkpoint. Host requests that have not arrived yet,
+    /// submitted or not, arrive once the array is back up (latency is
+    /// still measured from the original submit time, so the outage shows
+    /// in the tail).
     ///
     /// Link and bus busy-until timelines are deliberately left alone:
     /// they are pure timing reservations with no queued state, and any
     /// residual reservation drains during the multi-millisecond remount
     /// window.
     pub(super) fn on_power_loss(&mut self, now: SimTime) {
-        let mut future_submits: Vec<(SimTime, u32)> = Vec::new();
-        while let Some((t, ev)) = self.queue.pop() {
-            if let Ev::Submit(r) = ev {
-                future_submits.push((t, r));
-            }
-        }
+        while self.queue.pop().is_some() {}
         let mut lost = 0u64;
         for r in 0..self.reqs.high_water() as u32 {
             let rs = &self.reqs[r];
-            if rs.stage == Stage::Created || rs.stage == Stage::Done {
+            if rs.stage == Stage::Done {
                 continue;
             }
             if let Some(o) = self.outcomes.get_mut(rs.id as usize) {
@@ -150,7 +146,7 @@ impl Engine {
         self.rc_queue.power_cycle();
         if let Some(front) = self.front.as_mut() {
             // Submission-lane contents are volatile exactly like the RC
-            // FIFO; the requeued submits below re-enter through fresh
+            // FIFO; the arrivals after the remount enter through fresh
             // arbitration. (The lane waiters were already counted lost
             // above — they sit at `Stage::AtRc`.)
             front.arbiter.power_cycle();
@@ -185,9 +181,8 @@ impl Engine {
         self.recovery.journal_dropped += outcome.dropped;
         self.recovery.aborted_clones += outcome.aborted_clones;
         self.recovery.lost_inflight_requests += lost;
-        // Arrivals still due, on the calendar (stepped) or at the trace
-        // cursor (one-shot), re-arrive once the array is back up.
-        let requeued = (future_submits.len() + self.cursor.remaining()) as u64;
+        // Arrivals still at the cursor wait until the array is back up.
+        let requeued = self.cursor.remaining() as u64;
         self.recovery.requeued_requests += requeued;
         self.recovery.remount_ns += remount;
         self.emit(TraceScope::array(), || TraceEventKind::PowerLoss {
@@ -198,9 +193,6 @@ impl Engine {
             replayed: outcome.replayed,
             dropped: outcome.dropped,
         });
-        for (t, r) in future_submits {
-            self.queue.push(t.max(back_up), Ev::Submit(r));
-        }
         self.cursor.not_before = back_up;
         // Rebuild copies in flight were lost with the calendar; every
         // unfinished rebuild resumes at its cursor once the array is up.

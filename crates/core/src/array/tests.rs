@@ -645,6 +645,15 @@ fn submit_rejects_a_range_that_wraps_the_address_space() {
 }
 
 #[test]
+#[should_panic(expected = "before the previous request")]
+fn submit_rejects_a_time_before_the_previous_submission() {
+    let mut runner =
+        Array::new(ArrayConfig::small_test(), ManagementMode::Autonomic).into_runner();
+    runner.submit(&read_at(5, 0));
+    runner.submit(&read_at(4, 1));
+}
+
+#[test]
 #[should_panic(expected = "names tenant.5")]
 fn out_of_range_tenant_panics_on_tenanted_array() {
     use crate::tenant::TenantSpec;
@@ -746,6 +755,7 @@ fn request_table_stays_within_peak_in_flight() {
         peak < 64,
         "the trace should be uncontended: {peak} in flight"
     );
+    assert_eq!(reference.e.reqs.high_water(), peak);
     let mut runner = Array::new(cfg, ManagementMode::Autonomic).into_runner();
     runner.replay(trace.requests());
     assert_eq!(runner.e.reqs.high_water(), peak);
@@ -814,4 +824,136 @@ fn same_instant_arrivals_and_completions_order_like_the_stepped_runner() {
     assert_eq!(one_shot.report, reference.report);
     let events = |run: VerifiedRun| run.trace.expect("recorder attached").events;
     assert_eq!(events(one_shot), events(reference));
+}
+
+#[test]
+fn stepped_submissions_inside_the_remount_window_wait_for_it() {
+    use crate::config::PowerLossEvent;
+    const CUT: u64 = 1_000_000;
+    let mut cfg = ArrayConfig::small_test();
+    cfg.faults = cfg.faults.with_power_loss(PowerLossEvent::at(CUT));
+    let trace = mixed_trace(2_000, 1_000);
+    let reqs = trace.requests();
+    let reference = stepped(Array::new(cfg.clone(), ManagementMode::Autonomic), &trace);
+    // Submit through 100 µs past the cut, step past the cut, then submit
+    // the rest: its first arrivals are due while the array remounts.
+    let split = reqs.partition_point(|r| r.at < SimTime::from_nanos(CUT + 100_000));
+    let mut late = Array::new(cfg, ManagementMode::Autonomic).into_runner();
+    for r in &reqs[..split] {
+        late.submit(r);
+    }
+    late.step_until(SimTime::from_nanos(CUT + 1));
+    assert_eq!(late.lost(), reference.lost(), "the cut has fired");
+    for r in &reqs[split..] {
+        late.submit(r);
+    }
+    let mut t = SimTime::from_nanos(CUT);
+    while !late.is_idle() {
+        t += 10_000;
+        late.step_until(t);
+    }
+    for id in 0..trace.len() as u32 {
+        assert_eq!(
+            (late.finish_time(id), late.is_lost(id)),
+            (reference.finish_time(id), reference.is_lost(id)),
+            "request {id}"
+        );
+    }
+    let mut late = late.finish().report;
+    let reference = reference.finish().report;
+    let back_up = SimTime::from_nanos(CUT + reference.recovery.remount_ns);
+    assert!(
+        reqs[split].at < back_up,
+        "a late submission is due inside the window"
+    );
+    // Only arrivals submitted by the cut count as requeued.
+    let after_cut = reqs.partition_point(|r| r.at <= SimTime::from_nanos(CUT));
+    assert_eq!(
+        reference.recovery.requeued_requests,
+        (reqs.len() - after_cut) as u64
+    );
+    assert_eq!(late.recovery.requeued_requests, (split - after_cut) as u64);
+    late.recovery.requeued_requests = reference.recovery.requeued_requests;
+    assert_eq!(late, reference);
+}
+
+mod properties {
+    use super::*;
+    use crate::tenant::TenantSpec;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64 })]
+
+        /// However a trace is cut into submissions between steps, the
+        /// stepped runner reports what `run_verified` does, as long as no
+        /// request is submitted earlier than the last step bound. Arrival
+        /// gaps of zero make arrivals share instants with each other, and
+        /// echoes (a request re-sent at the instant another completed in
+        /// a run without echoes) make them share instants with calendar
+        /// events.
+        #[test]
+        fn stepped_runs_match_one_shot_for_any_submission_schedule(
+            requests in prop::collection::vec(
+                (0u64..2_500, 0u64..4_096, 1u32..4, 0u32..4, 0u32..4),
+                1..300,
+            ),
+            tenanted in prop::bool::weighted(0.5),
+            schedule in prop::collection::vec((0usize..64, 1u64..200_000), 1..24),
+        ) {
+            let cfg = if tenanted {
+                tenant_cfg(vec![TenantSpec::interactive(), TenantSpec::batch()])
+            } else {
+                ArrayConfig::small_test()
+            };
+            let mut at = 0;
+            let base: Vec<TraceRequest> = requests
+                .iter()
+                .enumerate()
+                .map(|(i, &(gap, lpn, pages, kind, _))| {
+                    at += gap.saturating_sub(1_000);
+                    let op = if kind == 0 { IoOp::Write } else { IoOp::Read };
+                    let tenant = TenantId(if tenanted { i as u32 % 2 } else { 0 });
+                    let r = TraceRequest::new(SimTime::from_nanos(at), op, LogicalPage(lpn), pages);
+                    r.owned_by(tenant)
+                })
+                .collect();
+            let alone = stepped(
+                Array::new(cfg.clone(), ManagementMode::Autonomic),
+                &Trace::new(base.clone()),
+            );
+            let echoes: Vec<TraceRequest> = requests
+                .iter()
+                .enumerate()
+                .filter(|&(_, r)| r.4 == 0)
+                .map(|(i, _)| TraceRequest {
+                    at: alone.finish_time(i as u32),
+                    ..base[i]
+                })
+                .collect();
+            let trace = Trace::new([base, echoes].concat());
+            let reqs = trace.requests();
+            let one_shot = Array::new(cfg.clone(), ManagementMode::Autonomic).run_verified(&trace);
+            let mut runner = Array::new(cfg, ManagementMode::Autonomic).into_runner();
+            let (mut next, mut bound) = (0, SimTime::ZERO);
+            for &(chunk, step) in schedule.iter().cycle() {
+                if next == reqs.len() {
+                    break;
+                }
+                bound += step;
+                // `chunk` more, and at least every request due before the
+                // step bound.
+                let due = reqs.partition_point(|r| r.at < bound);
+                let end = (next + chunk).max(due).min(reqs.len());
+                for r in &reqs[next..end] {
+                    runner.submit(r);
+                }
+                next = end;
+                runner.step_until(bound);
+            }
+            let stepped = runner.finish();
+            prop_assert_eq!(stepped.report, one_shot.report);
+            prop_assert_eq!(stepped.integrity, one_shot.integrity);
+        }
+    }
 }

@@ -163,8 +163,8 @@ pub const REPLAY_NS_PER_RECORD: Nanos = 500;
 /// loses its DRAM — the in-flight queue entries, the mapping cache, and
 /// every un-flushed journal record — while flash contents persist. The
 /// array then remounts: the FTL's recovery scan replays the flushed
-/// journal onto the last checkpoint, and requests that had not yet been
-/// submitted resume once the remount completes, [`REMOUNT_BASE_NS`] +
+/// journal onto the last checkpoint, and requests that had not yet
+/// arrived arrive once the remount completes, [`REMOUNT_BASE_NS`] +
 /// [`REPLAY_NS_PER_RECORD`] per replayed record after the cut.
 ///
 /// Configuring a power loss automatically enables metadata journaling in

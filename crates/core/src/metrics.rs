@@ -96,7 +96,8 @@ pub struct RecoveryStats {
     pub aborted_clones: u64,
     /// Requests that were in flight at the cut and never completed.
     pub lost_inflight_requests: u64,
-    /// Queued requests re-submitted after the remount finished.
+    /// Arrivals still due at the cut, held until the remount finished;
+    /// a stepped run counts only those submitted by the cut.
     pub requeued_requests: u64,
     /// Total simulated time the array spent remounting.
     pub remount_ns: u64,

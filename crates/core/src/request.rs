@@ -178,12 +178,9 @@ impl Breakdown {
 
 /// Request lifecycle stage (used for debug assertions, diagnostics and
 /// the power cut's in-flight count).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Stage {
-    /// Not yet handled by `on_submit`: on a stepped run, its arrival is
-    /// still on the calendar.
-    #[default]
-    Created,
+    /// Arrived: at the root complex, or on its tenant's submission lane.
     AtRc,
     AtSwitch,
     AtEp,
@@ -243,7 +240,7 @@ impl RequestState {
             submit: r.at,
             locs: Vec::new(),
             cluster: 0,
-            stage: Stage::Created,
+            stage: Stage::AtRc,
             wait_since: r.at,
             flash_start: SimTime::ZERO,
             pending_parts: 0,

@@ -3,23 +3,19 @@
 //! Two implementations live here:
 //!
 //! * [`EventQueue`] — the production **calendar queue**: a ring of
-//!   fixed-width time buckets for the near future, plus two far-future
-//!   stores for events beyond the ring horizon: an ordered lane for
-//!   far pushes that arrive in time order, and a binary heap for the
-//!   rest. Near-future traffic (resource grants, bus transfers,
-//!   completions a few microseconds out) never leaves the ring, and
-//!   the common push-at-`now` case is an allocation-free insertion into
-//!   the already-sorted active bucket. A pre-submitted trace pushes its
-//!   arrivals in ascending time, so they queue at the lane's back and
-//!   leave from its front without a heap sift; only far pushes earlier
-//!   than the lane's last event (a GC backlog scheduled behind the
-//!   trace's queued arrivals) go to the heap. A push into a completely
-//!   empty queue for an instant before the active bucket — the refill
-//!   after a full drain, as when a power cut requeues every future
-//!   submit — re-anchors the active bucket just before it, so an
-//!   ascending refill goes back through the ring and the lane instead
-//!   of being sorted, one memmove each, into the front of the active
-//!   bucket.
+//!   fixed-width time buckets for the near future, plus a binary heap
+//!   for events beyond the ring horizon. Near-future traffic (resource
+//!   grants, bus transfers, completions a few microseconds out) never
+//!   leaves the ring, and the common push-at-`now` case is an
+//!   allocation-free insertion into the already-sorted active bucket.
+//!   Arrivals never enter the calendar: the engine reads them from its
+//!   trace cursor, so the heap holds only the few far events a run
+//!   schedules itself. A push into a completely empty queue for an
+//!   instant before the active bucket — the refill after a power cut
+//!   has drained a calendar that reached past the remount — re-anchors
+//!   the active bucket just before it, so the refill goes back through
+//!   the ring and the heap instead of being sorted, one memmove each,
+//!   into the front of the active bucket.
 //! * `BaselineHeapQueue` (test-only) — the original global
 //!   `BinaryHeap`, kept as the executable specification: a differential
 //!   property test proves the calendar queue pops in exactly the same
@@ -30,7 +26,7 @@
 //! simulation run bit-for-bit deterministic.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
@@ -124,11 +120,7 @@ pub struct EventQueue<E> {
     ring_len: usize,
     /// Absolute bucket number of the active bucket.
     cur_bucket: u64,
-    /// Far-future events (beyond the ring horizon) pushed no earlier
-    /// than the lane's last event: sorted by `(time, seq)` by
-    /// construction, since sequence numbers only grow.
-    lane: VecDeque<Entry<E>>,
-    /// The other far-future events, min-first.
+    /// Far-future events (beyond the ring horizon), min-first.
     overflow: BinaryHeap<Entry<E>>,
     next_seq: u64,
     pushed: u64,
@@ -143,7 +135,6 @@ impl<E> EventQueue<E> {
             ring: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
             ring_len: 0,
             cur_bucket: 0,
-            lane: VecDeque::new(),
             overflow: BinaryHeap::new(),
             next_seq: 0,
             pushed: 0,
@@ -159,16 +150,14 @@ impl<E> EventQueue<E> {
         let entry = Entry { time, seq, payload };
         let b = bucket_of(time);
         if b < self.cur_bucket && self.is_empty() {
-            // Refill after a full drain (a power cut requeueing future
-            // submits): re-anchor just before `b` so ascending refills
-            // go back through the ring and lane instead of each
+            // Refill after a full drain (a power cut emptying the
+            // calendar): re-anchor just before `b` so the refill goes
+            // back through the ring and heap instead of each event
             // being sorted into the front of `current`.
             self.cur_bucket = b.saturating_sub(1);
         }
         if b < self.cur_bucket + NUM_BUCKETS as u64 {
             self.place(entry);
-        } else if self.lane.back().is_none_or(|last| last.time <= time) {
-            self.lane.push_back(entry);
         } else {
             self.overflow.push(entry);
         }
@@ -176,20 +165,9 @@ impl<E> EventQueue<E> {
 
     /// Moves every far-future event that now fits the ring window into
     /// its ring slot (or `current`, for events landing in the active
-    /// bucket). The lane and the heap drain one after the other: where
-    /// an event lands depends only on its bucket, and ring slots are
-    /// sorted when they become active, so the order of moves is
-    /// unobservable.
+    /// bucket).
     fn drain_overflow(&mut self) {
         let horizon = self.cur_bucket + NUM_BUCKETS as u64;
-        while self
-            .lane
-            .front()
-            .is_some_and(|e| bucket_of(e.time) < horizon)
-        {
-            let entry = self.lane.pop_front().expect("front exists");
-            self.place(entry);
-        }
         while self
             .overflow
             .peek()
@@ -220,16 +198,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The earliest far-future event: the lane's front or the heap's
-    /// top.
-    fn far_min(&self) -> Option<&Entry<E>> {
-        self.lane
-            .front()
-            .into_iter()
-            .chain(self.overflow.peek())
-            .min_by_key(|e| e.key())
-    }
-
     /// Advances the active bucket to the next non-empty one, refilling
     /// from the far-future stores as the horizon moves. Returns `false`
     /// when the queue is empty.
@@ -237,7 +205,7 @@ impl<E> EventQueue<E> {
         debug_assert!(self.current.is_empty());
         loop {
             if self.ring_len == 0 {
-                let Some(next) = self.far_min() else {
+                let Some(next) = self.overflow.peek() else {
                     return false;
                 };
                 // Long idle gap: jump straight to the next scheduled
@@ -305,7 +273,7 @@ impl<E> EventQueue<E> {
                 .map(Entry::key)
                 .min()
         });
-        let far_min = self.far_min().map(Entry::key);
+        let far_min = self.overflow.peek().map(Entry::key);
         ring_min
             .into_iter()
             .chain(far_min)
@@ -315,7 +283,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.current.len() + self.ring_len + self.lane.len() + self.overflow.len()
+        self.current.len() + self.ring_len + self.overflow.len()
     }
 
     /// `true` when no events are pending.
@@ -562,37 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn an_ascending_far_future_trace_never_reaches_the_heap() {
-        let mut q = EventQueue::new();
-        let mut spec = BaselineHeapQueue::new();
-        // A pre-submitted trace: 100 k arrivals in pairs 300 ns apart,
-        // reaching ~15 ms, most of it far past the ~1 ms ring horizon.
-        let n = 100_000;
-        for i in 0..n {
-            let t = SimTime::from_nanos((i as u64 / 2) * 300);
-            q.push(t, i);
-            spec.push(t, i);
-        }
-        assert!(q.lane.len() > n * 9 / 10, "the lane holds the far arrivals");
-        assert!(q.overflow.is_empty(), "an ascending trace never heaps");
-        // Replay it as an engine would: every arrival schedules a
-        // completion 25 µs later, inside the ring.
-        let mut popped = 0;
-        while let Some((t, i)) = q.pop() {
-            assert_eq!(Some((t, i)), spec.pop());
-            assert!(q.overflow.is_empty());
-            if i < n {
-                let done = t + 25_000;
-                q.push(done, n + i);
-                spec.push(done, n + i);
-            }
-            popped += 1;
-        }
-        assert_eq!(popped, 2 * n);
-        assert!(spec.is_empty());
-    }
-
-    #[test]
     fn a_power_cut_requeue_with_a_queued_trace_keeps_order() {
         let mut q = EventQueue::new();
         let mut spec = BaselineHeapQueue::new();
@@ -601,20 +538,19 @@ mod tests {
             spec.push(SimTime::from_nanos(t), p);
         }
         // Arrivals out to ~6 ms, plus a GC backlog scheduled behind the
-        // last queued arrival: the lane and the heap are both in use.
+        // last queued arrival, both reaching past the ring horizon.
         for i in 0..2_000u64 {
             push(&mut q, &mut spec, i * 3_000, i);
         }
         for i in 0..500u64 {
             push(&mut q, &mut spec, 2_000_000 + i * 6_000, 10_000 + i);
         }
-        assert!(!q.lane.is_empty() && !q.overflow.is_empty());
+        assert!(!q.overflow.is_empty());
         for _ in 0..300 {
             assert_eq!(q.pop(), spec.pop());
         }
         // The cut: drain the calendar and requeue every future event no
-        // earlier than the remount, ascending, as the engine does.
-        assert!(!q.lane.is_empty());
+        // earlier than the remount, ascending.
         let drained: Vec<(SimTime, u64)> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(
             drained,
@@ -624,7 +560,6 @@ mod tests {
         for &(t, p) in &drained {
             push(&mut q, &mut spec, t.max(floor).as_nanos(), p);
         }
-        assert!(q.overflow.is_empty(), "an ascending requeue never heaps");
         loop {
             let a = q.pop();
             assert_eq!(a, spec.pop());

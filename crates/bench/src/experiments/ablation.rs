@@ -1,9 +1,9 @@
 //! Ablation studies of Triple-A's design choices (beyond the paper's
 //! own figures; DESIGN.md documents the knobs).
 
+use crate::experiments::kiops;
 use crate::harness::{jf, ju, obj, report_json, text, Experiment, Scale};
 use crate::{bench_config_with, f1, f2, overload_gap_ns};
-use crate::experiments::kiops;
 use serde_json::Value;
 use triplea_core::{Array, ArrayConfig, LaggardStrategy, ManagementMode};
 use triplea_workloads::Microbench;
@@ -33,7 +33,10 @@ fn variants() -> Vec<Variant> {
         ("laggard=queue", LaggardStrategy::QueueExamination),
         ("laggard=both", LaggardStrategy::Both),
     ] {
-        v.push((name.to_string(), Box::new(move |c| c.autonomic.laggard = strat)));
+        v.push((
+            name.to_string(),
+            Box::new(move |c| c.autonomic.laggard = strat),
+        ));
     }
     for thresh in [0.5f64, 0.7, 0.9] {
         v.push((
@@ -58,7 +61,10 @@ fn variants() -> Vec<Variant> {
     // The paper's RC-queue range (650-1000 entries) bounds outstanding
     // I/O array-wide.
     for rc in [650usize, 800, 1_000] {
-        v.push((format!("rc_queue={rc}"), Box::new(move |c| c.pcie.rc_queue = rc)));
+        v.push((
+            format!("rc_queue={rc}"),
+            Box::new(move |c| c.pcie.rc_queue = rc),
+        ));
     }
     v
 }

@@ -92,10 +92,7 @@ pub fn spec(scale: Scale) -> Experiment {
                 .expect("FTL integrity violated after hot-spare rebuild");
             let rec = run.report.recovery_stats();
             assert_eq!(rec.rebuilds_completed, 1, "the rebuild must finish");
-            obj([
-                ("load", text(label)),
-                ("aaa", report_json(&run.report)),
-            ])
+            obj([("load", text(label)), ("aaa", report_json(&run.report))])
         });
     }
     e.point("storm/combined", move |ctx| {

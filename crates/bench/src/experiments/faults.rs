@@ -59,7 +59,10 @@ pub fn spec(scale: Scale) -> Experiment {
             let trace = hot_trace(&cfg, ctx.base_seed, scale.requests);
             obj([
                 ("rate", text(label)),
-                ("base", run_checked(cfg.clone(), ManagementMode::NonAutonomic, &trace)),
+                (
+                    "base",
+                    run_checked(cfg.clone(), ManagementMode::NonAutonomic, &trace),
+                ),
                 ("aaa", run_checked(cfg, ManagementMode::Autonomic, &trace)),
             ])
         });
@@ -86,7 +89,10 @@ pub fn spec(scale: Scale) -> Experiment {
             let trace = hot_trace(&cfg, ctx.base_seed, scale.requests);
             obj([
                 ("event", text(label)),
-                ("base", run_checked(cfg.clone(), ManagementMode::NonAutonomic, &trace)),
+                (
+                    "base",
+                    run_checked(cfg.clone(), ManagementMode::NonAutonomic, &trace),
+                ),
                 ("aaa", run_checked(cfg, ManagementMode::Autonomic, &trace)),
             ])
         });

@@ -242,14 +242,7 @@ pub fn spec(scale: Scale) -> Experiment {
         let mut out = crate::harness::fmt_table(
             "Array federation: same volume workload, growing the box count",
             &[
-                "Point",
-                "Arrays",
-                "WxR",
-                "kIOPS",
-                "p99 us",
-                "Retried",
-                "Migr c/s",
-                "Lost",
+                "Point", "Arrays", "WxR", "kIOPS", "p99 us", "Retried", "Migr c/s", "Lost",
             ],
             &rows,
         );

@@ -2,9 +2,7 @@
 //! the number of hot regions grows.
 
 use crate::experiments::{cdf_json, curve_rows};
-use crate::harness::{
-    jf, ju, obj, report_json, uint, Experiment, Scale,
-};
+use crate::harness::{jf, ju, obj, report_json, uint, Experiment, Scale};
 use crate::{bench_config, f1, overload_gap_ns};
 use triplea_core::{Array, ManagementMode};
 use triplea_workloads::Microbench;

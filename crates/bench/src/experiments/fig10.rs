@@ -42,7 +42,10 @@ pub fn spec(scale: Scale) -> Experiment {
         let mut n = 0usize;
         for p in &res.points {
             let d = &p.data;
-            let link = norm(jf(d, "aaa.link_contention_us"), jf(d, "base.link_contention_us"));
+            let link = norm(
+                jf(d, "aaa.link_contention_us"),
+                jf(d, "base.link_contention_us"),
+            );
             let storage = norm(
                 jf(d, "aaa.storage_contention_us"),
                 jf(d, "base.storage_contention_us"),

@@ -2,8 +2,8 @@
 //! normalized to the baseline as clusters-per-switch grows.
 
 use crate::experiments::{kiops, netsize_pair, ratio};
-use crate::harness::{jf, obj, text, Experiment, Scale};
 use crate::f2;
+use crate::harness::{jf, obj, text, Experiment, Scale};
 
 /// Builds the Figure 13 experiment: one point per network width.
 pub fn spec(scale: Scale) -> Experiment {

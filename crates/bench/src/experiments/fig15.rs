@@ -2,8 +2,8 @@
 //! varying network sizes.
 
 use crate::experiments::netsize_pair;
-use crate::harness::{jf, obj, text, Experiment, Scale};
 use crate::f1;
+use crate::harness::{jf, obj, text, Experiment, Scale};
 use serde_json::Value;
 
 fn breakdown_row(label: String, r: &Value) -> Vec<String> {
@@ -38,8 +38,14 @@ pub fn spec(scale: Scale) -> Experiment {
     e.renderer(|res| {
         let mut rows = Vec::new();
         for p in &res.points {
-            rows.push(breakdown_row(format!("{} baseline", p.label), &p.data["base"]));
-            rows.push(breakdown_row(format!("{} triple-a", p.label), &p.data["aaa"]));
+            rows.push(breakdown_row(
+                format!("{} baseline", p.label),
+                &p.data["base"],
+            ));
+            rows.push(breakdown_row(
+                format!("{} triple-a", p.label),
+                &p.data["aaa"],
+            ));
         }
         crate::harness::fmt_table(
             &res.title,

@@ -28,10 +28,7 @@ fn run(mode: ManagementMode, naive: bool, seed: u64, requests: usize) -> Value {
         .into_iter()
         .map(|(t, lat_us)| arr(vec![num(t.as_ms_f64()), num(lat_us)]))
         .collect());
-    obj([
-        ("report", report_json(&report)),
-        ("series", series),
-    ])
+    obj([("report", report_json(&report)), ("series", series)])
 }
 
 /// Builds the Figure 16 experiment: one point per migration strategy.

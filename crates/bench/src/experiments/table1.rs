@@ -51,7 +51,11 @@ pub fn spec(scale: Scale) -> Experiment {
                 let d = &p.data;
                 vec![
                     p.label.clone(),
-                    format!("{} / {}", pct(d, "paper.read_ratio"), pct(d, "measured.read_ratio")),
+                    format!(
+                        "{} / {}",
+                        pct(d, "paper.read_ratio"),
+                        pct(d, "measured.read_ratio")
+                    ),
                     format!(
                         "{} / {}",
                         pct(d, "paper.read_randomness"),

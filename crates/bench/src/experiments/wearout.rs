@@ -21,10 +21,7 @@ pub fn spec(scale: Scale) -> Experiment {
             let cfg = bench_config();
             let trace = enterprise_trace_n(&profile, &cfg, ctx.seed, scale.requests);
             let aaa = Array::new(cfg, ManagementMode::Autonomic).run(&trace);
-            obj([
-                ("workload", text(profile.name)),
-                ("aaa", report_json(&aaa)),
-            ])
+            obj([("workload", text(profile.name)), ("aaa", report_json(&aaa))])
         });
     }
     e.renderer(|res| {

@@ -478,7 +478,9 @@ pub fn compare_snapshot(name: &str, expected: &str, actual: &str) -> Result<(), 
 /// `true` when the test run should regenerate golden snapshots
 /// (`TRIPLEA_BLESS=1`).
 pub fn bless_requested() -> bool {
-    std::env::var("TRIPLEA_BLESS").map(|v| v == "1").unwrap_or(false)
+    std::env::var("TRIPLEA_BLESS")
+        .map(|v| v == "1")
+        .unwrap_or(false)
 }
 
 // ---------------------------------------------------------------------
@@ -487,12 +489,7 @@ pub fn bless_requested() -> bool {
 
 /// Builds an insertion-ordered JSON object.
 pub fn obj<const N: usize>(pairs: [(&str, Value); N]) -> Value {
-    Value::Object(
-        pairs
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+    Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
 /// Vec of values → JSON array.
@@ -570,7 +567,10 @@ pub fn report_json(r: &triplea_core::RunReport) -> Value {
         ("fimm_service_us", num(r.avg_fimm_service_us())),
         ("network_us", num(r.avg_network_us())),
         ("dropped_writes", uint(r.dropped_writes())),
-        ("migration_write_overhead", num(r.migration_write_overhead())),
+        (
+            "migration_write_overhead",
+            num(r.migration_write_overhead()),
+        ),
         ("autonomic", serde_json::to_value(r.autonomic_stats())),
         ("ftl", serde_json::to_value(&r.ftl_stats())),
         ("wear", serde_json::to_value(&r.wear())),
@@ -589,11 +589,11 @@ pub fn report_json(r: &triplea_core::RunReport) -> Value {
     let tenants = r.tenant_stats();
     if !tenants.is_empty() {
         if let Value::Object(fields) = &mut v {
+            fields.push(("sla_violations".to_string(), uint(r.sla_violations())));
             fields.push((
-                "sla_violations".to_string(),
-                uint(r.sla_violations()),
+                "tenants".to_string(),
+                serde_json::to_value(&tenants.to_vec()),
             ));
-            fields.push(("tenants".to_string(), serde_json::to_value(&tenants.to_vec())));
         }
     }
     v
@@ -711,7 +711,9 @@ mod tests {
         let a = toy();
         let mut b = Experiment::new("toy2", "Second");
         b.point("only", |ctx| obj([("seed", uint(ctx.seed))]));
-        let results = Runner::new().threads(4).run_suite(&[&a, &b], Scale::quick());
+        let results = Runner::new()
+            .threads(4)
+            .run_suite(&[&a, &b], Scale::quick());
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].points.len(), 6);
         assert_eq!(results[1].points.len(), 1);

@@ -101,10 +101,7 @@ fn every_catalog_scenario_is_thread_count_invariant_and_golden() {
         "catalog order must match the published NAMES list"
     );
     for exp in &catalog {
-        let serial = Runner::new()
-            .threads(1)
-            .run(exp, Scale::quick())
-            .to_json();
+        let serial = Runner::new().threads(1).run(exp, Scale::quick()).to_json();
         for scramble in [0xBEEFu64, 0x5CE_A210] {
             let parallel = Runner::new()
                 .threads(8)
@@ -166,12 +163,18 @@ fn perturbed_config_fails_snapshot_with_readable_diff() {
         err.contains("golden snapshot mismatch for \"micro\""),
         "missing header: {err}"
     );
-    assert!(err.contains("first difference at line"), "missing line number: {err}");
+    assert!(
+        err.contains("first difference at line"),
+        "missing line number: {err}"
+    );
     assert!(
         err.contains("\n   - ") && err.contains("\n   + "),
         "missing -/+ context lines: {err}"
     );
-    assert!(err.contains("- \"seed\"") || err.contains("rc_queue"), "diff context should show the divergent value: {err}");
+    assert!(
+        err.contains("- \"seed\"") || err.contains("rc_queue"),
+        "diff context should show the divergent value: {err}"
+    );
     assert!(err.contains("TRIPLEA_BLESS=1"), "missing bless hint: {err}");
 }
 

@@ -64,7 +64,11 @@ impl Engine {
             // lane; the weighted-fair arbiter decides who occupies the
             // next free root-complex credit.
             let t = self.reqs[r].tenant;
-            self.front.as_mut().expect("checked above").arbiter.enqueue(t, r);
+            self.front
+                .as_mut()
+                .expect("checked above")
+                .arbiter
+                .enqueue(t, r);
             self.pump_tenants(now);
         } else {
             match self.rc_queue.admit(r as u64) {
@@ -219,14 +223,12 @@ impl Engine {
         if self.front.is_none() {
             return base;
         }
-        let tightest = waiters
-            .map(|w| self.reqs[w].tenant)
-            .min_by_key(|t| {
-                (
-                    self.cfg.tenants.get(*t).map_or(u64::MAX, |s| s.sla_p99_ns),
-                    t.index(),
-                )
-            });
+        let tightest = waiters.map(|w| self.reqs[w].tenant).min_by_key(|t| {
+            (
+                self.cfg.tenants.get(*t).map_or(u64::MAX, |s| s.sla_p99_ns),
+                t.index(),
+            )
+        });
         match tightest {
             Some(t) => self.tenant_autonomics(t),
             None => base,

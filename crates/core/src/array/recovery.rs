@@ -47,7 +47,8 @@ impl Engine {
     /// pool runs dry. Runs once, when the array becomes a runner.
     pub(super) fn arm_recovery(&mut self) {
         if let Some(pl) = self.cfg.faults.power_loss {
-            self.queue.push(SimTime::from_nanos(pl.at_ns), Ev::PowerLoss);
+            self.queue
+                .push(SimTime::from_nanos(pl.at_ns), Ev::PowerLoss);
         }
         let mut spares = self.cfg.hot_spares;
         let events = self.cfg.faults.fimm_events;
@@ -102,7 +103,8 @@ impl Engine {
                 copied: 0,
                 spare: Some(spare),
             });
-            self.queue.push(died + REBUILD_DETECT_NS, Ev::RebuildStep(idx));
+            self.queue
+                .push(died + REBUILD_DETECT_NS, Ev::RebuildStep(idx));
         }
     }
 
@@ -293,8 +295,10 @@ impl Engine {
         let Some(spare) = self.rebuilds[idx].spare.take() else {
             return;
         };
-        let old =
-            std::mem::replace(&mut self.clusters[cluster as usize].fimms[fimm as usize], spare);
+        let old = std::mem::replace(
+            &mut self.clusters[cluster as usize].fimms[fimm as usize],
+            spare,
+        );
         self.retired_fimms.push(old);
         let dur = now - self.rebuilds[idx].died;
         let copied = self.rebuilds[idx].copied;

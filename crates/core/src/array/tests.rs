@@ -161,8 +161,7 @@ fn autonomic_redirects_stalled_writes() {
 #[test]
 fn breakdown_is_bounded_by_total_latency() {
     let trace = hot_read_trace(1_000, 800);
-    let report =
-        Array::new(ArrayConfig::small_test(), ManagementMode::NonAutonomic).run(&trace);
+    let report = Array::new(ArrayConfig::small_test(), ManagementMode::NonAutonomic).run(&trace);
     let accounted = report.avg_queue_stall_us()
         + report.avg_direct_link_wait_us()
         + report.avg_direct_storage_wait_us()
@@ -258,8 +257,7 @@ fn mapping_cache_misses_slow_cold_lookups() {
     let trace: Trace = (0..200)
         .map(|i| read_at(i * 50, (i * 4_096) % 200_000))
         .collect();
-    let full_map =
-        Array::new(ArrayConfig::small_test(), ManagementMode::NonAutonomic).run(&trace);
+    let full_map = Array::new(ArrayConfig::small_test(), ManagementMode::NonAutonomic).run(&trace);
     let dftl = Array::new(cached, ManagementMode::NonAutonomic).run(&trace);
     assert!(
         dftl.mean_latency_us() > full_map.mean_latency_us() * 1.5,
@@ -604,8 +602,7 @@ fn tenant_partitioning_preserves_total_completions() {
             qd_limit: 512,
         };
         let cfg = tenant_cfg(vec![spec; t as usize]);
-        let report =
-            Array::new(cfg, ManagementMode::Autonomic).run(&tenant_trace(1_500, t, 900));
+        let report = Array::new(cfg, ManagementMode::Autonomic).run(&tenant_trace(1_500, t, 900));
         assert_eq!(report.completed(), 1_500, "{t} tenants");
         let sum: u64 = report.tenant_stats().iter().map(|s| s.completed).sum();
         assert_eq!(sum, base.completed(), "{t} tenants");
@@ -634,8 +631,7 @@ fn tenant_power_loss_clears_lanes_and_recovers() {
 #[test]
 #[should_panic(expected = "exceeds the address space")]
 fn submit_rejects_a_range_that_wraps_the_address_space() {
-    let mut runner =
-        Array::new(ArrayConfig::small_test(), ManagementMode::Autonomic).into_runner();
+    let mut runner = Array::new(ArrayConfig::small_test(), ManagementMode::Autonomic).into_runner();
     runner.submit(&TraceRequest::new(
         SimTime::ZERO,
         IoOp::Read,
@@ -647,8 +643,7 @@ fn submit_rejects_a_range_that_wraps_the_address_space() {
 #[test]
 #[should_panic(expected = "before the previous request")]
 fn submit_rejects_a_time_before_the_previous_submission() {
-    let mut runner =
-        Array::new(ArrayConfig::small_test(), ManagementMode::Autonomic).into_runner();
+    let mut runner = Array::new(ArrayConfig::small_test(), ManagementMode::Autonomic).into_runner();
     runner.submit(&read_at(5, 0));
     runner.submit(&read_at(4, 1));
 }

@@ -14,8 +14,7 @@ use triplea_sim::{Nanos, SimTime, SplitMix64};
 use crate::config::{AutonomicParams, COLD_BUS_THRESHOLD};
 
 /// Activity counters of the autonomic management module.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[derive(serde::Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub struct AutonomicStats {
     /// Eq. 1 hot-cluster detections.
     pub hot_detections: u64,

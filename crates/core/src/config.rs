@@ -9,8 +9,7 @@ use triplea_sim::Nanos;
 use crate::tenant::{TenantConfig, TenantSpec};
 
 /// Whether the array runs the autonomic management module.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[derive(serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum ManagementMode {
     /// The paper's baseline: no contention detection, static layout.
     NonAutonomic,
@@ -413,7 +412,10 @@ impl std::fmt::Display for ConfigError {
                 )
             }
             ConfigError::TooManyTenants { count, max } => {
-                write!(f, "{count} tenants configured; the front door supports at most {max}")
+                write!(
+                    f,
+                    "{count} tenants configured; the front door supports at most {max}"
+                )
             }
         }
     }
@@ -594,10 +596,22 @@ impl ArrayConfig {
             }
         }
         let fractions: [(&'static str, f64); 5] = [
-            ("autonomic.hot_bus_threshold", self.autonomic.hot_bus_threshold),
-            ("faults.flash.read_transient_prob", self.faults.flash.read_transient_prob),
-            ("faults.flash.prog_fail_prob", self.faults.flash.prog_fail_prob),
-            ("faults.flash.erase_fail_prob", self.faults.flash.erase_fail_prob),
+            (
+                "autonomic.hot_bus_threshold",
+                self.autonomic.hot_bus_threshold,
+            ),
+            (
+                "faults.flash.read_transient_prob",
+                self.faults.flash.read_transient_prob,
+            ),
+            (
+                "faults.flash.prog_fail_prob",
+                self.faults.flash.prog_fail_prob,
+            ),
+            (
+                "faults.flash.erase_fail_prob",
+                self.faults.flash.erase_fail_prob,
+            ),
             ("faults.pcie.corrupt_prob", self.faults.pcie.corrupt_prob),
         ];
         for (field, value) in fractions {
@@ -786,7 +800,10 @@ mod tests {
 
     #[test]
     fn network_width_builder() {
-        let c = ArrayConfig::builder().clusters_per_switch(20).build().unwrap();
+        let c = ArrayConfig::builder()
+            .clusters_per_switch(20)
+            .build()
+            .unwrap();
         assert_eq!(c.shape.topology.total_clusters(), 80);
     }
 
@@ -819,11 +836,13 @@ mod tests {
             at_ns: 5_000,
             kind: FimmFaultKind::Dead,
         };
-        let fc = FaultConfig::default().with_fimm_event(ev).with_fimm_event(FimmFaultEvent {
-            fimm: 2,
-            kind: FimmFaultKind::Slowdown(4),
-            ..ev
-        });
+        let fc = FaultConfig::default()
+            .with_fimm_event(ev)
+            .with_fimm_event(FimmFaultEvent {
+                fimm: 2,
+                kind: FimmFaultKind::Slowdown(4),
+                ..ev
+            });
         assert!(!fc.is_quiet());
         assert_eq!(fc.fimm_events[0], Some(ev));
         assert_eq!(fc.fimm_events[1].unwrap().fimm, 2);
@@ -879,7 +898,10 @@ mod tests {
 
     #[test]
     fn builder_rejects_zero_fanout() {
-        let err = ArrayConfig::builder().fimms_per_cluster(0).build().unwrap_err();
+        let err = ArrayConfig::builder()
+            .fimms_per_cluster(0)
+            .build()
+            .unwrap_err();
         assert_eq!(
             err,
             ConfigError::ZeroDimension {
@@ -972,12 +994,18 @@ mod tests {
                 hot: 0.2
             }
         );
-        assert!(err.to_string().contains("below hot-bus threshold 0.2"), "{err}");
+        assert!(
+            err.to_string().contains("below hot-bus threshold 0.2"),
+            "{err}"
+        );
         let err = ArrayConfig::builder()
             .tune(|c| c.autonomic.hot_bus_threshold = 1.5)
             .build()
             .unwrap_err();
-        assert!(matches!(err, ConfigError::ThresholdOutOfRange { .. }), "{err}");
+        assert!(
+            matches!(err, ConfigError::ThresholdOutOfRange { .. }),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1019,7 +1047,10 @@ mod tests {
             .tune(|c| c.autonomic.migration_extent_pages = 0)
             .build()
             .unwrap_err();
-        assert!(matches!(err, ConfigError::BadMigrationExtent { .. }), "{err}");
+        assert!(
+            matches!(err, ConfigError::BadMigrationExtent { .. }),
+            "{err}"
+        );
     }
 
     #[test]

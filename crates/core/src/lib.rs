@@ -54,17 +54,17 @@ mod simulation;
 mod tenant;
 
 pub use array::{Array, ArrayRunner, VerifiedRun};
-pub use federation::{
-    ChunkPlacement, Federation, FederationBuilder, FederationConfig, FederationError,
-    FederationReport, FederationRun, FederationStats, LaggardPolicy, VolumeMapper, VolumeSpec,
-    MAX_ARRAYS,
-};
 pub use autonomic::{AutonomicState, AutonomicStats};
 pub use config::{
     ArrayConfig, ArrayConfigBuilder, AutonomicParams, ConfigError, FaultConfig, FaultScheduleFull,
     FimmFaultEvent, LaggardStrategy, ManagementMode, PowerLossEvent, COLD_BUS_THRESHOLD,
     ESCALATION_COOLDOWN_NS, LAGGARD_COOLDOWN_NS, LAGGARD_IMBALANCE, MAX_FIMM_FAULT_EVENTS,
     MAX_INFLIGHT_RELOC_PAGES, MAX_TENANTS, REMOUNT_BASE_NS, REPLAY_NS_PER_RECORD, SLA_NS,
+};
+pub use federation::{
+    ChunkPlacement, Federation, FederationBuilder, FederationConfig, FederationError,
+    FederationReport, FederationRun, FederationStats, LaggardPolicy, VolumeMapper, VolumeSpec,
+    MAX_ARRAYS,
 };
 pub use metrics::{FaultStats, RecoveryStats, RunReport};
 pub use request::{Breakdown, IoOp, Trace, TraceRequest};

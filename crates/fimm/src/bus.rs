@@ -43,12 +43,10 @@ impl OnfiBus {
         let dur = self.timing.dma_nanos(bytes) + self.timing.cmd_overhead;
         self.bytes += bytes;
         let r = self.res.reserve(now, dur);
-        self.trace.emit_at(r.start, || {
-            TraceEventKind::BusAcquire {
-                wait_ns: r.wait,
-                dur_ns: r.end - r.start,
-                bytes,
-            }
+        self.trace.emit_at(r.start, || TraceEventKind::BusAcquire {
+            wait_ns: r.wait,
+            dur_ns: r.end - r.start,
+            bytes,
         });
         r
     }
@@ -57,12 +55,10 @@ impl OnfiBus {
     /// command/address phase of a read before the die starts.
     pub fn command_cycle(&mut self, now: SimTime) -> Reservation {
         let r = self.res.reserve(now, self.timing.cmd_overhead);
-        self.trace.emit_at(r.start, || {
-            TraceEventKind::BusAcquire {
-                wait_ns: r.wait,
-                dur_ns: r.end - r.start,
-                bytes: 0,
-            }
+        self.trace.emit_at(r.start, || TraceEventKind::BusAcquire {
+            wait_ns: r.wait,
+            dur_ns: r.end - r.start,
+            bytes: 0,
         });
         r
     }

@@ -228,16 +228,17 @@ impl Package {
             OpKind::Program => self.stats.programs += cmd.targets.len() as u64,
             OpKind::Erase => self.stats.erases += cmd.targets.len() as u64,
         }
-        self.trace.emit_at(timing.start, || TraceEventKind::FlashStart {
-            op: match cmd.kind {
-                OpKind::Read => "read",
-                OpKind::Program => "program",
-                OpKind::Erase => "erase",
-            },
-            die: cmd.targets[0].die,
-            die_wait_ns: timing.die_wait,
-            dur_ns: timing.end - timing.start,
-        });
+        self.trace
+            .emit_at(timing.start, || TraceEventKind::FlashStart {
+                op: match cmd.kind {
+                    OpKind::Read => "read",
+                    OpKind::Program => "program",
+                    OpKind::Erase => "erase",
+                },
+                die: cmd.targets[0].die,
+                die_wait_ns: timing.die_wait,
+                dur_ns: timing.end - timing.start,
+            });
         Ok(timing)
     }
 

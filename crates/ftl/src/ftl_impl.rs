@@ -16,8 +16,7 @@ use crate::shape::{ArrayShape, LogicalPage, PhysLoc};
 
 /// Counters describing FTL activity; the §6.5 wear-out analysis compares
 /// `migration_writes` against `host_writes`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[derive(serde::Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub struct FtlStats {
     /// Pages written on behalf of hosts.
     pub host_writes: u64,
@@ -1049,7 +1048,8 @@ mod tests {
         assert!(f.migrate_abort(lpn, clone), "abort succeeds mid-flight");
         assert_eq!(f.locate(lpn), old, "original mapping survives");
         assert_eq!(f.stats().invalidations, 1, "clone page invalidated");
-        f.verify_integrity().expect("abort leaves metadata consistent");
+        f.verify_integrity()
+            .expect("abort leaves metadata consistent");
         // A later write works normally.
         f.write_alloc(lpn, None).unwrap();
         f.verify_integrity().unwrap();
@@ -1172,10 +1172,7 @@ mod tests {
             "failed erase returns nothing to the pool"
         );
         assert_eq!(f.stats().gc_erases, 0);
-        let key = (
-            f.shape().topology.global_index(work.cluster),
-            work.fimm,
-        );
+        let key = (f.shape().topology.global_index(work.cluster), work.fimm);
         assert_eq!(f.allocs[&key].retired_blocks(), 1);
         f.verify_integrity().unwrap();
         // The quarantined block is never handed out again: drain the

@@ -65,8 +65,7 @@ impl Default for JournalConfig {
 }
 
 /// Counters describing journal activity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[derive(serde::Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub struct JournalStats {
     /// Records appended over the journal's lifetime.
     pub appended: u64,

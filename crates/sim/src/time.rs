@@ -25,8 +25,7 @@ pub type Nanos = u64;
 /// assert_eq!(t.as_nanos(), 2_500);
 /// assert_eq!(t - SimTime::ZERO, 2_500);
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[derive(serde::Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -472,7 +472,11 @@ impl TraceEventKind {
                 wait_ns,
                 dur_ns,
                 bytes,
-            } => vec![("wait_ns", *wait_ns), ("dur_ns", *dur_ns), ("bytes", *bytes)],
+            } => vec![
+                ("wait_ns", *wait_ns),
+                ("dur_ns", *dur_ns),
+                ("bytes", *bytes),
+            ],
             FlashStart {
                 die,
                 die_wait_ns,
@@ -497,10 +501,9 @@ impl TraceEventKind {
                 ("dur_ns", *dur_ns),
                 ("replayed", *replayed as u64),
             ],
-            QueueFull { occupied, waiting } => vec![
-                ("occupied", *occupied as u64),
-                ("waiting", *waiting as u64),
-            ],
+            QueueFull { occupied, waiting } => {
+                vec![("occupied", *occupied as u64), ("waiting", *waiting as u64)]
+            }
             DetectorSample {
                 bus_util_milli,
                 latency_ns,
@@ -1176,7 +1179,9 @@ mod tests {
             dur_ns: 2_660,
             bytes: 4_096,
         });
-        port.emit_at(SimTime::from_nanos(2_000), || TraceEventKind::LaggardDetected);
+        port.emit_at(SimTime::from_nanos(2_000), || {
+            TraceEventKind::LaggardDetected
+        });
         let trace = RunTrace::from_recorder(&rec.snapshot(), MetricRegistry::new());
         let a = trace.chrome_trace();
         let b = trace.chrome_trace();

@@ -277,8 +277,8 @@ impl TraceMapper {
                 .min(self.total_pages) as u32;
             // Stride per source disk, then wrap so lpn + pages always
             // fits the array.
-            let raw = (r.offset / self.page_bytes)
-                .wrapping_add(r.disk as u64 * self.disk_stride_pages);
+            let raw =
+                (r.offset / self.page_bytes).wrapping_add(r.disk as u64 * self.disk_stride_pages);
             let lpn = raw % (self.total_pages - pages as u64 + 1);
             let rel_ticks = r.timestamp - t0;
             let at_ns = match self.target_span_ns {
@@ -432,8 +432,12 @@ Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime
     fn mapper_rescales_time_deterministically() {
         let cfg = ArrayConfig::small_test();
         let records = parse_msr(SAMPLE.as_bytes()).unwrap();
-        let a = TraceMapper::new(&cfg).target_span_ns(10_000_000).map(&records);
-        let b = TraceMapper::new(&cfg).target_span_ns(10_000_000).map(&records);
+        let a = TraceMapper::new(&cfg)
+            .target_span_ns(10_000_000)
+            .map(&records);
+        let b = TraceMapper::new(&cfg)
+            .target_span_ns(10_000_000)
+            .map(&records);
         assert_eq!(a.requests(), b.requests());
         assert_eq!(a.requests()[0].at.as_nanos(), 0);
         assert_eq!(a.requests().last().unwrap().at.as_nanos(), 10_000_000);

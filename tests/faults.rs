@@ -272,7 +272,12 @@ fn check_scenario_power_loss(scenario: &triple_a::workloads::ScenarioTrace, cut_
         run.integrity
     );
     let rec = run.report.recovery_stats();
-    assert_eq!(rec.power_losses, 1, "{}: the scheduled cut must fire", scenario.name());
+    assert_eq!(
+        rec.power_losses,
+        1,
+        "{}: the scheduled cut must fire",
+        scenario.name()
+    );
     assert_eq!(
         run.report.completed() + rec.lost_inflight_requests,
         trace.len() as u64,
@@ -381,11 +386,15 @@ fn tenanted_power_loss_stepped_matches_one_shot() {
         })
         .collect();
     let run = Array::new(cfg.clone(), ManagementMode::Autonomic).run_verified(&trace);
-    run.integrity.expect("the remount replays to coherent metadata");
+    run.integrity
+        .expect("the remount replays to coherent metadata");
     let rec = run.report.recovery_stats();
     assert_eq!(rec.power_losses, 1, "the scheduled cut must fire");
     assert_eq!(rec.rebuilds_completed, 1, "the spare must take over");
-    assert!(rec.lost_inflight_requests > 0, "the cut must catch work in flight");
+    assert!(
+        rec.lost_inflight_requests > 0,
+        "the cut must catch work in flight"
+    );
     assert!(run.report.fault_stats().transient_read_faults > 0);
     assert_eq!(run.report.tenant_stats().len(), 8);
     assert_eq!(
@@ -404,7 +413,10 @@ fn tenanted_power_loss_stepped_matches_one_shot() {
         runner.step_until(t);
     }
     let stepped = runner.finish();
-    assert_eq!(stepped.report, run.report, "stepped and one-shot runs disagree");
+    assert_eq!(
+        stepped.report, run.report,
+        "stepped and one-shot runs disagree"
+    );
 }
 
 proptest! {

@@ -118,7 +118,8 @@ fn main() {
     let trace: Trace = if let Some(path) = &o.csv {
         let file = File::open(path)
             .unwrap_or_else(|e| usage_and_exit(&format!("cannot open {path}: {e}")));
-        csv::parse_trace(file).unwrap_or_else(|e| usage_and_exit(&e.to_string()))
+        csv::parse_trace_bounded(file, cfg.shape.total_pages())
+            .unwrap_or_else(|e| usage_and_exit(&e.to_string()))
     } else {
         let profile = WorkloadProfile::by_name(&o.workload).unwrap_or_else(|| {
             usage_and_exit(&format!(

@@ -13,8 +13,8 @@
 use crate::harness::{arr, jf, ju, num, obj, text, uint, Experiment, Scale};
 use serde_json::Value;
 use triplea_core::{
-    FaultConfig, FederationStats, FimmFaultEvent, FimmFaultKind, IoOp, LaggardPolicy,
-    ManagementMode, Simulation, Trace, TraceRequest, VolumeSpec,
+    Array, FaultConfig, FederationStats, FimmFaultEvent, FimmFaultKind, IoOp, LaggardPolicy,
+    ManagementMode, Trace, TraceRequest, VolumeSpec,
 };
 use triplea_ftl::LogicalPage;
 use triplea_sim::{SimTime, SplitMix64};
@@ -109,7 +109,7 @@ fn sweep_policy() -> LaggardPolicy {
 /// point summary. `degrade` aims [`degraded_faults`] at array 0.
 fn fed_point(width: u32, replicas: u32, degrade: bool, trace: &Trace) -> Value {
     let arrays = width * replicas;
-    let mut b = Simulation::builder()
+    let mut b = Array::builder()
         .configure(|c| c.collect_series(false))
         .mode(ManagementMode::Autonomic)
         .with_federation(arrays)

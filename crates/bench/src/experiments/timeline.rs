@@ -12,7 +12,7 @@
 use crate::harness::{jf, js, obj, report_json, text, uint, Experiment, Scale};
 use crate::{bench_config, f1, overload_gap_ns};
 use serde_json::Value;
-use triplea_core::{ManagementMode, Metric, Simulation, TraceConfig};
+use triplea_core::{Array, ManagementMode, Metric, TraceConfig};
 use triplea_workloads::Microbench;
 
 /// Recorder ring capacity: small enough that the embedded Chrome trace
@@ -62,7 +62,7 @@ fn traced_run(mode: ManagementMode, requests: usize, seed: u64, full_exports: bo
         .requests(requests)
         .gap_ns(overload_gap_ns(&cfg, 2))
         .build(&cfg, seed);
-    let run = Simulation::builder()
+    let run = Array::builder()
         .config(cfg)
         .mode(mode)
         .with_recorder(TraceConfig::all().with_capacity(RING_EVENTS))

@@ -1,96 +1,31 @@
-//! The typed front door to the simulator.
-//!
-//! [`Simulation::builder()`] assembles a validated run: a
-//! cross-field-checked [`ArrayConfig`] (rejected with a typed
-//! [`ConfigError`] rather than a mid-run panic), a
-//! [`ManagementMode`] and optionally an event recorder ([`TraceConfig`]).
-//! Running returns either a plain [`RunReport`] or a typed
-//! [`VerifiedRun`] carrying the report, the harvested trace, and the
-//! FTL integrity audit. On tenant-enabled arrays each request names its
-//! owner ([`TraceRequest::owned_by`](crate::TraceRequest::owned_by)).
-//!
-//! # Example
-//!
-//! ```
-//! use triplea_core::{IoOp, ManagementMode, Simulation, Trace, TraceRequest};
-//! use triplea_ftl::LogicalPage;
-//! use triplea_sim::trace::TraceConfig;
-//! use triplea_sim::SimTime;
-//!
-//! let sim = Simulation::builder()
-//!     .small_test()
-//!     .mode(ManagementMode::Autonomic)
-//!     .with_recorder(TraceConfig::all())
-//!     .build()
-//!     .expect("valid configuration");
-//! let trace = Trace::new(vec![TraceRequest::new(SimTime::ZERO, IoOp::Read, LogicalPage(0), 1)]);
-//! let run = sim.run_verified(&trace);
-//! assert_eq!(run.report.completed(), 1);
-//! assert!(run.integrity.is_ok());
-//! let events = &run.trace.expect("recorder attached").events;
-//! assert!(!events.is_empty());
-//! ```
+//! [`ArrayBuilder`]: the validated way to assemble an [`Array`].
 
 use triplea_sim::trace::TraceConfig;
 
-use crate::array::{Array, VerifiedRun};
+use super::Array;
 use crate::config::{ArrayConfig, ArrayConfigBuilder, ConfigError, ManagementMode};
-use crate::metrics::RunReport;
-use crate::request::Trace;
 
-/// A fully assembled, validated simulation, ready to replay a
-/// [`Trace`]. Built by [`SimulationBuilder`]; see the module docs.
-#[derive(Debug)]
-pub struct Simulation {
-    array: Array,
+/// Builder for [`Array`], reached through [`Array::builder`]: the only
+/// construction path that validates the configuration before any
+/// hardware is assembled, and the only way to attach a recorder.
+#[derive(Clone, Debug)]
+pub struct ArrayBuilder {
+    config: ArrayConfigBuilder,
+    mode: ManagementMode,
+    trace: Option<TraceConfig>,
 }
 
-impl Simulation {
-    /// Starts a builder seeded with the paper-baseline configuration in
-    /// [`ManagementMode::Autonomic`] and no recorder.
-    pub fn builder() -> SimulationBuilder {
-        SimulationBuilder {
+impl ArrayBuilder {
+    pub(super) fn new() -> Self {
+        ArrayBuilder {
             config: ArrayConfig::builder(),
             mode: ManagementMode::Autonomic,
             trace: None,
         }
     }
 
-    /// The validated configuration in force.
-    pub fn config(&self) -> &ArrayConfig {
-        self.array.config()
-    }
-
-    /// The management mode in force.
-    pub fn mode(&self) -> ManagementMode {
-        self.array.mode()
-    }
-
-    /// Replays `trace` to completion. See [`Array::run`].
-    pub fn run(self, trace: &Trace) -> RunReport {
-        self.array.run(trace)
-    }
-
-    /// Replays `trace` and returns the typed [`VerifiedRun`]: report,
-    /// harvested trace (when a recorder was attached), and the FTL
-    /// metadata integrity audit. See [`Array::run_verified`].
-    pub fn run_verified(self, trace: &Trace) -> VerifiedRun {
-        self.array.run_verified(trace)
-    }
-}
-
-/// Builder for [`Simulation`]; the only construction path that
-/// validates the configuration before any hardware is assembled.
-#[derive(Clone, Debug)]
-pub struct SimulationBuilder {
-    config: ArrayConfigBuilder,
-    mode: ManagementMode,
-    trace: Option<TraceConfig>,
-}
-
-impl SimulationBuilder {
     /// Replaces the configuration with `cfg` (still validated at
-    /// [`SimulationBuilder::build`] time).
+    /// [`ArrayBuilder::build`] time).
     pub fn config(mut self, cfg: ArrayConfig) -> Self {
         self.config = ArrayConfigBuilder::from_base(cfg);
         self
@@ -116,9 +51,10 @@ impl SimulationBuilder {
         self
     }
 
-    /// Attaches an event recorder to the built array; the run's
-    /// [`VerifiedRun::trace`] will then carry the harvested events and
-    /// metrics. See [`Array::with_recorder`].
+    /// Attaches an event recorder to every component of the built
+    /// array; the run's [`VerifiedRun::trace`](super::VerifiedRun::trace)
+    /// then carries the harvested events and `cluster.N.fimm.M.*`
+    /// metrics.
     pub fn with_recorder(mut self, cfg: TraceConfig) -> Self {
         self.trace = Some(cfg);
         self
@@ -147,19 +83,19 @@ impl SimulationBuilder {
     ///
     /// Returns the first [`ConfigError`] the cross-field validation
     /// finds; nothing is constructed on failure.
-    pub fn build(self) -> Result<Simulation, ConfigError> {
-        let mut array = Array::new(self.config.build()?, self.mode);
-        if let Some(tc) = self.trace {
-            array = array.with_recorder(tc);
-        }
-        Ok(Simulation { array })
+    pub fn build(self) -> Result<Array, ConfigError> {
+        let array = Array::new(self.config.build()?, self.mode);
+        Ok(match self.trace {
+            Some(tc) => array.with_recorder(tc),
+            None => array,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{IoOp, TraceRequest};
+    use crate::request::{IoOp, Trace, TraceRequest};
     use triplea_ftl::LogicalPage;
     use triplea_sim::SimTime;
 
@@ -174,14 +110,14 @@ mod tests {
 
     #[test]
     fn builder_defaults_to_autonomic_baseline() {
-        let sim = Simulation::builder().build().expect("baseline valid");
+        let sim = Array::builder().build().expect("baseline valid");
         assert_eq!(sim.mode(), ManagementMode::Autonomic);
         assert_eq!(sim.config(), &ArrayConfig::paper_baseline());
     }
 
     #[test]
     fn builder_rejects_invalid_configuration() {
-        let err = Simulation::builder()
+        let err = Array::builder()
             .configure(|c| c.fimms_per_cluster(0))
             .build()
             .unwrap_err();
@@ -190,7 +126,7 @@ mod tests {
 
     #[test]
     fn untraced_run_has_no_trace_and_clean_integrity() {
-        let run = Simulation::builder()
+        let run = Array::builder()
             .small_test()
             .mode(ManagementMode::NonAutonomic)
             .build()
@@ -203,7 +139,7 @@ mod tests {
 
     #[test]
     fn traced_run_harvests_lifecycle_events_and_metrics() {
-        let run = Simulation::builder()
+        let run = Array::builder()
             .small_test()
             .with_recorder(TraceConfig::all())
             .build()
@@ -233,7 +169,7 @@ mod tests {
                     .owned_by(TenantId((i % 3 == 0) as u32))
             })
             .collect();
-        let run = Simulation::builder()
+        let run = Array::builder()
             .small_test()
             .mode(ManagementMode::NonAutonomic)
             .configure(|c| c.with_tenants([TenantSpec::interactive(), TenantSpec::batch()]))
@@ -319,12 +255,12 @@ mod tests {
                 )
             })
             .collect();
-        let plain = Simulation::builder()
+        let plain = Array::builder()
             .small_test()
             .build()
             .unwrap()
             .run_verified(&trace);
-        let traced = Simulation::builder()
+        let traced = Array::builder()
             .small_test()
             .with_recorder(TraceConfig::all())
             .build()
@@ -354,7 +290,7 @@ mod tests {
         );
         assert_eq!(blended.len(), 200);
         assert!(blended.requests().windows(2).all(|w| w[0].at <= w[1].at));
-        let run = Simulation::builder()
+        let run = Array::builder()
             .small_test()
             .configure(|c| c.with_tenants([TenantSpec::interactive(), TenantSpec::batch()]))
             .build()

@@ -7,7 +7,7 @@ use triplea_sim::stats::Histogram;
 use triplea_sim::trace::{TraceEventKind, TraceScope};
 use triplea_sim::{Nanos, SimTime};
 
-use super::{Engine, Ev, Outcome};
+use super::{Engine, Ev, Finished};
 use crate::config::{ArrayConfig, ESCALATION_COOLDOWN_NS, LAGGARD_COOLDOWN_NS, SLA_NS};
 use crate::request::IoOp;
 use crate::tenant::{TenantId, WeightedArbiter};
@@ -108,8 +108,8 @@ impl Engine {
             (rs.id, rs.op, rs.tenant, rs.submit, rs.bd, rs.cluster);
         let total = now - submit;
         self.free_slot(r);
-        if let Some(o) = self.outcomes.get_mut(id as usize) {
-            *o = Outcome::Done(now);
+        if self.stream {
+            self.finished.push((id, Finished::Done(now)));
         }
         self.emit(TraceScope::cluster(cluster), || TraceEventKind::Complete {
             req: id,

@@ -29,6 +29,7 @@ use crate::config::{ArrayConfig, ManagementMode};
 use crate::metrics::{FaultStats, RecoveryStats, RunReport};
 use crate::request::{Breakdown, RequestState, RequestTable, Trace, TraceRequest};
 
+mod builder;
 mod fabric;
 mod front;
 mod management;
@@ -38,6 +39,7 @@ mod storage;
 #[cfg(test)]
 mod tests;
 
+pub use builder::ArrayBuilder;
 use front::FrontDoor;
 use management::Reloc;
 use recovery::Rebuild;
@@ -109,10 +111,11 @@ struct Scratch {
     per_fimm: Vec<u32>,
 }
 
-/// What became of one [`ArrayRunner::submit`]ted request.
+/// How a [`ArrayRunner::submit`]ted request finished, as reported by
+/// [`ArrayRunner::finished`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Outcome {
-    Pending,
+pub enum Finished {
+    /// Completed at this instant.
     Done(SimTime),
     /// In flight at a power cut; it will never complete.
     Lost,
@@ -164,9 +167,12 @@ struct Engine {
     /// Requests between arrival and completion or loss; a slot is reused
     /// once its request is finished.
     reqs: RequestTable,
-    /// Per-submission outcomes for the stepped API's polling; only
-    /// [`ArrayRunner::submit`] grows it.
-    outcomes: Vec<Outcome>,
+    /// `(submission id, how it finished)` for the current step, in the
+    /// order the requests finished; see [`ArrayRunner::finished`].
+    finished: Vec<(u32, Finished)>,
+    /// Whether `finished` is filled: set by the first
+    /// [`ArrayRunner::submit`]. A one-shot run has no caller to read it.
+    stream: bool,
     cursor: Cursor,
     relocs: Vec<Reloc>,
     queue: EventQueue<Ev>,
@@ -207,7 +213,7 @@ struct Engine {
 
 /// The outcome of [`Array::run_verified`]: the performance report, the
 /// harvested trace (when a recorder was attached via
-/// [`Array::with_recorder`]), and the post-run FTL metadata audit.
+/// [`ArrayBuilder::with_recorder`]), and the post-run FTL metadata audit.
 #[derive(Clone, Debug)]
 pub struct VerifiedRun {
     /// The run's performance report, identical to [`Array::run`]'s.
@@ -223,20 +229,34 @@ pub struct VerifiedRun {
 
 /// The Triple-A all-flash array (or its non-autonomic baseline).
 ///
-/// Construct with [`Array::new`], then [`Array::run`] a [`Trace`] through
-/// it to obtain a [`RunReport`]. Runs are deterministic: the same config,
-/// mode, and trace always produce identical reports.
+/// Assemble one with [`Array::builder`], which validates the
+/// configuration (rejecting it with a typed [`ConfigError`](crate::ConfigError)
+/// rather than a mid-run panic) and optionally attaches an event
+/// recorder. Then [`Array::run`] a [`Trace`] through it for a
+/// [`RunReport`], or [`Array::run_verified`] for the report, the
+/// harvested trace and the FTL integrity audit. Runs are deterministic:
+/// the same config, mode, and trace always produce identical reports.
 ///
 /// # Example
 ///
 /// ```
-/// use triplea_core::{Array, ArrayConfig, IoOp, ManagementMode, Trace, TraceRequest};
+/// use triplea_core::{Array, IoOp, ManagementMode, Trace, TraceRequest};
 /// use triplea_ftl::LogicalPage;
+/// use triplea_sim::trace::TraceConfig;
 /// use triplea_sim::SimTime;
 ///
+/// let array = Array::builder()
+///     .small_test()
+///     .mode(ManagementMode::Autonomic)
+///     .with_recorder(TraceConfig::all())
+///     .build()
+///     .expect("valid configuration");
 /// let trace = Trace::new(vec![TraceRequest::new(SimTime::ZERO, IoOp::Read, LogicalPage(0), 1)]);
-/// let report = Array::new(ArrayConfig::small_test(), ManagementMode::Autonomic).run(&trace);
-/// assert_eq!(report.completed(), 1);
+/// let run = array.run_verified(&trace);
+/// assert_eq!(run.report.completed(), 1);
+/// assert!(run.integrity.is_ok());
+/// let events = &run.trace.expect("recorder attached").events;
+/// assert!(!events.is_empty());
 /// ```
 pub struct Array {
     e: Engine,
@@ -252,7 +272,14 @@ impl std::fmt::Debug for Array {
 }
 
 impl Array {
-    /// Builds an idle array from a configuration.
+    /// Starts a builder seeded with the paper-baseline configuration in
+    /// [`ManagementMode::Autonomic`] and no recorder.
+    pub fn builder() -> ArrayBuilder {
+        ArrayBuilder::new()
+    }
+
+    /// Builds an idle array from a configuration, without validating
+    /// it; [`Array::builder`] validates.
     ///
     /// A configured [`FimmFaultEvent`](crate::FimmFaultEvent) that
     /// addresses a cluster or FIMM outside the array is ignored — the
@@ -291,7 +318,8 @@ impl Array {
             auto: AutonomicState::new(cfg.autonomic, cfg.seed),
             front: FrontDoor::new(&cfg),
             reqs: RequestTable::default(),
-            outcomes: Vec::new(),
+            finished: Vec::new(),
+            stream: false,
             cursor: Cursor::default(),
             relocs: Vec::new(),
             queue: EventQueue::new(),
@@ -327,7 +355,7 @@ impl Array {
     /// position (cluster, FIMM, package), so the harvested
     /// [`RunTrace`] — returned by [`Array::run_verified`] — carries
     /// per-lane Chrome-trace output and `cluster.N.fimm.M.*` metrics.
-    pub fn with_recorder(mut self, cfg: TraceConfig) -> Self {
+    pub(crate) fn with_recorder(mut self, cfg: TraceConfig) -> Self {
         let rec = SharedRecorder::new(cfg);
         let e = &mut self.e;
         let port = |scope| TracePort::attached(rec.clone(), scope);
@@ -427,7 +455,7 @@ impl Array {
     /// map to exactly one live physical page and vice versa, proving that
     /// no page was lost or duplicated even when faults aborted migrations
     /// mid-copy — and harvests the event trace when a recorder was
-    /// attached with [`Array::with_recorder`].
+    /// attached with [`ArrayBuilder::with_recorder`].
     ///
     /// # Panics
     ///
@@ -450,6 +478,7 @@ impl Array {
         ArrayRunner {
             e: Box::new(self.e),
             pending: VecDeque::new(),
+            submitted: 0,
         }
     }
 }
@@ -467,13 +496,15 @@ pub struct ArrayRunner {
     e: Box<Engine>,
     /// Submitted requests not yet delivered, in submission order.
     pending: VecDeque<TraceRequest>,
+    /// Requests injected so far; the next submission's id.
+    submitted: u32,
 }
 
 impl std::fmt::Debug for ArrayRunner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ArrayRunner")
             .field("mode", &self.e.mode)
-            .field("submitted", &self.submitted())
+            .field("submitted", &self.submitted)
             .field("completed", &self.completed())
             .finish()
     }
@@ -485,8 +516,8 @@ impl ArrayRunner {
         &self.e.cfg
     }
 
-    /// Injects one request, returning its id for later
-    /// [`ArrayRunner::is_done`] / [`ArrayRunner::is_lost`] polling.
+    /// Injects one request, returning the id under which
+    /// [`ArrayRunner::finished`] reports it.
     ///
     /// # Panics
     ///
@@ -496,11 +527,12 @@ impl ArrayRunner {
     /// submission's. The submission time must not be earlier than any
     /// instant already stepped past.
     pub fn submit(&mut self, r: &TraceRequest) -> u32 {
-        let id = self.e.outcomes.len();
-        self.e.accept(id, r);
-        self.e.outcomes.push(Outcome::Pending);
+        let id = self.submitted;
+        self.e.accept(id as usize, r);
+        self.e.stream = true;
         self.pending.push_back(*r);
-        id as u32
+        self.submitted += 1;
+        id
     }
 
     /// Checks every request of `trace`, then runs the event loop to the
@@ -513,11 +545,22 @@ impl ArrayRunner {
     }
 
     /// Drains every event strictly before `t`, delivering the pending
-    /// submissions due before it.
+    /// submissions due before it. Replaces [`ArrayRunner::finished`]
+    /// with the requests this step finished.
     pub fn step_until(&mut self, t: SimTime) {
-        let first = self.e.outcomes.len() - self.pending.len();
+        self.e.finished.clear();
+        let first = self.submitted as usize - self.pending.len();
         let delivered = self.e.drain(t, first, self.pending.make_contiguous());
         self.pending.drain(..delivered);
+    }
+
+    /// The submissions the last [`ArrayRunner::step_until`] finished, as
+    /// `(id, how)` in the order they finished: each completion once, at
+    /// its instant, and each request in flight at a power cut as
+    /// [`Finished::Lost`] in the step that contains the cut. Every
+    /// submission appears exactly once over a run.
+    pub fn finished(&self) -> &[(u32, Finished)] {
+        &self.e.finished
     }
 
     /// `true` when every submitted request has arrived and the event
@@ -529,7 +572,7 @@ impl ArrayRunner {
 
     /// Requests injected so far.
     pub fn submitted(&self) -> u64 {
-        self.e.outcomes.len() as u64
+        self.submitted as u64
     }
 
     /// Requests completed so far.
@@ -546,26 +589,6 @@ impl ArrayRunner {
     /// first completion).
     pub fn p99_ns(&self) -> u64 {
         self.e.lat.percentile(0.99)
-    }
-
-    /// `true` once request `id` has completed.
-    pub fn is_done(&self, id: u32) -> bool {
-        matches!(self.e.outcomes[id as usize], Outcome::Done(_))
-    }
-
-    /// `true` when request `id` was in flight at a power cut and will
-    /// never complete (its completion callback died with the calendar).
-    pub fn is_lost(&self, id: u32) -> bool {
-        self.e.outcomes[id as usize] == Outcome::Lost
-    }
-
-    /// Completion instant of request `id` ([`SimTime::ZERO`] until it
-    /// completes).
-    pub fn finish_time(&self, id: u32) -> SimTime {
-        match self.e.outcomes[id as usize] {
-            Outcome::Done(t) => t,
-            Outcome::Pending | Outcome::Lost => SimTime::ZERO,
-        }
     }
 
     /// Drains every remaining event, audits FTL metadata integrity, and

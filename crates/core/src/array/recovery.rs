@@ -7,7 +7,7 @@ use triplea_ftl::RebuildUnit;
 use triplea_sim::trace::{TraceEventKind, TracePort, TraceScope};
 use triplea_sim::{Nanos, SimTime};
 
-use super::{Engine, Ev, Outcome, GOLDEN};
+use super::{Engine, Ev, Finished, GOLDEN};
 use crate::config::{REMOUNT_BASE_NS, REPLAY_NS_PER_RECORD};
 use crate::request::Stage;
 
@@ -139,8 +139,8 @@ impl Engine {
             if rs.stage == Stage::Done {
                 continue;
             }
-            if let Some(o) = self.outcomes.get_mut(rs.id as usize) {
-                *o = Outcome::Lost;
+            if self.stream {
+                self.finished.push((rs.id, Finished::Lost));
             }
             self.free_slot(r);
             lost += 1;

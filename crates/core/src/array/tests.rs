@@ -689,32 +689,60 @@ fn rc_queue_capacity_follows_config() {
     assert_eq!(array.e.rc_queue.capacity(), 7);
 }
 
+/// How each submission of a stepped run finished, indexed by id, read
+/// from the runner's stream step by step.
+#[derive(Default)]
+struct Outcomes(Vec<Option<Finished>>);
+
+impl Outcomes {
+    /// Steps `runner` to `t` and records what the step finished,
+    /// checking that no id finishes twice.
+    fn step(&mut self, runner: &mut ArrayRunner, t: SimTime) {
+        runner.step_until(t);
+        self.0.resize(runner.submitted() as usize, None);
+        for &(id, how) in runner.finished() {
+            let slot = &mut self.0[id as usize];
+            assert_eq!(*slot, None, "request {id} finished twice");
+            *slot = Some(how);
+        }
+    }
+
+    /// When request `id` completed.
+    fn done_at(&self, id: u32) -> SimTime {
+        match self.0[id as usize] {
+            Some(Finished::Done(t)) => t,
+            other => panic!("request {id} did not complete: {other:?}"),
+        }
+    }
+}
+
 /// Submits `trace` to `array`'s stepped runner and steps it in 10 µs
-/// epochs until idle.
-fn stepped(array: Array, trace: &Trace) -> ArrayRunner {
+/// epochs until idle, recording how each request finished.
+fn stepped(array: Array, trace: &Trace) -> (ArrayRunner, Outcomes) {
     let mut runner = array.into_runner();
     for r in trace.requests() {
         runner.submit(r);
     }
+    let mut outcomes = Outcomes::default();
     let mut t = SimTime::ZERO;
     while !runner.is_idle() {
         t += 10_000;
-        runner.step_until(t);
+        outcomes.step(&mut runner, t);
     }
-    runner
+    (runner, outcomes)
 }
 
 /// Most requests between arrival and completion at once, from the
 /// completion instants of a stepped run. At a shared instant the
 /// arrival is counted before the completion, the order the event loop
 /// handles them in.
-fn peak_in_flight(trace: &Trace, runner: &ArrayRunner) -> usize {
+fn peak_in_flight(trace: &Trace, outcomes: &Outcomes) -> usize {
     // `(instant, completes)`: `false` sorts first, so arrivals lead.
     let mut edges: Vec<(SimTime, bool)> = trace
         .requests()
         .iter()
         .enumerate()
-        .flat_map(|(id, r)| [(r.at, false), (runner.finish_time(id as u32), true)])
+        .flat_map(|(id, r)| [(r.at, false), (outcomes.done_at(id as u32), true)])
         .collect();
     edges.sort_unstable();
     let (mut live, mut peak) = (0, 0);
@@ -744,8 +772,8 @@ fn request_table_stays_within_peak_in_flight() {
             )
         })
         .collect();
-    let reference = stepped(Array::new(cfg.clone(), ManagementMode::Autonomic), &trace);
-    let peak = peak_in_flight(&trace, &reference);
+    let (reference, outcomes) = stepped(Array::new(cfg.clone(), ManagementMode::Autonomic), &trace);
+    let peak = peak_in_flight(&trace, &outcomes);
     assert!(
         peak < 64,
         "the trace should be uncontended: {peak} in flight"
@@ -790,10 +818,10 @@ fn same_instant_arrivals_and_completions_order_like_the_stepped_runner() {
     // Three reads sharing an instant, then two more at each instant one
     // of those completes.
     let first: Vec<TraceRequest> = (0..3).map(|i| read_at(0, i * 5)).collect();
-    let alone = stepped(array(), &Trace::new(first.clone()));
+    let (_, alone) = stepped(array(), &Trace::new(first.clone()));
     let mut requests = first;
     for id in 0..3 {
-        let at = alone.finish_time(id);
+        let at = alone.done_at(id);
         for k in 0..2 {
             requests.push(TraceRequest::new(
                 at,
@@ -804,9 +832,9 @@ fn same_instant_arrivals_and_completions_order_like_the_stepped_runner() {
         }
     }
     let trace = Trace::new(requests);
-    let reference = stepped(array(), &trace);
+    let (reference, outcomes) = stepped(array(), &trace);
     let finishes: Vec<SimTime> = (0..trace.len() as u32)
-        .map(|id| reference.finish_time(id))
+        .map(|id| outcomes.done_at(id))
         .collect();
     assert!(
         trace.requests().iter().any(|r| finishes.contains(&r.at)),
@@ -829,7 +857,7 @@ fn stepped_submissions_inside_the_remount_window_wait_for_it() {
     cfg.faults = cfg.faults.with_power_loss(PowerLossEvent::at(CUT));
     let trace = mixed_trace(2_000, 1_000);
     let reqs = trace.requests();
-    let reference = stepped(Array::new(cfg.clone(), ManagementMode::Autonomic), &trace);
+    let (reference, expected) = stepped(Array::new(cfg.clone(), ManagementMode::Autonomic), &trace);
     // Submit through 100 µs past the cut, step past the cut, then submit
     // the rest: its first arrivals are due while the array remounts.
     let split = reqs.partition_point(|r| r.at < SimTime::from_nanos(CUT + 100_000));
@@ -837,7 +865,8 @@ fn stepped_submissions_inside_the_remount_window_wait_for_it() {
     for r in &reqs[..split] {
         late.submit(r);
     }
-    late.step_until(SimTime::from_nanos(CUT + 1));
+    let mut outcomes = Outcomes::default();
+    outcomes.step(&mut late, SimTime::from_nanos(CUT + 1));
     assert_eq!(late.lost(), reference.lost(), "the cut has fired");
     for r in &reqs[split..] {
         late.submit(r);
@@ -845,14 +874,10 @@ fn stepped_submissions_inside_the_remount_window_wait_for_it() {
     let mut t = SimTime::from_nanos(CUT);
     while !late.is_idle() {
         t += 10_000;
-        late.step_until(t);
+        outcomes.step(&mut late, t);
     }
-    for id in 0..trace.len() as u32 {
-        assert_eq!(
-            (late.finish_time(id), late.is_lost(id)),
-            (reference.finish_time(id), reference.is_lost(id)),
-            "request {id}"
-        );
+    for id in 0..trace.len() {
+        assert_eq!(outcomes.0[id], expected.0[id], "request {id}");
     }
     let mut late = late.finish().report;
     let reference = reference.finish().report;
@@ -870,6 +895,59 @@ fn stepped_submissions_inside_the_remount_window_wait_for_it() {
     assert_eq!(late.recovery.requeued_requests, (split - after_cut) as u64);
     late.recovery.requeued_requests = reference.recovery.requeued_requests;
     assert_eq!(late, reference);
+}
+
+#[test]
+fn the_stream_reports_each_submission_once() {
+    use crate::config::PowerLossEvent;
+    const CUT: u64 = 1_000_000;
+    let mut cfg = ArrayConfig::small_test();
+    cfg.faults = cfg.faults.with_power_loss(PowerLossEvent::at(CUT));
+    let trace = mixed_trace(2_000, 1_000);
+    let mut runner = Array::new(cfg, ManagementMode::Autonomic).into_runner();
+    for r in trace.requests() {
+        runner.submit(r);
+    }
+    let mut outcomes = Outcomes::default();
+    let mut lost_by_step = Vec::new();
+    let mut t = SimTime::ZERO;
+    while !runner.is_idle() {
+        let from = t;
+        t += 10_000;
+        outcomes.step(&mut runner, t);
+        let lost = runner
+            .finished()
+            .iter()
+            .filter(|(_, how)| *how == Finished::Lost);
+        lost_by_step.push((from, lost.count() as u64));
+        for &(id, how) in runner.finished() {
+            if let Finished::Done(at) = how {
+                assert!(from <= at && at < t, "request {id} done outside its step");
+            }
+        }
+        runner.step_until(t);
+        assert!(
+            runner.finished().is_empty(),
+            "nothing finishes in [{t:?}, {t:?})"
+        );
+    }
+    assert!(
+        outcomes.0.len() == trace.len() && outcomes.0.iter().all(Option::is_some),
+        "every submission finishes"
+    );
+    let report = runner.finish().report;
+    let lost = report.recovery_stats().lost_inflight_requests;
+    assert!(lost > 0, "the cut must catch requests in flight");
+    let cut_step = lost_by_step.partition_point(|&(from, _)| from <= SimTime::from_nanos(CUT)) - 1;
+    for (i, &(from, n)) in lost_by_step.iter().enumerate() {
+        let want = if i == cut_step { lost } else { 0 };
+        assert_eq!(n, want, "Lost records in the step from {from:?}");
+    }
+    let done = outcomes
+        .0
+        .iter()
+        .filter(|o| matches!(o, Some(Finished::Done(_))));
+    assert_eq!(done.count() as u64, report.completed());
 }
 
 mod properties {
@@ -913,7 +991,7 @@ mod properties {
                     r.owned_by(tenant)
                 })
                 .collect();
-            let alone = stepped(
+            let (_, alone) = stepped(
                 Array::new(cfg.clone(), ManagementMode::Autonomic),
                 &Trace::new(base.clone()),
             );
@@ -922,7 +1000,7 @@ mod properties {
                 .enumerate()
                 .filter(|&(_, r)| r.4 == 0)
                 .map(|(i, _)| TraceRequest {
-                    at: alone.finish_time(i as u32),
+                    at: alone.done_at(i as u32),
                     ..base[i]
                 })
                 .collect();

@@ -253,7 +253,7 @@ impl From<ConfigError> for FederationError {
 }
 
 /// Builder for a [`Federation`]; obtained from
-/// [`SimulationBuilder::with_federation`](crate::SimulationBuilder::with_federation).
+/// [`ArrayBuilder::with_federation`](crate::ArrayBuilder::with_federation).
 /// Validates the member-array configuration *and* the federation
 /// geometry at [`build`](FederationBuilder::build) time.
 #[derive(Clone, Debug)]
@@ -408,10 +408,10 @@ impl FederationBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Simulation;
+    use crate::Array;
 
     fn builder() -> FederationBuilder {
-        Simulation::builder().small_test().with_federation(4)
+        Array::builder().small_test().with_federation(4)
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //! deterministic epoch loop, with replica routing, power-loss read
 //! retry, and the inter-array laggard policy.
 
+use std::collections::BTreeMap;
+
 use triplea_ftl::IntegrityError;
 use triplea_sim::stats::Histogram;
 use triplea_sim::trace::{MetricRegistry, RunTrace, SharedRecorder, TraceEventKind, TraceScope};
 use triplea_sim::{FxHashMap, FxHashSet, SimTime};
 
-use crate::array::{Array, ArrayRunner, GOLDEN};
+use crate::array::{Array, ArrayRunner, Finished, GOLDEN};
 use crate::config::ArrayConfig;
 use crate::federation::config::FederationConfig;
 use crate::federation::map::{ChunkPlacement, VolumeMapper};
@@ -227,13 +229,6 @@ impl std::fmt::Display for FederationReport {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FragState {
-    InFlight,
-    Done,
-    Lost,
-}
-
 /// One array-level request issued on behalf of a volume request: a
 /// chunk-local page run on one replica copy.
 #[derive(Clone, Debug)]
@@ -241,22 +236,29 @@ struct Frag {
     chunk: u64,
     offset: u64,
     pages: u32,
-    copy: u32,
     array: u32,
-    id: u32,
-    state: FragState,
+    done: bool,
     /// Bitmask of replica copies already tried (read retry bookkeeping).
     tried: u32,
 }
 
 #[derive(Clone, Debug)]
 struct VolReq {
+    /// Index of the request in the volume trace.
+    vi: u32,
     submit: SimTime,
     read: bool,
     tenant: crate::tenant::TenantId,
+    /// A write holds one fragment per replica copy of each page run,
+    /// copies of a run adjacent.
     frags: Vec<Frag>,
-    /// Write copies definitively lost (for the degraded census).
-    lost_copies: u32,
+    /// Fragments still in flight.
+    in_flight: u32,
+    /// Fragments lost for good: a read's with no replica left to try,
+    /// any write copy.
+    lost: u32,
+    /// Latest completion among the durable fragments.
+    finish: SimTime,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -273,9 +275,20 @@ struct Migration {
     to: u32,
     /// Destination slot index within `to`'s migration region.
     slot: u64,
-    phase: MigPhase,
     /// The in-flight clone op: a read on `from`, then a write on `to`.
-    op_id: u32,
+    phase: MigPhase,
+}
+
+/// What a member array's in-flight request was issued for. The order
+/// is the order finished requests are handled in each epoch: volume
+/// requests by trace index (fragments in order), then migrations in
+/// creation order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Awaited {
+    /// Fragment `fi` of volume request `vi`, held in `vol[slot]`.
+    Frag { vi: u32, fi: u32, slot: u32 },
+    /// The clone op of `migrations[&seq]`.
+    Migration(u64),
 }
 
 #[derive(Debug)]
@@ -284,15 +297,20 @@ pub(crate) struct VolumeManager {
     pub(crate) mapper: VolumeMapper,
     runners: Vec<ArrayRunner>,
     rec: Option<SharedRecorder>,
-    // Volume-request accounting.
-    vol: Vec<VolReq>,
-    /// Unresolved volume-request indices, in submission order.
-    open: Vec<u32>,
+    /// Unresolved volume requests; a slot is reused once its request
+    /// resolves, so the table follows what is open, not the trace.
+    vol: Vec<Option<VolReq>>,
+    /// Free `vol` slots, reused last-freed first.
+    free_vol: Vec<u32>,
+    /// Per member array: the ids it was handed that have not finished.
+    awaiting: Vec<FxHashMap<u32, Awaited>>,
     /// Host fragments currently in flight per array (replica routing).
     inflight: Vec<u64>,
     // Laggard policy state.
     heat: FxHashMap<u64, u64>,
-    migrations: Vec<Migration>,
+    /// In-flight migrations by creation sequence number.
+    migrations: BTreeMap<u64, Migration>,
+    next_migration: u64,
     /// Chunk copies with an active migration (no double-claim).
     migrating: FxHashSet<(u32, u64)>,
     /// Monotonic slot allocation per array (aborted slots are retired,
@@ -338,10 +356,12 @@ impl VolumeManager {
             runners,
             rec,
             vol: Vec::new(),
-            open: Vec::new(),
+            free_vol: Vec::new(),
+            awaiting: vec![FxHashMap::default(); n],
             inflight: vec![0; n],
             heat: FxHashMap::default(),
-            migrations: Vec::new(),
+            migrations: BTreeMap::new(),
+            next_migration: 0,
             migrating: FxHashSet::default(),
             slots_alloc: vec![0; n],
             cooldown: 0,
@@ -359,13 +379,20 @@ impl VolumeManager {
         }
     }
 
-    /// Submits one array-level fragment and updates the routing ledger.
-    fn submit_frag(&mut self, array: u32, r: &TraceRequest) -> u32 {
+    /// Hands `r` to member `array` and remembers what it is for.
+    fn submit_to(&mut self, array: u32, r: &TraceRequest, what: Awaited) {
         let id = self.runners[array as usize].submit(r);
+        self.awaiting[array as usize].insert(id, what);
+    }
+
+    /// Submits fragment `fi` of the volume request in `vol[slot]` and
+    /// updates the routing ledger.
+    fn submit_frag(&mut self, array: u32, r: &TraceRequest, vi: u32, fi: usize, slot: u32) {
+        let fi = fi as u32;
+        self.submit_to(array, r, Awaited::Frag { vi, fi, slot });
         self.inflight[array as usize] += 1;
         self.stats.fragments += 1;
         self.stats.per_array_fragments[array as usize] += 1;
-        id
     }
 
     /// The replica copy a read fragment of `chunk` should go to:
@@ -378,206 +405,180 @@ impl VolumeManager {
             .min_by_key(|&(_, a)| (self.inflight[a as usize], a))
     }
 
-    fn submit_volume(&mut self, vi: u32, r: &TraceRequest, at: SimTime) {
-        let frag_runs = self.mapper.fragments(r.lpn, r.pages);
+    /// Volume requests not yet resolved.
+    fn open(&self) -> usize {
+        self.vol.len() - self.free_vol.len()
+    }
+
+    fn submit_volume(&mut self, vi: u32, r: &TraceRequest) {
+        let slot = self.free_vol.pop().unwrap_or_else(|| {
+            self.vol.push(None);
+            (self.vol.len() - 1) as u32
+        });
         let mut frags = Vec::new();
-        for fr in frag_runs {
+        for fr in self.mapper.fragments(r.lpn, r.pages) {
             *self.heat.entry(fr.chunk).or_insert(0) += 1;
-            match r.op {
+            // A read goes to one replica, a write to every one.
+            let copies = match r.op {
                 IoOp::Read => {
-                    let (copy, array) = self
+                    let (copy, _) = self
                         .pick_replica(fr.chunk, 0)
                         .expect("replicas >= 1, nothing tried");
-                    let place = self.mapper.placement(copy, fr.chunk);
-                    let local = self.mapper.local_lpn(place, fr.offset);
-                    let id = self.submit_frag(
-                        array,
-                        &TraceRequest::for_tenant(r.tenant, at, IoOp::Read, local, fr.pages),
-                    );
+                    copy..copy + 1
+                }
+                IoOp::Write => 0..self.mapper.replicas(),
+            };
+            for copy in copies {
+                let place = self.mapper.placement(copy, fr.chunk);
+                let local = self.mapper.local_lpn(place, fr.offset);
+                let array = place.array;
+                self.submit_frag(
+                    array,
+                    &TraceRequest::for_tenant(r.tenant, r.at, r.op, local, fr.pages),
+                    vi,
+                    frags.len(),
+                    slot,
+                );
+                if r.op == IoOp::Read {
                     self.stats.per_array_reads[array as usize] += 1;
-                    self.emit(at, array, || TraceEventKind::FederationHop {
-                        req: vi,
-                        array,
-                        copy,
-                    });
-                    frags.push(Frag {
-                        chunk: fr.chunk,
-                        offset: fr.offset,
-                        pages: fr.pages,
-                        copy,
-                        array,
-                        id,
-                        state: FragState::InFlight,
-                        tried: 1 << copy,
-                    });
                 }
-                IoOp::Write => {
-                    for copy in 0..self.mapper.replicas() {
-                        let place = self.mapper.placement(copy, fr.chunk);
-                        let local = self.mapper.local_lpn(place, fr.offset);
-                        let array = place.array;
-                        let id = self.submit_frag(
-                            array,
-                            &TraceRequest::for_tenant(r.tenant, at, IoOp::Write, local, fr.pages),
-                        );
-                        self.emit(at, array, || TraceEventKind::FederationHop {
-                            req: vi,
-                            array,
-                            copy,
-                        });
-                        frags.push(Frag {
-                            chunk: fr.chunk,
-                            offset: fr.offset,
-                            pages: fr.pages,
-                            copy,
-                            array,
-                            id,
-                            state: FragState::InFlight,
-                            tried: 1 << copy,
-                        });
-                    }
-                }
+                self.emit(r.at, array, || TraceEventKind::FederationHop {
+                    req: vi,
+                    array,
+                    copy,
+                });
+                frags.push(Frag {
+                    chunk: fr.chunk,
+                    offset: fr.offset,
+                    pages: fr.pages,
+                    array,
+                    done: false,
+                    tried: 1 << copy,
+                });
             }
         }
-        self.vol.push(VolReq {
+        self.vol[slot as usize] = Some(VolReq {
+            vi,
             submit: r.at,
             read: r.op == IoOp::Read,
             tenant: r.tenant,
+            in_flight: frags.len() as u32,
             frags,
-            lost_copies: 0,
+            lost: 0,
+            finish: r.at,
         });
-        self.open.push(vi);
         self.stats.volume_requests += 1;
     }
 
-    /// Polls every open volume request: marks fragments done/lost,
-    /// re-routes lost reads to surviving replicas, and resolves
-    /// fully-settled requests into the latency accounting.
-    fn poll(&mut self, t: SimTime) {
-        let open = std::mem::take(&mut self.open);
-        for vi in open {
-            // Update fragment states against the runners.
-            let mut retries: Vec<usize> = Vec::new();
-            {
-                let vr = &mut self.vol[vi as usize];
-                for (fi, fr) in vr.frags.iter_mut().enumerate() {
-                    if fr.state != FragState::InFlight {
-                        continue;
-                    }
-                    let runner = &self.runners[fr.array as usize];
-                    if runner.is_done(fr.id) {
-                        fr.state = FragState::Done;
-                        self.inflight[fr.array as usize] -= 1;
-                    } else if runner.is_lost(fr.id) {
-                        fr.state = FragState::Lost;
-                        self.inflight[fr.array as usize] -= 1;
-                        if vr.read {
-                            retries.push(fi);
-                        } else {
-                            vr.lost_copies += 1;
-                        }
-                    }
-                }
+    /// The epoch loop: each epoch submits the volume requests due before
+    /// its bound, steps the member arrays to it, handles what finished
+    /// and runs the laggard policy, until nothing is left. `probe` sees
+    /// the manager after each epoch's submissions, when the most volume
+    /// requests are open.
+    fn drive(&mut self, reqs: &[TraceRequest], mut probe: impl FnMut(&Self)) {
+        let mut next = 0usize;
+        let mut t = SimTime::ZERO;
+        loop {
+            t += self.cfg.policy.epoch_ns;
+            if let Some(rec) = &self.rec {
+                rec.set_now(t);
             }
-            // Lost reads retry on a surviving replica at this epoch.
-            for fi in retries {
-                let (chunk, tried, offset, pages, tenant) = {
-                    let fr = &self.vol[vi as usize].frags[fi];
-                    (
-                        fr.chunk,
-                        fr.tried,
-                        fr.offset,
-                        fr.pages,
-                        self.vol[vi as usize].tenant,
-                    )
-                };
-                if let Some((copy, array)) = self.pick_replica(chunk, tried) {
-                    let place = self.mapper.placement(copy, chunk);
-                    let local = self.mapper.local_lpn(place, offset);
-                    let id = self.submit_frag(
-                        array,
-                        &TraceRequest::for_tenant(tenant, t, IoOp::Read, local, pages),
-                    );
-                    self.stats.per_array_reads[array as usize] += 1;
-                    self.stats.retried_reads += 1;
-                    self.emit(t, array, || TraceEventKind::FederationRetry {
-                        req: vi,
-                        array,
-                    });
-                    let fr = &mut self.vol[vi as usize].frags[fi];
-                    fr.copy = copy;
-                    fr.array = array;
-                    fr.id = id;
-                    fr.state = FragState::InFlight;
-                    fr.tried |= 1 << copy;
-                }
+            while next < reqs.len() && reqs[next].at < t {
+                self.submit_volume(next as u32, &reqs[next]);
+                next += 1;
             }
-            // Resolve if every fragment has settled.
-            let vr = &self.vol[vi as usize];
-            if vr.frags.iter().any(|f| f.state == FragState::InFlight) {
-                self.open.push(vi);
-                continue;
-            }
-            if vr.read {
-                let all_done = vr.frags.iter().all(|f| f.state == FragState::Done);
-                if all_done {
-                    self.complete_volume(vi);
-                } else {
-                    self.stats.lost_requests += 1;
-                }
-            } else {
-                // A write survives as long as each fragment kept at
-                // least one durable copy.
-                let mut survived = true;
-                let mut degraded = false;
-                let mut i = 0;
-                while i < vr.frags.len() {
-                    let (chunk, offset) = (vr.frags[i].chunk, vr.frags[i].offset);
-                    let mut any = false;
-                    let mut all = true;
-                    let mut j = i;
-                    while j < vr.frags.len()
-                        && vr.frags[j].chunk == chunk
-                        && vr.frags[j].offset == offset
-                    {
-                        match vr.frags[j].state {
-                            FragState::Done => any = true,
-                            _ => all = false,
-                        }
-                        j += 1;
-                    }
-                    if !any {
-                        survived = false;
-                    }
-                    if !all {
-                        degraded = true;
-                    }
-                    i = j;
-                }
-                if survived {
-                    if degraded {
-                        self.stats.degraded_writes += 1;
-                    }
-                    self.complete_volume(vi);
-                } else {
-                    self.stats.lost_requests += 1;
-                }
+            probe(self);
+            self.settle(t);
+            self.autonomics(t);
+            self.stats.epochs += 1;
+            if next >= reqs.len() && self.idle() {
+                break;
             }
         }
     }
 
-    /// Records a settled volume request's end-to-end latency (last
-    /// durable fragment completion minus host submission).
-    fn complete_volume(&mut self, vi: u32) {
-        let vr = &self.vol[vi as usize];
-        let finish = vr
-            .frags
-            .iter()
-            .filter(|f| f.state == FragState::Done)
-            .map(|f| self.runners[f.array as usize].finish_time(f.id))
-            .max()
-            .unwrap_or(vr.submit);
-        let ns: u64 = finish - vr.submit;
+    /// Steps every member array to `t` and handles what finished:
+    /// fragments settle their volume requests (ascending trace index),
+    /// then clone ops advance their migrations (creation order).
+    fn settle(&mut self, t: SimTime) {
+        let mut woken: Vec<(Awaited, Finished)> = Vec::new();
+        for (runner, awaiting) in self.runners.iter_mut().zip(&mut self.awaiting) {
+            runner.step_until(t);
+            for &(id, how) in runner.finished() {
+                let what = awaiting
+                    .remove(&id)
+                    .expect("every member submission is awaited");
+                woken.push((what, how));
+            }
+        }
+        woken.sort_unstable_by_key(|&(what, _)| what);
+        let same_volume = |a: &(Awaited, Finished), b: &(Awaited, Finished)| match (a.0, b.0) {
+            (Awaited::Frag { vi: x, .. }, Awaited::Frag { vi: y, .. }) => x == y,
+            _ => false,
+        };
+        for group in woken.chunk_by(same_volume) {
+            match group[0].0 {
+                Awaited::Frag { slot, .. } => self.update_volume(t, slot, group),
+                Awaited::Migration(seq) => self.advance_migration(t, seq, group[0].1),
+            }
+        }
+    }
+
+    /// Applies what finished of the volume request in `vol[slot]`
+    /// (`finished`, in fragment order): re-routes lost reads to a
+    /// surviving replica, and resolves the request once nothing of it
+    /// is in flight.
+    fn update_volume(&mut self, t: SimTime, slot: u32, finished: &[(Awaited, Finished)]) {
+        let mut vr = self.vol[slot as usize].take().expect("open volume request");
+        let frag = |what: Awaited| match what {
+            Awaited::Frag { fi, .. } => fi as usize,
+            Awaited::Migration(_) => unreachable!("grouped by volume request"),
+        };
+        for &(what, how) in finished {
+            let fr = &mut vr.frags[frag(what)];
+            self.inflight[fr.array as usize] -= 1;
+            vr.in_flight -= 1;
+            match how {
+                Finished::Done(at) => {
+                    fr.done = true;
+                    vr.finish = vr.finish.max(at);
+                }
+                Finished::Lost if !vr.read => vr.lost += 1,
+                Finished::Lost => {}
+            }
+        }
+        // Lost reads retry on a surviving replica at this epoch, once
+        // every fragment that finished has left the routing ledger.
+        for &(what, how) in finished {
+            if vr.read && how == Finished::Lost {
+                self.retry_read(t, &mut vr, frag(what), slot);
+            }
+        }
+        if vr.in_flight > 0 {
+            self.vol[slot as usize] = Some(vr);
+            return;
+        }
+        self.free_vol.push(slot);
+        // A read needs every fragment; a write survives as long as each
+        // page run kept at least one durable copy.
+        let survived = if vr.read {
+            vr.lost == 0
+        } else {
+            let copies = self.mapper.replicas() as usize;
+            vr.frags
+                .chunks(copies)
+                .all(|run| run.iter().any(|f| f.done))
+        };
+        if !survived {
+            self.stats.lost_requests += 1;
+            return;
+        }
+        if !vr.read && vr.lost > 0 {
+            self.stats.degraded_writes += 1;
+        }
+        // End-to-end latency: last durable fragment completion minus
+        // host submission.
+        let ns: u64 = vr.finish - vr.submit;
         self.lat.record(ns);
         if vr.read {
             self.rlat.record(ns);
@@ -587,75 +588,86 @@ impl VolumeManager {
         self.stats.completed += 1;
     }
 
-    /// Advances in-flight migrations: read-phase clones whose source
-    /// read completed start their destination write; write-phase clones
-    /// whose write is durable commit the new placement. Lost clone I/O
-    /// aborts the migration — the source copy stays live, which is
-    /// exactly what makes a mid-migration power cut safe.
-    fn pump_migrations(&mut self, t: SimTime) {
-        let mut keep: Vec<Migration> = Vec::new();
-        let migs = std::mem::take(&mut self.migrations);
-        for mut m in migs {
-            let runner = match m.phase {
-                MigPhase::Reading => &self.runners[m.from as usize],
-                MigPhase::Writing => &self.runners[m.to as usize],
-            };
-            if runner.is_lost(m.op_id) {
-                self.stats.migrations_aborted += 1;
+    /// Re-submits lost read fragment `fi` of `vr` to a replica not yet
+    /// tried, or counts it lost for good when none is left.
+    fn retry_read(&mut self, t: SimTime, vr: &mut VolReq, fi: usize, slot: u32) {
+        let fr = &vr.frags[fi];
+        let Some((copy, array)) = self.pick_replica(fr.chunk, fr.tried) else {
+            vr.lost += 1;
+            return;
+        };
+        let place = self.mapper.placement(copy, fr.chunk);
+        let local = self.mapper.local_lpn(place, fr.offset);
+        let r = TraceRequest::for_tenant(vr.tenant, t, IoOp::Read, local, fr.pages);
+        self.submit_frag(array, &r, vr.vi, fi, slot);
+        self.stats.per_array_reads[array as usize] += 1;
+        self.stats.retried_reads += 1;
+        let vi = vr.vi;
+        self.emit(t, array, || TraceEventKind::FederationRetry {
+            req: vi,
+            array,
+        });
+        vr.in_flight += 1;
+        let fr = &mut vr.frags[fi];
+        fr.array = array;
+        fr.tried |= 1 << copy;
+    }
+
+    /// Advances migration `seq` once its clone op finished: a finished
+    /// source read starts the destination write; a durable write
+    /// commits the new placement. Lost clone I/O aborts the migration —
+    /// the source copy stays live, which is exactly what makes a
+    /// mid-migration power cut safe.
+    fn advance_migration(&mut self, t: SimTime, seq: u64, how: Finished) {
+        let mut m = self.migrations.remove(&seq).expect("in-flight migration");
+        if how == Finished::Lost {
+            self.stats.migrations_aborted += 1;
+            self.migrating.remove(&(m.copy, m.chunk));
+            self.emit(t, m.from, || TraceEventKind::FederationMigrationAbort {
+                chunk: m.chunk,
+                from_array: m.from,
+                to_array: m.to,
+            });
+            return;
+        }
+        match m.phase {
+            MigPhase::Reading => {
+                // Source chunk is read; program the clone on the
+                // destination's reserved slot.
+                let pages = self.mapper.chunk_pages();
+                let local = triplea_ftl::LogicalPage((self.mapper.rows() + m.slot) * pages);
+                let tenant = crate::tenant::TenantId::DEFAULT;
+                self.submit_to(
+                    m.to,
+                    &TraceRequest::for_tenant(tenant, t, IoOp::Write, local, pages as u32),
+                    Awaited::Migration(seq),
+                );
+                m.phase = MigPhase::Writing;
+                self.migrations.insert(seq, m);
+            }
+            MigPhase::Writing => {
+                // Clone durable: flip the placement (clone-then-
+                // commit, the inter-array analogue of the FTL's
+                // clone-then-unlink).
+                self.mapper.commit_migration(
+                    m.copy,
+                    m.chunk,
+                    ChunkPlacement {
+                        array: m.to,
+                        local_chunk: self.mapper.rows() + m.slot,
+                    },
+                );
                 self.migrating.remove(&(m.copy, m.chunk));
-                self.emit(t, m.from, || TraceEventKind::FederationMigrationAbort {
+                self.stats.migrations_committed += 1;
+                self.stats.migrated_pages += self.mapper.chunk_pages();
+                self.stats.per_array_migrations_out[m.from as usize] += 1;
+                self.emit(t, m.to, || TraceEventKind::FederationMigrationCommit {
                     chunk: m.chunk,
                     from_array: m.from,
                     to_array: m.to,
                 });
-                continue;
-            }
-            if !runner.is_done(m.op_id) {
-                keep.push(m);
-                continue;
-            }
-            match m.phase {
-                MigPhase::Reading => {
-                    // Source chunk is read; program the clone on the
-                    // destination's reserved slot.
-                    let pages = self.mapper.chunk_pages();
-                    let local = triplea_ftl::LogicalPage((self.mapper.rows() + m.slot) * pages);
-                    let tenant = crate::tenant::TenantId::DEFAULT;
-                    m.op_id = self.runners[m.to as usize].submit(&TraceRequest::for_tenant(
-                        tenant,
-                        t,
-                        IoOp::Write,
-                        local,
-                        pages as u32,
-                    ));
-                    m.phase = MigPhase::Writing;
-                    keep.push(m);
-                }
-                MigPhase::Writing => {
-                    // Clone durable: flip the placement (clone-then-
-                    // commit, the inter-array analogue of the FTL's
-                    // clone-then-unlink).
-                    self.mapper.commit_migration(
-                        m.copy,
-                        m.chunk,
-                        ChunkPlacement {
-                            array: m.to,
-                            local_chunk: self.mapper.rows() + m.slot,
-                        },
-                    );
-                    self.migrating.remove(&(m.copy, m.chunk));
-                    self.stats.migrations_committed += 1;
-                    self.stats.migrated_pages += self.mapper.chunk_pages();
-                    self.stats.per_array_migrations_out[m.from as usize] += 1;
-                    self.emit(t, m.to, || TraceEventKind::FederationMigrationCommit {
-                        chunk: m.chunk,
-                        from_array: m.from,
-                        to_array: m.to,
-                    });
-                }
             }
         }
-        self.migrations = keep;
     }
 
     /// Ages the chunk heat map: counts halve each epoch (and zeroes are
@@ -743,23 +755,31 @@ impl VolumeManager {
             let place = self.mapper.placement(copy, chunk);
             let pages = self.mapper.chunk_pages();
             let local = self.mapper.local_lpn(place, 0);
-            let op_id = self.runners[laggard as usize].submit(&TraceRequest::for_tenant(
-                crate::tenant::TenantId::DEFAULT,
-                t,
-                IoOp::Read,
-                local,
-                pages as u32,
-            ));
+            let seq = self.next_migration;
+            self.next_migration += 1;
+            self.submit_to(
+                laggard,
+                &TraceRequest::for_tenant(
+                    crate::tenant::TenantId::DEFAULT,
+                    t,
+                    IoOp::Read,
+                    local,
+                    pages as u32,
+                ),
+                Awaited::Migration(seq),
+            );
             self.migrating.insert((copy, chunk));
-            self.migrations.push(Migration {
-                copy,
-                chunk,
-                from: laggard,
-                to,
-                slot,
-                phase: MigPhase::Reading,
-                op_id,
-            });
+            self.migrations.insert(
+                seq,
+                Migration {
+                    copy,
+                    chunk,
+                    from: laggard,
+                    to,
+                    slot,
+                    phase: MigPhase::Reading,
+                },
+            );
             self.stats.migrations_started += 1;
             self.emit(t, laggard, || TraceEventKind::FederationMigrationBegin {
                 chunk,
@@ -773,6 +793,12 @@ impl VolumeManager {
             self.cooldown = policy.cooldown_epochs;
         }
         self.decay_heat();
+    }
+
+    /// `true` once no volume request, migration or member-array work is
+    /// left.
+    fn idle(&self) -> bool {
+        self.open() == 0 && self.migrations.is_empty() && self.runners.iter().all(|r| r.is_idle())
     }
 
     fn run_verified(mut self, trace: &Trace) -> FederationRun {
@@ -793,32 +819,7 @@ impl VolumeManager {
                 r.tenant
             );
         }
-        let epoch = self.cfg.policy.epoch_ns;
-        let reqs = trace.requests();
-        let mut next = 0usize;
-        let mut t = SimTime::ZERO;
-        loop {
-            t += epoch;
-            if let Some(rec) = &self.rec {
-                rec.set_now(t);
-            }
-            while next < reqs.len() && reqs[next].at < t {
-                let r = reqs[next];
-                self.submit_volume(next as u32, &r, r.at);
-                next += 1;
-            }
-            for r in &mut self.runners {
-                r.step_until(t);
-            }
-            self.poll(t);
-            self.pump_migrations(t);
-            self.autonomics(t);
-            self.stats.epochs += 1;
-            let busy = self.runners.iter().any(|r| !r.is_idle());
-            if next >= reqs.len() && self.open.is_empty() && self.migrations.is_empty() && !busy {
-                break;
-            }
-        }
+        self.drive(trace.requests(), |_| {});
         for (i, r) in self.runners.iter().enumerate() {
             self.stats.per_array_p99_ns[i] = r.p99_ns();
         }
@@ -900,7 +901,7 @@ mod tests {
     use crate::config::{FaultConfig, ManagementMode, PowerLossEvent};
     use crate::federation::config::{LaggardPolicy, VolumeSpec};
     use crate::request::IoOp;
-    use crate::{FimmFaultEvent, FimmFaultKind, Simulation};
+    use crate::{FimmFaultEvent, FimmFaultKind};
     use triplea_ftl::LogicalPage;
     use triplea_sim::SimTime;
 
@@ -929,7 +930,7 @@ mod tests {
 
     #[test]
     fn striped_federation_conserves_requests_and_fragments() {
-        let fed = Simulation::builder()
+        let fed = Array::builder()
             .small_test()
             .with_federation(2)
             .volume(VolumeSpec::striped(2).chunk_pages(16))
@@ -968,7 +969,7 @@ mod tests {
 
     #[test]
     fn replicated_writes_fan_out_and_reads_pick_one_replica() {
-        let fed = Simulation::builder()
+        let fed = Array::builder()
             .small_test()
             .with_federation(2)
             .volume(VolumeSpec::replicated(1, 2).chunk_pages(32))
@@ -1000,7 +1001,7 @@ mod tests {
 
     #[test]
     fn replicated_volume_survives_a_member_power_loss() {
-        let fed = Simulation::builder()
+        let fed = Array::builder()
             .small_test()
             .with_federation(4)
             .volume(VolumeSpec::replicated(2, 2).chunk_pages(16))
@@ -1030,6 +1031,32 @@ mod tests {
     }
 
     #[test]
+    fn federation_tables_stay_bounded_by_open_work() {
+        let fed = Array::builder()
+            .small_test()
+            .with_federation(4)
+            .volume(VolumeSpec::replicated(2, 2).chunk_pages(16))
+            .policy(policy_off())
+            .array_faults(
+                0,
+                FaultConfig::default().with_power_loss(PowerLossEvent::at(100_000)),
+            )
+            .build()
+            .unwrap();
+        let trace = walk(600, 2_000, 300);
+        let mut mgr = fed.mgr;
+        let mut peak = 0;
+        mgr.drive(trace.requests(), |m| peak = peak.max(m.open()));
+        assert!(mgr.stats.retried_reads > 0, "reads must re-route");
+        assert!(peak > 1, "requests must overlap: {peak}");
+        assert_eq!(mgr.vol.len(), peak, "the table's high-water mark");
+        assert_eq!(mgr.open(), 0);
+        for (a, awaiting) in mgr.awaiting.iter().enumerate() {
+            assert!(awaiting.is_empty(), "array {a} still awaits {awaiting:?}");
+        }
+    }
+
+    #[test]
     fn degraded_member_sheds_hot_chunks_to_peers() {
         let mut faults = FaultConfig::default();
         for cluster in 0..4 {
@@ -1042,7 +1069,7 @@ mod tests {
                 });
             }
         }
-        let fed = Simulation::builder()
+        let fed = Array::builder()
             .small_test()
             .mode(ManagementMode::Autonomic)
             .with_federation(4)
@@ -1106,7 +1133,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds the volume address space")]
     fn run_rejects_a_range_that_wraps_the_volume_address_space() {
-        let fed = Simulation::builder()
+        let fed = Array::builder()
             .small_test()
             .with_federation(2)
             .build()
@@ -1123,7 +1150,7 @@ mod tests {
     #[test]
     fn federation_runs_are_deterministic() {
         let build = || {
-            Simulation::builder()
+            Array::builder()
                 .small_test()
                 .with_federation(4)
                 .volume(VolumeSpec::replicated(2, 2).chunk_pages(16))
@@ -1139,7 +1166,7 @@ mod tests {
 
     #[test]
     fn federation_stats_round_trip_through_serde() {
-        let fed = Simulation::builder()
+        let fed = Array::builder()
             .small_test()
             .with_federation(2)
             .volume(VolumeSpec::striped(2))
@@ -1174,7 +1201,7 @@ mod tests {
 
     #[test]
     fn traced_federation_reports_cross_array_events_and_metrics() {
-        let fed = Simulation::builder()
+        let fed = Array::builder()
             .small_test()
             .with_recorder(triplea_sim::trace::TraceConfig::all())
             .with_federation(2)

@@ -26,11 +26,11 @@
 //! # Example
 //!
 //! ```
-//! use triplea_core::{IoOp, ManagementMode, Simulation, Trace, TraceRequest, VolumeSpec};
+//! use triplea_core::{Array, IoOp, ManagementMode, Trace, TraceRequest, VolumeSpec};
 //! use triplea_ftl::LogicalPage;
 //! use triplea_sim::SimTime;
 //!
-//! let fed = Simulation::builder()
+//! let fed = Array::builder()
 //!     .small_test()
 //!     .mode(ManagementMode::Autonomic)
 //!     .with_federation(2)

@@ -50,10 +50,9 @@ mod config;
 mod federation;
 mod metrics;
 mod request;
-mod simulation;
 mod tenant;
 
-pub use array::{Array, ArrayRunner, VerifiedRun};
+pub use array::{Array, ArrayBuilder, ArrayRunner, Finished, VerifiedRun};
 pub use autonomic::{AutonomicState, AutonomicStats};
 pub use config::{
     ArrayConfig, ArrayConfigBuilder, AutonomicParams, ConfigError, FaultConfig, FaultScheduleFull,
@@ -68,12 +67,20 @@ pub use federation::{
 };
 pub use metrics::{FaultStats, RecoveryStats, RunReport};
 pub use request::{Breakdown, IoOp, Trace, TraceRequest};
-pub use simulation::{Simulation, SimulationBuilder};
 pub use tenant::{TenantConfig, TenantId, TenantSpec, TenantStats, WeightedArbiter};
+
+/// [`Array`] under its former name. It exists only because the benchmark
+/// (`benchmark/src/workloads.rs`) builds through it; new code names
+/// `Array`.
+pub type Simulation = Array;
+
+/// [`ArrayBuilder`] under its former name, kept for the same reason as
+/// [`Simulation`].
+pub type SimulationBuilder = ArrayBuilder;
 
 // Re-export the shape/address vocabulary users need alongside `Array`,
 // plus the substrate-level fault types `FaultConfig` is built from and
-// the tracing vocabulary `Simulation::with_recorder` consumes.
+// the tracing vocabulary `ArrayBuilder::with_recorder` consumes.
 pub use triplea_fimm::FimmFaultKind;
 pub use triplea_flash::FlashFaultProfile;
 pub use triplea_ftl::{ArrayShape, GcPolicy, IntegrityError, LogicalPage, PhysLoc};

@@ -12,7 +12,7 @@
 //! the volume finishes with zero lost requests.
 
 use triple_a::core::{
-    FaultConfig, IoOp, ManagementMode, PowerLossEvent, Simulation, TraceRequest, VolumeSpec,
+    Array, FaultConfig, IoOp, ManagementMode, PowerLossEvent, TraceRequest, VolumeSpec,
 };
 use triple_a::ftl::LogicalPage;
 use triple_a::sim::{SimTime, SplitMix64};
@@ -43,7 +43,7 @@ fn main() {
     // Four small boxes federated into one 2-wide, 2-replica volume.
     // Array 0 alone gets a power cut 100 us in; its three peers keep
     // serving the other replica of every chunk it held.
-    let fed = Simulation::builder()
+    let fed = Array::builder()
         .mode(ManagementMode::Autonomic)
         .with_federation(4)
         .volume(

@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 
 use triple_a::core::{
-    Array, ArrayConfig, IoOp, LaggardPolicy, ManagementMode, Simulation, TenantId, TenantSpec,
-    Trace, TraceRequest, VolumeMapper, VolumeSpec, WeightedArbiter,
+    Array, ArrayConfig, IoOp, LaggardPolicy, ManagementMode, TenantId, TenantSpec, Trace,
+    TraceRequest, VolumeMapper, VolumeSpec, WeightedArbiter,
 };
 use triple_a::ftl::LogicalPage;
 use triple_a::sim::SimTime;
@@ -277,7 +277,7 @@ proptest! {
     ) {
         let off = LaggardPolicy { sla_p99_ns: 0, ..LaggardPolicy::default() };
         for (width, replicas) in [(1u32, 1u32), (2, 1), (4, 1), (2, 2)] {
-            let fed = Simulation::builder()
+            let fed = Array::builder()
                 .mode(ManagementMode::Autonomic)
                 .with_federation(width * replicas)
                 .volume(

@@ -7,13 +7,19 @@
 //! allocation per request would cost N more. The traces are
 //! uncontended, so no migration runs, and their writes touch a small
 //! footprint, so the FTL's block tables stop growing early.
+//!
+//! The stepped runner gets the same gate in bytes: a stepped run over
+//! 2N requests may request at most [`STEPPED_SLACK_BYTES`] more than one
+//! over N, so it keeps nothing per submission.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use triple_a::core::{
     Array, ArrayConfig, IoOp, ManagementMode, TenantId, TenantSpec, Trace, TraceRequest,
 };
 use triple_a::ftl::LogicalPage;
 use triple_a::sim::{SimTime, SplitMix64};
 use triple_a::workloads::Microbench;
+
 use triplea_alloc_counter::{measure, CountingAllocator};
 
 #[global_allocator]
@@ -116,9 +122,17 @@ fn short_and_long(cfg: &ArrayConfig, trace: fn(&ArrayConfig, usize) -> Trace) ->
     )
 }
 
-/// One test, so no sibling test allocates during a measured run.
+/// Serializes the tests: the counters are process-global, so a sibling
+/// test allocating during a measured run would be counted in it.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn request_path_allocations_do_not_grow_with_requests() {
+    let _serial = serial();
     let base = ArrayConfig::paper_baseline();
     let mut eight = base.clone();
     eight.tenants = (0..8).map(|_| TenantSpec::batch()).collect();
@@ -141,6 +155,80 @@ fn request_path_allocations_do_not_grow_with_requests() {
     assert!(
         failures.is_empty(),
         "allocations grow with requests:\n{}",
+        failures.join("\n")
+    );
+}
+
+/// Simulated length of one step of [`stepped_bytes`]' runs.
+const EPOCH_NS: u64 = 10_000;
+
+/// Bytes a stepped run of 2N requests may request beyond one of N.
+/// The stepped runner holds only what is in flight: the arrivals
+/// submitted for the next step and the requests the last step
+/// finished, whether or not anyone reads them. What still grows with a
+/// longer run is what grows in a one-shot run too, the calendar's ring
+/// slots meeting a few larger bursts. Measured, debug and release: the
+/// mixed and tenanted shapes request 60,288 B more at 2N (the one-shot
+/// run of the same trace: also 60,288 B, over 125 more allocations),
+/// the read shape at most 8 KiB more. Keeping a 16-byte outcome per
+/// submission, as the runner once did, cost about 1 MiB more here.
+const STEPPED_SLACK_BYTES: u64 = 128 * 1024;
+
+/// Bytes requested by a stepped run of `trace` that submits each
+/// epoch's arrivals just before stepping to the epoch's end, and never
+/// reads what finished.
+fn stepped_bytes(cfg: &ArrayConfig, trace: &Trace) -> u64 {
+    let array = Array::new(cfg.clone(), ManagementMode::Autonomic);
+    let reqs = trace.requests();
+    let (run, delta) = measure(|| {
+        let mut runner = array.into_runner();
+        let (mut next, mut t) = (0, SimTime::ZERO);
+        while next < reqs.len() || !runner.is_idle() {
+            t += EPOCH_NS;
+            while next < reqs.len() && reqs[next].at < t {
+                runner.submit(&reqs[next]);
+                next += 1;
+            }
+            runner.step_until(t);
+        }
+        runner.finish()
+    });
+    assert_eq!(run.integrity, Ok(()));
+    assert_eq!(run.report.completed(), trace.len() as u64);
+    delta.bytes
+}
+
+#[test]
+fn stepped_run_memory_does_not_grow_with_requests() {
+    let _serial = serial();
+    let base = ArrayConfig::paper_baseline();
+    let mut eight = base.clone();
+    eight.tenants = (0..8).map(|_| TenantSpec::batch()).collect();
+    let bytes = |cfg: &ArrayConfig, trace: fn(&ArrayConfig, usize) -> Trace| {
+        (
+            stepped_bytes(cfg, &trace(cfg, N)),
+            stepped_bytes(cfg, &trace(cfg, 2 * N)),
+        )
+    };
+    let runs = [
+        ("hot_read", bytes(&base, hot_read)),
+        ("mixed", bytes(&base, mixed)),
+        ("tenanted", bytes(&eight, tenanted)),
+    ];
+    let failures: Vec<String> = runs
+        .iter()
+        .filter(|(_, (short, long))| long.saturating_sub(*short) > STEPPED_SLACK_BYTES)
+        .map(|(name, (short, long))| {
+            format!(
+                "{name}: {N} requests requested {short} bytes, {} requested {long} ({} more)",
+                2 * N,
+                long.saturating_sub(*short)
+            )
+        })
+        .collect();
+    assert!(
+        failures.is_empty(),
+        "stepped-run memory grows with requests:\n{}",
         failures.join("\n")
     );
 }

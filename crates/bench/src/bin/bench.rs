@@ -8,12 +8,22 @@
 //! bench list                   print registered experiment names
 //! bench scenario list          print the scenario catalog
 //! bench scenario <name|all>    run catalog scenarios only [OPTIONS]
+//! bench replay <FILE> [OPTIONS]
+//!                              replay an MSR-Cambridge CSV trace
+//!                              (Timestamp,Hostname,DiskNumber,Type,
+//!                              Offset,Size,ResponseTime) under both
+//!                              modes; prints the table and writes
+//!                              <out>/replay.{json,txt}
 //!
 //! OPTIONS:
 //!   --scale <full|quick>    traffic per run           [default full]
+//!                           (replay runs the whole file at any scale)
 //!   --threads <N>           harness worker threads    [default: all cores]
 //!   --out <DIR>             artifact directory        [default results]
 //! ```
+//!
+//! Every error, a bad flag or an unreadable or malformed trace, prints
+//! one line to stderr and exits with code 2.
 //!
 //! Artifacts are byte-deterministic: the same spec and scale produce
 //! identical `results/*.json` at any thread count (`tests/golden.rs`
@@ -21,7 +31,7 @@
 //! each simulation runs on one thread. The simulator's own speed is
 //! measured by the benchmark in `benchmark/`, not here.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::time::Instant;
 
@@ -35,9 +45,16 @@ struct Opts {
     out: PathBuf,
 }
 
-fn usage_and_exit(msg: &str) -> ! {
-    eprintln!("error: {msg}\n\nusage: bench <all|list|NAME...> [--scale full|quick] [--threads N] [--out DIR]");
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
     exit(2)
+}
+
+fn usage_and_exit(msg: &str) -> ! {
+    fail(&format!(
+        "{msg} (usage: bench <all|list|replay FILE|NAME...> \
+         [--scale full|quick] [--threads N] [--out DIR])"
+    ))
 }
 
 fn parse_opts() -> Opts {
@@ -84,6 +101,22 @@ fn parse_opts() -> Opts {
 
 fn main() {
     let mut o = parse_opts();
+    // `bench replay FILE` runs one trace file; it is not a registered
+    // experiment, so `all`, `list` and the goldens never see it.
+    if o.targets.first().map(String::as_str) == Some("replay") {
+        let [_, file] = o.targets.as_slice() else {
+            usage_and_exit("replay takes exactly one trace file");
+        };
+        let runner = Runner::new().threads(o.threads);
+        let (exp, result) = experiments::replay::run(Path::new(file), &runner)
+            .unwrap_or_else(|e| fail(&format!("{file}: {e}")));
+        print!("{}", exp.render(&result));
+        let paths = write_artifacts(&exp, &result, &o.out)
+            .unwrap_or_else(|e| fail(&format!("cannot write artifacts: {e}")));
+        let shown: Vec<String> = paths.iter().map(|p| p.display().to_string()).collect();
+        println!("\nreplay -> {}", shown.join(" + "));
+        return;
+    }
     // `bench scenario ...` scopes the run to the catalog: `list` prints
     // it, `all` (or no further name) selects every scenario, and bare
     // names are resolved with the `scenario_` prefix implied.
@@ -147,7 +180,7 @@ fn main() {
     let secs = start.elapsed().as_secs_f64();
     for (exp, result) in selected.iter().zip(&results) {
         let paths = write_artifacts(exp, result, &o.out)
-            .unwrap_or_else(|e| usage_and_exit(&format!("cannot write artifacts: {e}")));
+            .unwrap_or_else(|e| fail(&format!("cannot write artifacts: {e}")));
         let shown: Vec<String> = paths.iter().map(|p| p.display().to_string()).collect();
         println!(
             "{:<12} {:>3} points -> {}",

@@ -20,6 +20,7 @@ mod fig14;
 mod fig15;
 mod fig16;
 mod ftl_compare;
+pub mod replay;
 pub mod scenario;
 pub mod sla;
 mod table1;

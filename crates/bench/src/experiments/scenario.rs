@@ -17,7 +17,7 @@ use triplea_core::{
     Trace,
 };
 use triplea_workloads::msr::{parse_msr, to_msr_csv, write_msr};
-use triplea_workloads::{ScenarioTrace, TraceMapper, WorkloadProfile};
+use triplea_workloads::{ScenarioTrace, WorkloadProfile};
 
 /// Names of every catalog scenario, in artifact order — the list
 /// `bench scenario list` prints and the golden suite iterates.
@@ -100,11 +100,11 @@ fn scenario_renderer(title: &'static str) -> impl Fn(&crate::harness::Experiment
 }
 
 /// `scenario_trace_replay`: synthesize a Table-1 stream, serialize it
-/// into the MSR-Cambridge CSV schema, run it back through the *real*
-/// ingestion path (`parse_msr` → [`TraceMapper`]), and replay the mapped
-/// trace through both modes. A lossless `parse → write → parse`
-/// round-trip is asserted inline on every point, so the golden suite
-/// also pins the parser.
+/// into the MSR-Cambridge CSV schema, and run it back through the
+/// *real* ingestion path: `parse_msr`, then [`super::replay::pair`]
+/// (the mapper and both modes), as `bench replay` does with a file. A
+/// lossless `parse → write → parse` round-trip is asserted inline on
+/// every point, so the golden suite also pins the parser.
 pub fn trace_replay(scale: Scale) -> Experiment {
     let mut e = Experiment::new(
         "scenario_trace_replay",
@@ -136,9 +136,8 @@ pub fn trace_replay(scale: Scale) -> Experiment {
                 .map(|r| r.at.as_nanos())
                 .unwrap_or(0)
                 .max(1);
-            let mapped: Trace = TraceMapper::new(&cfg).target_span_ns(span_ns).map(&records);
-            assert_eq!(mapped.len(), synth.len(), "every record must map");
-            let (base, aaa) = crate::experiments::pair_json(cfg, &mapped);
+            assert_eq!(records.len(), synth.len(), "every request must parse back");
+            let (base, aaa) = super::replay::pair(&records, Some(span_ns));
             obj([
                 ("profile", text(name)),
                 ("records", uint(records.len() as u64)),

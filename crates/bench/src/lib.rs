@@ -82,16 +82,6 @@ pub fn profile_gap_ns(profile: &triplea_workloads::WorkloadProfile, cfg: &ArrayC
     (1_000_000_000.0 / offered) as u64
 }
 
-/// Builds the standard enterprise/HPC trace for a profile at the full
-/// paper scale ([`REQUESTS`]).
-pub fn enterprise_trace(
-    profile: &triplea_workloads::WorkloadProfile,
-    cfg: &ArrayConfig,
-    seed: u64,
-) -> Trace {
-    enterprise_trace_n(profile, cfg, seed, REQUESTS)
-}
-
 /// Builds the standard enterprise/HPC trace for a profile with an
 /// explicit request count (the harness's [`harness::Scale`] knob).
 pub fn enterprise_trace_n(

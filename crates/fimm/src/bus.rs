@@ -83,11 +83,6 @@ impl OnfiBus {
         self.res.windowed_utilization(now)
     }
 
-    /// Interface timing of this bus.
-    pub fn timing(&self) -> &OnfiTiming {
-        &self.timing
-    }
-
     /// Total payload bytes moved.
     pub fn bytes_moved(&self) -> u64 {
         self.bytes

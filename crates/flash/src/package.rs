@@ -123,11 +123,6 @@ impl Package {
         &self.geom
     }
 
-    /// The package timing parameters.
-    pub fn timing(&self) -> &FlashTiming {
-        &self.timing
-    }
-
     /// Operation counters.
     pub fn stats(&self) -> PackageStats {
         self.stats

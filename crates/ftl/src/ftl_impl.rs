@@ -176,11 +176,6 @@ impl Ftl {
         self.gc_policy = policy;
     }
 
-    /// The GC policy in force.
-    pub fn gc_policy(&self) -> GcPolicy {
-        self.gc_policy
-    }
-
     /// Creates an FTL whose translations go through a DFTL-style demand
     /// cache of `translation_pages` pages; misses must be charged a
     /// flash read by the caller (see [`Ftl::map_access`]).
@@ -205,11 +200,6 @@ impl Ftl {
                 hit
             }
         }
-    }
-
-    /// The array shape this FTL manages.
-    pub fn shape(&self) -> &ArrayShape {
-        &self.shape
     }
 
     /// The logical→physical map (read-only).
@@ -910,7 +900,7 @@ mod tests {
         let mut f = ftl();
         let lpn = LogicalPage(10);
         let home = f.locate(lpn);
-        let other_fimm = (home.fimm + 1) % f.shape().fimms_per_cluster;
+        let other_fimm = (home.fimm + 1) % f.shape.fimms_per_cluster;
         let new = f
             .write_alloc(lpn, Some((home.cluster, other_fimm)))
             .unwrap();
@@ -935,7 +925,7 @@ mod tests {
         let home = f.locate(lpn);
         let target = ClusterId {
             switch: home.cluster.switch,
-            index: (home.cluster.index + 1) % f.shape().topology.clusters_per_switch,
+            index: (home.cluster.index + 1) % f.shape.topology.clusters_per_switch,
         };
         let new = f.migrate_prepare(lpn, target, 0).unwrap();
         assert!(f.migrate_commit(lpn, new, home));
@@ -949,7 +939,7 @@ mod tests {
     #[test]
     fn out_of_range_lpn_rejected() {
         let mut f = ftl();
-        let bad = LogicalPage(f.shape().total_pages());
+        let bad = LogicalPage(f.shape.total_pages());
         assert_eq!(
             f.write_alloc(bad, None),
             Err(FtlError::AddressOutOfRange(bad.0))
@@ -963,8 +953,8 @@ mod tests {
         let home = f.locate(LogicalPage(0));
         // Overwrite one LPN until every write stream has filled (and
         // closed) at least one block full of mostly-invalid pages.
-        let g = f.shape().flash;
-        let streams = (f.shape().packages_per_fimm * g.dies * g.planes) as u64;
+        let g = f.shape.flash;
+        let streams = (f.shape.packages_per_fimm * g.dies * g.planes) as u64;
         for _ in 0..(g.pages_per_block as u64 * streams) {
             f.write_alloc(LogicalPage(0), None).unwrap();
         }
@@ -1008,7 +998,7 @@ mod tests {
         let old = f.locate(lpn);
         let target = ClusterId {
             switch: old.cluster.switch,
-            index: (old.cluster.index + 1) % f.shape().topology.clusters_per_switch,
+            index: (old.cluster.index + 1) % f.shape.topology.clusters_per_switch,
         };
         let clone = f.migrate_prepare(lpn, target, 1).unwrap();
         assert_eq!(f.locate(lpn), old, "readers still see the original");
@@ -1024,7 +1014,7 @@ mod tests {
         let old = f.locate(lpn);
         let target = ClusterId {
             switch: old.cluster.switch,
-            index: (old.cluster.index + 1) % f.shape().topology.clusters_per_switch,
+            index: (old.cluster.index + 1) % f.shape.topology.clusters_per_switch,
         };
         let clone = f.migrate_prepare(lpn, target, 0).unwrap();
         // A host write supersedes the data mid-clone.
@@ -1042,7 +1032,7 @@ mod tests {
         let old = f.locate(lpn);
         let target = ClusterId {
             switch: old.cluster.switch,
-            index: (old.cluster.index + 1) % f.shape().topology.clusters_per_switch,
+            index: (old.cluster.index + 1) % f.shape.topology.clusters_per_switch,
         };
         let clone = f.migrate_prepare(lpn, target, 1).unwrap();
         assert!(f.migrate_abort(lpn, clone), "abort succeeds mid-flight");
@@ -1062,7 +1052,7 @@ mod tests {
         let old = f.locate(lpn);
         let target = ClusterId {
             switch: old.cluster.switch,
-            index: (old.cluster.index + 1) % f.shape().topology.clusters_per_switch,
+            index: (old.cluster.index + 1) % f.shape.topology.clusters_per_switch,
         };
         let clone = f.migrate_prepare(lpn, target, 0).unwrap();
         assert!(f.migrate_commit(lpn, clone, old));
@@ -1112,13 +1102,13 @@ mod tests {
     fn verify_integrity_detects_victim_index_drift() {
         let mut f = ftl();
         let home = f.locate(LogicalPage(0));
-        let g = f.shape().flash;
-        let streams = (f.shape().packages_per_fimm * g.dies * g.planes) as u64;
+        let g = f.shape.flash;
+        let streams = (f.shape.packages_per_fimm * g.dies * g.planes) as u64;
         for _ in 0..(g.pages_per_block as u64 * streams) {
             f.write_alloc(LogicalPage(0), None).unwrap();
         }
         f.verify_integrity().unwrap();
-        let fimm_key = (f.shape().topology.global_index(home.cluster), home.fimm);
+        let fimm_key = (f.shape.topology.global_index(home.cluster), home.fimm);
         let victim = f.gc_pick(home.cluster, home.fimm).expect("victim exists");
         let key = (victim.package, victim.die, victim.block);
         // Simulate a maintenance site that forgot to index a candidate.
@@ -1155,8 +1145,8 @@ mod tests {
     fn gc_finish_failed_quarantines_instead_of_recycling() {
         let mut f = ftl();
         let home = f.locate(LogicalPage(0));
-        let g = f.shape().flash;
-        let streams = (f.shape().packages_per_fimm * g.dies * g.planes) as u64;
+        let g = f.shape.flash;
+        let streams = (f.shape.packages_per_fimm * g.dies * g.planes) as u64;
         for _ in 0..(g.pages_per_block as u64 * streams) {
             f.write_alloc(LogicalPage(0), None).unwrap();
         }
@@ -1172,7 +1162,7 @@ mod tests {
             "failed erase returns nothing to the pool"
         );
         assert_eq!(f.stats().gc_erases, 0);
-        let key = (f.shape().topology.global_index(work.cluster), work.fimm);
+        let key = (f.shape.topology.global_index(work.cluster), work.fimm);
         assert_eq!(f.allocs[&key].retired_blocks(), 1);
         f.verify_integrity().unwrap();
         // The quarantined block is never handed out again: drain the
@@ -1211,8 +1201,8 @@ mod tests {
         // fresh with many. Greedy prefers the fresh/most-invalid block;
         // FIFO prefers the oldest.
         let mut f = ftl();
-        let g = f.shape().flash;
-        let streams = (f.shape().packages_per_fimm * g.dies * g.planes) as u64;
+        let g = f.shape.flash;
+        let streams = (f.shape.packages_per_fimm * g.dies * g.planes) as u64;
         // Round 1: seal one block per stream by writing a working set.
         for i in 0..(g.pages_per_block as u64 * streams) {
             f.write_alloc(LogicalPage(i * 2 % 512), None).unwrap();
@@ -1230,7 +1220,7 @@ mod tests {
         for w in [&greedy, &fifo, &cb] {
             assert_eq!(w.cluster, home.cluster);
         }
-        assert_eq!(f.gc_policy(), GcPolicy::CostBenefit);
+        assert_eq!(f.gc_policy, GcPolicy::CostBenefit);
     }
 
     #[test]
@@ -1276,7 +1266,7 @@ mod tests {
         let old = f.locate(mover);
         let dst = ClusterId {
             switch: old.cluster.switch,
-            index: (old.cluster.index + 1) % f.shape().topology.clusters_per_switch,
+            index: (old.cluster.index + 1) % f.shape.topology.clusters_per_switch,
         };
         let clone = f.migrate_prepare(mover, dst, 0).unwrap();
         assert!(f.migrate_commit(mover, clone, old));
@@ -1325,7 +1315,7 @@ mod tests {
         let old = f.locate(lpn);
         let dst = ClusterId {
             switch: old.cluster.switch,
-            index: (old.cluster.index + 1) % f.shape().topology.clusters_per_switch,
+            index: (old.cluster.index + 1) % f.shape.topology.clusters_per_switch,
         };
         let clone = f.migrate_prepare(lpn, dst, 0).unwrap();
         // Power cut lands between prepare and commit.
@@ -1348,7 +1338,7 @@ mod tests {
         let old = f.locate(lpn);
         let dst = ClusterId {
             switch: old.cluster.switch,
-            index: (old.cluster.index + 1) % f.shape().topology.clusters_per_switch,
+            index: (old.cluster.index + 1) % f.shape.topology.clusters_per_switch,
         };
         // The checkpoint right after the prepare truncates its record...
         let clone = f.migrate_prepare(lpn, dst, 0).unwrap();
@@ -1392,8 +1382,8 @@ mod tests {
         let mut f = ftl();
         f.enable_journal(eager_journal());
         let home = f.locate(LogicalPage(0));
-        let g = f.shape().flash;
-        let streams = (f.shape().packages_per_fimm * g.dies * g.planes) as u64;
+        let g = f.shape.flash;
+        let streams = (f.shape.packages_per_fimm * g.dies * g.planes) as u64;
         for _ in 0..(g.pages_per_block as u64 * streams) {
             f.write_alloc(LogicalPage(0), None).unwrap();
         }
@@ -1462,7 +1452,7 @@ mod tests {
         let mut f = ftl();
         f.enable_journal(cfg);
         f.write_alloc(LogicalPage(0), None).unwrap();
-        let bad = f.shape().total_pages();
+        let bad = f.shape.total_pages();
         let JournalRecord::Write { lpn, .. } = &mut f.journal.as_mut().unwrap().records[0] else {
             panic!("record 0 is a write");
         };
@@ -1549,14 +1539,14 @@ mod tests {
         const WORKING_SET: u64 = 24;
 
         fn fimm_at(f: &Ftl, i: u32) -> (ClusterId, u32) {
-            let per = f.shape().fimms_per_cluster;
-            let t = f.shape().topology;
+            let per = f.shape.fimms_per_cluster;
+            let t = f.shape.topology;
             let n = t.total_clusters() * per;
             (t.cluster_from_global(i % n / per), i % n % per)
         }
 
         fn check(f: &Ftl) {
-            let n = f.shape().topology.total_clusters() * f.shape().fimms_per_cluster;
+            let n = f.shape.topology.total_clusters() * f.shape.fimms_per_cluster;
             for i in 0..n {
                 let (c, fimm) = fimm_at(f, i);
                 prop_assert_eq!(f.gc_pick(c, fimm), gc_pick_scan(f, c, fimm));

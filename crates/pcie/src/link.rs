@@ -117,7 +117,7 @@ impl PcieLink {
     ///
     /// The returned reservation's `end` is when the *last bit leaves the
     /// transmitter*; the packet is fully received at
-    /// `end + propagation()`. `wait` is time spent queued behind earlier
+    /// [`arrival`](Self::arrival)`(end)`. `wait` is time spent queued behind earlier
     /// packets on this direction of the link.
     pub fn transmit(&mut self, now: SimTime, bytes: u64) -> Reservation {
         let mut dur = self.serialize_nanos(bytes);
@@ -144,11 +144,6 @@ impl PcieLink {
     /// received at the far end.
     pub fn arrival(&self, tx_end: SimTime) -> SimTime {
         tx_end + self.propagation
-    }
-
-    /// Fixed propagation delay of the link.
-    pub fn propagation(&self) -> Nanos {
-        self.propagation
     }
 
     /// Busy fraction since simulation start.
@@ -228,7 +223,7 @@ mod tests {
             l.arrival(SimTime::from_nanos(1_000)),
             SimTime::from_nanos(1_150)
         );
-        assert_eq!(l.propagation(), 150);
+        assert_eq!(l.propagation, 150);
     }
 
     #[test]

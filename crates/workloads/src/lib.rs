@@ -13,6 +13,12 @@
 //! [`Microbench`] builds the paper's random-read/random-write
 //! micro-benchmarks used for the sensitivity studies (§6.4–6.5).
 //!
+//! Real captures replay through [`msr`]: [`msr::parse_msr`] reads the
+//! MSR-Cambridge/SNIA block-trace schema the paper's traces ship in,
+//! malformed records come back as a [`CsvError`] naming their line,
+//! and [`TraceMapper`] maps the records onto an array
+//! (`bench replay <FILE>` does both and runs the result).
+//!
 //! # Example
 //!
 //! ```
@@ -33,7 +39,6 @@
 #![warn(missing_docs)]
 
 mod analysis;
-pub mod csv;
 mod dist;
 mod generator;
 mod micro;
@@ -42,10 +47,9 @@ mod profile;
 mod scenario;
 
 pub use analysis::{analyze, TraceStats};
-pub use csv::CsvError;
 pub use dist::{BurstShape, Zipfian};
 pub use generator::{HotPlacement, ProfileTrace};
 pub use micro::Microbench;
-pub use msr::{MsrRecord, TraceMapper};
+pub use msr::{CsvError, MsrRecord, TraceMapper};
 pub use profile::WorkloadProfile;
 pub use scenario::{Phase, ScenarioTrace};

@@ -28,7 +28,107 @@ use triplea_core::{ArrayConfig, IoOp, Trace, TraceRequest};
 use triplea_ftl::LogicalPage;
 use triplea_sim::SimTime;
 
-use crate::csv::{parse_u64, CsvError};
+/// Errors produced while parsing an MSR-Cambridge CSV trace.
+#[derive(Debug)]
+pub enum CsvError {
+    /// Underlying I/O failure.
+    Io(std::io::Error),
+    /// A line failed to parse; carries the 1-based line number and a
+    /// description.
+    Parse {
+        /// 1-based line number of the offending record.
+        line: usize,
+        /// What went wrong.
+        message: String,
+    },
+    /// A record has too few (truncated mid-line) or too many fields.
+    Truncated {
+        /// 1-based line number of the offending record.
+        line: usize,
+        /// Fields the format requires.
+        expected: usize,
+        /// Fields actually present.
+        got: usize,
+    },
+    /// A numeric field falls outside its permitted range (a zero-byte
+    /// access, a disk number past `u32`, or an offset+size that would
+    /// overflow the address arithmetic).
+    OutOfRange {
+        /// 1-based line number of the offending record.
+        line: usize,
+        /// Which field violated its range.
+        field: &'static str,
+        /// The offending value.
+        value: u64,
+        /// Exclusive upper bound the value must stay under.
+        limit: u64,
+    },
+    /// A timestamp went backwards; MSR/SNIA records must be
+    /// time-sorted.
+    NonMonotonic {
+        /// 1-based line number of the offending record.
+        line: usize,
+        /// The regressing timestamp.
+        at: u64,
+        /// The preceding record's timestamp.
+        prev: u64,
+    },
+}
+
+impl std::fmt::Display for CsvError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CsvError::Io(e) => write!(f, "trace i/o error: {e}"),
+            CsvError::Parse { line, message } => {
+                write!(f, "trace parse error at line {line}: {message}")
+            }
+            CsvError::Truncated {
+                line,
+                expected,
+                got,
+            } => write!(
+                f,
+                "trace parse error at line {line}: expected {expected} fields, got {got}"
+            ),
+            CsvError::OutOfRange {
+                line,
+                field,
+                value,
+                limit,
+            } => write!(
+                f,
+                "trace parse error at line {line}: {field} {value} out of range (limit {limit})"
+            ),
+            CsvError::NonMonotonic { line, at, prev } => write!(
+                f,
+                "trace parse error at line {line}: timestamp {at} precedes {prev} \
+                 (records must be time-sorted)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CsvError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            CsvError::Io(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<std::io::Error> for CsvError {
+    fn from(e: std::io::Error) -> Self {
+        CsvError::Io(e)
+    }
+}
+
+fn parse_u64(s: &str, what: &str, line: usize) -> Result<u64, CsvError> {
+    s.trim().parse().map_err(|_| CsvError::Parse {
+        line,
+        message: format!("invalid {what}: {s:?}"),
+    })
+}
 
 /// One record of an MSR-Cambridge-format block trace, preserved
 /// losslessly (parse → [`write_msr`] → parse is the identity).
@@ -61,6 +161,13 @@ fn parse_msr_op(s: &str, line: usize) -> Result<IoOp, CsvError> {
     }
 }
 
+/// Longest first-to-last span [`parse_msr`] accepts, in filetime ticks:
+/// 2^62 ns, about 146 years. Natural replay turns a tick into 100 ns of
+/// a `u64` nanosecond clock, and arrivals within a few µs of its end
+/// overflow the simulator's time arithmetic; a capture spanning longer
+/// is corrupt.
+const MAX_SPAN_TICKS: u64 = (1 << 62) / 100;
+
 /// Parses an MSR-Cambridge CSV block trace.
 ///
 /// Blank lines, `#` comments, and a leading `Timestamp,...` header are
@@ -71,9 +178,10 @@ fn parse_msr_op(s: &str, line: usize) -> Result<IoOp, CsvError> {
 /// # Errors
 ///
 /// [`CsvError::Io`] for read failures; [`CsvError::Truncated`],
-/// [`CsvError::Parse`], [`CsvError::OutOfRange`] (zero-byte access or
-/// `offset + size` overflowing), or [`CsvError::NonMonotonic`] for
-/// malformed records, each carrying the 1-based line number.
+/// [`CsvError::Parse`], [`CsvError::OutOfRange`] (zero-byte access,
+/// `offset + size` overflowing, or a record more than 2^62 ns after the
+/// first), or [`CsvError::NonMonotonic`] for malformed records, each
+/// carrying the 1-based line number.
 ///
 /// # Example
 ///
@@ -86,7 +194,7 @@ fn parse_msr_op(s: &str, line: usize) -> Result<IoOp, CsvError> {
 /// let records = parse_msr(text.as_bytes())?;
 /// assert_eq!(records.len(), 2);
 /// assert_eq!(records[0].size, 32768);
-/// # Ok::<(), triplea_workloads::csv::CsvError>(())
+/// # Ok::<(), triplea_workloads::CsvError>(())
 /// ```
 pub fn parse_msr<R: Read>(reader: R) -> Result<Vec<MsrRecord>, CsvError> {
     let mut out: Vec<MsrRecord> = Vec::new();
@@ -137,6 +245,16 @@ pub fn parse_msr<R: Read>(reader: R) -> Result<Vec<MsrRecord>, CsvError> {
                     line: lineno,
                     at: timestamp,
                     prev: prev.timestamp,
+                });
+            }
+        }
+        if let Some(first) = out.first() {
+            if timestamp - first.timestamp > MAX_SPAN_TICKS {
+                return Err(CsvError::OutOfRange {
+                    line: lineno,
+                    field: "timestamp",
+                    value: timestamp,
+                    limit: first.timestamp.saturating_add(MAX_SPAN_TICKS + 1),
                 });
             }
         }
@@ -210,7 +328,7 @@ pub fn write_msr<W: Write>(mut writer: W, records: &[MsrRecord]) -> std::io::Res
 /// let trace = TraceMapper::new(&cfg).target_span_ns(1_000_000).map(&records);
 /// assert_eq!(trace.len(), 2);
 /// assert_eq!(trace.requests()[1].at.as_nanos(), 1_000_000);
-/// # Ok::<(), triplea_workloads::csv::CsvError>(())
+/// # Ok::<(), triplea_workloads::CsvError>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct TraceMapper {
@@ -277,8 +395,8 @@ impl TraceMapper {
                 .min(self.total_pages) as u32;
             // Stride per source disk, then wrap so lpn + pages always
             // fits the array.
-            let raw =
-                (r.offset / self.page_bytes).wrapping_add(r.disk as u64 * self.disk_stride_pages);
+            let raw = (r.offset / self.page_bytes)
+                .wrapping_add((r.disk as u64).wrapping_mul(self.disk_stride_pages));
             let lpn = raw % (self.total_pages - pages as u64 + 1);
             let rel_ticks = r.timestamp - t0;
             let at_ns = match self.target_span_ns {
@@ -408,6 +526,23 @@ Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime
     }
 
     #[test]
+    fn spans_past_the_simulated_clock_are_typed_errors() {
+        let last = 5 + MAX_SPAN_TICKS;
+        let inside = format!("5,hm,0,Read,0,4096,0\n{last},hm,0,Read,0,4096,0\n");
+        assert_eq!(parse_msr(inside.as_bytes()).unwrap().len(), 2);
+        let outside = format!("5,hm,0,Read,0,4096,0\n{},hm,0,Read,0,4096,0\n", last + 1);
+        match parse_msr(outside.as_bytes()) {
+            Err(CsvError::OutOfRange {
+                line: 2,
+                field: "timestamp",
+                value,
+                limit,
+            }) => assert_eq!((value, limit), (last + 1, last + 1)),
+            other => panic!("expected OutOfRange, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn unknown_op_is_a_parse_error() {
         let text = "1,hm,0,Trim,0,4096,0\n";
         assert!(matches!(
@@ -419,12 +554,21 @@ Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime
     #[test]
     fn mapper_stays_inside_the_lpn_space() {
         let cfg = ArrayConfig::small_test();
-        let records = parse_msr(SAMPLE.as_bytes()).unwrap();
-        let trace = TraceMapper::new(&cfg).map(&records);
+        let text = format!(
+            "{SAMPLE}128166372005643253,hm,7,Read,{},4096,0\n",
+            u64::MAX / 2
+        );
+        let records = parse_msr(text.as_bytes()).unwrap();
         let total = cfg.shape.total_pages();
-        for r in trace.requests() {
-            assert!(r.lpn.0 + r.pages as u64 <= total, "lpn {} escapes", r.lpn.0);
-            assert!(r.pages >= 1);
+        // The widest stride wraps, never overflows.
+        for mapper in [
+            TraceMapper::new(&cfg),
+            TraceMapper::new(&cfg).disk_stride_pages(u64::MAX),
+        ] {
+            for r in mapper.map(&records).requests() {
+                assert!(r.lpn.0 + r.pages as u64 <= total, "lpn {} escapes", r.lpn.0);
+                assert!(r.pages >= 1);
+            }
         }
     }
 
@@ -483,5 +627,33 @@ Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime
         let cfg = ArrayConfig::small_test();
         assert!(parse_msr("".as_bytes()).unwrap().is_empty());
         assert!(TraceMapper::new(&cfg).map(&[]).is_empty());
+    }
+
+    #[test]
+    fn error_display_is_informative() {
+        let e = CsvError::Parse {
+            line: 7,
+            message: "boom".into(),
+        };
+        assert!(e.to_string().contains("line 7"));
+        let e = CsvError::Truncated {
+            line: 3,
+            expected: 4,
+            got: 2,
+        };
+        assert!(e.to_string().contains("line 3"), "{e}");
+        let e = CsvError::OutOfRange {
+            line: 9,
+            field: "lpn",
+            value: 100,
+            limit: 50,
+        };
+        assert!(e.to_string().contains("lpn 100"), "{e}");
+        let e = CsvError::NonMonotonic {
+            line: 4,
+            at: 10,
+            prev: 20,
+        };
+        assert!(e.to_string().contains("precedes"), "{e}");
     }
 }

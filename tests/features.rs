@@ -1,11 +1,11 @@
-//! Integration tests for the extension features: CSV trace interchange,
-//! Zipfian/bursty workloads, the mapping cache, GC policies, and flash
+//! Integration tests for the extension features: Zipfian/bursty
+//! workloads, the mapping cache, GC policies, and flash
 //! generations — all exercised through the public facade.
 
 use triple_a::core::{Array, ArrayConfig, ManagementMode};
 use triple_a::flash::FlashTiming;
 use triple_a::ftl::GcPolicy;
-use triple_a::workloads::{csv, Microbench};
+use triple_a::workloads::Microbench;
 
 fn small() -> ArrayConfig {
     ArrayConfig::small_test()
@@ -18,24 +18,6 @@ fn small_with(f: impl FnOnce(&mut ArrayConfig)) -> ArrayConfig {
         .tune(f)
         .build()
         .expect("test configuration validates")
-}
-
-#[test]
-fn csv_roundtrip_preserves_simulation_results() {
-    let cfg = small();
-    let original = Microbench::read()
-        .hot_clusters(1)
-        .requests(3_000)
-        .gap_ns(1_400)
-        .build(&cfg, 21);
-    let mut buf = Vec::new();
-    csv::write_trace(&mut buf, &original).unwrap();
-    let parsed = csv::parse_trace(buf.as_slice()).unwrap();
-
-    let a = Array::new(cfg.clone(), ManagementMode::Autonomic).run(&original);
-    let b = Array::new(cfg, ManagementMode::Autonomic).run(&parsed);
-    assert_eq!(a.events_processed(), b.events_processed());
-    assert_eq!(a.mean_latency_us(), b.mean_latency_us());
 }
 
 #[test]

@@ -9,6 +9,7 @@ use triplea_pcie::Admission;
 use triplea_sim::trace::{TraceEventKind, TraceScope};
 use triplea_sim::SimTime;
 
+use super::observe::admit;
 use super::{Engine, Ev};
 use crate::config::ManagementMode;
 use crate::request::{IoOp, Stage};
@@ -60,15 +61,11 @@ impl Engine {
             TLP_OVERHEAD
         };
         let (s, p) = self.port_of(r);
-        let sw = &mut self.switches[s];
-        let link = match hop {
-            Hop::ToSwitch => &mut sw.uplink.down,
-            Hop::ToEndpoint => &mut sw.downlinks[p].down,
-            Hop::FromEndpoint => &mut sw.downlinks[p].up,
-            Hop::ToRootComplex => &mut sw.uplink.up,
+        let port = match hop {
+            Hop::ToSwitch | Hop::ToRootComplex => None,
+            Hop::ToEndpoint | Hop::FromEndpoint => Some(p),
         };
-        let res = link.transmit(at, bytes);
-        let arrive = link.arrival(res.end);
+        let (res, arrive) = self.transmit(s, port, down, at, bytes);
         self.reqs[r].bd.pcie_wait += res.wait;
         (res.end, arrive)
     }
@@ -94,16 +91,17 @@ impl Engine {
         // DFTL-style mapping-cache miss costs a flash read of the
         // translation page from the request's home FIMM.
         let mut t = now + self.cfg.pcie.rc_route_ns;
-        let map_hit = self.ftl.map_access(lpn);
+        let map_hit = self.map_access(lpn);
+        let id = self.reqs[r].id;
         self.emit(TraceScope::cluster(cluster), || TraceEventKind::Dispatch {
-            req: self.reqs[r].id,
+            req: id,
             map_miss: !map_hit,
         });
         if !map_hit {
             let loc = self.reqs[r].locs[0];
             let c = cluster as usize;
             let pb = self.page_bytes();
-            let xfer = self.clusters[c].bus.transfer(now, pb);
+            let xfer = self.bus_transfer(c, now, pb);
             if let Some((_, rd)) = self.issue_read_op(
                 c,
                 loc.fimm,
@@ -124,7 +122,13 @@ impl Engine {
         self.reqs[r].wait_since = now;
         self.reqs[r].stage = Stage::AtSwitch;
         let (s, p) = self.port_of(r);
-        match self.switches[s].port_queues[p].admit(r as u64) {
+        let scope = TraceScope::cluster(self.reqs[r].cluster);
+        match admit(
+            &mut self.recorder,
+            &mut self.switches[s].port_queues[p],
+            scope,
+            r,
+        ) {
             Admission::Admitted => self.queue.push(now, Ev::SwGranted(r)),
             Admission::Queued => {}
         }
@@ -145,7 +149,8 @@ impl Engine {
     pub(super) fn on_ep_admit(&mut self, now: SimTime, r: u32) {
         self.reqs[r].wait_since = now;
         let c = self.reqs[r].cluster as usize;
-        match self.clusters[c].ep_queue.admit(r as u64) {
+        let scope = TraceScope::cluster(c as u32);
+        match admit(&mut self.recorder, &mut self.clusters[c].ep_queue, scope, r) {
             Admission::Admitted => self.queue.push(now, Ev::EpGranted(r)),
             Admission::Queued => {
                 self.reqs[r].stalled_at_ep = true;

@@ -7,6 +7,7 @@ use triplea_sim::stats::Histogram;
 use triplea_sim::trace::{TraceEventKind, TraceScope};
 use triplea_sim::{Nanos, SimTime};
 
+use super::observe::admit;
 use super::{Engine, Ev, Finished};
 use crate::config::{ArrayConfig, ESCALATION_COOLDOWN_NS, LAGGARD_COOLDOWN_NS, SLA_NS};
 use crate::request::IoOp;
@@ -50,15 +51,14 @@ impl FrontDoor {
 impl Engine {
     pub(super) fn on_submit(&mut self, now: SimTime, r: u32) {
         self.reqs[r].wait_since = now;
-        self.emit(TraceScope::array(), || {
-            let rs = &self.reqs[r];
-            TraceEventKind::Submit {
-                req: rs.id,
-                read: rs.op == IoOp::Read,
-                lpn: rs.lpn.0,
-                pages: rs.pages,
-            }
-        });
+        let rs = &self.reqs[r];
+        let submit = TraceEventKind::Submit {
+            req: rs.id,
+            read: rs.op == IoOp::Read,
+            lpn: rs.lpn.0,
+            pages: rs.pages,
+        };
+        self.emit(TraceScope::array(), || submit);
         if self.front.is_some() {
             // Tenant mode: park the request on its owner's submission
             // lane; the weighted-fair arbiter decides who occupies the
@@ -71,7 +71,8 @@ impl Engine {
                 .enqueue(t, r);
             self.pump_tenants(now);
         } else {
-            match self.rc_queue.admit(r as u64) {
+            let scope = TraceScope::array();
+            match admit(&mut self.recorder, &mut self.rc_queue, scope, r) {
                 Admission::Admitted => self.queue.push(now, Ev::RcGranted(r)),
                 Admission::Queued => {} // woken by on_complete's release
             }

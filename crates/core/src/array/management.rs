@@ -5,8 +5,9 @@
 //! (claims, cooldowns, cold-sibling choice) is
 //! [`AutonomicState`](crate::autonomic::AutonomicState).
 
+use triplea_fimm::Fimm;
 use triplea_flash::{FlashCommand, FlashError};
-use triplea_ftl::{FtlError, LogicalPage, PhysLoc};
+use triplea_ftl::{Ftl, FtlError, LogicalPage, PhysLoc};
 use triplea_pcie::ClusterId;
 use triplea_sim::trace::{TraceEventKind, TraceScope};
 use triplea_sim::{Nanos, SimTime};
@@ -142,16 +143,11 @@ impl Engine {
         if backlog as f64 >= LAGGARD_IMBALANCE * (min_other.max(1) as f64) {
             // One FIMM holds the stalled work: reshape its data onto the
             // quiet siblings (§4.2).
-            if self
-                .auto
-                .register_laggard_with_cooldown(cluster, fimm, now, laggard_cd)
-            {
+            if self.register_laggard(cluster, fimm, now, laggard_cd) {
                 self.reqs[r].laggard_fimm = Some(fimm);
             }
         } else if self.cfg.eq3_backlog_ns(min_other) > sla
-            && self
-                .auto
-                .register_escalation_with_cooldown(cluster, now, escalation_cd)
+            && self.register_escalation(cluster, now, escalation_cd)
         {
             // Every FIMM is equally backlogged: reshaping cannot help,
             // escalate to inter-cluster migration (§4.2, "all the FIMMs
@@ -198,9 +194,7 @@ impl Engine {
             // if every FIMM really holds stalled work, and at most once
             // per cooldown window per cluster.
             if (0..n_fimms as u32).all(|f| backlog_of(f) > sla)
-                && self
-                    .auto
-                    .register_escalation_with_cooldown(cluster, now, escalation_cd)
+                && self.register_escalation(cluster, now, escalation_cd)
             {
                 for w in self.clusters[c].ep_queue.waiter_ids() {
                     self.reqs[w as u32].escalate = true;
@@ -221,10 +215,7 @@ impl Engine {
         if self.clusters[c].pending_prog_pages[laggard as usize] > 0 {
             return;
         }
-        if !self
-            .auto
-            .register_laggard_with_cooldown(cluster, laggard, now, laggard_cd)
-        {
+        if !self.register_laggard(cluster, laggard, now, laggard_cd) {
             return;
         }
         for w in self.clusters[c].ep_queue.waiter_ids() {
@@ -299,11 +290,12 @@ impl Engine {
         fimm: u32,
     ) {
         let lpn = self.relocs[reloc as usize].pages[idx as usize].lpn;
-        let loc = match self.ftl.migrate_prepare(LogicalPage(lpn), cluster_id, fimm) {
+        let prepare = |ftl: &mut Ftl| ftl.migrate_prepare(LogicalPage(lpn), cluster_id, fimm);
+        let loc = match self.journaled(prepare) {
             Ok(loc) => loc,
             Err(FtlError::OutOfSpace { .. }) => {
                 self.run_gc(now, cluster, fimm);
-                match self.ftl.migrate_prepare(LogicalPage(lpn), cluster_id, fimm) {
+                match self.journaled(prepare) {
                     Ok(loc) => loc,
                     Err(_) => {
                         // Give up on this page; account the reloc slot.
@@ -324,8 +316,11 @@ impl Engine {
         self.relocs[reloc as usize].pages[idx as usize].new = Some(loc);
         let c = cluster as usize;
         let pb = self.page_bytes();
-        let res = self.clusters[c].bus.transfer(now, pb);
-        match self.clusters[c].fimms[fimm as usize].begin_op(
+        let res = self.bus_transfer(c, now, pb);
+        match self.flash_op(
+            c,
+            fimm as usize,
+            Fimm::begin_op,
             res.end,
             loc.addr.package,
             &FlashCommand::program(&loc.addr.page),
@@ -342,9 +337,9 @@ impl Engine {
                 // commits only on program completion — so readers lose
                 // nothing; just discard the clone and close accounting.
                 if matches!(e, FlashError::ProgramFailed(_)) {
-                    self.ftl.quarantine_block(loc);
+                    self.journaled(|ftl| ftl.quarantine_block(loc));
                 }
-                self.ftl.migrate_abort(LogicalPage(lpn), loc);
+                self.journaled(|ftl| ftl.migrate_abort(LogicalPage(lpn), loc));
                 self.relocs[reloc as usize].pages[idx as usize].new = None;
                 self.faults.migration_rollbacks += 1;
                 self.emit(TraceScope::fimm(cluster, fimm), || {
@@ -448,7 +443,7 @@ impl Engine {
             // Reserve the bus and the die at issue time: busy totals are
             // exact and foreground traffic interleaves FIFO, instead of
             // stalling behind idle-but-reserved busy-until gaps.
-            let xfer = self.clusters[c].bus.transfer(now, pb);
+            let xfer = self.bus_transfer(c, now, pb);
             if let Some((_, op)) = self.issue_read_op(
                 c,
                 loc.fimm,
@@ -481,14 +476,9 @@ impl Engine {
         let src_port = (cluster % topo.clusters_per_switch) as usize;
         let dst_port = (dst_global % topo.clusters_per_switch) as usize;
         let bytes = self.wire_bytes(claimed.len() as u32);
-        let up = self.switches[s].downlinks[src_port]
-            .up
-            .transmit(t_ready, bytes);
-        let up_arrive = self.switches[s].downlinks[src_port].up.arrival(up.end);
-        let down = self.switches[s].downlinks[dst_port]
-            .down
-            .transmit(up_arrive + self.cfg.pcie.switch_route_ns, bytes);
-        let arrive = self.switches[s].downlinks[dst_port].down.arrival(down.end);
+        let (_, up_arrive) = self.transmit(s, Some(src_port), false, t_ready, bytes);
+        let at = up_arrive + self.cfg.pcie.switch_route_ns;
+        let (_, arrive) = self.transmit(s, Some(dst_port), true, at, bytes);
 
         self.queue.push(arrive, Ev::MigArrive(reloc_id));
     }
@@ -521,8 +511,7 @@ impl Engine {
         let cluster = self.cluster_global(new_loc.cluster);
         let fimm = new_loc.fimm;
         self.clusters[cluster as usize].pending_prog_pages[fimm as usize] -= 1;
-        self.ftl
-            .migrate_commit(LogicalPage(page.lpn), new_loc, page.old);
+        self.journaled(|ftl| ftl.migrate_commit(LogicalPage(page.lpn), new_loc, page.old));
         self.emit(TraceScope::fimm(cluster, fimm), || {
             TraceEventKind::RelocCommit { lpn: page.lpn }
         });

@@ -10,7 +10,8 @@
 //!
 //! Each layer of the device stack has its own file, which owns that
 //! layer's state and the handlers for its `Ev` variants;
-//! `Engine::handle` only dispatches.
+//! `Engine::handle` only dispatches. `observe.rs` is where the engine
+//! records what its components report: no component holds a recorder.
 
 use std::collections::VecDeque;
 
@@ -18,14 +19,12 @@ use triplea_fimm::{Fimm, FimmAddr};
 use triplea_ftl::{hal, Ftl, IntegrityError, JournalConfig, PhysLoc};
 use triplea_pcie::{CreditQueue, Switch};
 use triplea_sim::stats::{Histogram, TimeSeries};
-use triplea_sim::trace::{
-    RunTrace, SharedRecorder, TraceConfig, TraceEventKind, TracePort, TraceScope,
-};
+use triplea_sim::trace::{Recorder, RunTrace, TraceConfig};
 use triplea_sim::{EventQueue, SimTime};
 
 use crate::autonomic::AutonomicState;
 use crate::cluster::ClusterState;
-use crate::config::{ArrayConfig, ManagementMode};
+use crate::config::{ArrayConfig, ManagementMode, MAX_ARRIVAL_NS};
 use crate::metrics::{FaultStats, RecoveryStats, RunReport};
 use crate::request::{Breakdown, RequestState, RequestTable, Trace, TraceRequest};
 
@@ -33,6 +32,7 @@ mod builder;
 mod fabric;
 mod front;
 mod management;
+mod observe;
 mod recovery;
 mod report;
 mod storage;
@@ -204,10 +204,10 @@ struct Engine {
     /// Modules replaced by a spare; kept so their wear and fault history
     /// still roll up into the final report.
     retired_fimms: Vec<Fimm>,
-    /// The recorder every traced component feeds and the end-of-run
-    /// harvest reads; `None` keeps the run byte-identical to untraced
-    /// builds.
-    recorder: Option<SharedRecorder>,
+    /// The run's event recorder: the engine records what its components
+    /// report (see `observe.rs`), and the end-of-run harvest moves the
+    /// ring out. `None` runs untraced.
+    recorder: Option<Recorder>,
     scratch: Scratch,
 }
 
@@ -301,7 +301,6 @@ impl Array {
         } else {
             Ftl::new(cfg.shape)
         };
-        ftl.set_gc_policy(cfg.gc_policy);
         if let Some(pl) = cfg.faults.power_loss {
             // Metadata mutations must be journaled from the first write,
             // or the recovery scan would have nothing to replay.
@@ -350,41 +349,13 @@ impl Array {
         Array { e }
     }
 
-    /// Attaches an event recorder to every component of the array. Each
-    /// component's [`TracePort`] is stamped with its hierarchical
-    /// position (cluster, FIMM, package), so the harvested
-    /// [`RunTrace`] — returned by [`Array::run_verified`] — carries
-    /// per-lane Chrome-trace output and `cluster.N.fimm.M.*` metrics.
+    /// Gives the array an event recorder. The engine records every
+    /// event under its component's hierarchical position (cluster, FIMM,
+    /// package), so the harvested [`RunTrace`] — returned by
+    /// [`Array::run_verified`] — carries per-lane Chrome-trace output and
+    /// `cluster.N.fimm.M.*` metrics.
     pub(crate) fn with_recorder(mut self, cfg: TraceConfig) -> Self {
-        let rec = SharedRecorder::new(cfg);
-        let e = &mut self.e;
-        let port = |scope| TracePort::attached(rec.clone(), scope);
-        e.ftl.attach_trace(port(TraceScope::array()));
-        e.auto.attach_trace(port(TraceScope::array()));
-        e.rc_queue.attach_trace(port(TraceScope::array()));
-        let cps = e.cfg.shape.topology.clusters_per_switch;
-        for (s, sw) in e.switches.iter_mut().enumerate() {
-            let sw_scope = TraceScope::array().unit(s as u32);
-            sw.uplink.down.attach_trace(port(sw_scope));
-            sw.uplink.up.attach_trace(port(sw_scope));
-            for (p, link) in sw.downlinks.iter_mut().enumerate() {
-                let scope = TraceScope::cluster(s as u32 * cps + p as u32);
-                link.down.attach_trace(port(scope));
-                link.up.attach_trace(port(scope));
-            }
-            for (p, q) in sw.port_queues.iter_mut().enumerate() {
-                q.attach_trace(port(TraceScope::cluster(s as u32 * cps + p as u32)));
-            }
-        }
-        for (g, cl) in e.clusters.iter_mut().enumerate() {
-            let g = g as u32;
-            cl.bus.attach_trace(port(TraceScope::cluster(g)));
-            cl.ep_queue.attach_trace(port(TraceScope::cluster(g)));
-            for (f, fimm) in cl.fimms.iter_mut().enumerate() {
-                fimm.attach_trace(port(TraceScope::fimm(g, f as u32)));
-            }
-        }
-        e.recorder = Some(rec);
+        self.e.recorder = Some(Recorder::new(cfg));
         self
     }
 
@@ -444,8 +415,9 @@ impl Array {
     /// # Panics
     ///
     /// Panics if a trace record has `pages == 0`, addresses a page
-    /// outside the array, or (on a tenant-enabled array) names a tenant
-    /// outside the configured table.
+    /// outside the array, (on a tenant-enabled array) names a tenant
+    /// outside the configured table, or arrives after
+    /// [`MAX_ARRIVAL_NS`](crate::MAX_ARRIVAL_NS).
     pub fn run(self, trace: &Trace) -> RunReport {
         self.run_verified(trace).report
     }
@@ -472,7 +444,7 @@ impl Array {
     /// deterministic epoch loop; [`Array::run_verified`] is this runner's
     /// event loop reading its arrivals straight from the trace. The
     /// recovery plan (the power cut and the hot-spare rebuilds) goes on
-    /// the calendar here, after any recorder was attached.
+    /// the calendar here.
     pub fn into_runner(mut self) -> ArrayRunner {
         self.e.arm_recovery();
         ArrayRunner {
@@ -523,8 +495,9 @@ impl ArrayRunner {
     ///
     /// Panics if `pages == 0`, the address range leaves the array,
     /// (on a tenant-enabled array) the tenant is outside the configured
-    /// table, or the submission time is earlier than the previous
-    /// submission's. The submission time must not be earlier than any
+    /// table, the submission time is after
+    /// [`MAX_ARRIVAL_NS`](crate::MAX_ARRIVAL_NS) or earlier than the
+    /// previous submission's. The submission time must not be earlier than any
     /// instant already stepped past.
     pub fn submit(&mut self, r: &TraceRequest) -> u32 {
         let id = self.submitted;
@@ -626,9 +599,9 @@ impl Engine {
                 (None, Some(t)) if t < until => t,
                 (None, _) => break,
             };
-            if let Some(rec) = &self.recorder {
-                // Timeless components (the FTL, credit queues) emit at
-                // the recorder clock; keep it on the event loop's time.
+            if let Some(rec) = &mut self.recorder {
+                // Events recorded without an instant take the recorder
+                // clock; keep it on the event loop's time.
                 rec.set_now(now);
             }
             self.events += 1;
@@ -651,7 +624,8 @@ impl Engine {
     ///
     /// Panics if `pages == 0`, the address range leaves the array, (on a
     /// tenant-enabled array) the tenant is outside the configured table,
-    /// or `r` arrives before the previous request.
+    /// `r` arrives after [`MAX_ARRIVAL_NS`], or `r` arrives before the
+    /// previous request.
     fn accept(&mut self, id: usize, r: &TraceRequest) {
         let total_pages = self.cfg.shape.total_pages();
         let n_tenants = self.cfg.tenants.len();
@@ -667,6 +641,12 @@ impl Engine {
             n_tenants == 0 || r.tenant.index() < n_tenants,
             "request {id} names {} but the config has {n_tenants} tenants",
             r.tenant
+        );
+        assert!(
+            r.at.as_nanos() <= MAX_ARRIVAL_NS,
+            "request {id} arrives at {} ns, past the last arrival instant a run accepts \
+             ({MAX_ARRIVAL_NS} ns)",
+            r.at.as_nanos()
         );
         assert!(
             r.at >= self.cursor.latest,
@@ -691,25 +671,6 @@ impl Engine {
 
     fn cluster_global(&self, id: triplea_pcie::ClusterId) -> u32 {
         self.cfg.shape.topology.global_index(id)
-    }
-
-    /// Samples one FIMM's read backlog into its queue-depth series.
-    /// Only records while a recorder is attached, so untraced runs
-    /// allocate nothing.
-    fn sample_qdepth(&mut self, now: SimTime, c: usize, fimm: usize) {
-        if self.recorder.is_some() {
-            let v = self.clusters[c].pending_read_pages[fimm] as f64;
-            self.clusters[c].qdepth[fimm].push(now, v);
-        }
-    }
-
-    /// Records an engine-level event under `scope`. `f` builds the
-    /// payload and only runs when a recorder is attached.
-    #[inline]
-    fn emit(&self, scope: TraceScope, f: impl FnOnce() -> TraceEventKind) {
-        if let Some(rec) = &self.recorder {
-            rec.emit(scope, f());
-        }
     }
 
     /// Routes one event to the layer that owns it.

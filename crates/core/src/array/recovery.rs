@@ -4,9 +4,10 @@
 use triplea_fimm::{Fimm, FimmFaultKind};
 use triplea_flash::{FlashCommand, PageAddr};
 use triplea_ftl::RebuildUnit;
-use triplea_sim::trace::{TraceEventKind, TracePort, TraceScope};
+use triplea_sim::trace::{TraceEventKind, TraceScope};
 use triplea_sim::{Nanos, SimTime};
 
+use super::observe::flash_op;
 use super::{Engine, Ev, Finished, GOLDEN};
 use crate::config::{REMOUNT_BASE_NS, REPLAY_NS_PER_RECORD};
 use crate::request::Stage;
@@ -85,12 +86,6 @@ impl Engine {
                 // from every original module's `(cluster << 8) | fimm`.
                 let k = ((ev.cluster as u64) << 8) | ev.fimm as u64 | 1 << 16;
                 spare.set_fault_profile(fc.flash, fc.seed ^ (k + 1).wrapping_mul(GOLDEN));
-            }
-            if let Some(rec) = &self.recorder {
-                spare.attach_trace(TracePort::attached(
-                    rec.clone(),
-                    TraceScope::fimm(ev.cluster, ev.fimm),
-                ));
             }
             let died = SimTime::from_nanos(ev.at_ns);
             let idx = self.rebuilds.len() as u32;
@@ -254,12 +249,15 @@ impl Engine {
                 // surviving sibling and haul it (in and back out) over
                 // the shared bus. Recovery reads are fault-immune — a
                 // rebuild must not trip over its own transient ECC.
-                let xfer = self.clusters[c].bus.transfer(t, 2 * pb);
+                let xfer = self.bus_transfer(c, t, 2 * pb);
                 let sib = (1..n)
                     .map(|off| (fimm + off) % n)
                     .find(|&f| !self.clusters[c].fimms[f as usize].is_dead_at(t));
                 if let Some(sf) = sib {
-                    if let Ok(rd) = self.clusters[c].fimms[sf as usize].begin_op_recovery(
+                    if let Ok(rd) = self.flash_op(
+                        c,
+                        sf as usize,
+                        Fimm::begin_op_recovery,
                         t,
                         unit.package,
                         &FlashCommand::read(&addr),
@@ -274,7 +272,16 @@ impl Engine {
             // read: NAND programs are strictly in-order within a block,
             // and the allocator will resume at page `programmed`.
             if let Some(spare) = self.rebuilds[idx].spare.as_mut() {
-                if let Ok(op) = spare.begin_op(t, unit.package, &FlashCommand::program(&addr)) {
+                // The spare reports under the slot it will take over.
+                if let Ok(op) = flash_op(
+                    &mut self.recorder,
+                    spare,
+                    TraceScope::fimm(cluster, fimm),
+                    Fimm::begin_op,
+                    t,
+                    unit.package,
+                    &FlashCommand::program(&addr),
+                ) {
                     t = op.end;
                 }
                 // The spare can grow its own bad blocks under its fault

@@ -13,8 +13,8 @@ impl Engine {
     /// Harvests the recorder and the per-component instruments into a
     /// [`RunTrace`], naming each instrument where its value is read
     /// (`cluster.N.fimm.M.queue_depth`). Runs once per traced run.
-    pub(super) fn harvest_trace(&self) -> Option<RunTrace> {
-        let rec = self.recorder.as_ref()?;
+    pub(super) fn harvest_trace(&mut self) -> Option<RunTrace> {
+        let rec = self.recorder.take()?;
         let now = self.last_complete;
         let mut m = MetricRegistry::new();
         m.counter("array.events", self.events);
@@ -58,7 +58,7 @@ impl Engine {
                 m.counter(format!("tenant.{t}.violations"), acc.violations);
             }
         }
-        Some(RunTrace::from_recorder(&rec.snapshot(), m))
+        Some(RunTrace::from_recorder(rec, m))
     }
 
     /// Folds the hardware's wear and fault census into the engine's own

@@ -2,6 +2,7 @@
 //! ONFi bus, FIMM reads with failover and ECC retry, the write-back
 //! buffer and programs, and garbage collection.
 
+use triplea_fimm::Fimm;
 use triplea_flash::{FlashCommand, FlashError, OpKind, OpTiming};
 use triplea_ftl::{hal, FtlError, LogicalPage, PhysLoc};
 use triplea_sim::trace::{TraceEventKind, TraceScope};
@@ -66,9 +67,9 @@ impl Engine {
             let mut tries = 0;
             loop {
                 let r = if tries < READ_RETRY_LIMIT {
-                    self.clusters[c].fimms[f].begin_op(at, package, cmd)
+                    self.flash_op(c, f, Fimm::begin_op, at, package, cmd)
                 } else {
-                    self.clusters[c].fimms[f].begin_op_recovery(at, package, cmd)
+                    self.flash_op(c, f, Fimm::begin_op_recovery, at, package, cmd)
                 };
                 match r {
                     Ok(op) => return Some((f as u32, op)),
@@ -117,7 +118,7 @@ impl Engine {
             hal::compose(OpKind::Read, &pages, &mut cmds);
             for cc in cmds.iter() {
                 let n = cc.cmd.page_count() as u32;
-                let cmd_res = self.clusters[c].bus.command_cycle(now);
+                let cmd_res = self.bus_transfer(c, now, 0);
                 let served = self.issue_read_op(c, home, cmd_res.end, cc.package, &cc.cmd);
                 // A dead home module fails over to a live sibling; from
                 // here on, account everything against the serving FIMM.
@@ -162,7 +163,7 @@ impl Engine {
         self.clusters[c].pending_read_pages[fimm as usize] -= pages as u64;
         self.sample_qdepth(now, c, fimm as usize);
         let bytes = pages as u64 * self.page_bytes();
-        let res = self.clusters[c].bus.transfer(now, bytes);
+        let res = self.bus_transfer(c, now, bytes);
         {
             let rs = &mut self.reqs[r];
             rs.bd.bus_wait += res.wait;
@@ -206,12 +207,12 @@ impl Engine {
             };
             let mut attempts = 0;
             let programmed = loop {
-                let loc = match self.ftl.write_alloc(l, target) {
+                let loc = match self.journaled(|ftl| ftl.write_alloc(l, target)) {
                     Ok(loc) => loc,
                     Err(FtlError::OutOfSpace { cluster: cid, fimm }) => {
                         let g = self.cluster_global(cid);
                         self.run_gc(now, g, fimm);
-                        match self.ftl.write_alloc(l, target) {
+                        match self.journaled(|ftl| ftl.write_alloc(l, target)) {
                             Ok(loc) => loc,
                             // End of life: GC reclaimed nothing (every
                             // block retired or still live).
@@ -226,8 +227,11 @@ impl Engine {
                 };
                 let tc = self.cluster_global(loc.cluster) as usize;
                 let pb = self.page_bytes();
-                let res = self.clusters[tc].bus.transfer(now, pb);
-                match self.clusters[tc].fimms[loc.fimm as usize].begin_op(
+                let res = self.bus_transfer(tc, now, pb);
+                match self.flash_op(
+                    tc,
+                    loc.fimm as usize,
+                    Fimm::begin_op,
                     res.end,
                     loc.addr.package,
                     &FlashCommand::program(&loc.addr.page),
@@ -240,7 +244,7 @@ impl Engine {
                         // and invalidates the failed page, so metadata
                         // stays consistent).
                         if matches!(e, FlashError::ProgramFailed(_)) {
-                            self.ftl.quarantine_block(loc);
+                            self.journaled(|ftl| ftl.quarantine_block(loc));
                         }
                         self.faults.fault_write_redirects += 1;
                         attempts += 1;
@@ -305,21 +309,6 @@ impl Engine {
         let id = self.clusters[cluster as usize].id;
         if self.ftl.needs_gc(id, fimm, self.cfg.gc_threshold_blocks) {
             self.run_gc(now, cluster, fimm);
-            return;
-        }
-        // Opportunistic GC (§8 / refs [23, 24]): reclaim ahead of the
-        // hard threshold while the cluster's bus is quiet, so cleaning
-        // never lands on the critical path of foreground I/O.
-        if self.cfg.opportunistic_gc
-            && self.clusters[cluster as usize]
-                .bus
-                .windowed_utilization(now)
-                < 0.10
-            && self
-                .ftl
-                .needs_gc(id, fimm, self.cfg.gc_threshold_blocks * 8)
-        {
-            self.run_gc(now, cluster, fimm);
         }
     }
 
@@ -327,11 +316,10 @@ impl Engine {
     /// background bus/die reservations (the paper defers sophisticated
     /// array-level GC scheduling to future work, §6.7).
     pub(super) fn run_gc(&mut self, now: SimTime, cluster: u32, fimm: u32) {
-        let id = self.clusters[cluster as usize].id;
         if self.clusters[cluster as usize].fimms[fimm as usize].is_dead_at(now) {
             return; // a dead module can neither be read nor erased
         }
-        let Some(work) = self.ftl.gc_pick(id, fimm) else {
+        let Some(work) = self.gc_pick(cluster, fimm) else {
             return;
         };
         let c = cluster as usize;
@@ -339,7 +327,7 @@ impl Engine {
         let pb = self.page_bytes();
         for &lpn in &work.valid {
             let old = self.ftl.locate(lpn);
-            match self.ftl.gc_rewrite(lpn, &work) {
+            match self.journaled(|ftl| ftl.gc_rewrite(lpn, &work)) {
                 Ok(Some(new_loc)) => {
                     // Read the live page out, move it over the bus, and
                     // program its new home. All reservations are made at
@@ -355,8 +343,11 @@ impl Engine {
                         Some((_, rd)) => rd.end,
                         None => now,
                     };
-                    let _xfer = self.clusters[c].bus.transfer(now, 2 * pb);
-                    if let Err(e) = self.clusters[c].fimms[new_loc.fimm as usize].begin_op(
+                    let _xfer = self.bus_transfer(c, now, 2 * pb);
+                    if let Err(e) = self.flash_op(
+                        c,
+                        new_loc.fimm as usize,
+                        Fimm::begin_op,
                         rd_end,
                         new_loc.addr.package,
                         &FlashCommand::program(&new_loc.addr.page),
@@ -365,7 +356,7 @@ impl Engine {
                         // retire it so the allocator stops handing out
                         // its remaining pages.
                         if matches!(e, FlashError::ProgramFailed(_)) {
-                            self.ftl.quarantine_block(new_loc);
+                            self.journaled(|ftl| ftl.quarantine_block(new_loc));
                         }
                     }
                 }
@@ -379,7 +370,10 @@ impl Engine {
             block: work.block,
             page: 0,
         };
-        match self.clusters[c].fimms[f].begin_op(
+        match self.flash_op(
+            c,
+            f,
+            Fimm::begin_op,
             now,
             work.package,
             &FlashCommand::erase(&erase_addr),
@@ -389,11 +383,11 @@ impl Engine {
                 // block. Quarantine it instead of recycling so it never
                 // returns to the free pool.
                 self.faults.gc_failed_erases += 1;
-                self.ftl.gc_finish_failed(&work);
+                self.journaled(|ftl| ftl.gc_finish_failed(&work));
             }
             // A natural worn-out refusal keeps the seed semantics: the
             // allocator retires the block itself on recycle.
-            _ => self.ftl.gc_finish(&work),
+            _ => self.journaled(|ftl| ftl.gc_finish(&work)),
         }
     }
 }

@@ -3,6 +3,7 @@ use crate::request::{IoOp, TraceRequest};
 use crate::tenant::TenantId;
 use triplea_fimm::FimmFaultKind;
 use triplea_ftl::LogicalPage;
+use triplea_sim::trace::TraceEventKind;
 
 fn read_at(us: u64, lpn: u64) -> TraceRequest {
     TraceRequest::new(SimTime::from_us(us), IoOp::Read, LogicalPage(lpn), 1)
@@ -301,29 +302,6 @@ fn end_of_life_drops_writes_instead_of_panicking() {
         "expected end-of-life write drops"
     );
     assert!(report.wear().retired_blocks > 0, "blocks should retire");
-}
-
-#[test]
-fn opportunistic_gc_reclaims_ahead_of_the_hard_limit() {
-    // Small flash so the free pool shrinks fast; low write rate so
-    // the bus stays quiet and opportunistic GC can fire.
-    let mut cfg = ArrayConfig::small_test();
-    cfg.shape.flash.blocks_per_plane = 8;
-    cfg.gc_threshold_blocks = 2;
-    let trace: Trace = (0..20_000)
-        .map(|i| write_at(i * 20, (i % 64) * 2))
-        .collect();
-    cfg.opportunistic_gc = true;
-    let eager = Array::new(cfg.clone(), ManagementMode::NonAutonomic).run(&trace);
-    cfg.opportunistic_gc = false;
-    let lazy = Array::new(cfg, ManagementMode::NonAutonomic).run(&trace);
-    assert!(
-        eager.ftl_stats().gc_erases >= lazy.ftl_stats().gc_erases,
-        "opportunistic mode should clean at least as much ({} vs {})",
-        eager.ftl_stats().gc_erases,
-        lazy.ftl_stats().gc_erases
-    );
-    assert!(eager.ftl_stats().gc_erases > 0);
 }
 
 #[test]
@@ -646,6 +624,35 @@ fn submit_rejects_a_time_before_the_previous_submission() {
     let mut runner = Array::new(ArrayConfig::small_test(), ManagementMode::Autonomic).into_runner();
     runner.submit(&read_at(5, 0));
     runner.submit(&read_at(4, 1));
+}
+
+fn read_at_ns(ns: u64, lpn: u64) -> TraceRequest {
+    TraceRequest::new(SimTime::from_nanos(ns), IoOp::Read, LogicalPage(lpn), 1)
+}
+
+#[test]
+fn an_arrival_at_the_clock_limit_completes() {
+    let trace = Trace::new(vec![read_at(0, 0), read_at_ns(MAX_ARRIVAL_NS, 1)]);
+    let run = Array::new(ArrayConfig::small_test(), ManagementMode::Autonomic).run_verified(&trace);
+    assert_eq!(run.report.completed(), 2);
+    run.integrity.expect("FTL metadata stays coherent");
+}
+
+#[test]
+#[should_panic(expected = "request 1 arrives at 18446744073709551615 ns, past the last")]
+fn run_rejects_an_arrival_past_the_clock_limit() {
+    // The event loop drains only events strictly before `SimTime::MAX`,
+    // so an arrival there would silently never be delivered.
+    let trace = Trace::new(vec![read_at(0, 0), read_at_ns(u64::MAX, 1)]);
+    Array::new(ArrayConfig::small_test(), ManagementMode::Autonomic).run(&trace);
+}
+
+#[test]
+#[should_panic(expected = "request 1 arrives at 4611686018427387905 ns, past the last")]
+fn submit_rejects_a_time_past_the_clock_limit() {
+    let mut runner = Array::new(ArrayConfig::small_test(), ManagementMode::Autonomic).into_runner();
+    runner.submit(&read_at(0, 0));
+    runner.submit(&read_at_ns(MAX_ARRIVAL_NS + 1, 1));
 }
 
 #[test]

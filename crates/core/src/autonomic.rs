@@ -8,7 +8,6 @@
 use triplea_sim::{FxHashMap, FxHashSet};
 
 use triplea_pcie::{ClusterId, Topology};
-use triplea_sim::trace::{TraceEventKind, TracePort, TraceScope};
 use triplea_sim::{Nanos, SimTime, SplitMix64};
 
 use crate::config::{AutonomicParams, COLD_BUS_THRESHOLD};
@@ -80,7 +79,6 @@ pub struct AutonomicState {
     rng: SplitMix64,
     /// Counters reported at the end of the run.
     pub stats: AutonomicStats,
-    trace: TracePort,
 }
 
 impl AutonomicState {
@@ -93,15 +91,7 @@ impl AutonomicState {
             last_escalation: FxHashMap::default(),
             rng: SplitMix64::new(seed),
             stats: AutonomicStats::default(),
-            trace: TracePort::off(),
         }
-    }
-
-    /// Connects the manager to an event recorder; accepted laggard and
-    /// escalation detections are reported through `port`, scoped to the
-    /// cluster they fired on.
-    pub fn attach_trace(&mut self, port: TracePort) {
-        self.trace = port;
     }
 
     /// The tunables in force.
@@ -213,9 +203,6 @@ impl AutonomicState {
         }
         self.last_laggard.insert(key, now);
         self.stats.laggard_detections += 1;
-        self.trace
-            .with_scope(TraceScope::fimm(cluster, fimm))
-            .emit(|| TraceEventKind::LaggardDetected);
         true
     }
 
@@ -239,9 +226,6 @@ impl AutonomicState {
         }
         self.last_escalation.insert(cluster, now);
         self.stats.escalations += 1;
-        self.trace
-            .with_scope(TraceScope::cluster(cluster))
-            .emit(|| TraceEventKind::Escalation);
         true
     }
 }

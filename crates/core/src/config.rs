@@ -2,7 +2,7 @@
 
 use triplea_fimm::FimmFaultKind;
 use triplea_flash::{FlashFaultProfile, FlashGeometry, FlashTiming};
-use triplea_ftl::{ArrayShape, GcPolicy};
+use triplea_ftl::ArrayShape;
 use triplea_pcie::{PcieFaultProfile, PcieParams, Topology};
 use triplea_sim::Nanos;
 
@@ -150,6 +150,12 @@ pub struct FimmFaultEvent {
     /// What happens: death or a latency-scale slowdown.
     pub kind: FimmFaultKind,
 }
+
+/// The latest arrival instant a run accepts: 2^62 ns, about 146 years.
+/// Simulated time is a `u64` nanosecond clock, and its arithmetic
+/// (completion instants, utilization windows, remount delays) needs
+/// headroom past the last arrival.
+pub const MAX_ARRIVAL_NS: Nanos = 1 << 62;
 
 /// Fixed remount cost after a power cut: controller restart +
 /// checkpoint load.
@@ -456,13 +462,6 @@ pub struct ArrayConfig {
     /// relocated DRAM (§6.6) and translations are free. Non-zero sizes
     /// charge a flash read per translation-page miss.
     pub mapping_cache_pages: usize,
-    /// Opportunistic array-level GC (§8 future work, following the
-    /// authors' companion work on taking GC off the critical path):
-    /// when a cluster's bus is quiet, reclaim blocks *before* the free
-    /// pool hits the hard `gc_threshold_blocks` limit.
-    pub opportunistic_gc: bool,
-    /// GC victim-selection policy (greedy / cost-benefit / FIFO).
-    pub gc_policy: GcPolicy,
     /// Hot-spare FIMMs kept powered but unused. When a scheduled fault
     /// kills a module and a spare remains, the autonomic layer rebuilds
     /// the dead module's pages onto the spare in the background (reading
@@ -493,8 +492,6 @@ impl Default for ArrayConfig {
             write_buffer_pages: 2_048,
             gc_threshold_blocks: 4,
             mapping_cache_pages: 0,
-            opportunistic_gc: false,
-            gc_policy: GcPolicy::Greedy,
             hot_spares: 0,
             seed: 0xAAA_2014,
             collect_series: false,

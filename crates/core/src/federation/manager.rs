@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 use triplea_ftl::IntegrityError;
 use triplea_sim::stats::Histogram;
-use triplea_sim::trace::{MetricRegistry, RunTrace, SharedRecorder, TraceEventKind, TraceScope};
+use triplea_sim::trace::{MetricRegistry, Recorder, RunTrace, TraceEventKind, TraceScope};
 use triplea_sim::{FxHashMap, FxHashSet, SimTime};
 
 use crate::array::{Array, ArrayRunner, Finished, GOLDEN};
@@ -296,7 +296,7 @@ pub(crate) struct VolumeManager {
     pub(crate) cfg: FederationConfig,
     pub(crate) mapper: VolumeMapper,
     runners: Vec<ArrayRunner>,
-    rec: Option<SharedRecorder>,
+    rec: Option<Recorder>,
     /// Unresolved volume requests; a slot is reused once its request
     /// resolves, so the table follows what is open, not the trace.
     vol: Vec<Option<VolReq>>,
@@ -327,7 +327,7 @@ impl VolumeManager {
     fn new(cfg: FederationConfig) -> Self {
         let n = cfg.arrays as usize;
         let mapper = VolumeMapper::new(&cfg);
-        let rec = cfg.trace.map(SharedRecorder::new);
+        let rec = cfg.trace.map(Recorder::new);
         let runners = (0..cfg.arrays)
             .map(|i| {
                 let mut ac: ArrayConfig = cfg.array.clone();
@@ -373,8 +373,8 @@ impl VolumeManager {
         }
     }
 
-    fn emit(&self, at: SimTime, array: u32, kind: impl FnOnce() -> TraceEventKind) {
-        if let Some(rec) = &self.rec {
+    fn emit(&mut self, at: SimTime, array: u32, kind: impl FnOnce() -> TraceEventKind) {
+        if let Some(rec) = &mut self.rec {
             rec.emit_at(at, TraceScope::array().unit(array), kind());
         }
     }
@@ -480,9 +480,6 @@ impl VolumeManager {
         let mut t = SimTime::ZERO;
         loop {
             t += self.cfg.policy.epoch_ns;
-            if let Some(rec) = &self.rec {
-                rec.set_now(t);
-            }
             while next < reqs.len() && reqs[next].at < t {
                 self.submit_volume(next as u32, &reqs[next]);
                 next += 1;
@@ -838,7 +835,7 @@ impl VolumeManager {
             }
         }
         let reports: Vec<RunReport> = runs.into_iter().map(|r| r.report).collect();
-        let trace_out = self.rec.as_ref().map(|rec| {
+        let trace_out = self.rec.map(|rec| {
             let mut m = MetricRegistry::new();
             m.counter("federation.volume.requests", self.stats.volume_requests);
             m.counter("federation.volume.completed", self.stats.completed);
@@ -879,7 +876,7 @@ impl VolumeManager {
                     self.stats.per_array_migrations_out[i],
                 );
             }
-            RunTrace::from_recorder(&rec.snapshot(), m)
+            RunTrace::from_recorder(rec, m)
         });
         FederationRun {
             report: FederationReport {

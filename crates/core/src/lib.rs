@@ -57,8 +57,9 @@ pub use autonomic::{AutonomicState, AutonomicStats};
 pub use config::{
     ArrayConfig, ArrayConfigBuilder, AutonomicParams, ConfigError, FaultConfig, FaultScheduleFull,
     FimmFaultEvent, LaggardStrategy, ManagementMode, PowerLossEvent, COLD_BUS_THRESHOLD,
-    ESCALATION_COOLDOWN_NS, LAGGARD_COOLDOWN_NS, LAGGARD_IMBALANCE, MAX_FIMM_FAULT_EVENTS,
-    MAX_INFLIGHT_RELOC_PAGES, MAX_TENANTS, REMOUNT_BASE_NS, REPLAY_NS_PER_RECORD, SLA_NS,
+    ESCALATION_COOLDOWN_NS, LAGGARD_COOLDOWN_NS, LAGGARD_IMBALANCE, MAX_ARRIVAL_NS,
+    MAX_FIMM_FAULT_EVENTS, MAX_INFLIGHT_RELOC_PAGES, MAX_TENANTS, REMOUNT_BASE_NS,
+    REPLAY_NS_PER_RECORD, SLA_NS,
 };
 pub use federation::{
     ChunkPlacement, Federation, FederationBuilder, FederationConfig, FederationError,
@@ -83,7 +84,7 @@ pub type SimulationBuilder = ArrayBuilder;
 // the tracing vocabulary `ArrayBuilder::with_recorder` consumes.
 pub use triplea_fimm::FimmFaultKind;
 pub use triplea_flash::FlashFaultProfile;
-pub use triplea_ftl::{ArrayShape, GcPolicy, IntegrityError, LogicalPage, PhysLoc};
+pub use triplea_ftl::{ArrayShape, IntegrityError, LogicalPage, PhysLoc};
 pub use triplea_pcie::{ClusterId, PcieFaultProfile, Topology};
 pub use triplea_sim::trace::{
     Metric, MetricRegistry, RunTrace, TraceConfig, TraceEvent, TraceEventKind,

@@ -1,7 +1,6 @@
 //! The cluster-local shared ONFi bus.
 
 use triplea_flash::OnfiTiming;
-use triplea_sim::trace::{TraceEventKind, TracePort};
 use triplea_sim::{FifoResource, Nanos, Reservation, SimTime};
 
 /// The shared NV-DDR2 channel connecting a cluster's FIMMs to its PCI-E
@@ -15,7 +14,6 @@ pub struct OnfiBus {
     timing: OnfiTiming,
     res: FifoResource,
     bytes: u64,
-    trace: TracePort,
 }
 
 impl OnfiBus {
@@ -25,42 +23,17 @@ impl OnfiBus {
             timing,
             res: FifoResource::new("onfi-bus"),
             bytes: 0,
-            trace: TracePort::off(),
         }
     }
 
-    /// Connects this bus to an event recorder; every arbitration win
-    /// (transfer or command cycle) is reported through `port` from then
-    /// on, stamped at the instant the bus was actually acquired.
-    pub fn attach_trace(&mut self, port: TracePort) {
-        self.trace = port;
-    }
-
     /// Reserves the bus at `now` to move `bytes`, including the fixed
-    /// command/address overhead. The reservation's `wait` is the link
-    /// contention charged to the caller.
+    /// command/address overhead; zero bytes is a command-only cycle, e.g.
+    /// the command/address phase of a read before the die starts. The
+    /// reservation's `wait` is the link contention charged to the caller.
     pub fn transfer(&mut self, now: SimTime, bytes: u64) -> Reservation {
         let dur = self.timing.dma_nanos(bytes) + self.timing.cmd_overhead;
         self.bytes += bytes;
-        let r = self.res.reserve(now, dur);
-        self.trace.emit_at(r.start, || TraceEventKind::BusAcquire {
-            wait_ns: r.wait,
-            dur_ns: r.end - r.start,
-            bytes,
-        });
-        r
-    }
-
-    /// Reserves the bus for a command-only cycle (no payload), e.g. the
-    /// command/address phase of a read before the die starts.
-    pub fn command_cycle(&mut self, now: SimTime) -> Reservation {
-        let r = self.res.reserve(now, self.timing.cmd_overhead);
-        self.trace.emit_at(r.start, || TraceEventKind::BusAcquire {
-            wait_ns: r.wait,
-            dur_ns: r.end - r.start,
-            bytes: 0,
-        });
-        r
+        self.res.reserve(now, dur)
     }
 
     /// `t_DMA` for `bytes` on this bus (excluding command overhead).
@@ -115,9 +88,9 @@ mod tests {
     }
 
     #[test]
-    fn command_cycle_is_short() {
+    fn zero_byte_transfer_is_a_command_cycle() {
         let mut b = bus();
-        let r = b.command_cycle(SimTime::ZERO);
+        let r = b.transfer(SimTime::ZERO, 0);
         assert_eq!(r.end - r.start, 100);
     }
 
@@ -126,7 +99,7 @@ mod tests {
         let mut b = bus();
         b.transfer(SimTime::ZERO, 4096);
         b.transfer(SimTime::ZERO, 1024);
-        b.command_cycle(SimTime::ZERO);
+        b.transfer(SimTime::ZERO, 0);
         assert_eq!(b.bytes_moved(), 5120);
         assert!(b.free_at() > SimTime::ZERO);
     }

@@ -4,7 +4,6 @@ use triplea_flash::{
     FlashCommand, FlashError, FlashFaultProfile, FlashGeometry, FlashTiming, OpTiming, Package,
     PackageFaultStats, PageAddr, WearReport,
 };
-use triplea_sim::trace::{TraceEventKind, TracePort};
 use triplea_sim::SimTime;
 
 /// What happens to a FIMM when its scheduled fault fires.
@@ -59,8 +58,9 @@ pub struct Fimm {
     applied: usize,
     /// Cumulative latency multiplier from every slowdown fired so far.
     latency_scale: u32,
-    dead_reported: bool,
-    trace: TracePort,
+    /// Whether the dead module has refused an operation yet: its first
+    /// refusal is when the death becomes visible.
+    refused: bool,
 }
 
 impl Fimm {
@@ -78,20 +78,8 @@ impl Fimm {
             faults: Vec::new(),
             applied: 0,
             latency_scale: 1,
-            dead_reported: false,
-            trace: TracePort::off(),
+            refused: false,
         }
-    }
-
-    /// Connects this module (and every package on it) to an event
-    /// recorder. Per-package flash operations are scoped by package index
-    /// under the module's `port` scope; module-level fault firings are
-    /// reported at module scope.
-    pub fn attach_trace(&mut self, port: TracePort) {
-        for (i, p) in self.packages.iter_mut().enumerate() {
-            p.attach_trace(port.with_scope(port.scope().unit(i as u32)));
-        }
-        self.trace = port;
     }
 
     /// Schedules a permanent whole-module fault to fire at `at`.
@@ -144,6 +132,16 @@ impl Fimm {
         acc
     }
 
+    /// How many scheduled faults have fired so far: every slowdown
+    /// applied, plus one once a dead module first refused an operation.
+    /// Faults fire lazily inside [`Fimm::begin_op`], so a caller that
+    /// compares this before and after the call learns which fired: the
+    /// death when the call returned [`FlashError::ModuleFailed`],
+    /// slowdowns otherwise.
+    pub fn faults_fired(&self) -> usize {
+        self.applied + self.refused as usize
+    }
+
     /// Applies every due, not-yet-applied fault in queue order
     /// (idempotent per entry). Slowdowns compound: each multiplies the
     /// module's cumulative latency scale.
@@ -159,22 +157,7 @@ impl Fimm {
                 for p in &mut self.packages {
                     p.set_latency_scale(cumulative);
                 }
-                self.trace.emit(|| TraceEventKind::FaultInjected {
-                    domain: "fimm",
-                    detail: "slowdown",
-                });
             }
-        }
-    }
-
-    /// Reports a dead-module refusal through the trace port (once).
-    fn report_dead(&mut self) {
-        if !self.dead_reported {
-            self.dead_reported = true;
-            self.trace.emit(|| TraceEventKind::FaultInjected {
-                domain: "fimm",
-                detail: "dead",
-            });
         }
     }
 
@@ -211,7 +194,7 @@ impl Fimm {
         cmd: &FlashCommand,
     ) -> Result<OpTiming, FlashError> {
         if self.is_dead_at(now) {
-            self.report_dead();
+            self.refused = true;
             return Err(FlashError::ModuleFailed);
         }
         self.fire_due_faults(now);
@@ -227,7 +210,7 @@ impl Fimm {
         cmd: &FlashCommand,
     ) -> Result<OpTiming, FlashError> {
         if self.is_dead_at(now) {
-            self.report_dead();
+            self.refused = true;
             return Err(FlashError::ModuleFailed);
         }
         self.fire_due_faults(now);
@@ -413,6 +396,30 @@ mod tests {
             .unwrap();
         assert_eq!(t.end - t.start, 8 * 26_000, "2x and 4x compound to 8x");
         assert_eq!(f.scheduled_faults().len(), 2);
+    }
+
+    #[test]
+    fn faults_fired_counts_slowdowns_then_the_first_refusal() {
+        let mut f = fimm();
+        f.schedule_fault(SimTime::from_us(10), FimmFaultKind::Slowdown(2));
+        f.schedule_fault(SimTime::from_us(10), FimmFaultKind::Slowdown(4));
+        f.schedule_fault(SimTime::from_us(50), FimmFaultKind::Dead);
+        let read = |f: &mut Fimm, us| {
+            f.begin_op(
+                SimTime::from_us(us),
+                0,
+                &FlashCommand::read(&addr(0, 0, 0).page),
+            )
+        };
+        assert!(read(&mut f, 0).is_ok());
+        assert_eq!(f.faults_fired(), 0, "nothing due yet");
+        assert!(read(&mut f, 20).is_ok());
+        assert_eq!(f.faults_fired(), 2, "both slowdowns fire in one call");
+        assert_eq!(f.faults_fired(), 2, "reading the count fires nothing");
+        assert_eq!(read(&mut f, 60), Err(FlashError::ModuleFailed));
+        assert_eq!(f.faults_fired(), 3, "the death fires on its first refusal");
+        assert_eq!(read(&mut f, 70), Err(FlashError::ModuleFailed));
+        assert_eq!(f.faults_fired(), 3, "later refusals fire nothing");
     }
 
     #[test]

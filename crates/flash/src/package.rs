@@ -2,8 +2,6 @@
 //! order enforcement, wear accounting.
 
 use triplea_sim::FxHashMap;
-
-use triplea_sim::trace::{TraceEventKind, TracePort};
 use triplea_sim::{FifoResource, Nanos, SimTime, SplitMix64};
 
 use crate::command::{CmdMode, FlashCommand, OpKind};
@@ -62,7 +60,6 @@ pub struct Package {
     /// Array-operation latency multiplier; 1 for a healthy package,
     /// raised by a FIMM slowdown fault to turn the module into a laggard.
     latency_scale: u32,
-    trace: TracePort,
 }
 
 impl Package {
@@ -79,14 +76,7 @@ impl Package {
             fault_rng: SplitMix64::new(0),
             fault_stats: PackageFaultStats::default(),
             latency_scale: 1,
-            trace: TracePort::off(),
         }
-    }
-
-    /// Connects this package to an event recorder; accepted flash
-    /// operations and injected NAND faults are reported through `port`.
-    pub fn attach_trace(&mut self, port: TracePort) {
-        self.trace = port;
     }
 
     /// Arms deterministic fault injection with the given probabilities
@@ -223,17 +213,6 @@ impl Package {
             OpKind::Program => self.stats.programs += cmd.targets.len() as u64,
             OpKind::Erase => self.stats.erases += cmd.targets.len() as u64,
         }
-        self.trace
-            .emit_at(timing.start, || TraceEventKind::FlashStart {
-                op: match cmd.kind {
-                    OpKind::Read => "read",
-                    OpKind::Program => "program",
-                    OpKind::Erase => "erase",
-                },
-                die: cmd.targets[0].die,
-                die_wait_ns: timing.die_wait,
-                dur_ns: timing.end - timing.start,
-            });
         Ok(timing)
     }
 
@@ -271,14 +250,6 @@ impl Package {
         let target = cmd.targets[0];
         let exe = self.exe_for(cmd);
         self.dies[target.die as usize].reserve(now, exe);
-        self.trace.emit(|| TraceEventKind::FaultInjected {
-            domain: "nand",
-            detail: match cmd.kind {
-                OpKind::Read => "read_transient",
-                OpKind::Program => "prog_fail",
-                OpKind::Erase => "erase_fail",
-            },
-        });
         match cmd.kind {
             OpKind::Read => {
                 self.fault_stats.read_transients += 1;

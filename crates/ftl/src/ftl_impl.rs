@@ -5,7 +5,6 @@ use std::cmp::Reverse;
 use triplea_sim::{FxHashMap, FxHashSet};
 
 use triplea_pcie::ClusterId;
-use triplea_sim::trace::{TraceEventKind, TracePort, TraceScope};
 
 use crate::alloc::{BlockKey, FimmAllocator};
 use crate::error::{FtlError, IntegrityError, RecoveryError};
@@ -134,9 +133,6 @@ pub struct Ftl {
     /// Metadata journal; `None` models battery-backed (durable) map DRAM
     /// where power loss cannot lose translations.
     journal: Option<Box<Journal>>,
-    /// Event-trace sink; detached (free) unless the embedding simulation
-    /// calls [`Ftl::attach_trace`].
-    trace: TracePort,
 }
 
 /// Why a page is being written; selects the stat bucket.
@@ -161,14 +157,7 @@ impl Ftl {
             seal_seq: 0,
             stats: FtlStats::default(),
             journal: None,
-            trace: TracePort::off(),
         }
-    }
-
-    /// Connects this FTL to an event recorder; translation-cache misses
-    /// and GC victim picks are reported through `port` from then on.
-    pub fn attach_trace(&mut self, port: TracePort) {
-        self.trace = port;
     }
 
     /// Selects the GC victim-selection policy (default: greedy).
@@ -192,13 +181,7 @@ impl Ftl {
     pub fn map_access(&mut self, lpn: LogicalPage) -> bool {
         match &mut self.mapcache {
             None => true,
-            Some(c) => {
-                let hit = c.access(lpn.0);
-                if !hit {
-                    self.trace.emit(|| TraceEventKind::MapMiss { lpn: lpn.0 });
-                }
-                hit
-            }
+            Some(c) => c.access(lpn.0),
         }
     }
 
@@ -624,13 +607,7 @@ impl Ftl {
             // deterministic across processes, and replay determinism is a
             // contract of the whole simulator.
             .max_by_key(|&(key, b)| (self.gc_score(b), Reverse(key)))?;
-        let work = self.gc_work(cluster, fimm, key, b);
-        self.trace
-            .with_scope(TraceScope::fimm(gc, fimm))
-            .emit(|| TraceEventKind::GcRun {
-                valid_pages: work.valid.len() as u32,
-            });
-        Some(work)
+        Some(self.gc_work(cluster, fimm, key, b))
     }
 
     /// Computes the device-restoration manifest for one FIMM: every
@@ -706,8 +683,8 @@ impl Ftl {
         });
     }
 
-    /// A copy of the durable translation state with no journal, mapping
-    /// cache or trace: the journal's initial checkpoint.
+    /// A copy of the durable translation state with no journal or
+    /// mapping cache: the journal's initial checkpoint.
     fn shadow(&self) -> Ftl {
         Ftl {
             shape: self.shape,
@@ -720,7 +697,6 @@ impl Ftl {
             seal_seq: self.seal_seq,
             stats: self.stats,
             journal: None,
-            trace: TracePort::off(),
         }
     }
 
@@ -732,7 +708,9 @@ impl Ftl {
         self.journal = Some(Box::new(Journal::new(cfg, self.shadow())));
     }
 
-    /// Journal activity counters; `None` when journaling is off.
+    /// Journal activity counters; `None` when journaling is off. Each
+    /// metadata mutation appends one record, so a mutation that raised
+    /// `checkpoints` took a checkpoint covering `appended` records.
     pub fn journal_stats(&self) -> Option<JournalStats> {
         self.journal.as_ref().map(|j| j.stats)
     }
@@ -746,9 +724,6 @@ impl Ftl {
         };
         if j.append(rec) {
             j.checkpoint();
-            let records = j.stats.appended;
-            self.trace
-                .emit(|| TraceEventKind::JournalCheckpoint { records });
         }
     }
 
@@ -763,7 +738,7 @@ impl Ftl {
     /// translation state takes the checkpoint's, which is the scan's
     /// closing checkpoint. Without a journal the map is modelled as
     /// durable and nothing is lost. The caller traces the returned
-    /// outcome; this scan emits no event of its own.
+    /// outcome.
     ///
     /// # Errors
     ///

@@ -9,8 +9,6 @@
 
 use std::collections::VecDeque;
 
-use triplea_sim::trace::{TraceEventKind, TracePort};
-
 /// Result of attempting to enter a [`CreditQueue`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Admission {
@@ -43,7 +41,6 @@ pub struct CreditQueue {
     occupied: usize,
     waiters: VecDeque<u64>,
     high_watermark: usize,
-    trace: TracePort,
 }
 
 impl CreditQueue {
@@ -60,14 +57,7 @@ impl CreditQueue {
             occupied: 0,
             waiters: VecDeque::new(),
             high_watermark: 0,
-            trace: TracePort::off(),
         }
-    }
-
-    /// Connects this buffer to an event recorder; admissions that find
-    /// the buffer full are reported through `port` at the recorder clock.
-    pub fn attach_trace(&mut self, port: TracePort) {
-        self.trace = port;
     }
 
     /// Requests a credit for `id`. On `Queued`, the caller must suspend
@@ -79,10 +69,6 @@ impl CreditQueue {
             Admission::Admitted
         } else {
             self.waiters.push_back(id);
-            self.trace.emit(|| TraceEventKind::QueueFull {
-                occupied: self.occupied,
-                waiting: self.waiters.len(),
-            });
             Admission::Queued
         }
     }

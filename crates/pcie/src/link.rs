@@ -1,6 +1,5 @@
 //! Serialising PCI-E links.
 
-use triplea_sim::trace::{TraceEventKind, TracePort};
 use triplea_sim::{FifoResource, Nanos, Reservation, SimTime, SplitMix64};
 
 /// Deterministic TLP-corruption injection for one link direction.
@@ -60,7 +59,6 @@ pub struct PcieLink {
     faults: PcieFaultProfile,
     fault_rng: SplitMix64,
     replays: u64,
-    trace: TracePort,
 }
 
 impl PcieLink {
@@ -80,15 +78,7 @@ impl PcieLink {
             faults: PcieFaultProfile::default(),
             fault_rng: SplitMix64::new(0),
             replays: 0,
-            trace: TracePort::off(),
         }
-    }
-
-    /// Connects this link direction to an event recorder; every TLP
-    /// transmission (and replay) is reported through `port`, stamped at
-    /// the instant serialisation actually began.
-    pub fn attach_trace(&mut self, port: TracePort) {
-        self.trace = port;
     }
 
     /// Arms deterministic TLP-corruption injection on this direction.
@@ -121,23 +111,14 @@ impl PcieLink {
     /// packets on this direction of the link.
     pub fn transmit(&mut self, now: SimTime, bytes: u64) -> Reservation {
         let mut dur = self.serialize_nanos(bytes);
-        let mut replayed = false;
         if self.faults.corrupt_prob > 0.0 && self.fault_rng.chance(self.faults.corrupt_prob) {
             // Corrupted TLP: the wire carries it twice, plus the replay
             // timer; everything behind this packet queues up.
             dur += self.serialize_nanos(bytes) + self.faults.replay_ns;
             self.replays += 1;
-            replayed = true;
         }
         self.bytes += bytes;
-        let r = self.res.reserve(now, dur);
-        self.trace.emit_at(r.start, || TraceEventKind::LinkTx {
-            bytes,
-            wait_ns: r.wait,
-            dur_ns: r.end - r.start,
-            replayed,
-        });
-        r
+        self.res.reserve(now, dur)
     }
 
     /// Instant at which a transmission finishing at `tx_end` is fully

@@ -50,6 +50,5 @@ pub use resource::{FifoResource, Reservation};
 pub use rng::SplitMix64;
 pub use time::{Nanos, SimTime};
 pub use trace::{
-    Metric, MetricRegistry, Recorder, RunTrace, SharedRecorder, TraceConfig, TraceEvent,
-    TraceEventKind, TracePort, TraceScope,
+    Metric, MetricRegistry, Recorder, RunTrace, TraceConfig, TraceEvent, TraceEventKind, TraceScope,
 };

@@ -1,18 +1,20 @@
 //! Array-wide event tracing and the metric/probe registry.
 //!
-//! The simulator's components emit typed [`TraceEvent`]s through
-//! [`TracePort`]s into one shared [`Recorder`] — a bounded ring buffer
-//! that keeps the most recent events of a run. Tracing is strictly
-//! opt-in: a detached port ([`TracePort::off`], the default every
-//! component is built with) reduces every emit site to a single branch
-//! on `Option::None`, the closure carrying the payload is never invoked,
-//! and no allocation or formatting happens. Runs with tracing disabled
-//! are therefore byte-identical to runs on builds that predate tracing
-//! (the golden-snapshot suite pins this down).
+//! A traced run owns one [`Recorder`]: a bounded ring buffer that keeps
+//! the most recent typed [`TraceEvent`]s of the run. The engine driving
+//! the run is the only code that records. The components below it (the
+//! credit queues, links, buses, FIMMs and their packages, the FTL and
+//! the autonomic detectors) hold no recorder; each reports what it did
+//! through the value it returns to the engine, and the engine records
+//! that value under the component's [`TraceScope`]. Tracing is strictly
+//! opt-in: without a recorder every record site is one branch on
+//! `Option::None`, no payload is built and nothing allocates, so untraced
+//! runs are byte-identical to traced ones in every simulated result (the
+//! golden-snapshot suite pins this down).
 //!
-//! At the end of a traced run the engine harvests the recorder plus a
-//! [`MetricRegistry`] of per-component instruments (histograms,
-//! utilization trackers, queue-depth time series) into a [`RunTrace`].
+//! At the end of a traced run the engine moves the recorder's ring, plus
+//! a [`MetricRegistry`] of per-component instruments (histograms,
+//! utilization trackers, queue-depth time series), into a [`RunTrace`].
 //! Each instrument is named where its value is read, under a stable
 //! hierarchical name (`cluster.2.fimm.1.queue_depth`); the harvest runs
 //! once per traced run, so nothing is named ahead of time. The
@@ -21,14 +23,13 @@
 //!
 //! # Determinism contract
 //!
-//! The simulation is single-threaded and deterministic, so the emitted
+//! The simulation is single-threaded and deterministic, so the recorded
 //! event stream — order, timestamps, sequence numbers — is a pure
 //! function of the configuration and trace. Both exports are built with
 //! integer-only formatting, so the artifact bytes are identical across
 //! platforms and across any harness thread count.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
 use crate::stats::{Histogram, TimeSeries};
 use crate::time::{Nanos, SimTime};
@@ -587,7 +588,7 @@ impl TraceEventKind {
 }
 
 /// The ring-buffer recorder behind a traced run.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Recorder {
     cfg: TraceConfig,
     ring: Vec<TraceEvent>,
@@ -623,9 +624,8 @@ impl Recorder {
 
     /// Advances the recorder's clock; events emitted without an explicit
     /// timestamp are stamped with this instant. The engine calls this at
-    /// the top of every event-loop iteration, so components without
-    /// direct access to simulated time (the FTL, credit queues) still
-    /// emit correctly timed events.
+    /// the top of every event-loop iteration, so an event it records
+    /// without passing a time carries the instant its handler runs at.
     pub fn set_now(&mut self, now: SimTime) {
         self.now = now.as_nanos();
     }
@@ -672,104 +672,11 @@ impl Recorder {
         self.dropped
     }
 
-    /// The retained events, oldest first.
-    pub fn events_in_order(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.ring.len());
-        out.extend_from_slice(&self.ring[self.head..]);
-        out.extend_from_slice(&self.ring[..self.head]);
-        out
-    }
-}
-
-/// A clonable handle to one run's [`Recorder`]. Every traced component
-/// holds one (inside its [`TracePort`]); the engine keeps the original
-/// and harvests it at the end of the run.
-///
-/// Backed by `Arc<Mutex<…>>` so traced components stay `Send` like
-/// untraced ones, and a traced array can move between threads without
-/// `unsafe`. One run drives its engine from a single thread, so the
-/// lock is never contended.
-#[derive(Clone, Debug)]
-pub struct SharedRecorder(Arc<Mutex<Recorder>>);
-
-impl SharedRecorder {
-    /// Creates a recorder and wraps it for sharing.
-    pub fn new(cfg: TraceConfig) -> Self {
-        SharedRecorder(Arc::new(Mutex::new(Recorder::new(cfg))))
-    }
-
-    /// See [`Recorder::set_now`].
-    pub fn set_now(&self, now: SimTime) {
-        self.0.lock().unwrap().set_now(now);
-    }
-
-    /// See [`Recorder::emit`].
-    pub fn emit(&self, scope: TraceScope, kind: TraceEventKind) {
-        self.0.lock().unwrap().emit(scope, kind);
-    }
-
-    /// See [`Recorder::emit_at`].
-    pub fn emit_at(&self, at: SimTime, scope: TraceScope, kind: TraceEventKind) {
-        self.0.lock().unwrap().emit_at(at, scope, kind);
-    }
-
-    /// A snapshot of the recorder's current state.
-    pub fn snapshot(&self) -> Recorder {
-        self.0.lock().unwrap().clone()
-    }
-}
-
-/// A component's emission endpoint: either detached (the default — every
-/// emit is a single `None` check, payload closures never run) or
-/// attached to a [`SharedRecorder`] with the component's [`TraceScope`].
-#[derive(Clone, Debug, Default)]
-pub struct TracePort {
-    rec: Option<SharedRecorder>,
-    scope: TraceScope,
-}
-
-impl TracePort {
-    /// The detached port: records nothing, costs one branch per emit.
-    pub fn off() -> Self {
-        TracePort::default()
-    }
-
-    /// A port feeding `rec`, stamped with `scope`.
-    pub fn attached(rec: SharedRecorder, scope: TraceScope) -> Self {
-        TracePort {
-            rec: Some(rec),
-            scope,
-        }
-    }
-
-    /// The scope this port stamps onto events.
-    pub fn scope(&self) -> TraceScope {
-        self.scope
-    }
-
-    /// This port with a different scope (same recorder).
-    pub fn with_scope(&self, scope: TraceScope) -> TracePort {
-        TracePort {
-            rec: self.rec.clone(),
-            scope,
-        }
-    }
-
-    /// Emits at the recorder clock. `f` builds the payload and is only
-    /// invoked when the port is attached.
-    #[inline]
-    pub fn emit(&self, f: impl FnOnce() -> TraceEventKind) {
-        if let Some(rec) = &self.rec {
-            rec.emit(self.scope, f());
-        }
-    }
-
-    /// Emits at an explicit instant. `f` is only invoked when attached.
-    #[inline]
-    pub fn emit_at(&self, at: SimTime, f: impl FnOnce() -> TraceEventKind) {
-        if let Some(rec) = &self.rec {
-            rec.emit_at(at, self.scope, f());
-        }
+    /// The retained events, oldest first; consumes the recorder, so the
+    /// ring is moved out rather than copied.
+    pub fn into_events(mut self) -> Vec<TraceEvent> {
+        self.ring.rotate_left(self.head);
+        self.ring
     }
 }
 
@@ -905,12 +812,12 @@ fn chrome_us(ns: Nanos) -> String {
 }
 
 impl RunTrace {
-    /// Builds the harvest from a recorder snapshot and a filled registry.
-    pub fn from_recorder(rec: &Recorder, metrics: MetricRegistry) -> Self {
+    /// Builds the harvest from a run's recorder and a filled registry.
+    pub fn from_recorder(rec: Recorder, metrics: MetricRegistry) -> Self {
         RunTrace {
-            events: rec.events_in_order(),
             dropped: rec.dropped(),
             total: rec.total(),
+            events: rec.into_events(),
             metrics,
         }
     }
@@ -1121,7 +1028,7 @@ mod tests {
         }
         assert_eq!(r.total(), 10);
         assert_eq!(r.dropped(), 6);
-        let events = r.events_in_order();
+        let events = r.into_events();
         assert_eq!(events.len(), 4);
         let lpns: Vec<u64> = events
             .iter()
@@ -1140,49 +1047,34 @@ mod tests {
         r.emit(TraceScope::array(), ev(1));
         // An explicitly *earlier* stamp still sequences after: seq is
         // emission order, `at` is payload.
-        r.emit_at(SimTime::from_nanos(10), TraceScope::array(), ev(2));
-        let events = r.events_in_order();
+        r.emit_at(SimTime::from_nanos(10), TraceScope::fimm(3, 1), ev(2));
+        let events = r.into_events();
         assert_eq!(events[0].seq, 0);
         assert_eq!(events[1].seq, 1);
         assert_eq!(events[0].at, 50);
         assert_eq!(events[1].at, 10);
-    }
-
-    #[test]
-    fn detached_port_never_runs_payload_closure() {
-        let port = TracePort::off();
-        let mut ran = false;
-        port.emit(|| {
-            ran = true;
-            ev(0)
-        });
-        assert!(!ran, "payload closure must not run when detached");
-        assert!(port.rec.is_none());
-    }
-
-    #[test]
-    fn attached_port_stamps_scope() {
-        let rec = SharedRecorder::new(TraceConfig::all());
-        let port = TracePort::attached(rec.clone(), TraceScope::fimm(3, 1));
-        port.emit(|| ev(9));
-        let snap = rec.snapshot();
-        let events = snap.events_in_order();
-        assert_eq!(events[0].scope, TraceScope::fimm(3, 1));
+        assert_eq!(events[1].scope, TraceScope::fimm(3, 1));
     }
 
     #[test]
     fn chrome_trace_is_wellformed_and_stable() {
-        let rec = SharedRecorder::new(TraceConfig::all());
-        let port = TracePort::attached(rec.clone(), TraceScope::cluster(2));
-        port.emit_at(SimTime::from_nanos(1_234), || TraceEventKind::BusAcquire {
-            wait_ns: 7,
-            dur_ns: 2_660,
-            bytes: 4_096,
-        });
-        port.emit_at(SimTime::from_nanos(2_000), || {
-            TraceEventKind::LaggardDetected
-        });
-        let trace = RunTrace::from_recorder(&rec.snapshot(), MetricRegistry::new());
+        let mut rec = Recorder::new(TraceConfig::all());
+        let scope = TraceScope::cluster(2);
+        rec.emit_at(
+            SimTime::from_nanos(1_234),
+            scope,
+            TraceEventKind::BusAcquire {
+                wait_ns: 7,
+                dur_ns: 2_660,
+                bytes: 4_096,
+            },
+        );
+        rec.emit_at(
+            SimTime::from_nanos(2_000),
+            scope,
+            TraceEventKind::LaggardDetected,
+        );
+        let trace = RunTrace::from_recorder(rec, MetricRegistry::new());
         let a = trace.chrome_trace();
         let b = trace.chrome_trace();
         assert_eq!(a, b);
@@ -1208,12 +1100,11 @@ mod tests {
 
     #[test]
     fn run_trace_json_counts_kinds() {
-        let rec = SharedRecorder::new(TraceConfig::all());
-        let port = TracePort::attached(rec.clone(), TraceScope::array());
-        port.emit(|| ev(1));
-        port.emit(|| ev(2));
-        port.emit(|| TraceEventKind::Escalation);
-        let trace = RunTrace::from_recorder(&rec.snapshot(), MetricRegistry::new());
+        let mut rec = Recorder::new(TraceConfig::all());
+        rec.emit(TraceScope::array(), ev(1));
+        rec.emit(TraceScope::array(), ev(2));
+        rec.emit(TraceScope::array(), TraceEventKind::Escalation);
+        let trace = RunTrace::from_recorder(rec, MetricRegistry::new());
         assert_eq!(
             trace.counts_by_kind(),
             vec![("escalation", 1), ("map_miss", 2)]

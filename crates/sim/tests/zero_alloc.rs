@@ -1,19 +1,13 @@
-//! Pins down the zero-cost contract of the disabled trace path and the
-//! calendar queue's near-future fast path.
-//!
-//! Every component in the simulator carries a [`TracePort`] and calls
-//! `emit` on hot paths; runs without a recorder must pay exactly one
-//! branch per emit — no payload construction, no formatting, and (this
-//! test's concern) **zero heap allocations**. Likewise, push/pop
+//! Pins down the calendar queue's near-future fast path: push/pop
 //! traffic through an [`EventQueue`]'s active bucket must recycle its
-//! buffers instead of allocating.
+//! buffers instead of allocating. (Untraced whole runs are gated by the
+//! root package's `tests/zero_alloc.rs`.)
 //!
 //! The test binary installs [`CountingAllocator`] as its global
 //! allocator, so any allocation anywhere in the measured region is
 //! counted — including ones hidden behind inlined library calls.
 
 use triplea_alloc_counter::{measure, CountingAllocator};
-use triplea_sim::trace::{TraceEventKind, TracePort};
 use triplea_sim::{EventQueue, SimTime};
 
 #[global_allocator]
@@ -22,9 +16,9 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// Asserts that `f` can run without a single heap allocation.
 ///
 /// The counters are process-global, and the libtest harness keeps its
-/// own threads (the sibling test, stdout capture) that allocate at
-/// unpredictable instants — a single measurement would occasionally
-/// blame `f` for a neighbour's allocation. So measure up to 16 times:
+/// own threads (stdout capture) that allocate at unpredictable instants
+/// — a single measurement would occasionally blame `f` for a
+/// neighbour's allocation. So measure up to 16 times:
 /// if the region is genuinely allocation-free, some quiet attempt
 /// observes a zero delta; if `f` itself allocates, every attempt counts
 /// it and the assertion fails with the last delta.
@@ -41,29 +35,6 @@ fn assert_zero_alloc(what: &str, mut f: impl FnMut()) {
         "{what} must not allocate (saw {} allocations, {} bytes)",
         last.allocations, last.bytes
     );
-}
-
-#[test]
-fn disabled_recorder_emit_allocates_nothing() {
-    let port = TracePort::off();
-    // Warm up once so lazy runtime initialization (if any) is paid
-    // outside the measured region.
-    port.emit(|| TraceEventKind::MapMiss { lpn: 0 });
-
-    assert_zero_alloc("disabled-recorder emit", || {
-        for i in 0..100_000u64 {
-            port.emit(|| TraceEventKind::Submit {
-                req: i as u32,
-                read: i % 2 == 0,
-                lpn: i,
-                pages: 4,
-            });
-            port.emit_at(SimTime::from_nanos(i), || TraceEventKind::Complete {
-                req: i as u32,
-                latency_ns: 100,
-            });
-        }
-    });
 }
 
 #[test]

@@ -24,7 +24,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 
-use triplea_core::{ArrayConfig, IoOp, Trace, TraceRequest};
+use triplea_core::{ArrayConfig, IoOp, Trace, TraceRequest, MAX_ARRIVAL_NS};
 use triplea_ftl::LogicalPage;
 use triplea_sim::SimTime;
 
@@ -162,11 +162,11 @@ fn parse_msr_op(s: &str, line: usize) -> Result<IoOp, CsvError> {
 }
 
 /// Longest first-to-last span [`parse_msr`] accepts, in filetime ticks:
-/// 2^62 ns, about 146 years. Natural replay turns a tick into 100 ns of
-/// a `u64` nanosecond clock, and arrivals within a few µs of its end
-/// overflow the simulator's time arithmetic; a capture spanning longer
-/// is corrupt.
-const MAX_SPAN_TICKS: u64 = (1 << 62) / 100;
+/// [`MAX_ARRIVAL_NS`], about 146 years. Natural replay turns a tick into
+/// 100 ns of simulated time and starts at the first record, so every
+/// accepted record arrives within what a run accepts; a capture
+/// spanning longer is corrupt.
+const MAX_SPAN_TICKS: u64 = MAX_ARRIVAL_NS / 100;
 
 /// Parses an MSR-Cambridge CSV block trace.
 ///

@@ -1,10 +1,9 @@
 //! Integration tests for the extension features: Zipfian/bursty
-//! workloads, the mapping cache, GC policies, and flash
-//! generations — all exercised through the public facade.
+//! workloads, the mapping cache, and flash generations — all
+//! exercised through the public facade.
 
 use triple_a::core::{Array, ArrayConfig, ManagementMode};
 use triple_a::flash::FlashTiming;
-use triple_a::ftl::GcPolicy;
 use triple_a::workloads::Microbench;
 
 fn small() -> ArrayConfig {
@@ -49,26 +48,6 @@ fn bursty_arrivals_run_and_idle_gaps_show_up() {
     // Eight-ish bursts of 250 requests: the makespan must include the
     // OFF windows.
     assert!(report.makespan().as_ms_f64() > 10.0);
-}
-
-#[test]
-fn gc_policies_all_survive_sustained_overwrites() {
-    for policy in [GcPolicy::Greedy, GcPolicy::CostBenefit, GcPolicy::Fifo] {
-        let cfg = small_with(|c| {
-            c.shape.flash.blocks_per_plane = 8;
-            c.gc_threshold_blocks = 8;
-            c.gc_policy = policy;
-        });
-        let trace = Microbench::write()
-            .hot_clusters(1)
-            .region_pages(64)
-            .requests(20_000)
-            .gap_ns(2_000)
-            .build(&cfg, 24);
-        let report = Array::new(cfg, ManagementMode::NonAutonomic).run(&trace);
-        assert_eq!(report.completed(), 20_000, "{policy:?}");
-        assert!(report.ftl_stats().gc_erases > 0, "{policy:?} never cleaned");
-    }
 }
 
 #[test]

@@ -48,8 +48,8 @@ mod scenario;
 
 pub use analysis::{analyze, TraceStats};
 pub use dist::{BurstShape, Zipfian};
-pub use generator::{HotPlacement, ProfileTrace};
+pub use generator::{HotPlacement, Phase, ProfileTrace};
 pub use micro::Microbench;
 pub use msr::{CsvError, MsrRecord, TraceMapper};
 pub use profile::WorkloadProfile;
-pub use scenario::{Phase, ScenarioTrace};
+pub use scenario::ScenarioTrace;

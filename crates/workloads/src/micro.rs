@@ -1,9 +1,10 @@
-//! The paper's random-I/O micro-benchmarks (§5.2).
+//! The paper's random-I/O micro-benchmarks (§5.2): one [`Phase`] of
+//! purely random traffic, all reads or all writes.
 
-use triplea_core::{ArrayConfig, IoOp, Trace};
+use triplea_core::{ArrayConfig, Trace};
 
 use crate::dist::BurstShape;
-use crate::generator::{synthesize, HotPlacement, SynthSpec};
+use crate::generator::{checked_pages, emit, HotPlacement, Phase, STATIONARY_SALT};
 
 /// Builder for the `read` / `write` micro-benchmarks: purely random
 /// 4 KB requests, optionally concentrated on a configurable number of
@@ -26,74 +27,63 @@ use crate::generator::{synthesize, HotPlacement, SynthSpec};
 /// ```
 #[derive(Clone, Debug)]
 pub struct Microbench {
-    op: IoOp,
-    hot_clusters: u32,
-    hot_io_ratio: f64,
-    placement: HotPlacement,
-    requests: usize,
-    gap_ns: u64,
+    phase: Phase,
     pages: u32,
     region_pages: u64,
-    zipf_theta: f64,
-    burst: Option<BurstShape>,
 }
 
 impl Microbench {
-    fn new(op: IoOp) -> Self {
+    fn new(label: &'static str, read_ratio: f64) -> Self {
         Microbench {
-            op,
-            hot_clusters: 1,
-            hot_io_ratio: 1.0,
-            placement: HotPlacement::Spread,
-            requests: 10_000,
-            gap_ns: 1_400,
+            phase: Phase {
+                label,
+                requests: 10_000,
+                gap_ns: 1_400,
+                read_ratio,
+                read_randomness: 1.0,
+                write_randomness: 1.0,
+                hot_clusters: 1,
+                hot_io_ratio: 1.0,
+                hot_placement: HotPlacement::Spread,
+                zipf_theta: 0.0,
+                burst: None,
+            },
             pages: 1,
             region_pages: 2_048,
-            zipf_theta: 0.0,
-            burst: None,
         }
     }
 
     /// The `read` micro-benchmark: 100 % random reads.
     pub fn read() -> Self {
-        Microbench::new(IoOp::Read)
+        Microbench::new("read", 1.0)
     }
 
     /// The `write` micro-benchmark: 100 % random writes.
     pub fn write() -> Self {
-        Microbench::new(IoOp::Write)
+        Microbench::new("write", 0.0)
     }
 
-    /// Number of hot clusters pressure concentrates on (0 ⇒ uniform).
+    /// Number of hot clusters all I/O concentrates on (0 ⇒ uniform).
     pub fn hot_clusters(mut self, n: u32) -> Self {
-        self.hot_clusters = n;
-        if n == 0 {
-            self.hot_io_ratio = 0.0;
-        }
-        self
-    }
-
-    /// Fraction of I/O heading to the hot clusters (default 1.0).
-    pub fn hot_io_ratio(mut self, f: f64) -> Self {
-        self.hot_io_ratio = f.clamp(0.0, 1.0);
+        self.phase.hot_clusters = n;
         self
     }
 
     /// Places all hot clusters under a single switch.
     pub fn same_switch(mut self) -> Self {
-        self.placement = HotPlacement::SameSwitch;
+        self.phase.hot_placement = HotPlacement::SameSwitch;
         self
     }
 
     /// Number of requests.
     pub fn requests(mut self, n: usize) -> Self {
-        self.requests = n;
+        self.phase.requests = n;
         self
     }
 
     /// Inter-arrival gap in nanoseconds.
     pub fn gap_ns(mut self, ns: u64) -> Self {
-        self.gap_ns = ns;
+        self.phase.gap_ns = ns;
         self
     }
 
@@ -103,11 +93,7 @@ impl Microbench {
     ///
     /// Panics if `n` is zero or not a power of two.
     pub fn pages(mut self, n: u32) -> Self {
-        assert!(
-            n >= 1 && n.is_power_of_two(),
-            "pages must be a power of two"
-        );
-        self.pages = n;
+        self.pages = checked_pages(n);
         self
     }
 
@@ -125,7 +111,7 @@ impl Microbench {
     /// Panics if `theta` is negative or ≥ 2.
     pub fn zipf(mut self, theta: f64) -> Self {
         assert!((0.0..2.0).contains(&theta), "theta must be in [0, 2)");
-        self.zipf_theta = theta;
+        self.phase.zipf_theta = theta;
         self
     }
 
@@ -133,29 +119,18 @@ impl Microbench {
     /// into `on_ns` windows separated by `off_ns` of silence (the §1
     /// checkpoint-burst pattern).
     pub fn bursty(mut self, on_ns: u64, off_ns: u64) -> Self {
-        self.burst = Some(BurstShape::new(on_ns, off_ns));
+        self.phase.burst = Some(BurstShape::new(on_ns, off_ns));
         self
     }
 
     /// Generates the trace, deterministically for a given `seed`.
     pub fn build(&self, cfg: &ArrayConfig, seed: u64) -> Trace {
-        synthesize(
+        emit(
             cfg,
-            seed,
-            &SynthSpec {
-                read_ratio: if self.op == IoOp::Read { 1.0 } else { 0.0 },
-                read_randomness: 1.0,
-                write_randomness: 1.0,
-                hot_clusters: self.hot_clusters,
-                hot_io_ratio: self.hot_io_ratio,
-                placement: self.placement,
-                requests: self.requests,
-                gap_ns: self.gap_ns,
-                pages: self.pages,
-                hot_region_pages: self.region_pages,
-                zipf_theta: self.zipf_theta,
-                burst: self.burst,
-            },
+            seed ^ STATIONARY_SALT,
+            std::slice::from_ref(&self.phase),
+            self.pages,
+            self.region_pages,
         )
     }
 }

@@ -8,9 +8,9 @@
 //! tenant's data, and the hot working set *moves*. [`ScenarioTrace`]
 //! models a run as a sequence of [`Phase`]s, each a homogeneous stretch
 //! with its own arrival gap, mix, skew, and — crucially — its own *hot
-//! cluster set*, sharing one RNG stream and per-cluster sequential
-//! cursors so the whole trace is a deterministic function of
-//! `(config, seed)`.
+//! cluster set*, a [`HotPlacement::Rotated`] window of consecutive
+//! clusters. The phases go through the same emitter as the stationary
+//! builders, with the scenario's own RNG salt.
 //!
 //! Three canonical shapes ship as constructors:
 //!
@@ -41,73 +41,26 @@
 //! ```
 
 use triplea_core::{ArrayConfig, Trace};
-use triplea_ftl::StripedLayout;
-use triplea_pcie::ClusterId;
-use triplea_sim::SplitMix64;
 
-use crate::dist::BurstShape;
-use crate::generator::{emit_phase, PhaseParams};
+use crate::generator::{checked_pages, emit, HotPlacement, Phase};
 use crate::profile::WorkloadProfile;
 
-/// One homogeneous stretch of a scenario: a request budget, an arrival
-/// law, Table-1 style marginals, and a rotation of the hot cluster set.
-///
-/// A phase carries no tenant: every request it emits belongs to
-/// `TenantId::DEFAULT`. A multi-tenant run tags each stream's requests
-/// with `TraceRequest::owned_by` before merging the streams.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Phase {
-    /// Shape tag, for diagnostics and artifact labels.
-    pub label: &'static str,
-    /// Requests emitted during this phase.
-    pub requests: usize,
-    /// Within-phase inter-arrival gap in nanoseconds.
-    pub gap_ns: u64,
-    /// Fraction of requests that are reads.
-    pub read_ratio: f64,
-    /// Fraction of reads that are random.
-    pub read_randomness: f64,
-    /// Fraction of writes that are random.
-    pub write_randomness: f64,
-    /// Hot clusters this phase concentrates on (0 ⇒ uniform).
-    pub hot_clusters: u32,
-    /// Fraction of I/O heading to the hot set.
-    pub hot_io_ratio: f64,
-    /// Rotation of the hot set: the hot clusters are the `hot_clusters`
-    /// consecutive global indices starting at `hot_rotation` (mod array
-    /// size). Distinct rotations ⇒ the hot spot has *moved*.
-    pub hot_rotation: u32,
-    /// Zipf skew of slot popularity inside hot regions (0 = uniform).
-    pub zipf_theta: f64,
-    /// Optional ON/OFF arrival shaping within the phase.
-    pub burst: Option<BurstShape>,
-}
+/// RNG salt of the scenario shapes.
+const SCENARIO_SALT: u64 = 0x5CE0_A210_D21F_7001;
 
-impl Phase {
-    /// A phase reproducing `profile`'s Table-1 marginals at `gap_ns`.
-    pub fn from_profile(profile: &WorkloadProfile, requests: usize, gap_ns: u64) -> Self {
-        Phase {
-            label: "profile",
-            requests,
-            gap_ns,
-            read_ratio: profile.read_ratio,
-            read_randomness: profile.read_randomness,
-            write_randomness: profile.write_randomness,
-            hot_clusters: profile.hot_clusters,
-            hot_io_ratio: profile.hot_io_ratio,
-            hot_rotation: 0,
-            zipf_theta: 0.0,
-            burst: None,
-        }
-    }
-
-    /// Simulated duration of the phase: the arrival slot after its last
-    /// request (so consecutive phases never interleave arrivals).
-    pub fn span_ns(&self) -> u64 {
-        match &self.burst {
-            Some(b) => b.arrival_ns(self.requests as u64, self.gap_ns),
-            None => self.requests as u64 * self.gap_ns,
-        }
+/// A phase of `profile` traffic whose hot set is rotated to start at
+/// global cluster index `rotation`.
+fn rotated(
+    profile: &WorkloadProfile,
+    label: &'static str,
+    requests: usize,
+    gap_ns: u64,
+    rotation: u32,
+) -> Phase {
+    Phase {
+        label,
+        hot_placement: HotPlacement::Rotated(rotation),
+        ..Phase::from_profile(profile, requests, gap_ns)
     }
 }
 
@@ -126,13 +79,12 @@ const DIURNAL_STEPS: usize = 8;
 const DIURNAL_WEIGHTS: [u64; DIURNAL_STEPS] = [0, 1, 2, 3, 3, 2, 1, 0];
 
 impl ScenarioTrace {
-    /// Assembles a scenario from explicit phases — the escape hatch for
-    /// shapes the canned constructors don't cover.
+    /// Assembles a scenario from explicit phases.
     ///
     /// # Panics
     ///
     /// Panics if `phases` is empty.
-    pub fn from_phases(name: &'static str, phases: Vec<Phase>) -> Self {
+    pub(crate) fn from_phases(name: &'static str, phases: Vec<Phase>) -> Self {
         assert!(!phases.is_empty(), "a scenario needs at least one phase");
         ScenarioTrace {
             name,
@@ -169,14 +121,12 @@ impl ScenarioTrace {
         for c in 0..cycles {
             for (s, &w) in DIURNAL_WEIGHTS.iter().enumerate() {
                 let gap = trough_gap_ns - (trough_gap_ns - peak_gap_ns) * w / 3;
-                let mut p = Phase::from_profile(&profile, per, gap);
-                p.label = if w == 3 {
-                    "peak"
-                } else if w == 0 {
-                    "trough"
-                } else {
-                    "shoulder"
+                let label = match w {
+                    3 => "peak",
+                    0 => "trough",
+                    _ => "shoulder",
                 };
+                let mut p = rotated(&profile, label, per, gap, 0);
                 // Remainder lands on the final phase.
                 if c == cycles - 1 && s == DIURNAL_STEPS - 1 {
                     p.requests = requests - per * (n - 1);
@@ -209,9 +159,7 @@ impl ScenarioTrace {
         let per = requests / n;
         let mut phases = Vec::with_capacity(n);
         for c in 0..crowds {
-            let mut calm = Phase::from_profile(&profile, per, base_gap_ns);
-            calm.label = "calm";
-            phases.push(calm);
+            phases.push(rotated(&profile, "calm", per, base_gap_ns, 0));
             let crowd_requests = if c == crowds - 1 {
                 requests - per * (n - 1)
             } else {
@@ -226,9 +174,9 @@ impl ScenarioTrace {
                 write_randomness: 1.0,
                 hot_clusters: 1,
                 hot_io_ratio: 0.97,
-                // Each crowd slams a different cluster; the +1 offset
-                // steps off the profile's own resting hot set.
-                hot_rotation: profile.hot_clusters + c as u32,
+                // Each crowd slams a different cluster, stepping off the
+                // profile's own resting hot set.
+                hot_placement: HotPlacement::Rotated(profile.hot_clusters + c as u32),
                 zipf_theta: 0.99,
                 burst: None,
             });
@@ -256,18 +204,18 @@ impl ScenarioTrace {
         let stride = profile.hot_clusters.max(1);
         let mut phases = Vec::with_capacity(n);
         for k in 0..n {
-            let mut p = Phase::from_profile(
+            let requests = if k == n - 1 {
+                requests - per * (n - 1)
+            } else {
+                per
+            };
+            phases.push(rotated(
                 &profile,
-                if k == n - 1 {
-                    requests - per * (n - 1)
-                } else {
-                    per
-                },
+                "drift",
+                requests,
                 gap_ns,
-            );
-            p.label = "drift";
-            p.hot_rotation = k as u32 * stride;
-            phases.push(p);
+                k as u32 * stride,
+            ));
         }
         ScenarioTrace::from_phases("hotspot_drift", phases)
     }
@@ -278,11 +226,7 @@ impl ScenarioTrace {
     ///
     /// Panics if `n` is zero or not a power of two.
     pub fn pages(mut self, n: u32) -> Self {
-        assert!(
-            n >= 1 && n.is_power_of_two(),
-            "pages must be a power of two"
-        );
-        self.pages = n;
+        self.pages = checked_pages(n);
         self
     }
 
@@ -325,59 +269,14 @@ impl ScenarioTrace {
 
     /// Generates the trace, deterministically for a given `seed`.
     pub fn build(&self, cfg: &ArrayConfig, seed: u64) -> Trace {
-        let layout = StripedLayout::new(cfg.shape);
-        let topo = cfg.shape.topology;
-        let total = topo.total_clusters();
-        let mut rng = SplitMix64::new(seed ^ 0x5CE0_A210_D21F_7001);
-        let mut cursors = vec![0u64; total as usize];
-        let mut out = Vec::with_capacity(self.phases.iter().map(|p| p.requests).sum());
-        let mut base_ns = 0u64;
-        for phase in &self.phases {
-            let hot = rotated_hot_ids(total, topo.clusters_per_switch, phase);
-            let cold: Vec<ClusterId> = topo.iter_clusters().filter(|c| !hot.contains(c)).collect();
-            emit_phase(
-                cfg,
-                &layout,
-                &mut rng,
-                &mut cursors,
-                &mut out,
-                &PhaseParams {
-                    read_ratio: phase.read_ratio,
-                    read_randomness: phase.read_randomness,
-                    write_randomness: phase.write_randomness,
-                    hot: &hot,
-                    cold: &cold,
-                    hot_io_ratio: phase.hot_io_ratio,
-                    requests: phase.requests,
-                    gap_ns: phase.gap_ns,
-                    pages: self.pages,
-                    hot_region_pages: self.hot_region_pages,
-                    zipf_theta: phase.zipf_theta,
-                    burst: phase.burst,
-                    base_ns,
-                },
-            );
-            base_ns += phase.span_ns();
-        }
-        Trace::new(out)
+        emit(
+            cfg,
+            seed ^ SCENARIO_SALT,
+            &self.phases,
+            self.pages,
+            self.hot_region_pages,
+        )
     }
-}
-
-/// The phase's hot set: `hot_clusters` consecutive global indices
-/// starting at `hot_rotation`, wrapped modulo the array size (never the
-/// whole array — at least one cluster stays cold so migration has a
-/// target).
-fn rotated_hot_ids(total: u32, clusters_per_switch: u32, phase: &Phase) -> Vec<ClusterId> {
-    let n = phase.hot_clusters.min(total.saturating_sub(1));
-    (0..n)
-        .map(|i| {
-            let g = (phase.hot_rotation + i) % total;
-            ClusterId {
-                switch: g / clusters_per_switch,
-                index: g % clusters_per_switch,
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]

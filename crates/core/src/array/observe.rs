@@ -187,6 +187,25 @@ impl Engine {
         flash_op(&mut self.recorder, fimm, scope, issue, at, package, cmd)
     }
 
+    /// Whether FIMM `f` of cluster `c` is dead at `now`, so the caller
+    /// skips it; see [`Fimm::refuses_at`]. Records the death the first
+    /// time the module refuses, as [`flash_op`] does when an issued
+    /// operation meets it.
+    pub(super) fn fimm_refuses(&mut self, c: usize, f: usize, now: SimTime) -> bool {
+        let fimm = &mut self.clusters[c].fimms[f];
+        let fired = fimm.faults_fired();
+        let dead = fimm.refuses_at(now);
+        if fimm.faults_fired() != fired {
+            self.emit(TraceScope::fimm(c as u32, f as u32), || {
+                TraceEventKind::FaultInjected {
+                    domain: "fimm",
+                    detail: "dead",
+                }
+            });
+        }
+        dead
+    }
+
     /// Touches the translation path for `lpn`; `false` is a
     /// mapping-cache miss.
     pub(super) fn map_access(&mut self, lpn: LogicalPage) -> bool {

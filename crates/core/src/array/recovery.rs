@@ -252,7 +252,7 @@ impl Engine {
                 let xfer = self.bus_transfer(c, t, 2 * pb);
                 let sib = (1..n)
                     .map(|off| (fimm + off) % n)
-                    .find(|&f| !self.clusters[c].fimms[f as usize].is_dead_at(t));
+                    .find(|&f| !self.fimm_refuses(c, f as usize, t));
                 if let Some(sf) = sib {
                     if let Ok(rd) = self.flash_op(
                         c,

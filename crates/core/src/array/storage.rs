@@ -58,7 +58,7 @@ impl Engine {
         let n = self.clusters[c].fimms.len() as u32;
         for off in 0..n {
             let f = ((fimm + off) % n) as usize;
-            if self.clusters[c].fimms[f].is_dead_at(at) {
+            if self.fimm_refuses(c, f, at) {
                 continue;
             }
             if off > 0 {
@@ -316,7 +316,7 @@ impl Engine {
     /// background bus/die reservations (the paper defers sophisticated
     /// array-level GC scheduling to future work, §6.7).
     pub(super) fn run_gc(&mut self, now: SimTime, cluster: u32, fimm: u32) {
-        if self.clusters[cluster as usize].fimms[fimm as usize].is_dead_at(now) {
+        if self.fimm_refuses(cluster as usize, fimm as usize, now) {
             return; // a dead module can neither be read nor erased
         }
         let Some(work) = self.gc_pick(cluster, fimm) else {

@@ -105,11 +105,22 @@ impl Fimm {
 
     /// `true` once a scheduled [`FimmFaultKind::Dead`] fault has fired:
     /// the module no longer answers and its data must be served (or
-    /// redirected) elsewhere.
+    /// redirected) elsewhere. A pure query; a caller that is about to
+    /// use the module asks [`Fimm::refuses_at`] instead.
     pub fn is_dead_at(&self, now: SimTime) -> bool {
         self.faults
             .iter()
             .any(|&(at, k)| k == FimmFaultKind::Dead && now >= at)
+    }
+
+    /// Whether the module is dead at `now` and so refuses the operation
+    /// its caller was about to issue. The first refusal marks the death
+    /// as visible (see [`Fimm::faults_fired`]), whether the caller then
+    /// skips the module or calls [`Fimm::begin_op`] on it.
+    pub fn refuses_at(&mut self, now: SimTime) -> bool {
+        let dead = self.is_dead_at(now);
+        self.refused |= dead;
+        dead
     }
 
     /// Arms deterministic per-package NAND fault injection, deriving a
@@ -134,10 +145,10 @@ impl Fimm {
 
     /// How many scheduled faults have fired so far: every slowdown
     /// applied, plus one once a dead module first refused an operation.
-    /// Faults fire lazily inside [`Fimm::begin_op`], so a caller that
-    /// compares this before and after the call learns which fired: the
-    /// death when the call returned [`FlashError::ModuleFailed`],
-    /// slowdowns otherwise.
+    /// Faults fire lazily inside [`Fimm::begin_op`] and
+    /// [`Fimm::refuses_at`], so a caller that compares this before and
+    /// after the call learns which fired: the death when the module
+    /// refused, slowdowns otherwise.
     pub fn faults_fired(&self) -> usize {
         self.applied + self.refused as usize
     }
@@ -193,8 +204,7 @@ impl Fimm {
         package: u32,
         cmd: &FlashCommand,
     ) -> Result<OpTiming, FlashError> {
-        if self.is_dead_at(now) {
-            self.refused = true;
+        if self.refuses_at(now) {
             return Err(FlashError::ModuleFailed);
         }
         self.fire_due_faults(now);
@@ -209,8 +219,7 @@ impl Fimm {
         package: u32,
         cmd: &FlashCommand,
     ) -> Result<OpTiming, FlashError> {
-        if self.is_dead_at(now) {
-            self.refused = true;
+        if self.refuses_at(now) {
             return Err(FlashError::ModuleFailed);
         }
         self.fire_due_faults(now);
@@ -420,6 +429,19 @@ mod tests {
         assert_eq!(f.faults_fired(), 3, "the death fires on its first refusal");
         assert_eq!(read(&mut f, 70), Err(FlashError::ModuleFailed));
         assert_eq!(f.faults_fired(), 3, "later refusals fire nothing");
+    }
+
+    #[test]
+    fn a_skipped_dead_module_counts_as_a_refusal() {
+        let mut f = fimm();
+        f.schedule_fault(SimTime::from_us(50), FimmFaultKind::Dead);
+        assert!(!f.refuses_at(SimTime::from_us(49)));
+        assert!(f.is_dead_at(SimTime::from_us(50)));
+        assert_eq!(f.faults_fired(), 0, "a pure query marks nothing");
+        assert!(f.refuses_at(SimTime::from_us(50)));
+        assert_eq!(f.faults_fired(), 1, "the death fires on its first refusal");
+        assert!(f.refuses_at(SimTime::from_us(60)));
+        assert_eq!(f.faults_fired(), 1, "later refusals fire nothing");
     }
 
     #[test]

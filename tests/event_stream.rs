@@ -44,9 +44,13 @@ fn traced(cfg: ArrayConfig, mode: ManagementMode, trace: &Trace) -> RunTrace {
 
 /// A hot-read overload on a faulty array: TLP corruption, transient
 /// NAND reads, a mapping cache, one FIMM slowed and a sibling killed.
-fn faulty_reads() -> RunTrace {
+/// With a hot spare the dead module is rebuilt; reads fail over around
+/// it and never issue to it, so its death shows only where a reader
+/// first skips it.
+fn faulty_reads(hot_spares: u32) -> RunTrace {
     let cfg = ArrayConfig::small_builder()
         .tune(|c| {
+            c.hot_spares = hot_spares;
             c.mapping_cache_pages = 4;
             c.faults.pcie.corrupt_prob = 0.01;
             c.faults.pcie.replay_ns = 800;
@@ -113,7 +117,7 @@ fn journaled_overwrites() -> RunTrace {
 
 /// FNV-1a of the runs' JSON exports. Re-capturing it is a deliberate
 /// edit with its reason in CHANGES.md, like a golden re-bless.
-const STREAM_HASH: u64 = 0x6dd5_d467_68ad_0a63;
+const STREAM_HASH: u64 = 0x60e6_17d5_23b2_a401;
 
 /// Whether an event is of one kind.
 type IsKind = fn(&TraceEventKind) -> bool;
@@ -121,7 +125,7 @@ type IsKind = fn(&TraceEventKind) -> bool;
 #[test]
 fn component_events_keep_their_order_and_payloads() {
     use TraceEventKind::*;
-    let runs = [faulty_reads(), journaled_overwrites()];
+    let runs = [faulty_reads(0), faulty_reads(1), journaled_overwrites()];
     let kinds: [(&str, IsKind); 14] = [
         ("queue_full", |k| matches!(k, QueueFull { .. })),
         ("replayed link_tx", |k| {
@@ -160,6 +164,14 @@ fn component_events_keep_their_order_and_payloads() {
         ("power_loss", |k| matches!(k, PowerLoss { .. })),
         ("rebuild_done", |k| matches!(k, RebuildDone { .. })),
     ];
+    let spare_run = &runs[1];
+    for (name, i) in [("fimm death", 6), ("rebuild_done", 13)] {
+        let is = kinds[i].1;
+        assert!(
+            spare_run.events.iter().any(|e| is(&e.kind)),
+            "the read-only death run traced no {name}"
+        );
+    }
     for (name, is) in kinds {
         let n: usize = runs
             .iter()

@@ -5,32 +5,22 @@
 //! passes the end-to-end integrity audit, and reproduces byte for byte
 //! at any thread count.
 
+use crate::experiments::{profile, run_checked};
 use crate::harness::{jf, ju, obj, report_json, text, uint, Experiment, Scale};
 use crate::{bench_builder, f1, overload_gap_ns};
-use serde_json::Value;
 use triplea_core::{
     Array, ArrayConfig, FaultConfig, FimmFaultEvent, FimmFaultKind, FlashFaultProfile,
     ManagementMode, PowerLossEvent, Trace,
 };
-use triplea_workloads::{ProfileTrace, WorkloadProfile};
+use triplea_workloads::ProfileTrace;
 
 /// Write-heavy enterprise mix (mds: ~26 % reads) — a power cut must
 /// land mid-write for the journal replay to have work to do.
 fn storm_trace(cfg: &ArrayConfig, seed: u64, requests: usize, gap_ns: u64) -> Trace {
-    ProfileTrace::new(WorkloadProfile::by_name("mds").expect("mds profile registered"))
+    ProfileTrace::new(profile("mds"))
         .requests(requests)
         .gap_ns(gap_ns)
         .build(cfg, seed)
-}
-
-/// Runs one mode, hard-fails on a metadata integrity violation, and
-/// embeds the summary (the `recovery` key appears exactly when power
-/// losses or rebuilds happened).
-fn run_checked(cfg: ArrayConfig, mode: ManagementMode, trace: &Trace) -> Value {
-    let run = Array::new(cfg, mode).run_verified(trace);
-    run.integrity
-        .expect("FTL integrity violated after recovery");
-    report_json(&run.report)
 }
 
 /// Builds the failure-storm experiment: power-cut instants, hot-spare

@@ -3,13 +3,12 @@
 //! layer of the stack. Every run is seeded, deterministic, and FTL
 //! metadata integrity is verified end-to-end.
 
-use crate::experiments::kiops;
-use crate::harness::{jf, ju, obj, report_json, text, Experiment, Scale};
+use crate::experiments::{kiops, run_checked};
+use crate::harness::{jf, ju, obj, text, Experiment, Scale};
 use crate::{bench_builder, f1, f2, overload_gap_ns};
-use serde_json::Value;
 use triplea_core::{
-    Array, ArrayConfig, FaultConfig, FimmFaultEvent, FimmFaultKind, FlashFaultProfile,
-    ManagementMode, PcieFaultProfile, Trace,
+    ArrayConfig, FaultConfig, FimmFaultEvent, FimmFaultKind, FlashFaultProfile, ManagementMode,
+    PcieFaultProfile, Trace,
 };
 use triplea_workloads::Microbench;
 
@@ -19,15 +18,6 @@ fn hot_trace(cfg: &ArrayConfig, seed: u64, requests: usize) -> Trace {
         .requests(requests)
         .gap_ns(overload_gap_ns(cfg, 2))
         .build(cfg, seed)
-}
-
-/// Runs one mode and hard-fails the experiment if the FTL metadata lost
-/// or duplicated a page along the way.
-fn run_checked(cfg: ArrayConfig, mode: ManagementMode, trace: &Trace) -> Value {
-    let run = Array::new(cfg, mode).run_verified(trace);
-    run.integrity
-        .expect("FTL integrity violated under fault injection");
-    report_json(&run.report)
 }
 
 /// Builds the fault-injection experiment: NAND sweep, whole-module

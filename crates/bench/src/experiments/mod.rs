@@ -31,6 +31,7 @@ mod wearout;
 use crate::harness::{arr, num, report_json, Experiment, Scale};
 use serde_json::Value;
 use triplea_core::{Array, ArrayConfig, ManagementMode, RunReport, Trace};
+use triplea_workloads::WorkloadProfile;
 
 /// Every experiment in the suite, in artifact order: the paper
 /// reproductions first, then the scenario catalog (see
@@ -65,6 +66,21 @@ pub fn all(scale: Scale) -> Vec<Experiment> {
 /// Looks up one experiment by its artifact name.
 pub fn by_name(name: &str, scale: Scale) -> Option<Experiment> {
     all(scale).into_iter().find(|e| e.name == name)
+}
+
+/// A Table-1 profile by its paper name.
+pub(crate) fn profile(name: &str) -> WorkloadProfile {
+    WorkloadProfile::by_name(name).expect("Table-1 profile registered")
+}
+
+/// Runs one mode and hard-fails the experiment if the FTL metadata lost
+/// or duplicated a page along the way (under fault injection or after
+/// recovery). The summary carries a `recovery` key exactly when power
+/// losses or rebuilds happened.
+pub(crate) fn run_checked(cfg: ArrayConfig, mode: ManagementMode, trace: &Trace) -> Value {
+    let run = Array::new(cfg, mode).run_verified(trace);
+    run.integrity.expect("FTL metadata integrity violated");
+    report_json(&run.report)
 }
 
 /// Runs one trace through both management modes and returns the two

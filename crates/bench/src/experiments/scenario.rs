@@ -9,6 +9,7 @@
 //! seed derivation, spec-order collection, and golden-snapshot flow
 //! unchanged.
 
+use crate::experiments::profile;
 use crate::harness::{flag, jf, ju, obj, report_json, text, uint, Experiment, Scale};
 use crate::{bench_builder, bench_config, f1, f2, profile_gap_ns};
 use serde_json::Value;
@@ -17,7 +18,7 @@ use triplea_core::{
     Trace,
 };
 use triplea_workloads::msr::{parse_msr, to_msr_csv, write_msr};
-use triplea_workloads::{ScenarioTrace, WorkloadProfile};
+use triplea_workloads::ScenarioTrace;
 
 /// Names of every catalog scenario, in artifact order — the list
 /// `bench scenario list` prints and the golden suite iterates.
@@ -40,10 +41,6 @@ pub fn catalog(scale: Scale) -> Vec<Experiment> {
         failure_storm_mix(scale),
         sla_under_drift(scale),
     ]
-}
-
-fn profile(name: &str) -> WorkloadProfile {
-    WorkloadProfile::by_name(name).expect("Table-1 profile registered")
 }
 
 /// Shared summary shape: scenario metadata + both management modes.

@@ -19,18 +19,15 @@
 //! Triple-A; a `results/sla.heatmap.csv` artifact flattens per-tenant
 //! violation rates for heatmap plotting.
 
+use crate::experiments::profile;
 use crate::harness::{arr, jf, ju, num, obj, uint, Experiment, Scale};
 use crate::{bench_builder, f1};
 use serde_json::Value;
 use triplea_core::{Array, ManagementMode, RunReport, TenantId, TenantSpec, TenantStats, Trace};
-use triplea_workloads::{ScenarioTrace, WorkloadProfile};
+use triplea_workloads::ScenarioTrace;
 
 /// Tenant counts the sweep visits.
 pub const TENANT_POINTS: [usize; 3] = [10, 100, 1_000];
-
-fn profile(name: &str) -> WorkloadProfile {
-    WorkloadProfile::by_name(name).expect("Table-1 profile registered")
-}
 
 /// Interactive tenants in an `n`-tenant table (20 %, at least one).
 pub(crate) fn interactive_count(n: usize) -> usize {

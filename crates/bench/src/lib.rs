@@ -74,9 +74,7 @@ pub fn profile_gap_ns(profile: &triplea_workloads::WorkloadProfile, cfg: &ArrayC
     if profile.is_uniform() {
         return ENTERPRISE_GAP_NS;
     }
-    let page = cfg.shape.flash.page_size;
-    let per_page_ns = cfg.flash_timing.dma_nanos(page) + cfg.flash_timing.onfi.cmd_overhead;
-    let per_cluster_iops = 1_000_000_000.0 / per_page_ns as f64;
+    let per_cluster_iops = cluster_page_iops(cfg);
     let offered =
         (1.6 * per_cluster_iops * profile.hot_clusters as f64 / profile.hot_io_ratio).min(5.0e6);
     (1_000_000_000.0 / offered) as u64
@@ -112,15 +110,20 @@ pub fn f3(v: f64) -> String {
     format!("{v:.3}")
 }
 
+/// Pages per second one cluster's ONFi bus moves: one page's DMA plus
+/// the command overhead each. A 4 KB page takes ~2.66 µs, so ~376 kIOPS
+/// per cluster.
+fn cluster_page_iops(cfg: &ArrayConfig) -> f64 {
+    let page = cfg.shape.flash.page_size;
+    let per_page_ns = cfg.flash_timing.dma_nanos(page) + cfg.flash_timing.onfi.cmd_overhead;
+    1_000_000_000.0 / per_page_ns as f64
+}
+
 /// Per-hot-cluster 1.6× bus overload gap for a read micro-benchmark with
 /// `hot_clusters` hot clusters: keeps pressure per hot cluster constant
 /// as their number grows (Figure 1's "more hot regions = more pressure").
 pub fn overload_gap_ns(cfg: &ArrayConfig, hot_clusters: u32) -> u64 {
-    // One cluster's ONFi bus moves one 4 KB page (+overhead) in
-    // ~2.66 µs => ~376 kIOPS per cluster.
-    let page = cfg.shape.flash.page_size;
-    let per_page_ns = cfg.flash_timing.dma_nanos(page) + cfg.flash_timing.onfi.cmd_overhead;
-    let per_cluster_iops = 1_000_000_000.0 / per_page_ns as f64;
+    let per_cluster_iops = cluster_page_iops(cfg);
     let offered = per_cluster_iops * 1.6 * hot_clusters.max(1) as f64;
     (1_000_000_000.0 / offered) as u64
 }

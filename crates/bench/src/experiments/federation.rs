@@ -13,8 +13,8 @@
 use crate::harness::{arr, jf, ju, num, obj, text, uint, Experiment, Scale};
 use serde_json::Value;
 use triplea_core::{
-    Array, FaultConfig, FederationStats, FimmFaultEvent, FimmFaultKind, IoOp, LaggardPolicy,
-    ManagementMode, Trace, TraceRequest, VolumeSpec,
+    Array, FaultConfig, FederationStats, FimmFaultEvent, FimmFaultKind, IoOp, ManagementMode,
+    Trace, TraceRequest, VolumeSpec,
 };
 use triplea_ftl::LogicalPage;
 use triplea_sim::{SimTime, SplitMix64};
@@ -92,19 +92,6 @@ fn degraded_faults() -> FaultConfig {
     fc
 }
 
-/// The federation policy the sweep runs: a 500 µs federation budget with
-/// a tight epoch so the quick scale still samples enough epochs.
-fn sweep_policy() -> LaggardPolicy {
-    LaggardPolicy {
-        sla_p99_ns: 500_000,
-        imbalance_milli: 1_200,
-        epoch_ns: 200_000,
-        max_chunks_per_epoch: 4,
-        migration_slots: 64,
-        cooldown_epochs: 2,
-    }
-}
-
 /// Runs one federation geometry over the shared trace and returns the
 /// point summary. `degrade` aims [`degraded_faults`] at array 0.
 fn fed_point(width: u32, replicas: u32, degrade: bool, trace: &Trace) -> Value {
@@ -117,8 +104,7 @@ fn fed_point(width: u32, replicas: u32, degrade: bool, trace: &Trace) -> Value {
             VolumeSpec::replicated(width, replicas)
                 .chunk_pages(CHUNK_PAGES)
                 .volume_pages(VOLUME_PAGES),
-        )
-        .policy(sweep_policy());
+        );
     if degrade {
         b = b.array_faults(0, degraded_faults());
     }

@@ -72,7 +72,6 @@ impl ArrayBuilder {
             trace: self.trace,
             arrays,
             volume: crate::VolumeSpec::striped(arrays),
-            policy: crate::LaggardPolicy::default(),
             fault_overrides: Vec::new(),
         }
     }

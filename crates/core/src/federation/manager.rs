@@ -1,45 +1,140 @@
-//! The volume manager: N member arrays co-simulated in one
-//! deterministic epoch loop, with replica routing, power-loss read
-//! retry, and the inter-array laggard policy.
+//! The federation: N member arrays co-simulated in one deterministic
+//! epoch loop, with replica routing, power-loss read retry, and the
+//! inter-array laggard policy.
 
 use std::collections::BTreeMap;
 
 use triplea_ftl::IntegrityError;
 use triplea_sim::stats::Histogram;
-use triplea_sim::trace::{MetricRegistry, Recorder, RunTrace, TraceEventKind, TraceScope};
-use triplea_sim::{FxHashMap, FxHashSet, SimTime};
+use triplea_sim::trace::{
+    MetricRegistry, Recorder, RunTrace, TraceConfig, TraceEventKind, TraceScope,
+};
+use triplea_sim::{FxHashMap, FxHashSet, Nanos, SimTime};
 
 use crate::array::{Array, ArrayRunner, Finished, GOLDEN};
-use crate::config::ArrayConfig;
-use crate::federation::config::FederationConfig;
+use crate::config::{ArrayConfig, FaultConfig, ManagementMode};
 use crate::federation::map::{ChunkPlacement, VolumeMapper};
 use crate::metrics::RunReport;
 use crate::request::{IoOp, Trace, TraceRequest};
+
+// The inter-array laggard policy: the Eq. 3 machinery lifted one level
+// up, where whole member arrays take the role FIMMs play inside one box.
+
+/// Federation p99 budget, ns. An array whose cumulative p99 exceeds it
+/// *and* lags its healthiest peer by [`IMBALANCE_MILLI`] is the
+/// federation's laggard.
+const SLA_P99_NS: Nanos = 500_000;
+
+/// Laggard threshold relative to the healthiest peer, in milli-units:
+/// `1200` flags an array once its p99 is 1.2× the best peer's (integer
+/// arithmetic keeps the comparison deterministic).
+const IMBALANCE_MILLI: u64 = 1_200;
+
+/// Epoch length, ns: member arrays are co-simulated in lockstep windows
+/// of this size, and the laggard detector samples once per epoch.
+const EPOCH_NS: Nanos = 200_000;
+
+/// Hot chunks shadow-cloned off the laggard per detection.
+const CHUNKS_PER_EPOCH: u32 = 4;
+
+/// Migration-slot chunks reserved on every array for inbound clones;
+/// also the capacity check's reserve.
+pub(super) const MIGRATION_SLOTS: u64 = 64;
+
+/// Epochs to hold off after a migration round before re-examining (the
+/// inter-array analogue of the Eq. 3 cooldown).
+const COOLDOWN_EPOCHS: u32 = 2;
 
 /// A fully assembled, validated federation, ready to replay a
 /// volume-level [`Trace`]. Built by
 /// [`FederationBuilder::build`](crate::FederationBuilder::build).
 #[derive(Debug)]
 pub struct Federation {
-    mgr: VolumeManager,
+    /// The volume address map; migration overrides accrue during the run.
+    pub(super) mapper: VolumeMapper,
+    runners: Vec<ArrayRunner>,
+    rec: Option<Recorder>,
+    /// Unresolved volume requests; a slot is reused once its request
+    /// resolves, so the table follows what is open, not the trace.
+    vol: Vec<Option<VolReq>>,
+    /// Free `vol` slots, reused last-freed first.
+    free_vol: Vec<u32>,
+    /// Per member array: the ids it was handed that have not finished.
+    awaiting: Vec<FxHashMap<u32, Awaited>>,
+    /// Host fragments currently in flight per array (replica routing).
+    inflight: Vec<u64>,
+    // Laggard policy state.
+    heat: FxHashMap<u64, u64>,
+    /// In-flight migrations by creation sequence number.
+    migrations: BTreeMap<u64, Migration>,
+    next_migration: u64,
+    /// Chunk copies with an active migration (no double-claim).
+    migrating: FxHashSet<(u32, u64)>,
+    /// Monotonic slot allocation per array (aborted slots are retired,
+    /// not reused, so concurrent clones never collide).
+    slots_alloc: Vec<u64>,
+    cooldown: u32,
+    stats: FederationStats,
+    lat: Histogram,
+    rlat: Histogram,
+    wlat: Histogram,
 }
 
 impl Federation {
-    pub(crate) fn assemble(cfg: FederationConfig) -> Self {
+    /// Assembles the member arrays over a validated volume geometry:
+    /// each gets `array` with its own RNG stream, and its fault plan
+    /// from `fault_overrides` where one names it.
+    pub(super) fn new(
+        array: ArrayConfig,
+        mode: ManagementMode,
+        mapper: VolumeMapper,
+        fault_overrides: &[(u32, FaultConfig)],
+        trace: Option<TraceConfig>,
+    ) -> Self {
+        let arrays = mapper.width() * mapper.replicas();
+        let n = arrays as usize;
+        let runners = (0..arrays)
+            .map(|i| {
+                let mut ac: ArrayConfig = array.clone();
+                // Disjoint RNG stream per member array, same scheme the
+                // engine uses per FIMM.
+                ac.seed ^= (i as u64 + 1).wrapping_mul(GOLDEN);
+                if let Some((_, faults)) = fault_overrides.iter().find(|(a, _)| *a == i) {
+                    ac.faults = *faults;
+                }
+                Array::new(ac, mode).into_runner()
+            })
+            .collect();
+        let stats = FederationStats {
+            arrays,
+            stripe_width: mapper.width(),
+            replicas: mapper.replicas(),
+            chunk_pages: mapper.chunk_pages(),
+            per_array_reads: vec![0; n],
+            per_array_fragments: vec![0; n],
+            per_array_p99_ns: vec![0; n],
+            per_array_migrations_out: vec![0; n],
+            ..FederationStats::default()
+        };
         Federation {
-            mgr: VolumeManager::new(cfg),
+            mapper,
+            runners,
+            rec: trace.map(Recorder::new),
+            vol: Vec::new(),
+            free_vol: Vec::new(),
+            awaiting: vec![FxHashMap::default(); n],
+            inflight: vec![0; n],
+            heat: FxHashMap::default(),
+            migrations: BTreeMap::new(),
+            next_migration: 0,
+            migrating: FxHashSet::default(),
+            slots_alloc: vec![0; n],
+            cooldown: 0,
+            stats,
+            lat: Histogram::new(),
+            rlat: Histogram::new(),
+            wlat: Histogram::new(),
         }
-    }
-
-    /// The validated federation configuration in force.
-    pub fn config(&self) -> &FederationConfig {
-        &self.mgr.cfg
-    }
-
-    /// The volume address mapper (home placements; overrides accrue
-    /// during the run).
-    pub fn mapper(&self) -> &VolumeMapper {
-        &self.mgr.mapper
     }
 
     /// Replays a volume-level `trace` to completion and reports.
@@ -59,8 +154,97 @@ impl Federation {
     /// # Panics
     ///
     /// Same conditions as [`Federation::run`].
-    pub fn run_verified(self, trace: &Trace) -> FederationRun {
-        self.mgr.run_verified(trace)
+    pub fn run_verified(mut self, trace: &Trace) -> FederationRun {
+        let volume_pages = self.mapper.volume_pages();
+        let n_tenants = self.runners[0].config().tenants.len();
+        for (i, r) in trace.requests().iter().enumerate() {
+            assert!(r.pages >= 1, "volume request {i} has zero pages");
+            assert!(
+                r.lpn
+                    .0
+                    .checked_add(r.pages as u64)
+                    .is_some_and(|end| end <= volume_pages),
+                "volume request {i} exceeds the volume address space"
+            );
+            assert!(
+                n_tenants == 0 || r.tenant.index() < n_tenants,
+                "volume request {i} names {} but the member arrays have {n_tenants} tenants",
+                r.tenant
+            );
+        }
+        self.drive(trace.requests(), |_| {});
+        for (i, r) in self.runners.iter().enumerate() {
+            self.stats.per_array_p99_ns[i] = r.p99_ns();
+        }
+        self.stats.mean_ns = self.lat.mean().round() as u64;
+        self.stats.p50_ns = self.lat.percentile(0.50);
+        self.stats.p99_ns = self.lat.percentile(0.99);
+        self.stats.max_ns = self.lat.max();
+        self.stats.read_p99_ns = self.rlat.percentile(0.99);
+        self.stats.write_p99_ns = self.wlat.percentile(0.99);
+        let runs: Vec<_> = self.runners.into_iter().map(ArrayRunner::finish).collect();
+        let mut integrity: Result<(), IntegrityError> = Ok(());
+        for run in &runs {
+            if let Err(e) = run.integrity {
+                integrity = Err(e);
+                break;
+            }
+        }
+        let reports: Vec<RunReport> = runs.into_iter().map(|r| r.report).collect();
+        let trace_out = self.rec.map(|rec| {
+            let mut m = MetricRegistry::new();
+            m.counter("federation.volume.requests", self.stats.volume_requests);
+            m.counter("federation.volume.completed", self.stats.completed);
+            m.counter("federation.volume.lost", self.stats.lost_requests);
+            m.counter("federation.volume.retried_reads", self.stats.retried_reads);
+            m.counter(
+                "federation.migrations.started",
+                self.stats.migrations_started,
+            );
+            m.counter(
+                "federation.migrations.committed",
+                self.stats.migrations_committed,
+            );
+            m.counter(
+                "federation.migrations.aborted",
+                self.stats.migrations_aborted,
+            );
+            m.histogram("federation.latency", &self.lat);
+            for (i, report) in reports.iter().enumerate() {
+                m.counter(
+                    format!("federation.array.{i}.completed"),
+                    report.completed(),
+                );
+                m.counter(
+                    format!("federation.array.{i}.fragments"),
+                    self.stats.per_array_fragments[i],
+                );
+                m.counter(
+                    format!("federation.array.{i}.reads_routed"),
+                    self.stats.per_array_reads[i],
+                );
+                m.counter(
+                    format!("federation.array.{i}.p99_ns"),
+                    self.stats.per_array_p99_ns[i],
+                );
+                m.counter(
+                    format!("federation.array.{i}.migrations_out"),
+                    self.stats.per_array_migrations_out[i],
+                );
+            }
+            RunTrace::from_recorder(rec, m)
+        });
+        FederationRun {
+            report: FederationReport {
+                arrays: reports,
+                stats: self.stats,
+                latency: self.lat,
+                read_latency: self.rlat,
+                write_latency: self.wlat,
+            },
+            trace: trace_out,
+            integrity,
+        }
     }
 }
 
@@ -291,88 +475,7 @@ enum Awaited {
     Migration(u64),
 }
 
-#[derive(Debug)]
-pub(crate) struct VolumeManager {
-    pub(crate) cfg: FederationConfig,
-    pub(crate) mapper: VolumeMapper,
-    runners: Vec<ArrayRunner>,
-    rec: Option<Recorder>,
-    /// Unresolved volume requests; a slot is reused once its request
-    /// resolves, so the table follows what is open, not the trace.
-    vol: Vec<Option<VolReq>>,
-    /// Free `vol` slots, reused last-freed first.
-    free_vol: Vec<u32>,
-    /// Per member array: the ids it was handed that have not finished.
-    awaiting: Vec<FxHashMap<u32, Awaited>>,
-    /// Host fragments currently in flight per array (replica routing).
-    inflight: Vec<u64>,
-    // Laggard policy state.
-    heat: FxHashMap<u64, u64>,
-    /// In-flight migrations by creation sequence number.
-    migrations: BTreeMap<u64, Migration>,
-    next_migration: u64,
-    /// Chunk copies with an active migration (no double-claim).
-    migrating: FxHashSet<(u32, u64)>,
-    /// Monotonic slot allocation per array (aborted slots are retired,
-    /// not reused, so concurrent clones never collide).
-    slots_alloc: Vec<u64>,
-    cooldown: u32,
-    stats: FederationStats,
-    lat: Histogram,
-    rlat: Histogram,
-    wlat: Histogram,
-}
-
-impl VolumeManager {
-    fn new(cfg: FederationConfig) -> Self {
-        let n = cfg.arrays as usize;
-        let mapper = VolumeMapper::new(&cfg);
-        let rec = cfg.trace.map(Recorder::new);
-        let runners = (0..cfg.arrays)
-            .map(|i| {
-                let mut ac: ArrayConfig = cfg.array.clone();
-                // Disjoint RNG stream per member array, same scheme the
-                // engine uses per FIMM.
-                ac.seed ^= (i as u64 + 1).wrapping_mul(GOLDEN);
-                if let Some((_, faults)) = cfg.fault_overrides.iter().find(|(a, _)| *a == i) {
-                    ac.faults = *faults;
-                }
-                Array::new(ac, cfg.mode).into_runner()
-            })
-            .collect();
-        let stats = FederationStats {
-            arrays: cfg.arrays,
-            stripe_width: cfg.volume.stripe_width,
-            replicas: cfg.volume.replicas,
-            chunk_pages: cfg.volume.chunk_pages,
-            per_array_reads: vec![0; n],
-            per_array_fragments: vec![0; n],
-            per_array_p99_ns: vec![0; n],
-            per_array_migrations_out: vec![0; n],
-            ..FederationStats::default()
-        };
-        VolumeManager {
-            mapper,
-            runners,
-            rec,
-            vol: Vec::new(),
-            free_vol: Vec::new(),
-            awaiting: vec![FxHashMap::default(); n],
-            inflight: vec![0; n],
-            heat: FxHashMap::default(),
-            migrations: BTreeMap::new(),
-            next_migration: 0,
-            migrating: FxHashSet::default(),
-            slots_alloc: vec![0; n],
-            cooldown: 0,
-            stats,
-            lat: Histogram::new(),
-            rlat: Histogram::new(),
-            wlat: Histogram::new(),
-            cfg,
-        }
-    }
-
+impl Federation {
     fn emit(&mut self, at: SimTime, array: u32, kind: impl FnOnce() -> TraceEventKind) {
         if let Some(rec) = &mut self.rec {
             rec.emit_at(at, TraceScope::array().unit(array), kind());
@@ -473,13 +576,13 @@ impl VolumeManager {
     /// The epoch loop: each epoch submits the volume requests due before
     /// its bound, steps the member arrays to it, handles what finished
     /// and runs the laggard policy, until nothing is left. `probe` sees
-    /// the manager after each epoch's submissions, when the most volume
+    /// the federation after each epoch's submissions, when the most volume
     /// requests are open.
     fn drive(&mut self, reqs: &[TraceRequest], mut probe: impl FnMut(&Self)) {
         let mut next = 0usize;
         let mut t = SimTime::ZERO;
         loop {
-            t += self.cfg.policy.epoch_ns;
+            t += EPOCH_NS;
             while next < reqs.len() && reqs[next].at < t {
                 self.submit_volume(next as u32, &reqs[next]);
                 next += 1;
@@ -683,11 +786,6 @@ impl VolumeManager {
     /// budget *and* lags its healthiest peer by the imbalance factor,
     /// then shadow-clone its hottest chunks to the least-loaded peers.
     fn autonomics(&mut self, t: SimTime) {
-        let policy = self.cfg.policy;
-        if policy.sla_p99_ns == 0 || policy.max_chunks_per_epoch == 0 {
-            self.heat.clear();
-            return;
-        }
         if self.cooldown > 0 {
             self.cooldown -= 1;
             self.decay_heat();
@@ -703,8 +801,8 @@ impl VolumeManager {
             Some((i, &p)) => (i as u32, p),
             None => return,
         };
-        if lag_p99 <= policy.sla_p99_ns
-            || lag_p99.saturating_mul(1_000) <= best.saturating_mul(policy.imbalance_milli)
+        if lag_p99 <= SLA_P99_NS
+            || lag_p99.saturating_mul(1_000) <= best.saturating_mul(IMBALANCE_MILLI)
         {
             self.decay_heat();
             return;
@@ -713,7 +811,7 @@ impl VolumeManager {
         self.emit(t, laggard, || TraceEventKind::FederationLaggard {
             array: laggard,
             p99_ns: lag_p99,
-            budget_ns: policy.sla_p99_ns,
+            budget_ns: SLA_P99_NS,
         });
         // Hottest chunks currently placed on the laggard, by epoch heat
         // (count desc, chunk asc — deterministic).
@@ -725,7 +823,7 @@ impl VolumeManager {
         hot.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         let mut started = 0u32;
         for (chunk, _) in hot {
-            if started >= policy.max_chunks_per_epoch {
+            if started >= CHUNKS_PER_EPOCH {
                 break;
             }
             // The copy of this chunk living on the laggard, if any.
@@ -740,9 +838,9 @@ impl VolumeManager {
             let holders = self.mapper.holders(chunk);
             // Destination: healthiest peer not already holding a copy,
             // with a free migration slot.
-            let Some(to) = (0..self.cfg.arrays)
+            let Some(to) = (0..self.runners.len() as u32)
                 .filter(|a| *a != laggard && !holders.contains(a))
-                .filter(|a| self.slots_alloc[*a as usize] < policy.migration_slots)
+                .filter(|a| self.slots_alloc[*a as usize] < MIGRATION_SLOTS)
                 .min_by_key(|&a| (p99s[a as usize], a))
             else {
                 continue;
@@ -787,7 +885,7 @@ impl VolumeManager {
             started += 1;
         }
         if started > 0 {
-            self.cooldown = policy.cooldown_epochs;
+            self.cooldown = COOLDOWN_EPOCHS;
         }
         self.decay_heat();
     }
@@ -797,117 +895,17 @@ impl VolumeManager {
     fn idle(&self) -> bool {
         self.open() == 0 && self.migrations.is_empty() && self.runners.iter().all(|r| r.is_idle())
     }
-
-    fn run_verified(mut self, trace: &Trace) -> FederationRun {
-        let volume_pages = self.mapper.volume_pages();
-        let n_tenants = self.cfg.array.tenants.len();
-        for (i, r) in trace.requests().iter().enumerate() {
-            assert!(r.pages >= 1, "volume request {i} has zero pages");
-            assert!(
-                r.lpn
-                    .0
-                    .checked_add(r.pages as u64)
-                    .is_some_and(|end| end <= volume_pages),
-                "volume request {i} exceeds the volume address space"
-            );
-            assert!(
-                n_tenants == 0 || r.tenant.index() < n_tenants,
-                "volume request {i} names {} but the member arrays have {n_tenants} tenants",
-                r.tenant
-            );
-        }
-        self.drive(trace.requests(), |_| {});
-        for (i, r) in self.runners.iter().enumerate() {
-            self.stats.per_array_p99_ns[i] = r.p99_ns();
-        }
-        self.stats.mean_ns = self.lat.mean().round() as u64;
-        self.stats.p50_ns = self.lat.percentile(0.50);
-        self.stats.p99_ns = self.lat.percentile(0.99);
-        self.stats.max_ns = self.lat.max();
-        self.stats.read_p99_ns = self.rlat.percentile(0.99);
-        self.stats.write_p99_ns = self.wlat.percentile(0.99);
-        let runs: Vec<_> = self.runners.into_iter().map(ArrayRunner::finish).collect();
-        let mut integrity: Result<(), IntegrityError> = Ok(());
-        for run in &runs {
-            if let Err(e) = run.integrity {
-                integrity = Err(e);
-                break;
-            }
-        }
-        let reports: Vec<RunReport> = runs.into_iter().map(|r| r.report).collect();
-        let trace_out = self.rec.map(|rec| {
-            let mut m = MetricRegistry::new();
-            m.counter("federation.volume.requests", self.stats.volume_requests);
-            m.counter("federation.volume.completed", self.stats.completed);
-            m.counter("federation.volume.lost", self.stats.lost_requests);
-            m.counter("federation.volume.retried_reads", self.stats.retried_reads);
-            m.counter(
-                "federation.migrations.started",
-                self.stats.migrations_started,
-            );
-            m.counter(
-                "federation.migrations.committed",
-                self.stats.migrations_committed,
-            );
-            m.counter(
-                "federation.migrations.aborted",
-                self.stats.migrations_aborted,
-            );
-            m.histogram("federation.latency", &self.lat);
-            for (i, report) in reports.iter().enumerate() {
-                m.counter(
-                    format!("federation.array.{i}.completed"),
-                    report.completed(),
-                );
-                m.counter(
-                    format!("federation.array.{i}.fragments"),
-                    self.stats.per_array_fragments[i],
-                );
-                m.counter(
-                    format!("federation.array.{i}.reads_routed"),
-                    self.stats.per_array_reads[i],
-                );
-                m.counter(
-                    format!("federation.array.{i}.p99_ns"),
-                    self.stats.per_array_p99_ns[i],
-                );
-                m.counter(
-                    format!("federation.array.{i}.migrations_out"),
-                    self.stats.per_array_migrations_out[i],
-                );
-            }
-            RunTrace::from_recorder(rec, m)
-        });
-        FederationRun {
-            report: FederationReport {
-                arrays: reports,
-                stats: self.stats,
-                latency: self.lat,
-                read_latency: self.rlat,
-                write_latency: self.wlat,
-            },
-            trace: trace_out,
-            integrity,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{FaultConfig, ManagementMode, PowerLossEvent};
-    use crate::federation::config::{LaggardPolicy, VolumeSpec};
+    use crate::federation::config::VolumeSpec;
     use crate::request::IoOp;
     use crate::{FimmFaultEvent, FimmFaultKind};
     use triplea_ftl::LogicalPage;
     use triplea_sim::SimTime;
-
-    fn policy_off() -> LaggardPolicy {
-        LaggardPolicy {
-            sla_p99_ns: 0,
-            ..LaggardPolicy::default()
-        }
-    }
 
     /// `n` single-page requests, every 8th a write, walking the first
     /// `span` volume pages with a stride that crosses chunk boundaries.
@@ -931,7 +929,6 @@ mod tests {
             .small_test()
             .with_federation(2)
             .volume(VolumeSpec::striped(2).chunk_pages(16))
-            .policy(policy_off())
             .build()
             .unwrap();
         let trace = (0..200)
@@ -957,8 +954,8 @@ mod tests {
             s.per_array_fragments.iter().sum::<u64>(),
             "routing census must account for every fragment"
         );
-        // Policy off, no faults: member arrays completed exactly the
-        // host fragments, nothing else.
+        // No faults and no member past the federation budget, so no
+        // clone ops: member arrays completed exactly the host fragments.
         let member_total: u64 = run.report.arrays.iter().map(|r| r.completed()).sum();
         assert_eq!(member_total, s.fragments);
         assert!(run.report.iops() > 0.0);
@@ -970,7 +967,6 @@ mod tests {
             .small_test()
             .with_federation(2)
             .volume(VolumeSpec::replicated(1, 2).chunk_pages(32))
-            .policy(policy_off())
             .build()
             .unwrap();
         let reads = 90u64;
@@ -1002,7 +998,6 @@ mod tests {
             .small_test()
             .with_federation(4)
             .volume(VolumeSpec::replicated(2, 2).chunk_pages(16))
-            .policy(policy_off())
             .array_faults(
                 0,
                 FaultConfig::default().with_power_loss(PowerLossEvent::at(100_000)),
@@ -1029,11 +1024,10 @@ mod tests {
 
     #[test]
     fn federation_tables_stay_bounded_by_open_work() {
-        let fed = Array::builder()
+        let mut fed = Array::builder()
             .small_test()
             .with_federation(4)
             .volume(VolumeSpec::replicated(2, 2).chunk_pages(16))
-            .policy(policy_off())
             .array_faults(
                 0,
                 FaultConfig::default().with_power_loss(PowerLossEvent::at(100_000)),
@@ -1041,14 +1035,13 @@ mod tests {
             .build()
             .unwrap();
         let trace = walk(600, 2_000, 300);
-        let mut mgr = fed.mgr;
         let mut peak = 0;
-        mgr.drive(trace.requests(), |m| peak = peak.max(m.open()));
-        assert!(mgr.stats.retried_reads > 0, "reads must re-route");
+        fed.drive(trace.requests(), |f| peak = peak.max(f.open()));
+        assert!(fed.stats.retried_reads > 0, "reads must re-route");
         assert!(peak > 1, "requests must overlap: {peak}");
-        assert_eq!(mgr.vol.len(), peak, "the table's high-water mark");
-        assert_eq!(mgr.open(), 0);
-        for (a, awaiting) in mgr.awaiting.iter().enumerate() {
+        assert_eq!(fed.vol.len(), peak, "the table's high-water mark");
+        assert_eq!(fed.open(), 0);
+        for (a, awaiting) in fed.awaiting.iter().enumerate() {
             assert!(awaiting.is_empty(), "array {a} still awaits {awaiting:?}");
         }
     }
@@ -1071,14 +1064,6 @@ mod tests {
             .mode(ManagementMode::Autonomic)
             .with_federation(4)
             .volume(VolumeSpec::striped(4).chunk_pages(16))
-            .policy(LaggardPolicy {
-                sla_p99_ns: 20_000,
-                imbalance_milli: 1_100,
-                epoch_ns: 100_000,
-                max_chunks_per_epoch: 4,
-                migration_slots: 16,
-                cooldown_epochs: 1,
-            })
             .array_faults(0, faults)
             .build()
             .unwrap();
@@ -1167,7 +1152,6 @@ mod tests {
             .small_test()
             .with_federation(2)
             .volume(VolumeSpec::striped(2))
-            .policy(policy_off())
             .build()
             .unwrap();
         let stats = fed.run_verified(&walk(50, 1_000, 500)).report.stats;
@@ -1203,7 +1187,6 @@ mod tests {
             .with_recorder(triplea_sim::trace::TraceConfig::all())
             .with_federation(2)
             .volume(VolumeSpec::replicated(1, 2).chunk_pages(16))
-            .policy(policy_off())
             .build()
             .unwrap();
         let run = fed.run_verified(&walk(60, 500, 400));

@@ -4,8 +4,6 @@
 use triplea_ftl::LogicalPage;
 use triplea_sim::FxHashMap;
 
-use crate::federation::config::FederationConfig;
-
 /// Where one copy of one chunk currently lives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChunkPlacement {
@@ -50,28 +48,21 @@ pub struct VolumeMapper {
 }
 
 impl VolumeMapper {
-    /// Builds the mapper for a validated federation geometry.
-    pub(crate) fn new(cfg: &FederationConfig) -> Self {
-        VolumeMapper {
-            width: cfg.volume.stripe_width,
-            replicas: cfg.volume.replicas,
-            chunk_pages: cfg.volume.chunk_pages,
-            volume_pages: cfg.volume.volume_pages,
-            chunks: cfg.chunks,
-            rows: cfg.rows,
-            overrides: FxHashMap::default(),
-        }
-    }
-
-    /// A standalone mapper over raw geometry — the property-test entry
-    /// point (no full [`FederationConfig`] needed).
-    pub fn from_geometry(width: u32, replicas: u32, chunk_pages: u64, chunks: u64) -> Self {
-        assert!(width >= 1 && replicas >= 1 && chunk_pages >= 1 && chunks >= 1);
+    /// The mapper for a volume of `volume_pages` striped `width` arrays
+    /// wide in `chunk_pages`-page chunks, with `replicas` copies. The
+    /// last chunk may be partly past the volume's end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any argument is zero.
+    pub fn new(width: u32, replicas: u32, chunk_pages: u64, volume_pages: u64) -> Self {
+        assert!(width >= 1 && replicas >= 1 && chunk_pages >= 1 && volume_pages >= 1);
+        let chunks = volume_pages.div_ceil(chunk_pages);
         VolumeMapper {
             width,
             replicas,
             chunk_pages,
-            volume_pages: chunks * chunk_pages,
+            volume_pages,
             chunks,
             rows: chunks.div_ceil(width as u64),
             overrides: FxHashMap::default(),
@@ -202,7 +193,7 @@ mod tests {
 
     #[test]
     fn home_is_a_bijection_per_copy_group() {
-        let m = VolumeMapper::from_geometry(3, 2, 8, 17);
+        let m = VolumeMapper::new(3, 2, 8, 17 * 8);
         for copy in 0..2 {
             let mut seen = std::collections::BTreeSet::new();
             for chunk in 0..17 {
@@ -220,7 +211,7 @@ mod tests {
 
     #[test]
     fn fragments_respect_chunk_boundaries() {
-        let m = VolumeMapper::from_geometry(2, 1, 8, 16);
+        let m = VolumeMapper::new(2, 1, 8, 16 * 8);
         let frags = m.fragments(LogicalPage(6), 12);
         assert_eq!(
             frags,
@@ -248,7 +239,7 @@ mod tests {
 
     #[test]
     fn overrides_supersede_home_until_then_identical() {
-        let mut m = VolumeMapper::from_geometry(2, 2, 4, 8);
+        let mut m = VolumeMapper::new(2, 2, 4, 8 * 4);
         assert_eq!(m.placement(1, 5), m.home(1, 5));
         assert!(!m.is_migrated(1, 5));
         let slot = ChunkPlacement {
@@ -264,7 +255,7 @@ mod tests {
 
     #[test]
     fn local_lpn_lands_inside_the_local_chunk() {
-        let m = VolumeMapper::from_geometry(4, 1, 16, 64);
+        let m = VolumeMapper::new(4, 1, 16, 64 * 16);
         let p = m.home(0, 9);
         assert_eq!(m.local_lpn(p, 5).0, p.local_chunk * 16 + 5);
     }

@@ -1,7 +1,7 @@
 //! Array federation: N Triple-A boxes behind one volume namespace.
 //!
 //! The paper stops at a single autonomic array behind one root complex.
-//! This module goes one level up: a [`VolumeManager`] owns N independent
+//! This module goes one level up: a [`Federation`] owns N independent
 //! member [`Array`](crate::Array) engines inside one deterministic epoch
 //! loop, exposes a single volume address space that stripes (and
 //! optionally replicates) across them, and extends the Eq. 3 autonomic
@@ -10,6 +10,12 @@
 //! the same clone-then-commit discipline the intra-array migration
 //! machinery uses, so a power cut mid-migration never commits a
 //! half-copied placement.
+//!
+//! The laggard policy has no settings. Each epoch is 200 µs. An array
+//! is the laggard when its p99 exceeds 500 µs and is more than 1.2× its
+//! best peer's. One detection clones at most 4 chunks, and the policy
+//! then rests for 2 epochs. Every array reserves 64 migration-slot
+//! chunks for inbound clones, above its home rows.
 //!
 //! # Address mapping
 //!
@@ -47,8 +53,6 @@ mod config;
 mod manager;
 mod map;
 
-pub use config::{
-    FederationBuilder, FederationConfig, FederationError, LaggardPolicy, VolumeSpec, MAX_ARRAYS,
-};
+pub use config::{FederationBuilder, FederationError, VolumeSpec, MAX_ARRAYS};
 pub use manager::{Federation, FederationReport, FederationRun, FederationStats};
 pub use map::{ChunkPlacement, VolumeMapper};

@@ -62,9 +62,8 @@ pub use config::{
     REPLAY_NS_PER_RECORD, SLA_NS,
 };
 pub use federation::{
-    ChunkPlacement, Federation, FederationBuilder, FederationConfig, FederationError,
-    FederationReport, FederationRun, FederationStats, LaggardPolicy, VolumeMapper, VolumeSpec,
-    MAX_ARRAYS,
+    ChunkPlacement, Federation, FederationBuilder, FederationError, FederationReport,
+    FederationRun, FederationStats, VolumeMapper, VolumeSpec, MAX_ARRAYS,
 };
 pub use metrics::{FaultStats, RecoveryStats, RunReport};
 pub use request::{Breakdown, IoOp, Trace, TraceRequest};

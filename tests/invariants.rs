@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 
 use triple_a::core::{
-    Array, ArrayConfig, IoOp, LaggardPolicy, ManagementMode, TenantId, TenantSpec, Trace,
-    TraceRequest, VolumeMapper, VolumeSpec, WeightedArbiter,
+    Array, ArrayConfig, IoOp, ManagementMode, TenantId, TenantSpec, Trace, TraceRequest,
+    VolumeMapper, VolumeSpec, WeightedArbiter,
 };
 use triple_a::ftl::LogicalPage;
 use triple_a::sim::SimTime;
@@ -186,7 +186,7 @@ proptest! {
         chunk_pages in 1u64..65,
         chunks in 1u64..300,
     ) {
-        let m = VolumeMapper::from_geometry(width, replicas, chunk_pages, chunks);
+        let m = VolumeMapper::new(width, replicas, chunk_pages, chunks * chunk_pages);
         for copy in 0..replicas {
             let mut seen = std::collections::BTreeSet::new();
             for chunk in 0..chunks {
@@ -224,7 +224,7 @@ proptest! {
         lpn_seed in 0u64..u64::MAX,
         pages in 1u32..129,
     ) {
-        let m = VolumeMapper::from_geometry(width, replicas, chunk_pages, chunks);
+        let m = VolumeMapper::new(width, replicas, chunk_pages, chunks * chunk_pages);
         let pages = pages.min(m.volume_pages() as u32);
         let lpn = lpn_seed % (m.volume_pages() - pages as u64 + 1);
         let frags = m.fragments(LogicalPage(lpn), pages);
@@ -275,7 +275,6 @@ proptest! {
     fn federation_completions_invariant_to_array_partitioning(
         trace in arb_volume_trace(4_096),
     ) {
-        let off = LaggardPolicy { sla_p99_ns: 0, ..LaggardPolicy::default() };
         for (width, replicas) in [(1u32, 1u32), (2, 1), (4, 1), (2, 2)] {
             let fed = Array::builder()
                 .mode(ManagementMode::Autonomic)
@@ -285,7 +284,6 @@ proptest! {
                         .chunk_pages(16)
                         .volume_pages(4_096),
                 )
-                .policy(off)
                 .build()
                 .expect("federation geometry validates");
             let run = fed.run_verified(&trace);
@@ -294,9 +292,12 @@ proptest! {
             prop_assert_eq!(s.completed, trace.len() as u64,
                 "{}x{}: completions drifted", width, replicas);
             prop_assert_eq!(s.lost_requests, 0u64);
-            // Member completions sum to the fragment count.
+            // Nothing faults, so no migration aborts, and member
+            // completions are the fragments plus each committed
+            // migration's two clone ops (source read, destination write).
+            prop_assert_eq!(s.migrations_aborted, 0u64);
             let member: u64 = run.report.arrays.iter().map(|r| r.completed()).sum();
-            prop_assert_eq!(member, s.fragments);
+            prop_assert_eq!(member, s.fragments + 2 * s.migrations_committed);
         }
     }
 }

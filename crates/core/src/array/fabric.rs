@@ -12,7 +12,7 @@ use triplea_sim::SimTime;
 use super::observe::admit;
 use super::{Engine, Ev};
 use crate::config::ManagementMode;
-use crate::request::{IoOp, Stage};
+use crate::request::IoOp;
 
 /// Wire overhead of one transaction-layer packet, charged once per page
 /// moved and once per header-only read request or write acknowledgement.
@@ -120,7 +120,6 @@ impl Engine {
 
     pub(super) fn on_sw_admit(&mut self, now: SimTime, r: u32) {
         self.reqs[r].wait_since = now;
-        self.reqs[r].stage = Stage::AtSwitch;
         let (s, p) = self.port_of(r);
         let scope = TraceScope::cluster(self.reqs[r].cluster);
         match admit(
@@ -153,7 +152,6 @@ impl Engine {
         match admit(&mut self.recorder, &mut self.clusters[c].ep_queue, scope, r) {
             Admission::Admitted => self.queue.push(now, Ev::EpGranted(r)),
             Admission::Queued => {
-                self.reqs[r].stalled_at_ep = true;
                 if self.mode == ManagementMode::Autonomic
                     && self.auto.params().laggard.examines_queue()
                 {
@@ -171,7 +169,6 @@ impl Engine {
     }
 
     pub(super) fn on_arrive_ep(&mut self, now: SimTime, r: u32) {
-        self.reqs[r].stage = Stage::AtEp;
         let (s, p) = self.port_of(r);
         if let Some(next) = self.switches[s].port_queues[p].release() {
             self.queue.push(now, Ev::SwGranted(next as u32));
@@ -183,7 +180,6 @@ impl Engine {
     /// Sends request `r`'s response (read data or write acknowledgement)
     /// from its endpoint back toward the host.
     pub(super) fn respond(&mut self, now: SimTime, r: u32) {
-        self.reqs[r].stage = Stage::Responding;
         let cluster = self.reqs[r].cluster;
         let t0 = now + self.cfg.pcie.ep_device_ns;
         let (sent, arrive) = self.hop(r, Hop::FromEndpoint, t0);

@@ -10,7 +10,6 @@ use triplea_sim::{Nanos, SimTime};
 use super::observe::flash_op;
 use super::{Engine, Ev, Finished, GOLDEN};
 use crate::config::{REMOUNT_BASE_NS, REPLAY_NS_PER_RECORD};
-use crate::request::Stage;
 
 /// Delay between a module death and the first hot-spare rebuild copy:
 /// fault detection plus spare spin-up.
@@ -131,7 +130,7 @@ impl Engine {
         let mut lost = 0u64;
         for r in 0..self.reqs.high_water() as u32 {
             let rs = &self.reqs[r];
-            if rs.stage == Stage::Done {
+            if rs.free {
                 continue;
             }
             if self.stream {
@@ -145,7 +144,7 @@ impl Engine {
             // Submission-lane contents are volatile exactly like the RC
             // FIFO; the arrivals after the remount enter through fresh
             // arbitration. (The lane waiters were already counted lost
-            // above — they sit at `Stage::AtRc`.)
+            // above: their slots are taken.)
             front.arbiter.power_cycle();
         }
         for sw in &mut self.switches {

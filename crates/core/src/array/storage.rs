@@ -10,7 +10,7 @@ use triplea_sim::SimTime;
 
 use super::{Engine, Ev};
 use crate::config::ManagementMode;
-use crate::request::{IoOp, Stage};
+use crate::request::IoOp;
 
 /// Transient-read retries before falling back to a fault-immune recovery
 /// read. Every failed attempt burns the die slot it reserved, so each
@@ -23,7 +23,6 @@ const WRITE_REDIRECT_LIMIT: u32 = 4;
 
 impl Engine {
     pub(super) fn on_ep_service(&mut self, now: SimTime, r: u32) {
-        self.reqs[r].stage = Stage::Flash;
         self.reqs[r].flash_start = now;
         match self.reqs[r].op {
             IoOp::Read => self.issue_flash_reads(now, r),

@@ -175,20 +175,6 @@ impl Breakdown {
     }
 }
 
-/// Request lifecycle stage (used for debug assertions, diagnostics and
-/// the power cut's in-flight count).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Stage {
-    /// Arrived: at the root complex, or on its tenant's submission lane.
-    AtRc,
-    AtSwitch,
-    AtEp,
-    Flash,
-    Responding,
-    /// Completed or lost to a power cut: the slot is free for reuse.
-    Done,
-}
-
 /// Internal per-request simulation state.
 #[derive(Clone, Debug)]
 pub(crate) struct RequestState {
@@ -206,7 +192,8 @@ pub(crate) struct RequestState {
     pub locs: Vec<PhysLoc>,
     /// Global index of the cluster the request was routed to.
     pub cluster: u32,
-    pub stage: Stage,
+    /// Completed or lost to a power cut: the slot is free for reuse.
+    pub free: bool,
     /// When the current wait began (reused across stages).
     pub wait_since: SimTime,
     /// When flash service started at the EP (Eq. 1's observation point).
@@ -220,8 +207,6 @@ pub(crate) struct RequestState {
     pub laggard_fimm: Option<u32>,
     /// All FIMMs looked like laggards → escalate to migration.
     pub escalate: bool,
-    /// Request was parked at the EP admission queue.
-    pub stalled_at_ep: bool,
     /// Write was parked for endpoint write-buffer space (qualifies it
     /// for §4.2 write redirection).
     pub stalled_wbuf: bool,
@@ -239,14 +224,13 @@ impl RequestState {
             submit: r.at,
             locs: Vec::new(),
             cluster: 0,
-            stage: Stage::AtRc,
+            free: false,
             wait_since: r.at,
             flash_start: SimTime::ZERO,
             pending_parts: 0,
             max_die_wait: 0,
             laggard_fimm: None,
             escalate: false,
-            stalled_at_ep: false,
             stalled_wbuf: false,
             bd: Breakdown::default(),
         }
@@ -281,8 +265,8 @@ impl RequestTable {
     /// Frees `slot` for reuse, handing back its pinned-location buffer.
     pub fn release(&mut self, slot: u32) -> Vec<PhysLoc> {
         let rs = &mut self.slots[slot as usize];
-        debug_assert!(rs.stage != Stage::Done, "slot freed twice");
-        rs.stage = Stage::Done;
+        debug_assert!(!rs.free, "slot freed twice");
+        rs.free = true;
         self.free.push(slot);
         std::mem::take(&mut rs.locs)
     }

@@ -39,7 +39,8 @@ pub(super) fn admit(
 /// [`Fimm::begin_op`] or the fault-immune [`Fimm::begin_op_recovery`],
 /// and records what the module reports: first the scheduled faults the
 /// call fired, then the operation's die reservation or the NAND fault
-/// that refused it, under the package's scope.
+/// that refused it, under the package's scope. A fault is stamped at
+/// `at`, the instant the operation met it.
 pub(super) fn flash_op(
     rec: &mut Option<Recorder>,
     fimm: &mut Fimm,
@@ -60,7 +61,7 @@ pub(super) fn flash_op(
     };
     for _ in fired..fimm.faults_fired() {
         let domain = "fimm";
-        rec.emit(scope, TraceEventKind::FaultInjected { domain, detail });
+        rec.emit_at(at, scope, TraceEventKind::FaultInjected { domain, detail });
     }
     let scope = scope.unit(package);
     let nand = |detail| TraceEventKind::FaultInjected {
@@ -82,9 +83,9 @@ pub(super) fn flash_op(
                 dur_ns: op.end - op.start,
             },
         ),
-        Err(FlashError::ReadTransient(_)) => rec.emit(scope, nand("read_transient")),
-        Err(FlashError::ProgramFailed(_)) => rec.emit(scope, nand("prog_fail")),
-        Err(FlashError::EraseFailed(_)) => rec.emit(scope, nand("erase_fail")),
+        Err(FlashError::ReadTransient(_)) => rec.emit_at(at, scope, nand("read_transient")),
+        Err(FlashError::ProgramFailed(_)) => rec.emit_at(at, scope, nand("prog_fail")),
+        Err(FlashError::EraseFailed(_)) => rec.emit_at(at, scope, nand("erase_fail")),
         Err(_) => {}
     }
     res
@@ -187,16 +188,16 @@ impl Engine {
         flash_op(&mut self.recorder, fimm, scope, issue, at, package, cmd)
     }
 
-    /// Whether FIMM `f` of cluster `c` is dead at `now`, so the caller
-    /// skips it; see [`Fimm::refuses_at`]. Records the death the first
-    /// time the module refuses, as [`flash_op`] does when an issued
-    /// operation meets it.
-    pub(super) fn fimm_refuses(&mut self, c: usize, f: usize, now: SimTime) -> bool {
+    /// Whether FIMM `f` of cluster `c` is dead at `at`, so the caller
+    /// skips it; see [`Fimm::refuses_at`]. Records the death at `at` the
+    /// first time the module refuses, as [`flash_op`] does when an
+    /// issued operation meets it.
+    pub(super) fn fimm_refuses(&mut self, c: usize, f: usize, at: SimTime) -> bool {
         let fimm = &mut self.clusters[c].fimms[f];
         let fired = fimm.faults_fired();
-        let dead = fimm.refuses_at(now);
+        let dead = fimm.refuses_at(at);
         if fimm.faults_fired() != fired {
-            self.emit(TraceScope::fimm(c as u32, f as u32), || {
+            self.emit_at(at, TraceScope::fimm(c as u32, f as u32), || {
                 TraceEventKind::FaultInjected {
                     domain: "fimm",
                     detail: "dead",

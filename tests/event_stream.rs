@@ -42,6 +42,14 @@ fn traced(cfg: ArrayConfig, mode: ManagementMode, trace: &Trace) -> RunTrace {
     t
 }
 
+/// FIMM faults scheduled by [`faulty_reads`]: `(cluster, fimm, detail,
+/// instant in ns)`.
+const READ_FIMM_FAULTS: [(u32, u32, &str, u64); 2] =
+    [(0, 0, "slowdown", 100_000), (0, 1, "dead", 300_000)];
+
+/// FIMM faults scheduled by [`journaled_overwrites`], as above.
+const JOURNAL_FIMM_FAULTS: [(u32, u32, &str, u64); 1] = [(0, 0, "dead", 500_000)];
+
 /// A hot-read overload on a faulty array: TLP corruption, transient
 /// NAND reads, a mapping cache, one FIMM slowed and a sibling killed.
 /// With a hot spare the dead module is rebuilt; reads fail over around
@@ -61,13 +69,13 @@ fn faulty_reads(hot_spares: u32) -> RunTrace {
                 .with_fimm_event(FimmFaultEvent {
                     cluster: 0,
                     fimm: 0,
-                    at_ns: 100_000,
+                    at_ns: READ_FIMM_FAULTS[0].3,
                     kind: FimmFaultKind::Slowdown(8),
                 })
                 .with_fimm_event(FimmFaultEvent {
                     cluster: 0,
                     fimm: 1,
-                    at_ns: 300_000,
+                    at_ns: READ_FIMM_FAULTS[1].3,
                     kind: FimmFaultKind::Dead,
                 });
         })
@@ -100,7 +108,7 @@ fn journaled_overwrites() -> RunTrace {
                 .with_fimm_event(FimmFaultEvent {
                     cluster: 0,
                     fimm: 0,
-                    at_ns: 500_000,
+                    at_ns: JOURNAL_FIMM_FAULTS[0].3,
                     kind: FimmFaultKind::Dead,
                 });
         })
@@ -117,7 +125,7 @@ fn journaled_overwrites() -> RunTrace {
 
 /// FNV-1a of the runs' JSON exports. Re-capturing it is a deliberate
 /// edit with its reason in CHANGES.md, like a golden re-bless.
-const STREAM_HASH: u64 = 0x60e6_17d5_23b2_a401;
+const STREAM_HASH: u64 = 0x0331_8a4b_1204_28fc;
 
 /// Whether an event is of one kind.
 type IsKind = fn(&TraceEventKind) -> bool;
@@ -186,4 +194,38 @@ fn component_events_keep_their_order_and_payloads() {
         hash, STREAM_HASH,
         "the traced event stream changed: {hash:#018x}"
     );
+}
+
+/// A FIMM fault is stamped at the instant an operation meets it, which
+/// is never before the instant its schedule sets, and it is stamped
+/// under the module the schedule names.
+#[test]
+fn fimm_faults_are_stamped_no_earlier_than_scheduled() {
+    let runs = [
+        (faulty_reads(0), &READ_FIMM_FAULTS[..]),
+        (faulty_reads(1), &READ_FIMM_FAULTS[..]),
+        (journaled_overwrites(), &JOURNAL_FIMM_FAULTS[..]),
+    ];
+    for (run, schedule) in &runs {
+        for e in &run.events {
+            let TraceEventKind::FaultInjected {
+                domain: "fimm",
+                detail,
+            } = e.kind
+            else {
+                continue;
+            };
+            let module = (e.scope.cluster, e.scope.fimm, detail);
+            let due = schedule
+                .iter()
+                .find(|&&(c, f, d, _)| (c, f, d) == module)
+                .unwrap_or_else(|| panic!("unscheduled FIMM fault {e:?}"))
+                .3;
+            assert!(
+                e.at >= due,
+                "FIMM fault {module:?} stamped at {} ns, before its {due} ns schedule",
+                e.at
+            );
+        }
+    }
 }

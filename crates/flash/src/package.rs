@@ -1,7 +1,6 @@
 //! The NAND package state machine: dies as busy-until servers, program
 //! order enforcement, wear accounting.
 
-use triplea_sim::FxHashMap;
 use triplea_sim::{FifoResource, Nanos, SimTime, SplitMix64};
 
 use crate::command::{CmdMode, FlashCommand, OpKind};
@@ -35,11 +34,6 @@ pub struct PackageStats {
     pub erases: u64,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct BlockState {
-    next_page: u32,
-}
-
 /// One bare NAND flash package: dies, planes, registers, embedded
 /// controller (paper §2.2). Pure metadata — no data bytes are stored.
 ///
@@ -51,7 +45,11 @@ pub struct Package {
     geom: FlashGeometry,
     timing: FlashTiming,
     dies: Vec<FifoResource>,
-    blocks: FxHashMap<u64, BlockState>,
+    /// Per die, the next page to program in each die-local block, up to
+    /// the highest block programmed or erased; a block past the end has
+    /// programmed nothing. Empty until the first program or erase, so a
+    /// package that only serves reads allocates none.
+    next_page: Vec<Vec<u32>>,
     wear: WearTracker,
     stats: PackageStats,
     faults: FlashFaultProfile,
@@ -69,7 +67,7 @@ impl Package {
             geom,
             timing,
             dies: (0..geom.dies).map(|_| FifoResource::new("die")).collect(),
-            blocks: FxHashMap::default(),
+            next_page: Vec::new(),
             wear: WearTracker::new(geom.endurance),
             stats: PackageStats::default(),
             faults: FlashFaultProfile::default(),
@@ -282,7 +280,12 @@ impl Package {
                 return Err(FlashError::WornOut(t));
             }
             if cmd.kind == OpKind::Program {
-                let next = self.blocks.get(&bidx).map_or(0, |b| b.next_page);
+                let next = self
+                    .next_page
+                    .get(t.die as usize)
+                    .and_then(|d| d.get(t.block as usize))
+                    .copied()
+                    .unwrap_or(0);
                 if t.page < next {
                     return Err(FlashError::OverwriteWithoutErase(t));
                 }
@@ -295,18 +298,25 @@ impl Package {
     }
 
     fn apply_state(&mut self, cmd: &FlashCommand) {
+        if cmd.kind == OpKind::Read {
+            return;
+        }
+        if self.next_page.is_empty() {
+            self.next_page = vec![Vec::new(); self.geom.dies as usize];
+        }
         for &t in cmd.targets {
-            let bidx = self.geom.block_index(t);
-            match cmd.kind {
-                OpKind::Program => {
-                    self.blocks.entry(bidx).or_default().next_page = t.page + 1;
-                }
-                OpKind::Erase => {
-                    self.wear.record_erase(bidx);
-                    self.blocks.entry(bidx).or_default().next_page = 0;
-                }
-                OpKind::Read => {}
+            let next = if cmd.kind == OpKind::Program {
+                t.page + 1
+            } else {
+                self.wear.record_erase(self.geom.block_index(t));
+                0
+            };
+            let blocks = &mut self.next_page[t.die as usize];
+            let block = t.block as usize;
+            if blocks.len() <= block {
+                blocks.resize(block + 1, 0);
             }
+            blocks[block] = next;
         }
     }
 }

@@ -80,6 +80,12 @@ impl WearTracker {
     /// `true` once the block hit its endurance limit or was force-retired
     /// as a grown bad block.
     pub fn is_retired(&self, block: u64) -> bool {
+        // `retired` counts worn-out and force-retired blocks alike, so
+        // while it is zero no block is either, unless a zero endurance
+        // leaves every block worn out from the start.
+        if self.retired == 0 && self.endurance > 0 {
+            return false;
+        }
         self.forced.contains(&block) || self.erase_count(block) >= self.endurance
     }
 
@@ -244,6 +250,25 @@ mod tests {
         assert_eq!(w.retired_blocks(), vec![4, 9]);
         assert!(!w.force_retire(9), "worn block already retired");
         assert_eq!(w.report().retired_blocks, 2);
+    }
+
+    #[test]
+    fn is_retired_before_and_after_each_kind_of_retirement() {
+        let mut w = WearTracker::new(2);
+        w.record_erase(1);
+        assert!(!w.is_retired(1), "no retirement yet");
+        assert!(!w.is_retired(2));
+        assert!(w.force_retire(2));
+        assert!(w.is_retired(2), "force-retired");
+        assert!(!w.is_retired(1), "a sibling stays in service");
+        let mut w = WearTracker::new(2);
+        w.record_erase(1);
+        w.record_erase(1);
+        assert!(w.is_retired(1), "worn out");
+        assert!(!w.is_retired(0));
+        // A zero endurance wears every block out before its first erase.
+        let w = WearTracker::new(0);
+        assert!(w.is_retired(5));
     }
 
     #[test]

@@ -58,6 +58,10 @@ pub struct FimmAllocator {
     rr: usize,
     erase_counts: FxHashMap<BlockKey, u32>,
     retired: u64,
+    /// Fresh plus recycled blocks across all streams: what
+    /// [`Self::free_blocks`] reports, kept as blocks leave and rejoin
+    /// the pool so the write path's GC check does not sum the streams.
+    free: u64,
 }
 
 impl FimmAllocator {
@@ -78,15 +82,19 @@ impl FimmAllocator {
                 }
             }
         }
+        let free = streams.len() as u64 * geom.blocks_per_plane as u64;
         FimmAllocator {
             geom,
             streams,
             rr: 0,
             erase_counts: FxHashMap::default(),
             retired: 0,
+            free,
         }
     }
 
+    /// Takes a block out of the stream's pool, least-worn recycled block
+    /// first; `None` when the pool is empty.
     fn open_block(geom: &FlashGeometry, s: &mut Stream) -> Option<u32> {
         if let Some(Reverse((_, blk))) = s.recycled.pop() {
             return Some(blk);
@@ -101,9 +109,11 @@ impl FimmAllocator {
         None
     }
 
-    fn try_alloc_stream(geom: &FlashGeometry, s: &mut Stream) -> Option<FimmAddr> {
+    fn try_alloc_stream(geom: &FlashGeometry, s: &mut Stream, free: &mut u64) -> Option<FimmAddr> {
         if s.active.is_none() {
-            s.active = Self::open_block(geom, s).map(|b| (b, 0));
+            let block = Self::open_block(geom, s)?;
+            *free -= 1;
+            s.active = Some((block, 0));
         }
         let (block, next) = s.active?;
         let addr = FimmAddr {
@@ -130,12 +140,27 @@ impl FimmAllocator {
         let n = self.streams.len();
         for off in 0..n {
             let idx = (self.rr + off) % n;
-            if let Some(addr) = Self::try_alloc_stream(&self.geom, &mut self.streams[idx]) {
+            if let Some(addr) =
+                Self::try_alloc_stream(&self.geom, &mut self.streams[idx], &mut self.free)
+            {
                 self.rr = (idx + 1) % n;
                 return Some(addr);
             }
         }
         None
+    }
+
+    /// The write stream of die-local `block` on (`package`, `die`), if
+    /// the FIMM has that die: [`Self::new`] lays the streams out
+    /// package-major, then die, then plane.
+    fn stream_mut(&mut self, (package, die, block): BlockKey) -> Option<&mut Stream> {
+        let g = &self.geom;
+        if die >= g.dies {
+            return None;
+        }
+        let idx = (package as usize * g.dies as usize + die as usize) * g.planes as usize
+            + g.plane_of_block(block) as usize;
+        self.streams.get_mut(idx)
     }
 
     /// Returns an erased block to the free pool, bumping its erase count.
@@ -144,7 +169,6 @@ impl FimmAllocator {
     /// **retired** instead of recycled — handing it out again would fail
     /// at the NAND package, which enforces the same limit.
     pub fn recycle(&mut self, key: BlockKey) {
-        let (package, die, block) = key;
         let count = self.erase_counts.entry(key).or_insert(0);
         *count += 1;
         let c = *count;
@@ -152,13 +176,11 @@ impl FimmAllocator {
             self.retired += 1;
             return;
         }
-        let plane = self.geom.plane_of_block(block);
-        let s = self
-            .streams
-            .iter_mut()
-            .find(|s| s.package == package && s.die == die && s.plane == plane)
-            .expect("stream exists for every (package, die, plane)");
-        s.recycled.push(Reverse((c, block)));
+        self.stream_mut(key)
+            .expect("stream exists for every (package, die, plane)")
+            .recycled
+            .push(Reverse((c, key.2)));
+        self.free += 1;
     }
 
     /// Permanently removes a block from service — a *grown bad block*
@@ -167,20 +189,18 @@ impl FimmAllocator {
     /// its erase count at the endurance limit so [`Self::recycle`] can
     /// never pool it again.
     pub fn quarantine(&mut self, key: BlockKey) {
-        let (package, die, block) = key;
+        let block = key.2;
         if self.erase_count(key) >= self.geom.endurance {
             return; // already retired
         }
-        let plane = self.geom.plane_of_block(block);
-        if let Some(s) = self
-            .streams
-            .iter_mut()
-            .find(|s| s.package == package && s.die == die && s.plane == plane)
-        {
+        if let Some(s) = self.stream_mut(key) {
             if matches!(s.active, Some((b, _)) if b == block) {
                 s.active = None;
             }
+            let pooled = s.recycled.len();
             s.recycled.retain(|Reverse((_, b))| *b != block);
+            let dropped = (pooled - s.recycled.len()) as u64;
+            self.free -= dropped;
         }
         self.erase_counts.insert(key, self.geom.endurance);
         self.retired += 1;
@@ -200,10 +220,7 @@ impl FimmAllocator {
     /// Free blocks remaining across all streams (fresh + recycled,
     /// counting a partially-filled active block as zero).
     pub fn free_blocks(&self) -> u64 {
-        self.streams
-            .iter()
-            .map(|s| (self.geom.blocks_per_plane - s.fresh_next) as u64 + s.recycled.len() as u64)
-            .sum()
+        self.free
     }
 }
 
@@ -316,6 +333,48 @@ mod tests {
         assert_eq!(a.free_blocks(), 0, "retired block must not return");
         assert_eq!(a.retired_blocks(), 1);
         assert_eq!(a.erase_count((0, 0, 0)), 2);
+    }
+
+    /// `free_blocks` as it was computed before the running count: fresh
+    /// plus recycled blocks, summed over the streams.
+    fn recount(a: &FimmAllocator) -> u64 {
+        a.streams
+            .iter()
+            .map(|s| (a.geom.blocks_per_plane - s.fresh_next) as u64 + s.recycled.len() as u64)
+            .sum()
+    }
+
+    #[test]
+    fn running_free_count_matches_the_recount() {
+        let g = geom();
+        let mut a = FimmAllocator::new(1, g);
+        let check = |a: &FimmAllocator, at: &str| assert_eq!(a.free_blocks(), recount(a), "{at}");
+        check(&a, "pristine");
+        let first = a.alloc().unwrap();
+        check(&a, "first block opened");
+        // Quarantine the active block mid-fill: it leaves no pool.
+        a.quarantine((first.package, first.page.die, first.page.block));
+        check(&a, "active block quarantined");
+        while a.alloc().is_some() {}
+        check(&a, "drained");
+        assert_eq!(a.free_blocks(), 0);
+        // Recycle two blocks of one stream, then quarantine one of them
+        // while it waits in the pool.
+        a.recycle((0, 0, 2));
+        a.recycle((0, 0, 4));
+        check(&a, "two recycled");
+        assert_eq!(a.free_blocks(), 2);
+        a.quarantine((0, 0, 4));
+        check(&a, "recycled block quarantined");
+        assert_eq!(a.free_blocks(), 1);
+        // A quarantined block is never pooled again; the other one is
+        // handed out again.
+        a.recycle((0, 0, 4));
+        check(&a, "quarantined block recycled");
+        let reused = a.alloc().unwrap();
+        assert_eq!((reused.page.die, reused.page.block), (0, 2));
+        check(&a, "recycled block reopened");
+        assert_eq!(a.free_blocks(), 0);
     }
 
     #[test]

@@ -152,6 +152,29 @@ pub enum IntegrityError {
         /// `true` when the index lists the block, `false` when it omits it.
         indexed: bool,
     },
+    /// A block's own bookkeeping does not add up: its live count differs
+    /// from the page slots holding an LPN, or it has more page slots than
+    /// programmed pages.
+    BlockCounts {
+        /// Global cluster index of the block.
+        cluster: u32,
+        /// FIMM index of the block.
+        fimm: u32,
+        /// Package of the block.
+        package: u32,
+        /// Die of the block.
+        die: u32,
+        /// Block number.
+        block: u32,
+        /// Length of the programmed prefix the block records.
+        programmed: u32,
+        /// Live pages the block counts.
+        live: u32,
+        /// Page slots the block's table holds.
+        slots: u32,
+        /// Page slots holding an LPN.
+        occupied: u32,
+    },
 }
 
 impl std::fmt::Display for IntegrityError {
@@ -208,6 +231,24 @@ impl std::fmt::Display for IntegrityError {
                     f,
                     "gc victim index {index} block ({cluster}, {fimm}, \
                      ({package}, {die}, {block})) but the block table makes it {table}"
+                )
+            }
+            IntegrityError::BlockCounts {
+                cluster,
+                fimm,
+                package,
+                die,
+                block,
+                programmed,
+                live,
+                slots,
+                occupied,
+            } => {
+                write!(
+                    f,
+                    "block ({cluster}, {fimm}, ({package}, {die}, {block})) counts {live} live \
+                     of {programmed} programmed pages but {occupied} of its {slots} page slots \
+                     hold an lpn"
                 )
             }
         }

@@ -1,6 +1,7 @@
 //! The flash translation layer proper.
 
 use std::cmp::Reverse;
+use std::collections::VecDeque;
 
 use triplea_sim::{FxHashMap, FxHashSet};
 
@@ -42,10 +43,25 @@ pub enum GcPolicy {
     Fifo,
 }
 
+/// A page slot holding no live LPN: the page was invalidated.
+const VACANT: LogicalPage = LogicalPage(u64::MAX);
+
+/// One block's page table.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct BlockUse {
+    /// Pages programmed so far: the block's prefix `0..programmed`.
     programmed: u32,
-    lpns: FxHashMap<u32, LogicalPage>,
+    /// Occupied slots of `lpns`: the prefix's pages still live.
+    live: u32,
+    /// The LPN programmed at each page offset from the block's first
+    /// live page to its last programmed one, [`VACANT`] once
+    /// invalidated. Pages program in order, so the slots end at page
+    /// `programmed` and slot `i` holds page `programmed - len + i`.
+    /// Invalidating the first slot drops it with the vacant slots
+    /// behind it, so the table spans the block's live data, not every
+    /// page programmed since the erase: a block whose pages are
+    /// overwritten soon after they are programmed keeps a short table.
+    lpns: VecDeque<LogicalPage>,
     /// Monotonic sequence assigned when the block sealed (filled); used
     /// by age-aware GC policies.
     sealed_seq: u64,
@@ -53,12 +69,132 @@ pub(crate) struct BlockUse {
 
 impl BlockUse {
     fn invalid(&self) -> u32 {
-        self.programmed - self.lpns.len() as u32
+        self.programmed - self.live
     }
 
     /// A GC candidate: fully programmed, with reclaimable space.
     fn is_gc_candidate(&self, pages_per_block: u32) -> bool {
         self.programmed == pages_per_block && self.invalid() > 0
+    }
+
+    /// The page offset of the first slot.
+    fn first_page(&self) -> u32 {
+        self.programmed.wrapping_sub(self.lpns.len() as u32)
+    }
+
+    /// The LPN live at page offset `page`, if any.
+    fn lpn_at(&self, page: u32) -> Option<LogicalPage> {
+        let slot = page.checked_sub(self.first_page())?;
+        self.lpns
+            .get(slot as usize)
+            .copied()
+            .filter(|&l| l != VACANT)
+    }
+
+    /// The live pages as `(page offset, lpn)`, in page order.
+    fn live_pages(&self) -> impl Iterator<Item = (u32, LogicalPage)> + '_ {
+        (self.first_page()..)
+            .zip(self.lpns.iter().copied())
+            .filter(|&(_, l)| l != VACANT)
+    }
+
+    /// Records `lpn` programmed at the next page.
+    fn program(&mut self, lpn: LogicalPage) {
+        self.lpns.push_back(lpn);
+        self.programmed += 1;
+        self.live += 1;
+    }
+
+    /// Drops page `page` from the live data if it holds `lpn`; returns
+    /// whether it did.
+    fn invalidate(&mut self, page: u32, lpn: LogicalPage) -> bool {
+        let Some(slot) = page
+            .checked_sub(self.first_page())
+            .and_then(|i| self.lpns.get_mut(i as usize))
+            .filter(|slot| **slot == lpn)
+        else {
+            return false;
+        };
+        *slot = VACANT;
+        self.live -= 1;
+        while self.lpns.front() == Some(&VACANT) {
+            self.lpns.pop_front();
+        }
+        true
+    }
+
+    /// Empties the table for an erased block, keeping its buffer for
+    /// the block's next fill.
+    fn erase(&mut self) {
+        self.programmed = 0;
+        self.live = 0;
+        self.sealed_seq = 0;
+        self.lpns.clear();
+    }
+}
+
+/// A block's place in the [`BlockTable`]: the table's die index and
+/// the die-local block number.
+type BlockRef = (usize, u32);
+
+/// The FTL's block table: for every die, the blocks the allocator has
+/// opened there, indexed by die-local block number. Dies are numbered
+/// by (global FIMM, package, die), see [`Ftl::die_of`]. Both levels grow
+/// on first program, and blocks open in ascending order, so the table
+/// holds what the array has written rather than its address space.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct BlockTable {
+    dies: Vec<Vec<BlockUse>>,
+}
+
+impl BlockTable {
+    fn get(&self, (die, block): BlockRef) -> Option<&BlockUse> {
+        self.dies.get(die)?.get(block as usize)
+    }
+
+    fn get_mut(&mut self, (die, block): BlockRef) -> Option<&mut BlockUse> {
+        self.dies.get_mut(die)?.get_mut(block as usize)
+    }
+
+    /// The entry of a block being programmed, grown into the table.
+    fn opened(&mut self, (die, block): BlockRef) -> &mut BlockUse {
+        if self.dies.len() <= die {
+            self.dies.resize_with(die + 1, Vec::new);
+        }
+        let blocks = &mut self.dies[die];
+        if blocks.len() <= block as usize {
+            blocks.resize_with(block as usize + 1, BlockUse::default);
+        }
+        &mut blocks[block as usize]
+    }
+
+    /// The blocks of dies `dies` with a programmed page, in (die, block)
+    /// order.
+    fn programmed(
+        &self,
+        dies: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = (BlockRef, &BlockUse)> + '_ {
+        let end = dies.end.min(self.dies.len());
+        let start = dies.start.min(end);
+        (start..end).flat_map(move |die| {
+            (0u32..)
+                .zip(&self.dies[die])
+                .filter(|(_, b)| b.programmed > 0)
+                .map(move |(block, b)| ((die, block), b))
+        })
+    }
+
+    /// Every block with a programmed page, in (die, block) order.
+    fn iter(&self) -> impl Iterator<Item = (BlockRef, &BlockUse)> + '_ {
+        self.programmed(0..self.dies.len())
+    }
+}
+
+impl PartialEq for BlockTable {
+    /// Equal tables hold the same programmed blocks, however far either
+    /// has grown: an entry with nothing programmed is no block.
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
     }
 }
 
@@ -115,8 +251,11 @@ pub struct GcWork {
 pub struct Ftl {
     shape: ArrayShape,
     map: PageMap,
-    allocs: FxHashMap<(u32, u32), FimmAllocator>,
-    blocks: FxHashMap<(u32, u32, BlockKey), BlockUse>,
+    /// Per global FIMM (`global cluster × fimms_per_cluster + fimm`),
+    /// created on the FIMM's first use; the vector grows to the highest
+    /// FIMM used.
+    allocs: Vec<Option<FimmAllocator>>,
+    blocks: BlockTable,
     /// GC candidates per FIMM, derived from `blocks` so [`Ftl::gc_pick`]
     /// never scans the whole table. A block only gains invalid pages
     /// until GC removes it, so membership changes only when a block
@@ -149,8 +288,8 @@ impl Ftl {
         Ftl {
             shape,
             map: PageMap::new(shape),
-            allocs: FxHashMap::default(),
-            blocks: FxHashMap::default(),
+            allocs: Vec::new(),
+            blocks: BlockTable::default(),
             victims: VictimIndex::default(),
             mapcache: None,
             gc_policy: GcPolicy::Greedy,
@@ -220,12 +359,14 @@ impl Ftl {
     }
 
     fn allocator(&mut self, cluster: ClusterId, fimm: u32) -> &mut FimmAllocator {
-        let key = (self.shape.topology.global_index(cluster), fimm);
+        let g = (self.shape.topology.global_index(cluster) * self.shape.fimms_per_cluster + fimm)
+            as usize;
+        if self.allocs.len() <= g {
+            self.allocs.resize_with(g + 1, || None);
+        }
         let packages = self.shape.packages_per_fimm;
         let flash = self.shape.flash;
-        self.allocs
-            .entry(key)
-            .or_insert_with(|| FimmAllocator::new(packages, flash))
+        self.allocs[g].get_or_insert_with(|| FimmAllocator::new(packages, flash))
     }
 
     fn write_internal(
@@ -262,44 +403,92 @@ impl Ftl {
         Ok(new_loc)
     }
 
-    /// The block-table key of the block holding `loc`.
-    fn block_of(&self, loc: PhysLoc) -> (u32, u32, BlockKey) {
+    /// The block-table die index of (`cluster`, `fimm`, `package`,
+    /// `die`), with `cluster` a global index; `None` outside the shape.
+    fn die_of(&self, cluster: u32, fimm: u32, package: u32, die: u32) -> Option<usize> {
+        let s = &self.shape;
+        let inside = cluster < s.topology.total_clusters()
+            && fimm < s.fimms_per_cluster
+            && package < s.packages_per_fimm
+            && die < s.flash.dies;
+        let fimm = (cluster * s.fimms_per_cluster + fimm) as usize;
+        inside.then(|| {
+            (fimm * s.packages_per_fimm as usize + package as usize) * s.flash.dies as usize
+                + die as usize
+        })
+    }
+
+    /// Where the block holding `loc` sits in the block table; `None`
+    /// outside the shape.
+    fn block_of(&self, loc: PhysLoc) -> Option<BlockRef> {
+        if loc.cluster.index >= self.shape.topology.clusters_per_switch {
+            return None;
+        }
+        let cluster = self.shape.topology.global_index(loc.cluster);
+        let die = self.die_of(cluster, loc.fimm, loc.addr.package, loc.addr.page.die)?;
+        Some((die, loc.addr.page.block))
+    }
+
+    /// The block-table reference of block `key` on (global `cluster`,
+    /// `fimm`); `None` outside the shape.
+    fn block_ref(&self, (cluster, fimm, key): (u32, u32, BlockKey)) -> Option<BlockRef> {
+        Some((self.die_of(cluster, fimm, key.0, key.1)?, key.2))
+    }
+
+    /// `(global cluster, fimm, block key)` of a block-table reference:
+    /// the inverse of [`Self::block_ref`].
+    fn block_key(&self, (die, block): BlockRef) -> (u32, u32, BlockKey) {
+        let s = &self.shape;
+        let (dies, packages) = (s.flash.dies as usize, s.packages_per_fimm as usize);
+        let fimm = (die / dies / packages) as u32;
+        let package = (die / dies % packages) as u32;
         (
-            self.shape.topology.global_index(loc.cluster),
-            loc.fimm,
-            (loc.addr.package, loc.addr.page.die, loc.addr.page.block),
+            fimm / s.fimms_per_cluster,
+            fimm % s.fimms_per_cluster,
+            (package, (die % dies) as u32, block),
         )
     }
 
     /// Records `lpn` as programmed at the freshly allocated `loc`,
     /// sealing the block when this was its last page.
     fn record_program(&mut self, lpn: LogicalPage, loc: PhysLoc) {
-        let gkey = self.block_of(loc);
+        let at = self
+            .block_of(loc)
+            .expect("the allocator hands out pages inside the shape");
         let pages = self.shape.flash.pages_per_block;
-        let entry = self.blocks.entry(gkey).or_default();
-        entry.programmed += 1;
-        entry.lpns.insert(loc.addr.page.page, lpn);
+        let entry = self.blocks.opened(at);
+        debug_assert_eq!(
+            loc.addr.page.page, entry.programmed,
+            "pages program in order"
+        );
+        entry.program(lpn);
         if entry.programmed == pages {
             self.seal_seq += 1;
             entry.sealed_seq = self.seal_seq;
             if entry.invalid() > 0 {
-                index_victim(&mut self.victims, gkey);
+                let key = self.block_key(at);
+                index_victim(&mut self.victims, key);
             }
         }
     }
 
     fn invalidate(&mut self, lpn: LogicalPage, old: PhysLoc) {
-        let gkey = self.block_of(old);
-        if let Some(b) = self.blocks.get_mut(&gkey) {
+        let Some(at) = self.block_of(old) else {
+            return;
+        };
+        let pages = self.shape.flash.pages_per_block;
+        if let Some(b) = self.blocks.get_mut(at) {
             // Only drop the entry when it records *this* LPN: a
             // never-written page's default-layout home can coincide with
             // a physical page the log allocator already handed to a
             // different LPN, and that page must stay live.
-            if b.lpns.get(&old.addr.page.page) == Some(&lpn) {
-                b.lpns.remove(&old.addr.page.page);
+            if b.invalidate(old.addr.page.page, lpn) {
                 self.stats.invalidations += 1;
-                if b.programmed == self.shape.flash.pages_per_block {
-                    index_victim(&mut self.victims, gkey);
+                // A sealed block joins the index with its first invalid
+                // page and stays until GC removes it.
+                if b.programmed == pages && b.invalid() == 1 {
+                    let key = self.block_key(at);
+                    index_victim(&mut self.victims, key);
                 }
             }
         }
@@ -440,18 +629,19 @@ impl Ftl {
     /// same page finds the first one listed there. It also checks (3)
     /// that every live block-table entry round-trips through the map.
     /// Together these prove no page was lost or duplicated by writes,
-    /// GC, migration, or fault rollback. Finally (4) the GC victim index
-    /// must list exactly the table's GC candidates.
+    /// GC, migration, or fault rollback. (4) The GC victim index must
+    /// list exactly the table's GC candidates, and (5) each block's own
+    /// bookkeeping must add up: its live count is its occupied page
+    /// slots, and no occupied slot lies past its programmed prefix.
     pub fn verify_integrity(&self) -> Result<(), IntegrityError> {
         for (lpn, loc) in self.map.remapped_entries() {
             if !self.shape.contains(loc) {
                 return Err(IntegrityError::OutOfRange { lpn, loc });
             }
             let listed = self
-                .blocks
-                .get(&self.block_of(loc))
-                .and_then(|b| b.lpns.get(&loc.addr.page.page))
-                .copied();
+                .block_of(loc)
+                .and_then(|at| self.blocks.get(at))
+                .and_then(|b| b.lpn_at(loc.addr.page.page));
             match listed {
                 Some(l) if l == lpn => {}
                 Some(first) if self.map.locate(first) == loc => {
@@ -467,9 +657,9 @@ impl Ftl {
         self.verify_block_tables()
     }
 
-    /// Checks (3) and (4) of [`Ftl::verify_integrity`]: block-table
-    /// entries round-trip through the map, and the victim index matches
-    /// the table.
+    /// Checks (3), (4) and (5) of [`Ftl::verify_integrity`]: block-table
+    /// entries add up and round-trip through the map, and the victim
+    /// index matches the table.
     fn verify_block_tables(&self) -> Result<(), IntegrityError> {
         let pages = self.shape.flash.pages_per_block;
         let index_error =
@@ -481,24 +671,40 @@ impl Ftl {
                 block: key.2,
                 indexed,
             };
-        for ((c, f, key), b) in &self.blocks {
+        for (at, b) in self.blocks.iter() {
+            let (c, f, key) = self.block_key(at);
+            let slots = b.lpns.len() as u32;
+            let occupied = b.lpns.iter().filter(|&&l| l != VACANT).count() as u32;
+            if b.live != occupied || slots > b.programmed {
+                return Err(IntegrityError::BlockCounts {
+                    cluster: c,
+                    fimm: f,
+                    package: key.0,
+                    die: key.1,
+                    block: key.2,
+                    programmed: b.programmed,
+                    live: b.live,
+                    slots,
+                    occupied,
+                });
+            }
             // Candidates missing from the index are caught here; listed
             // non-candidates by the walk over the index below.
             if b.is_gc_candidate(pages)
                 && !self
                     .victims
-                    .get(&(*c, *f))
-                    .is_some_and(|keys| keys.contains(key))
+                    .get(&(c, f))
+                    .is_some_and(|keys| keys.contains(&key))
             {
-                return Err(index_error((*c, *f, *key), false));
+                return Err(index_error((c, f, key), false));
             }
-            for (&pg, &lpn) in &b.lpns {
+            for (pg, lpn) in b.live_pages() {
                 let loc = self.map.locate(lpn);
-                if self.block_of(loc) != (*c, *f, *key) || loc.addr.page.page != pg {
+                if self.block_of(loc) != Some(at) || loc.addr.page.page != pg {
                     return Err(IntegrityError::StaleBlockEntry {
                         lpn,
-                        cluster: *c,
-                        fimm: *f,
+                        cluster: c,
+                        fimm: f,
                         package: key.0,
                         die: key.1,
                         block: key.2,
@@ -511,8 +717,8 @@ impl Ftl {
         for (&(c, f), keys) in &self.victims {
             for &key in keys {
                 let candidate = self
-                    .blocks
-                    .get(&(c, f, key))
+                    .block_ref((c, f, key))
+                    .and_then(|at| self.blocks.get(at))
                     .is_some_and(|b| b.is_gc_candidate(pages));
                 if !candidate {
                     return Err(index_error((c, f, key), true));
@@ -551,7 +757,12 @@ impl Ftl {
     fn forget_victim(&mut self, work: &GcWork) -> BlockKey {
         let gc = self.shape.topology.global_index(work.cluster);
         let key = (work.package, work.die, work.block);
-        self.blocks.remove(&(gc, work.fimm, key));
+        if let Some(b) = self
+            .block_ref((gc, work.fimm, key))
+            .and_then(|at| self.blocks.get_mut(at))
+        {
+            b.erase();
+        }
         if let Some(keys) = self.victims.get_mut(&(gc, work.fimm)) {
             keys.remove(&key);
         }
@@ -568,7 +779,7 @@ impl Ftl {
                 // benefit/cost x age: reclaimed space per copied page,
                 // scaled by how long ago the block sealed (older
                 // blocks are colder and safer to clean).
-                let valid = b.lpns.len() as u64;
+                let valid = b.live as u64;
                 let age = self.seal_seq.saturating_sub(b.sealed_seq) + 1;
                 invalid * 1_000 / (valid + 1) * age
             }
@@ -578,15 +789,13 @@ impl Ftl {
 
     /// The GC unit for victim `key`: its live pages in page order.
     fn gc_work(&self, cluster: ClusterId, fimm: u32, key: BlockKey, b: &BlockUse) -> GcWork {
-        let mut live: Vec<(u32, LogicalPage)> = b.lpns.iter().map(|(&pg, &l)| (pg, l)).collect();
-        live.sort_unstable_by_key(|&(pg, _)| pg);
         GcWork {
             cluster,
             fimm,
             package: key.0,
             die: key.1,
             block: key.2,
-            valid: live.into_iter().map(|(_, l)| l).collect(),
+            valid: b.live_pages().map(|(_, l)| l).collect(),
         }
     }
 
@@ -602,10 +811,21 @@ impl Ftl {
             .victims
             .get(&(gc, fimm))?
             .iter()
-            .map(|&key| (key, &self.blocks[&(gc, fimm, key)]))
-            // Tie-break on the block key: HashMap iteration order is not
-            // deterministic across processes, and replay determinism is a
-            // contract of the whole simulator.
+            .map(|&key| {
+                let at = self
+                    .block_ref((gc, fimm, key))
+                    .expect("indexed blocks lie in the shape");
+                (
+                    key,
+                    self.blocks
+                        .get(at)
+                        .expect("indexed blocks are in the table"),
+                )
+            })
+            // Tie-break on the block key: the victim set is hashed, so
+            // its iteration order is arbitrary, and the pick must not
+            // depend on it (replay determinism is a contract of the
+            // whole simulator).
             .max_by_key(|&(key, b)| (self.gc_score(b), Reverse(key)))?;
         Some(self.gc_work(cluster, fimm, key, b))
     }
@@ -623,24 +843,25 @@ impl Ftl {
     /// replay.
     pub fn rebuild_manifest(&self, cluster: ClusterId, fimm: u32) -> Vec<RebuildUnit> {
         let g = self.shape.topology.global_index(cluster);
-        let mut units: Vec<RebuildUnit> = self
-            .blocks
-            .iter()
-            .filter(|((c, f, _), b)| *c == g && *f == fimm && b.programmed > 0)
-            .map(|((_, _, key), b)| {
-                let mut live: Vec<u32> = b.lpns.keys().copied().collect();
-                live.sort_unstable();
+        let Some(first) = self.die_of(g, fimm, 0, 0) else {
+            return Vec::new();
+        };
+        // The FIMM's dies are adjacent in the table, in (package, die)
+        // order, so the walk yields the units already sorted.
+        let dies = (self.shape.packages_per_fimm * self.shape.flash.dies) as usize;
+        self.blocks
+            .programmed(first..first + dies)
+            .map(|(at, b)| {
+                let (_, _, key) = self.block_key(at);
                 RebuildUnit {
                     package: key.0,
                     die: key.1,
                     block: key.2,
                     programmed: b.programmed,
-                    live,
+                    live: b.live_pages().map(|(pg, _)| pg).collect(),
                 }
             })
-            .collect();
-        units.sort_unstable_by_key(|u| (u.package, u.die, u.block));
-        units
+            .collect()
     }
 
     /// Rewrites one live page out of a GC victim. Returns `Ok(None)` if
@@ -1117,6 +1338,34 @@ mod tests {
     }
 
     #[test]
+    fn verify_integrity_detects_block_count_drift() {
+        let mut f = ftl();
+        let lpn = LogicalPage(21);
+        let first = f.write_alloc(lpn, None).unwrap();
+        f.write_alloc(lpn, None).unwrap();
+        f.verify_integrity().unwrap();
+        let at = f.block_of(first).unwrap();
+        let counts = |f: &Ftl| {
+            matches!(
+                f.verify_integrity(),
+                Err(IntegrityError::BlockCounts { block, .. }) if block == first.addr.page.block
+            )
+        };
+        // Simulate an invalidation that forgot to count the page out...
+        let mut bad = f.clone();
+        bad.blocks.get_mut(at).unwrap().live += 1;
+        assert!(counts(&bad), "{:?}", bad.verify_integrity());
+        let msg = bad.verify_integrity().unwrap_err().to_string();
+        assert!(msg.contains("page slots hold an lpn"), "{msg}");
+        // ... and a table longer than the block's programmed prefix,
+        // though no slot holds an LPN.
+        let mut bad = f.clone();
+        let b = bad.blocks.get_mut(at).unwrap();
+        b.lpns.extend((0..=b.programmed).map(|_| VACANT));
+        assert!(counts(&bad), "{:?}", bad.verify_integrity());
+    }
+
+    #[test]
     fn gc_finish_failed_quarantines_instead_of_recycling() {
         let mut f = ftl();
         let home = f.locate(LogicalPage(0));
@@ -1137,8 +1386,7 @@ mod tests {
             "failed erase returns nothing to the pool"
         );
         assert_eq!(f.stats().gc_erases, 0);
-        let key = (f.shape.topology.global_index(work.cluster), work.fimm);
-        assert_eq!(f.allocs[&key].retired_blocks(), 1);
+        assert_eq!(f.allocator(work.cluster, work.fimm).retired_blocks(), 1);
         f.verify_integrity().unwrap();
         // The quarantined block is never handed out again: drain the
         // FIMM and check the bad block's pages never reappear.
@@ -1455,14 +1703,11 @@ mod tests {
 
         /// Derives the victim index from a block table: what the index
         /// maintained incrementally must equal.
-        fn victims_of(
-            blocks: &FxHashMap<(u32, u32, BlockKey), BlockUse>,
-            pages_per_block: u32,
-        ) -> VictimIndex {
+        fn victims_of(f: &Ftl) -> VictimIndex {
             let mut victims = VictimIndex::default();
-            for (&gkey, b) in blocks {
-                if b.is_gc_candidate(pages_per_block) {
-                    index_victim(&mut victims, gkey);
+            for (at, b) in f.blocks.iter() {
+                if b.is_gc_candidate(f.shape.flash.pages_per_block) {
+                    index_victim(&mut victims, f.block_key(at));
                 }
             }
             victims
@@ -1477,10 +1722,11 @@ mod tests {
             let pages = f.shape.flash.pages_per_block;
             f.blocks
                 .iter()
+                .map(|(at, b)| (f.block_key(at), b))
                 .filter(|((c, fi, _), b)| *c == gc && *fi == fimm && b.programmed == pages)
                 .filter(|(_, b)| b.invalid() > 0)
                 .max_by_key(|((_, _, key), b)| (f.gc_score(b), Reverse(*key)))
-                .map(|((_, _, key), b)| f.gc_work(cluster, fimm, *key, b))
+                .map(|((_, _, key), b)| f.gc_work(cluster, fimm, key, b))
         }
 
         pub(super) fn flatten(v: &VictimIndex) -> BTreeSet<(u32, u32, BlockKey)> {
@@ -1513,7 +1759,7 @@ mod tests {
         /// Hot logical pages the sequences overwrite.
         const WORKING_SET: u64 = 24;
 
-        fn fimm_at(f: &Ftl, i: u32) -> (ClusterId, u32) {
+        pub(super) fn fimm_at(f: &Ftl, i: u32) -> (ClusterId, u32) {
             let per = f.shape.fimms_per_cluster;
             let t = f.shape.topology;
             let n = t.total_clusters() * per;
@@ -1526,7 +1772,7 @@ mod tests {
                 let (c, fimm) = fimm_at(f, i);
                 prop_assert_eq!(f.gc_pick(c, fimm), gc_pick_scan(f, c, fimm));
             }
-            let rebuilt = victims_of(&f.blocks, f.shape.flash.pages_per_block);
+            let rebuilt = victims_of(f);
             prop_assert_eq!(flatten(&f.victims), flatten(&rebuilt));
             prop_assert_eq!(f.verify_integrity(), Ok(()));
         }
@@ -1656,7 +1902,10 @@ mod tests {
         fn clone_keys(f: &Ftl, clones: &[(LogicalPage, PhysLoc)]) -> BTreeSet<CloneKey> {
             clones
                 .iter()
-                .map(|&(lpn, loc)| (lpn.0, f.block_of(loc), loc.addr.page.page))
+                .map(|&(lpn, loc)| {
+                    let at = f.block_of(loc).expect("clones lie in the shape");
+                    (lpn.0, f.block_key(at), loc.addr.page.page)
+                })
                 .collect()
         }
 
@@ -1666,8 +1915,9 @@ mod tests {
         /// prepared clones not yet committed or aborted.
         fn open_clones(f: &Ftl) -> Vec<(LogicalPage, PhysLoc)> {
             let mut open = Vec::new();
-            for (&(c, fimm, (package, die, block)), b) in &f.blocks {
-                for (&page, &lpn) in &b.lpns {
+            for (at, b) in f.blocks.iter() {
+                let (c, fimm, (package, die, block)) = f.block_key(at);
+                for (page, lpn) in b.live_pages() {
                     let loc = PhysLoc {
                         cluster: f.shape.topology.cluster_from_global(c),
                         fimm,
@@ -1698,9 +1948,15 @@ mod tests {
             prop_assert_eq!(a.map.total_remaps(), b.map.total_remaps());
             prop_assert!(a.blocks == b.blocks, "block tables differ");
             let pristine = FimmAllocator::new(a.shape.packages_per_fimm, a.shape.flash);
-            for key in a.allocs.keys().chain(b.allocs.keys()) {
-                let side = |f: &Ftl| f.allocs.get(key).unwrap_or(&pristine).clone();
-                prop_assert!(side(a) == side(b), "allocators of {:?} differ", key);
+            for g in 0..a.allocs.len().max(b.allocs.len()) {
+                let side = |f: &Ftl| {
+                    f.allocs
+                        .get(g)
+                        .cloned()
+                        .flatten()
+                        .unwrap_or(pristine.clone())
+                };
+                prop_assert!(side(a) == side(b), "allocators of global fimm {} differ", g);
             }
             prop_assert_eq!(flatten(&a.victims), flatten(&b.victims));
             prop_assert_eq!(a.seal_seq, b.seal_seq);
@@ -1819,22 +2075,18 @@ mod tests {
                     });
                 }
                 let listed = f
-                    .blocks
-                    .get(&f.block_of(loc))
-                    .and_then(|b| b.lpns.get(&loc.addr.page.page));
-                if listed != Some(&lpn) {
-                    return Err(IntegrityError::LostPage {
-                        lpn,
-                        loc,
-                        listed: listed.copied(),
-                    });
+                    .block_of(loc)
+                    .and_then(|at| f.blocks.get(at))
+                    .and_then(|b| b.lpn_at(loc.addr.page.page));
+                if listed != Some(lpn) {
+                    return Err(IntegrityError::LostPage { lpn, loc, listed });
                 }
             }
             f.verify_block_tables()
         }
 
         /// Corruption kinds [`corrupt`] knows.
-        const KINDS: u32 = 6;
+        const KINDS: u32 = 8;
 
         /// Breaks one piece of `f`'s metadata the way a buggy
         /// maintenance site would, addressing LPNs `a` and `b`.
@@ -1863,6 +2115,20 @@ mod tests {
                 5 => {
                     let fimm = f.shape.fimms_per_cluster;
                     f.map.remap(a, PhysLoc { fimm, ..loc });
+                }
+                // `a`'s block miscounts its live pages.
+                6 => {
+                    if let Some(blk) = f.block_of(loc).and_then(|at| f.blocks.get_mut(at)) {
+                        blk.live ^= 1;
+                    }
+                }
+                // `a`'s block holds more slots than it programmed pages.
+                7 => {
+                    if let Some(blk) = f.block_of(loc).and_then(|at| f.blocks.get_mut(at)) {
+                        blk.lpns.push_front(b);
+                        blk.live += 1;
+                        blk.programmed = blk.lpns.len() as u32 - 1;
+                    }
                 }
                 _ => {}
             }
@@ -1901,6 +2167,7 @@ mod tests {
                 IntegrityError::LostPage { .. } => "LostPage",
                 IntegrityError::StaleBlockEntry { .. } => "StaleBlockEntry",
                 IntegrityError::VictimIndex { .. } => "VictimIndex",
+                IntegrityError::BlockCounts { .. } => "BlockCounts",
             }
         }
 
@@ -1921,7 +2188,7 @@ mod tests {
                     variant(&f.verify_integrity().unwrap_err())
                 })
                 .collect();
-            assert_eq!(reached.len(), 5, "{reached:?}");
+            assert_eq!(reached.len(), 6, "{reached:?}");
         }
 
         proptest! {
@@ -1945,6 +2212,121 @@ mod tests {
                 agree(&f);
                 corrupt(&mut f, kind, LogicalPage(a), LogicalPage(b));
                 agree(&f);
+            }
+        }
+    }
+
+    /// The dense block table's walks come out in the order the sorts
+    /// they replaced produced, and its equality ignores how far its
+    /// vectors grew.
+    mod dense_tables {
+        use super::victim_index::{apply, fimm_at, ops, tiny_shape, Harness};
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A GC unit lists its victim's live pages in ascending page
+        /// order: each LPN sits at a later slot than the one before, and
+        /// there is one per live page.
+        fn check_gc_work(f: &Ftl, work: &GcWork) {
+            let gc = f.shape.topology.global_index(work.cluster);
+            let key = (work.package, work.die, work.block);
+            let b = f
+                .block_ref((gc, work.fimm, key))
+                .and_then(|at| f.blocks.get(at))
+                .expect("the victim is in the table");
+            let mut from = 0;
+            for &lpn in &work.valid {
+                let at = (from..b.programmed).find(|&pg| b.lpn_at(pg) == Some(lpn));
+                prop_assert!(at.is_some(), "lpn {} out of page order", lpn.0);
+                from = at.unwrap() + 1;
+            }
+            prop_assert_eq!(work.valid.len() as u32, b.live);
+        }
+
+        /// A rebuild manifest lists every programmed block of the FIMM
+        /// once, sorted by (package, die, block), each with its live
+        /// offsets ascending inside its programmed prefix.
+        fn check_manifest(f: &Ftl, cluster: ClusterId, fimm: u32) {
+            let units = f.rebuild_manifest(cluster, fimm);
+            let keys: Vec<BlockKey> = units.iter().map(|u| (u.package, u.die, u.block)).collect();
+            prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "{:?}", keys);
+            let gc = f.shape.topology.global_index(cluster);
+            let programmed = f
+                .blocks
+                .iter()
+                .filter(|&(at, _)| {
+                    let (c, fi, _) = f.block_key(at);
+                    (c, fi) == (gc, fimm)
+                })
+                .count();
+            prop_assert_eq!(units.len(), programmed);
+            for u in &units {
+                prop_assert!(u.live.windows(2).all(|w| w[0] < w[1]), "{:?}", u);
+                prop_assert!(u.live.last().is_none_or(|&pg| pg < u.programmed), "{:?}", u);
+            }
+        }
+
+        struct Walks;
+
+        impl Harness for Walks {
+            fn settle(&mut self, f: &Ftl) {
+                let n = f.shape.topology.total_clusters() * f.shape.fimms_per_cluster;
+                for i in 0..n {
+                    let (c, fimm) = fimm_at(f, i);
+                    if let Some(work) = f.gc_pick(c, fimm) {
+                        check_gc_work(f, &work);
+                    }
+                    check_manifest(f, c, fimm);
+                }
+            }
+
+            /// The recovered table equals its checkpoint's, and still
+            /// does once a copy has grown past every programmed block.
+            fn cut(&mut self, f: &mut Ftl) {
+                f.power_loss().expect("journal replay reproduces the state");
+                let durable = &f.journal.as_ref().unwrap().checkpoint.ftl.blocks;
+                prop_assert!(f.blocks == *durable, "recovered table differs");
+                let mut grown = durable.clone();
+                let dies = grown.dies.len();
+                grown.opened((dies + 2, 3));
+                grown.opened((0, f.shape.flash.blocks_per_plane * 2));
+                prop_assert!(f.blocks == grown, "growth alone changed the table");
+            }
+        }
+
+        #[test]
+        fn block_table_equality_counts_only_programmed_blocks() {
+            let mut f = Ftl::new(tiny_shape());
+            for i in 0..12 {
+                f.write_alloc(LogicalPage(i % 5), None).unwrap();
+            }
+            let mut grown = f.blocks.clone();
+            grown.opened((grown.dies.len() + 1, 0));
+            assert!(grown == f.blocks, "an unprogrammed entry is no block");
+            let (at, _) = f.blocks.iter().next().expect("a programmed block");
+            let mut changed = f.blocks.clone();
+            changed.get_mut(at).unwrap().sealed_seq += 1;
+            assert!(changed != f.blocks, "a programmed block's fields count");
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 48 })]
+
+            /// Over random write, overwrite, GC, aborted-migration and
+            /// power-loss sequences: GC units and rebuild manifests come
+            /// out in page and block order after every FTL call, and
+            /// every recovered table equals its checkpoint's.
+            #[test]
+            fn walks_stay_ordered_and_recovery_matches_the_checkpoint(
+                ops in ops(),
+                flush_every in 1u32..8,
+                checkpoint_every in 1u32..64,
+            ) {
+                let mut f = Ftl::new(tiny_shape());
+                f.enable_journal(JournalConfig { flush_every, checkpoint_every });
+                for &op in &ops {
+                    apply(&mut f, op, &mut Walks);
+                }
             }
         }
     }

@@ -7,10 +7,13 @@
 //! word, identical results on every platform and every run.
 //!
 //! Determinism note: swapping the hasher changes *iteration order* of
-//! maps. Every hot map in the workspace was audited before adopting
-//! these aliases — each is either never iterated, or its consumers
-//! sort/tie-break before order can leak into simulated outcomes (see
-//! `DESIGN.md`, "Hot-path architecture").
+//! maps. Every map in the workspace that uses these aliases was audited
+//! before adopting them — each is either never iterated, or its
+//! consumers sort/tie-break before order can leak into simulated
+//! outcomes (see `DESIGN.md`, "Hot-path architecture"). Tables keyed by
+//! a dense position (the FTL's block and allocator tables, a package's
+//! next-page pointers) are vectors indexed by that position instead,
+//! so no hash order reaches their walks at all.
 //!
 //! # Example
 //!

@@ -98,8 +98,7 @@ pub fn spec(scale: Scale) -> Experiment {
                 ..FaultConfig::default()
             })
             .tune(|c| {
-                c.faults = c
-                    .faults
+                c.faults = std::mem::take(&mut c.faults)
                     .with_fimm_event(FimmFaultEvent {
                         cluster: 0,
                         fimm: 0,

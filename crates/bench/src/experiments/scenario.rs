@@ -258,32 +258,23 @@ pub fn hotspot_drift(scale: Scale) -> Experiment {
     e
 }
 
-/// Schedules a module death and a slowdown at the given phase starts
-/// through the non-panicking [`FaultConfig::try_with_fimm_event`] hook —
-/// the path scenario drivers use because a generated storm can exceed
-/// the bounded schedule.
+/// Schedules a module death and a slowdown at the given phase starts,
+/// and a power cut at `cut_ns`.
 fn storm_faults(starts: &[u64], cut_ns: u64) -> FaultConfig {
-    let mut fc = FaultConfig::default().with_power_loss(PowerLossEvent::at(cut_ns));
-    let events = [
-        FimmFaultEvent {
+    FaultConfig::default()
+        .with_power_loss(PowerLossEvent::at(cut_ns))
+        .with_fimm_event(FimmFaultEvent {
             cluster: 0,
             fimm: 0,
             at_ns: starts.get(1).copied().unwrap_or(1).max(1),
             kind: FimmFaultKind::Dead,
-        },
-        FimmFaultEvent {
+        })
+        .with_fimm_event(FimmFaultEvent {
             cluster: 1,
             fimm: 1,
             at_ns: starts.get(2).copied().unwrap_or(2).max(1),
             kind: FimmFaultKind::Slowdown(4),
-        },
-    ];
-    for ev in events {
-        fc = fc
-            .try_with_fimm_event(ev)
-            .expect("two events fit the fault schedule");
-    }
-    fc
+        })
 }
 
 /// `scenario_failure_storm_mix`: power cuts and module faults aimed at

@@ -386,7 +386,7 @@ impl Array {
                 }
             }
         }
-        for ev in fc.fimm_events.iter().flatten() {
+        for ev in &fc.fimm_events {
             // Events addressing hardware outside the array are skipped,
             // not panicked on: the builder validates user input, and a
             // fault plan is itself a fallible input, not an invariant.

@@ -51,8 +51,8 @@ impl Engine {
                 .push(SimTime::from_nanos(pl.at_ns), Ev::PowerLoss);
         }
         let mut spares = self.cfg.hot_spares;
-        let events = self.cfg.faults.fimm_events;
-        for ev in events.iter().flatten() {
+        let events = self.cfg.faults.fimm_events.clone();
+        for ev in &events {
             if spares == 0 {
                 break;
             }

@@ -5,7 +5,7 @@
 //! [`AutonomicState::pick_cold_sibling`]; the event-loop integration is
 //! in [`crate::array`].
 
-use triplea_sim::{FxHashMap, FxHashSet};
+use triplea_sim::FxHashSet;
 
 use triplea_pcie::{ClusterId, Topology};
 use triplea_sim::{Nanos, SimTime, SplitMix64};
@@ -61,21 +61,24 @@ impl std::fmt::Display for AutonomicStats {
 
 /// Mutable state of the autonomic manager during a run.
 ///
-/// Iteration-order audit (these maps use the deterministic-but-
-/// arbitrary-order [`FxHashMap`]/[`FxHashSet`]): all three collections
-/// are accessed strictly by key — `insert`/`remove`/`get`/`len` — and
+/// Iteration-order audit: the in-flight set is the one hashed table (a
+/// deterministic-but-arbitrary-order [`FxHashSet`] keyed by LPN). It is
+/// accessed strictly by key — `insert`/`remove`/`len` — and cleared,
 /// never iterated, so no simulated decision can depend on hasher
-/// internals. Candidate scans (`pick_cold_sibling`) walk the topology's
-/// ordered sibling list, not a map.
+/// internals. The debounce clocks are vectors indexed by position, and
+/// candidate scans (`pick_cold_sibling`) walk the topology's ordered
+/// sibling list.
 #[derive(Clone, Debug)]
 pub struct AutonomicState {
     params: AutonomicParams,
     /// Pages currently being migrated/reshaped (suppress duplicates).
     inflight: FxHashSet<u64>,
-    /// Per-(cluster, fimm) last laggard detection, for debouncing.
-    last_laggard: FxHashMap<(u32, u32), SimTime>,
-    /// Per-cluster last escalation, for debouncing.
-    last_escalation: FxHashMap<u32, SimTime>,
+    /// Last laggard detection per FIMM, indexed by global cluster then
+    /// FIMM, for debouncing; both levels grow on the first detection.
+    last_laggard: Vec<Vec<Option<SimTime>>>,
+    /// Last escalation per global cluster, for debouncing; grows on the
+    /// first escalation.
+    last_escalation: Vec<Option<SimTime>>,
     rng: SplitMix64,
     /// Counters reported at the end of the run.
     pub stats: AutonomicStats,
@@ -87,8 +90,8 @@ impl AutonomicState {
         AutonomicState {
             params,
             inflight: FxHashSet::default(),
-            last_laggard: FxHashMap::default(),
-            last_escalation: FxHashMap::default(),
+            last_laggard: Vec::new(),
+            last_escalation: Vec::new(),
             rng: SplitMix64::new(seed),
             stats: AutonomicStats::default(),
         }
@@ -195,13 +198,13 @@ impl AutonomicState {
         now: SimTime,
         cooldown_ns: Nanos,
     ) -> bool {
-        let key = (cluster, fimm);
-        if let Some(&last) = self.last_laggard.get(&key) {
-            if now.saturating_since(last) < cooldown_ns {
-                return false;
-            }
+        let cluster = cluster as usize;
+        if self.last_laggard.len() <= cluster {
+            self.last_laggard.resize_with(cluster + 1, Vec::new);
         }
-        self.last_laggard.insert(key, now);
+        if !debounce(&mut self.last_laggard[cluster], fimm, now, cooldown_ns) {
+            return false;
+        }
         self.stats.laggard_detections += 1;
         true
     }
@@ -219,15 +222,32 @@ impl AutonomicState {
         now: SimTime,
         cooldown_ns: Nanos,
     ) -> bool {
-        if let Some(&last) = self.last_escalation.get(&cluster) {
-            if now.saturating_since(last) < cooldown_ns {
-                return false;
-            }
+        if !debounce(&mut self.last_escalation, cluster, now, cooldown_ns) {
+            return false;
         }
-        self.last_escalation.insert(cluster, now);
         self.stats.escalations += 1;
         true
     }
+}
+
+/// Restarts debounce clock `slot` of `clocks` at `now` and returns `true`,
+/// unless it last fired less than `cooldown_ns` ago. `clocks` grows to
+/// `slot`; a clock that never fired is `None`.
+fn debounce(
+    clocks: &mut Vec<Option<SimTime>>,
+    slot: u32,
+    now: SimTime,
+    cooldown_ns: Nanos,
+) -> bool {
+    let slot = slot as usize;
+    if clocks.len() <= slot {
+        clocks.resize(slot + 1, None);
+    }
+    if clocks[slot].is_some_and(|last| now.saturating_since(last) < cooldown_ns) {
+        return false;
+    }
+    clocks[slot] = Some(now);
+    true
 }
 
 #[cfg(test)]

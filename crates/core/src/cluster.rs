@@ -82,10 +82,7 @@ impl ClusterState {
     /// Total erase operations performed on this cluster's flash — the
     /// §6.7 global wear view the management module keeps per cluster.
     pub fn total_erases(&self) -> u64 {
-        self.fimms
-            .iter()
-            .map(|f| f.wear_report().total_erases)
-            .sum()
+        self.fimms.iter().map(Fimm::total_erases).sum()
     }
 
     /// Outstanding *host read* pages on one FIMM — the "stalled I/O

@@ -132,11 +132,6 @@ impl Default for AutonomicParams {
     }
 }
 
-/// Maximum number of scheduled whole-FIMM fault events per run.
-///
-/// Bounded (rather than a `Vec`) so [`FaultConfig`] stays `Copy`.
-pub const MAX_FIMM_FAULT_EVENTS: usize = 8;
-
 /// A scheduled whole-module fault: at `at_ns`, the named FIMM dies or
 /// becomes a laggard (paper §4.2's "worn-out or broken flash" scenario).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -201,14 +196,15 @@ impl PowerLossEvent {
 /// events. A quiet config consumes no randomness and leaves every
 /// simulated timing untouched, so fault-free runs are bit-identical to
 /// builds that predate fault injection.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultConfig {
     /// Per-command NAND fault probabilities, applied to every package.
     pub flash: FlashFaultProfile,
     /// TLP-corruption injection, applied to every switch link direction.
     pub pcie: PcieFaultProfile,
-    /// Scheduled whole-FIMM failures/slowdowns.
-    pub fimm_events: [Option<FimmFaultEvent>; MAX_FIMM_FAULT_EVENTS],
+    /// Scheduled whole-FIMM failures/slowdowns, in the order they were
+    /// added.
+    pub fimm_events: Vec<FimmFaultEvent>,
     /// Scheduled whole-array power cut (at most one per run).
     pub power_loss: Option<PowerLossEvent>,
     /// Master seed; per-package and per-link RNG streams derive from it,
@@ -221,7 +217,7 @@ impl FaultConfig {
     pub fn is_quiet(&self) -> bool {
         self.flash.is_quiet()
             && self.pcie.is_quiet()
-            && self.fimm_events.iter().all(|e| e.is_none())
+            && self.fimm_events.is_empty()
             && self.power_loss.is_none()
     }
 
@@ -231,61 +227,12 @@ impl FaultConfig {
         self
     }
 
-    /// Adds a scheduled FIMM fault in the first free slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if all [`MAX_FIMM_FAULT_EVENTS`] slots are taken.
+    /// Adds a scheduled FIMM fault after those already scheduled.
     pub fn with_fimm_event(mut self, ev: FimmFaultEvent) -> Self {
-        let slot = self
-            .fimm_events
-            .iter()
-            .position(|e| e.is_none())
-            .expect("no free FIMM fault-event slot");
-        self.fimm_events[slot] = Some(ev);
+        self.fimm_events.push(ev);
         self
     }
-
-    /// Adds a scheduled FIMM fault in the first free slot, or reports
-    /// [`FaultScheduleFull`] when all [`MAX_FIMM_FAULT_EVENTS`] slots
-    /// are taken — the non-panicking hook scenario drivers use when a
-    /// generated failure storm may exceed the schedule's capacity.
-    pub fn try_with_fimm_event(mut self, ev: FimmFaultEvent) -> Result<Self, FaultScheduleFull> {
-        match self.fimm_events.iter().position(|e| e.is_none()) {
-            Some(slot) => {
-                self.fimm_events[slot] = Some(ev);
-                Ok(self)
-            }
-            None => Err(FaultScheduleFull { dropped: ev }),
-        }
-    }
-
-    /// Number of FIMM fault-event slots still free.
-    pub fn free_fimm_event_slots(&self) -> usize {
-        self.fimm_events.iter().filter(|e| e.is_none()).count()
-    }
 }
-
-/// Error from [`FaultConfig::try_with_fimm_event`]: every one of the
-/// [`MAX_FIMM_FAULT_EVENTS`] schedule slots is already occupied.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FaultScheduleFull {
-    /// The event that could not be scheduled.
-    pub dropped: FimmFaultEvent,
-}
-
-impl std::fmt::Display for FaultScheduleFull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "FIMM fault schedule full ({MAX_FIMM_FAULT_EVENTS} slots): dropped event at {} ns \
-             for cluster {} fimm {}",
-            self.dropped.at_ns, self.dropped.cluster, self.dropped.fimm
-        )
-    }
-}
-
-impl std::error::Error for FaultScheduleFull {}
 
 /// A validation failure for an [`ArrayConfig`] under construction.
 ///
@@ -553,7 +500,7 @@ impl ArrayConfig {
     /// probabilities, fault events, migration extent).
     pub fn validate(&self) -> Result<(), ConfigError> {
         let flash = &self.shape.flash;
-        let dims: [(&'static str, u64); 10] = [
+        let dims: [(&'static str, u64); 11] = [
             ("topology.switches", self.shape.topology.switches as u64),
             (
                 "topology.clusters_per_switch",
@@ -565,6 +512,7 @@ impl ArrayConfig {
             ("flash.planes", flash.planes as u64),
             ("flash.blocks_per_plane", flash.blocks_per_plane as u64),
             ("flash.pages_per_block", flash.pages_per_block as u64),
+            ("flash.endurance", flash.endurance as u64),
             ("pcie.lanes", self.pcie.lanes as u64),
             ("write_buffer_pages", self.write_buffer_pages as u64),
         ];
@@ -624,14 +572,12 @@ impl ArrayConfig {
         }
         let total_clusters = self.shape.topology.total_clusters();
         for (index, ev) in self.faults.fimm_events.iter().enumerate() {
-            if let Some(ev) = ev {
-                if ev.cluster >= total_clusters || ev.fimm >= self.shape.fimms_per_cluster {
-                    return Err(ConfigError::FaultEventOutOfRange {
-                        index,
-                        cluster: ev.cluster,
-                        fimm: ev.fimm,
-                    });
-                }
+            if ev.cluster >= total_clusters || ev.fimm >= self.shape.fimms_per_cluster {
+                return Err(ConfigError::FaultEventOutOfRange {
+                    index,
+                    cluster: ev.cluster,
+                    fimm: ev.fimm,
+                });
             }
         }
         if self.autonomic.migration_extent_pages == 0
@@ -826,7 +772,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_events_fill_free_slots() {
+    fn fault_events_keep_their_order() {
         let ev = FimmFaultEvent {
             cluster: 0,
             fimm: 1,
@@ -841,44 +787,9 @@ mod tests {
                 ..ev
             });
         assert!(!fc.is_quiet());
-        assert_eq!(fc.fimm_events[0], Some(ev));
-        assert_eq!(fc.fimm_events[1].unwrap().fimm, 2);
-        assert!(fc.fimm_events[2].is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "no free FIMM fault-event slot")]
-    fn fault_event_slots_are_bounded() {
-        let ev = FimmFaultEvent {
-            cluster: 0,
-            fimm: 0,
-            at_ns: 0,
-            kind: FimmFaultKind::Dead,
-        };
-        let mut fc = FaultConfig::default();
-        for _ in 0..=MAX_FIMM_FAULT_EVENTS {
-            fc = fc.with_fimm_event(ev);
-        }
-    }
-
-    #[test]
-    fn try_with_fimm_event_reports_full_schedule_instead_of_panicking() {
-        let ev = FimmFaultEvent {
-            cluster: 1,
-            fimm: 0,
-            at_ns: 1_000,
-            kind: FimmFaultKind::Dead,
-        };
-        let mut fc = FaultConfig::default();
-        for i in 0..MAX_FIMM_FAULT_EVENTS {
-            assert_eq!(fc.free_fimm_event_slots(), MAX_FIMM_FAULT_EVENTS - i);
-            fc = fc.try_with_fimm_event(ev).unwrap();
-        }
-        assert_eq!(fc.free_fimm_event_slots(), 0);
-        let err = fc.try_with_fimm_event(ev).unwrap_err();
-        assert_eq!(err.dropped, ev);
-        assert!(err.to_string().contains("schedule full"), "{err}");
-        assert!(fc.fimm_events.iter().all(|e| e.is_some()));
+        assert_eq!(fc.fimm_events[0], ev);
+        assert_eq!(fc.fimm_events[1].fimm, 2);
+        assert_eq!(fc.fimm_events.len(), 2);
     }
 
     #[test]
@@ -915,6 +826,7 @@ mod tests {
             "flash.planes",
             "flash.blocks_per_plane",
             "flash.pages_per_block",
+            "flash.endurance",
         ] {
             let err = ArrayConfig::small_builder()
                 .tune(|c| {
@@ -922,7 +834,8 @@ mod tests {
                     *match field {
                         "flash.planes" => &mut g.planes,
                         "flash.blocks_per_plane" => &mut g.blocks_per_plane,
-                        _ => &mut g.pages_per_block,
+                        "flash.pages_per_block" => &mut g.pages_per_block,
+                        _ => &mut g.endurance,
                     } = 0;
                 })
                 .build()

@@ -100,7 +100,7 @@ impl Federation {
                 // engine uses per FIMM.
                 ac.seed ^= (i as u64 + 1).wrapping_mul(GOLDEN);
                 if let Some((_, faults)) = fault_overrides.iter().find(|(a, _)| *a == i) {
-                    ac.faults = *faults;
+                    ac.faults = faults.clone();
                 }
                 Array::new(ac, mode).into_runner()
             })

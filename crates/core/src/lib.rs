@@ -55,11 +55,10 @@ mod tenant;
 pub use array::{Array, ArrayBuilder, ArrayRunner, Finished, VerifiedRun};
 pub use autonomic::{AutonomicState, AutonomicStats};
 pub use config::{
-    ArrayConfig, ArrayConfigBuilder, AutonomicParams, ConfigError, FaultConfig, FaultScheduleFull,
-    FimmFaultEvent, LaggardStrategy, ManagementMode, PowerLossEvent, COLD_BUS_THRESHOLD,
-    ESCALATION_COOLDOWN_NS, LAGGARD_COOLDOWN_NS, LAGGARD_IMBALANCE, MAX_ARRIVAL_NS,
-    MAX_FIMM_FAULT_EVENTS, MAX_INFLIGHT_RELOC_PAGES, MAX_TENANTS, REMOUNT_BASE_NS,
-    REPLAY_NS_PER_RECORD, SLA_NS,
+    ArrayConfig, ArrayConfigBuilder, AutonomicParams, ConfigError, FaultConfig, FimmFaultEvent,
+    LaggardStrategy, ManagementMode, PowerLossEvent, COLD_BUS_THRESHOLD, ESCALATION_COOLDOWN_NS,
+    LAGGARD_COOLDOWN_NS, LAGGARD_IMBALANCE, MAX_ARRIVAL_NS, MAX_INFLIGHT_RELOC_PAGES, MAX_TENANTS,
+    REMOUNT_BASE_NS, REPLAY_NS_PER_RECORD, SLA_NS,
 };
 pub use federation::{
     ChunkPlacement, Federation, FederationBuilder, FederationError, FederationReport,

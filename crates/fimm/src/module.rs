@@ -238,6 +238,12 @@ impl Fimm {
         s
     }
 
+    /// Erases performed across packages, summed from each package's
+    /// running count.
+    pub fn total_erases(&self) -> u64 {
+        self.packages.iter().map(Package::total_erases).sum()
+    }
+
     /// Aggregated wear report across packages.
     pub fn wear_report(&self) -> WearReport {
         let mut acc = WearReport::default();
@@ -315,6 +321,7 @@ mod tests {
         let s = f.stats();
         assert_eq!((s.reads, s.programs, s.erases), (1, 1, 1));
         assert_eq!(f.wear_report().total_erases, 1);
+        assert_eq!(f.total_erases(), 1);
     }
 
     #[test]

@@ -84,12 +84,6 @@ impl FlashGeometry {
         }
         Ok(())
     }
-
-    /// Package-wide block index of an address (for wear bookkeeping).
-    pub fn block_index(&self, addr: PageAddr) -> u64 {
-        let blocks_per_die = (self.blocks_per_plane * self.planes) as u64;
-        addr.die as u64 * blocks_per_die + addr.block as u64
-    }
 }
 
 /// Physical address of one page inside a package.

@@ -41,4 +41,4 @@ pub use fault::{FlashFaultProfile, PackageFaultStats};
 pub use geometry::{FlashGeometry, PageAddr};
 pub use package::{OpTiming, Package, PackageStats};
 pub use timing::{FlashTiming, OnfiTiming};
-pub use wear::{WearReport, WearTracker};
+pub use wear::WearReport;

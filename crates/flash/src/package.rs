@@ -6,9 +6,9 @@ use triplea_sim::{FifoResource, Nanos, SimTime, SplitMix64};
 use crate::command::{CmdMode, FlashCommand, OpKind};
 use crate::error::FlashError;
 use crate::fault::{FlashFaultProfile, PackageFaultStats};
-use crate::geometry::FlashGeometry;
+use crate::geometry::{FlashGeometry, PageAddr};
 use crate::timing::FlashTiming;
-use crate::wear::{WearReport, WearTracker};
+use crate::wear::WearReport;
 
 /// Timing outcome of a flash operation accepted by a package.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,6 +21,20 @@ pub struct OpTiming {
     /// Longest time any involved die was awaited — the package-level
     /// component of the paper's *storage contention*.
     pub die_wait: Nanos,
+}
+
+/// The program pointer of a grown bad block. A program or erase failure
+/// retires the block, and a retired block is never programmed again, so
+/// its next page has no other use.
+const GROWN_BAD: u32 = u32::MAX;
+
+/// One block's NAND state.
+#[derive(Clone, Copy, Debug, Default)]
+struct BlockState {
+    /// The next page to program, or [`GROWN_BAD`].
+    next_page: u32,
+    /// Erases performed: P/E cycles consumed.
+    erases: u32,
 }
 
 /// Operation counters for one package.
@@ -45,12 +59,14 @@ pub struct Package {
     geom: FlashGeometry,
     timing: FlashTiming,
     dies: Vec<FifoResource>,
-    /// Per die, the next page to program in each die-local block, up to
-    /// the highest block programmed or erased; a block past the end has
-    /// programmed nothing. Empty until the first program or erase, so a
-    /// package that only serves reads allocates none.
-    next_page: Vec<Vec<u32>>,
-    wear: WearTracker,
+    /// Per die, the state of each die-local block, up to the highest
+    /// block programmed, erased or failed; a block past the end is
+    /// erased, unworn and good. Empty until the first program or erase,
+    /// so a package that only serves reads allocates none.
+    blocks: Vec<Vec<BlockState>>,
+    /// Erases across all blocks, kept as they happen for
+    /// [`Package::total_erases`].
+    total_erases: u64,
     stats: PackageStats,
     faults: FlashFaultProfile,
     fault_rng: SplitMix64,
@@ -67,8 +83,8 @@ impl Package {
             geom,
             timing,
             dies: (0..geom.dies).map(|_| FifoResource::new("die")).collect(),
-            next_page: Vec::new(),
-            wear: WearTracker::new(geom.endurance),
+            blocks: Vec::new(),
+            total_erases: 0,
             stats: PackageStats::default(),
             faults: FlashFaultProfile::default(),
             fault_rng: SplitMix64::new(0),
@@ -101,11 +117,6 @@ impl Package {
         self.fault_stats
     }
 
-    /// Retired blocks (worn out and grown bad), ascending.
-    pub fn retired_blocks(&self) -> Vec<u64> {
-        self.wear.retired_blocks()
-    }
-
     /// The package geometry.
     pub fn geometry(&self) -> &FlashGeometry {
         &self.geom
@@ -116,9 +127,67 @@ impl Package {
         self.stats
     }
 
+    /// Erases performed so far: the §6.7 wear figure the management
+    /// module compares clusters by.
+    pub fn total_erases(&self) -> u64 {
+        self.total_erases
+    }
+
     /// Wear snapshot.
     pub fn wear_report(&self) -> WearReport {
-        self.wear.report()
+        let mut r = WearReport {
+            total_erases: self.total_erases,
+            endurance: self.geom.endurance,
+            ..WearReport::default()
+        };
+        for &b in self.blocks.iter().flatten() {
+            if b.erases > 0 {
+                r.touched_blocks += 1;
+                r.max_erase_count = r.max_erase_count.max(b.erases);
+            }
+            r.retired_blocks += u64::from(self.is_retired(b));
+        }
+        if r.touched_blocks > 0 {
+            r.mean_erase_count = r.total_erases as f64 / r.touched_blocks as f64;
+        }
+        r
+    }
+
+    /// The state of the block holding `t`.
+    fn block(&self, t: PageAddr) -> BlockState {
+        self.blocks
+            .get(t.die as usize)
+            .and_then(|d| d.get(t.block as usize))
+            .copied()
+            .unwrap_or_default()
+    }
+
+    /// The state of the block holding `t`, grown into the table.
+    fn block_mut(&mut self, t: PageAddr) -> &mut BlockState {
+        if self.blocks.is_empty() {
+            self.blocks = vec![Vec::new(); self.geom.dies as usize];
+        }
+        let blocks = &mut self.blocks[t.die as usize];
+        let block = t.block as usize;
+        if blocks.len() <= block {
+            blocks.resize(block + 1, BlockState::default());
+        }
+        &mut blocks[block]
+    }
+
+    /// `true` once a block reached its endurance limit or grew bad.
+    /// Retirement stops program and erase; the stored charge is still
+    /// readable, which is what lets live data be copied off a grown bad
+    /// block.
+    fn is_retired(&self, b: BlockState) -> bool {
+        b.next_page == GROWN_BAD || b.erases >= self.geom.endurance
+    }
+
+    /// Retires `t`'s block as a grown bad block after a hardware program
+    /// or erase failure, whatever its erase count.
+    fn grow_bad(&mut self, t: PageAddr) {
+        self.block_mut(t).next_page = GROWN_BAD;
+        self.fault_stats.blocks_force_retired += 1;
     }
 
     /// Validates and accepts a command, reserving die time.
@@ -233,7 +302,8 @@ impl Package {
 
     /// Draws the fault decision for `cmd`. On a fault the involved die
     /// still burns a full array operation (the failed attempt), hard
-    /// failures retire the first target's block, and the matching
+    /// failures retire the first target's block (which `check_state`
+    /// found in service), and the matching
     /// [`FlashError`] is returned for the caller to classify via
     /// [`FlashError::is_transient`] / [`FlashError::is_device_failure`].
     fn roll_fault(&mut self, now: SimTime, cmd: &FlashCommand) -> Option<FlashError> {
@@ -255,41 +325,31 @@ impl Package {
             }
             OpKind::Program => {
                 self.fault_stats.prog_failures += 1;
-                if self.wear.force_retire(self.geom.block_index(target)) {
-                    self.fault_stats.blocks_force_retired += 1;
-                }
+                self.grow_bad(target);
                 Some(FlashError::ProgramFailed(target))
             }
             OpKind::Erase => {
                 self.fault_stats.erase_failures += 1;
-                if self.wear.force_retire(self.geom.block_index(target)) {
-                    self.fault_stats.blocks_force_retired += 1;
-                }
+                self.grow_bad(target);
                 Some(FlashError::EraseFailed(target))
             }
         }
     }
 
     fn check_state(&self, cmd: &FlashCommand) -> Result<(), FlashError> {
+        if cmd.kind == OpKind::Read {
+            return Ok(());
+        }
         for &t in cmd.targets {
-            let bidx = self.geom.block_index(t);
-            // Retirement stops program/erase; the stored charge is still
-            // readable, which is what lets live data be copied off a
-            // grown bad block.
-            if cmd.kind != OpKind::Read && self.wear.is_retired(bidx) {
+            let b = self.block(t);
+            if self.is_retired(b) {
                 return Err(FlashError::WornOut(t));
             }
             if cmd.kind == OpKind::Program {
-                let next = self
-                    .next_page
-                    .get(t.die as usize)
-                    .and_then(|d| d.get(t.block as usize))
-                    .copied()
-                    .unwrap_or(0);
-                if t.page < next {
+                if t.page < b.next_page {
                     return Err(FlashError::OverwriteWithoutErase(t));
                 }
-                if t.page > next {
+                if t.page > b.next_page {
                     return Err(FlashError::ProgramOrder(t));
                 }
             }
@@ -301,22 +361,15 @@ impl Package {
         if cmd.kind == OpKind::Read {
             return;
         }
-        if self.next_page.is_empty() {
-            self.next_page = vec![Vec::new(); self.geom.dies as usize];
-        }
         for &t in cmd.targets {
-            let next = if cmd.kind == OpKind::Program {
-                t.page + 1
+            let b = self.block_mut(t);
+            if cmd.kind == OpKind::Program {
+                b.next_page = t.page + 1;
             } else {
-                self.wear.record_erase(self.geom.block_index(t));
-                0
-            };
-            let blocks = &mut self.next_page[t.die as usize];
-            let block = t.block as usize;
-            if blocks.len() <= block {
-                blocks.resize(block + 1, 0);
+                b.next_page = 0;
+                b.erases += 1;
+                self.total_erases += 1;
             }
-            blocks[block] = next;
         }
     }
 }
@@ -513,7 +566,7 @@ mod tests {
         assert!(err.is_device_failure());
         assert_eq!(p.fault_stats().prog_failures, 1);
         assert_eq!(p.fault_stats().blocks_force_retired, 1);
-        assert_eq!(p.retired_blocks(), vec![0]);
+        assert_eq!(p.blocks[0][0].next_page, GROWN_BAD);
         assert_eq!(p.wear_report().retired_blocks, 1);
         // The grown bad block now rejects everything, faults or not.
         assert_eq!(
@@ -587,5 +640,255 @@ mod tests {
         assert!(p.begin_op(SimTime::ZERO, &bad).is_err());
         assert_eq!(p.stats().programs, 0);
         assert!(idle_at(&p, SimTime::ZERO));
+        let pristine = WearReport {
+            endurance: FlashGeometry::default().endurance,
+            ..WearReport::default()
+        };
+        assert_eq!(p.wear_report(), pristine);
+        assert!(p.blocks.is_empty(), "a rejected command allocates nothing");
+    }
+
+    /// Differential test of the block records against the wear tracker
+    /// and next-page vectors they replaced.
+    mod wear_spec {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::{BTreeMap, BTreeSet};
+
+        /// The package's wear accounting before it moved into the block
+        /// records, kept as their executable specification: erase counts
+        /// and a grown-bad set keyed by package-wide block index.
+        struct WearTracker {
+            endurance: u32,
+            erase_counts: BTreeMap<u64, u32>,
+            total_erases: u64,
+            retired: u64,
+            forced: BTreeSet<u64>,
+        }
+
+        impl WearTracker {
+            fn new(endurance: u32) -> Self {
+                WearTracker {
+                    endurance,
+                    erase_counts: BTreeMap::new(),
+                    total_erases: 0,
+                    retired: 0,
+                    forced: BTreeSet::new(),
+                }
+            }
+
+            fn record_erase(&mut self, block: u64) -> bool {
+                if self.forced.contains(&block) {
+                    return false;
+                }
+                let c = self.erase_counts.entry(block).or_insert(0);
+                if *c >= self.endurance {
+                    return false;
+                }
+                *c += 1;
+                self.total_erases += 1;
+                if *c >= self.endurance {
+                    self.retired += 1;
+                }
+                true
+            }
+
+            fn erase_count(&self, block: u64) -> u32 {
+                self.erase_counts.get(&block).copied().unwrap_or(0)
+            }
+
+            fn force_retire(&mut self, block: u64) -> bool {
+                if self.is_retired(block) {
+                    return false;
+                }
+                self.forced.insert(block);
+                self.retired += 1;
+                true
+            }
+
+            fn is_retired(&self, block: u64) -> bool {
+                if self.retired == 0 && self.endurance > 0 {
+                    return false;
+                }
+                self.forced.contains(&block) || self.erase_count(block) >= self.endurance
+            }
+
+            fn report(&self) -> WearReport {
+                let touched = self.erase_counts.len() as u64;
+                let max = self.erase_counts.values().copied().max().unwrap_or(0);
+                let mean = if touched == 0 {
+                    0.0
+                } else {
+                    self.total_erases as f64 / touched as f64
+                };
+                WearReport {
+                    total_erases: self.total_erases,
+                    touched_blocks: touched,
+                    max_erase_count: max,
+                    mean_erase_count: mean,
+                    retired_blocks: self.retired,
+                    endurance: self.endurance,
+                }
+            }
+        }
+
+        /// The package's NAND state checks and fault roll around the
+        /// tracker, as they were: what every command must return.
+        struct Spec {
+            geom: FlashGeometry,
+            wear: WearTracker,
+            next_page: BTreeMap<(u32, u32), u32>,
+            faults: FlashFaultProfile,
+            rng: SplitMix64,
+            forced: u64,
+        }
+
+        impl Spec {
+            fn index(&self, t: PageAddr) -> u64 {
+                let per_die = (self.geom.blocks_per_plane * self.geom.planes) as u64;
+                t.die as u64 * per_die + t.block as u64
+            }
+
+            fn next(&self, t: PageAddr) -> u32 {
+                self.next_page.get(&(t.die, t.block)).copied().unwrap_or(0)
+            }
+
+            fn run(&mut self, cmd: &FlashCommand, allow_faults: bool) -> Result<(), FlashError> {
+                cmd.validate(&self.geom)?;
+                for &t in cmd.targets {
+                    if cmd.kind != OpKind::Read && self.wear.is_retired(self.index(t)) {
+                        return Err(FlashError::WornOut(t));
+                    }
+                    if cmd.kind == OpKind::Program {
+                        let next = self.next(t);
+                        if t.page < next {
+                            return Err(FlashError::OverwriteWithoutErase(t));
+                        }
+                        if t.page > next {
+                            return Err(FlashError::ProgramOrder(t));
+                        }
+                    }
+                }
+                let prob = match cmd.kind {
+                    OpKind::Read => self.faults.read_transient_prob,
+                    OpKind::Program => self.faults.prog_fail_prob,
+                    OpKind::Erase => self.faults.erase_fail_prob,
+                };
+                if allow_faults && prob > 0.0 && self.rng.chance(prob) {
+                    let t = cmd.targets[0];
+                    if cmd.kind == OpKind::Read {
+                        return Err(FlashError::ReadTransient(t));
+                    }
+                    let index = self.index(t);
+                    self.forced += u64::from(self.wear.force_retire(index));
+                    return Err(if cmd.kind == OpKind::Program {
+                        FlashError::ProgramFailed(t)
+                    } else {
+                        FlashError::EraseFailed(t)
+                    });
+                }
+                for &t in cmd.targets {
+                    let next = match cmd.kind {
+                        OpKind::Read => continue,
+                        OpKind::Program => t.page + 1,
+                        OpKind::Erase => {
+                            let index = self.index(t);
+                            self.wear.record_erase(index);
+                            0
+                        }
+                    };
+                    self.next_page.insert((t.die, t.block), next);
+                }
+                Ok(())
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 64 })]
+
+            /// Over random program, erase, read and injected-failure
+            /// sequences, with endurances from 0 to 3: every command
+            /// returns what the specification returns, and after it the
+            /// wear report, every block's erase count and retirement,
+            /// and the grown-bad count agree.
+            #[test]
+            fn block_records_match_the_wear_tracker(
+                endurance in 0u32..4,
+                fail_permille in 0u32..400,
+                seed in 0u64..1_000,
+                // `(kind, die, block, pick)`: `pick` mostly programs the
+                // block's next page, otherwise a page at random, which
+                // NAND order may refuse; 7 runs the fault-immune path.
+                ops in prop::collection::vec((0u32..8, 0u32..2, 0u32..8, 0u32..8), 50..300),
+            ) {
+                let geom = FlashGeometry {
+                    dies: 2,
+                    planes: 2,
+                    blocks_per_plane: 4,
+                    pages_per_block: 4,
+                    page_size: 4096,
+                    endurance,
+                };
+                let p_fail = fail_permille as f64 / 1_000.0;
+                let faults = FlashFaultProfile {
+                    read_transient_prob: p_fail,
+                    prog_fail_prob: p_fail,
+                    erase_fail_prob: p_fail,
+                };
+                let mut p = Package::new(geom, FlashTiming::default());
+                p.set_faults(faults, seed);
+                let mut spec = Spec {
+                    geom,
+                    wear: WearTracker::new(endurance),
+                    next_page: BTreeMap::new(),
+                    faults,
+                    rng: SplitMix64::new(seed),
+                    forced: 0,
+                };
+                for (i, &(kind, die, block, pick)) in ops.iter().enumerate() {
+                    let (kind, mode, targets): (OpKind, CmdMode, Vec<PageAddr>) = match kind {
+                        0..=3 => {
+                            let at = a(die, block, 0);
+                            let page = if pick < 6 {
+                                spec.next(at).min(geom.pages_per_block - 1)
+                            } else {
+                                pick % geom.pages_per_block
+                            };
+                            (OpKind::Program, CmdMode::Normal, vec![a(die, block, page)])
+                        }
+                        4 | 5 => (OpKind::Erase, CmdMode::Normal, vec![a(die, block, 0)]),
+                        6 => (OpKind::Read, CmdMode::Normal, vec![a(die, block, pick % 4)]),
+                        // Both planes' blocks of a pair at once.
+                        _ => (
+                            OpKind::Erase,
+                            CmdMode::MultiPlane,
+                            vec![a(die, block & !1, 0), a(die, block | 1, 0)],
+                        ),
+                    };
+                    let cmd = FlashCommand::multi(kind, &targets, mode);
+                    let now = SimTime::from_us(i as u64);
+                    let allow_faults = pick != 7;
+                    let got = if allow_faults {
+                        p.begin_op(now, &cmd)
+                    } else {
+                        p.begin_op_recovery(now, &cmd)
+                    };
+                    let want = spec.run(&cmd, allow_faults);
+                    prop_assert_eq!(got.map(|_| ()), want, "command {}: {:?}", i, cmd);
+                    prop_assert_eq!(p.wear_report(), spec.wear.report(), "after command {}", i);
+                    prop_assert_eq!(p.total_erases(), spec.wear.report().total_erases);
+                    prop_assert_eq!(p.fault_stats().blocks_force_retired, spec.forced);
+                    for die in 0..geom.dies {
+                        for block in 0..geom.blocks_per_plane * geom.planes {
+                            let t = a(die, block, 0);
+                            let b = p.block(t);
+                            let index = spec.index(t);
+                            prop_assert_eq!(b.erases, spec.wear.erase_count(index));
+                            prop_assert_eq!(p.is_retired(b), spec.wear.is_retired(index));
+                        }
+                    }
+                }
+            }
+        }
     }
 }

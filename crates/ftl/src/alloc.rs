@@ -3,8 +3,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use triplea_sim::FxHashMap;
-
 use triplea_fimm::FimmAddr;
 use triplea_flash::{FlashGeometry, PageAddr};
 
@@ -43,6 +41,51 @@ impl PartialEq for Stream {
     }
 }
 
+/// Host-side erase counts of one FIMM's blocks: per write stream,
+/// indexed as [`FimmAllocator`]'s streams, then by plane-local block.
+/// Both levels grow to the highest stream and block recycled or
+/// quarantined; a block past the end was never erased.
+#[derive(Clone, Debug, Default)]
+struct EraseCounts {
+    streams: Vec<Vec<u32>>,
+}
+
+impl EraseCounts {
+    /// Erase count of plane-local block `i` of stream `s`.
+    fn get(&self, s: usize, i: usize) -> u32 {
+        self.streams
+            .get(s)
+            .and_then(|blocks| blocks.get(i))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Erase count of plane-local block `i` of stream `s`, grown into
+    /// the table.
+    fn get_mut(&mut self, s: usize, i: usize) -> &mut u32 {
+        if self.streams.len() <= s {
+            self.streams.resize_with(s + 1, Vec::new);
+        }
+        let blocks = &mut self.streams[s];
+        if blocks.len() <= i {
+            blocks.resize(i + 1, 0);
+        }
+        &mut blocks[i]
+    }
+}
+
+impl PartialEq for EraseCounts {
+    /// Equal tables hold the same counts, however far either has grown:
+    /// a block past the end counts 0.
+    fn eq(&self, other: &Self) -> bool {
+        let streams = self.streams.len().max(other.streams.len());
+        (0..streams).all(|s| {
+            let len = |t: &Self| t.streams.get(s).map_or(0, Vec::len);
+            (0..len(self).max(len(other))).all(|i| self.get(s, i) == other.get(s, i))
+        })
+    }
+}
+
 /// Allocates fresh physical pages inside one FIMM, log-structured per
 /// (package, die, plane) write stream with round-robin striping across
 /// streams.
@@ -56,8 +99,11 @@ pub struct FimmAllocator {
     geom: FlashGeometry,
     streams: Vec<Stream>,
     rr: usize,
-    erase_counts: FxHashMap<BlockKey, u32>,
-    retired: u64,
+    /// An erase count at the endurance limit retires the block.
+    erases: EraseCounts,
+    /// Blocks permanently retired: worn to the endurance limit or
+    /// quarantined as grown bad blocks.
+    pub(crate) retired: u64,
     /// Fresh plus recycled blocks across all streams: what
     /// [`Self::free_blocks`] reports, kept as blocks leave and rejoin
     /// the pool so the write path's GC check does not sum the streams.
@@ -87,7 +133,7 @@ impl FimmAllocator {
             geom,
             streams,
             rr: 0,
-            erase_counts: FxHashMap::default(),
+            erases: EraseCounts::default(),
             retired: 0,
             free,
         }
@@ -150,17 +196,15 @@ impl FimmAllocator {
         None
     }
 
-    /// The write stream of die-local `block` on (`package`, `die`), if
-    /// the FIMM has that die: [`Self::new`] lays the streams out
-    /// package-major, then die, then plane.
-    fn stream_mut(&mut self, (package, die, block): BlockKey) -> Option<&mut Stream> {
+    /// The index of the write stream of die-local `block` on
+    /// (`package`, `die`) and the block's plane-local index, if the FIMM
+    /// has that die: [`Self::new`] lays the streams out package-major,
+    /// then die, then plane.
+    fn stream_of(&self, (package, die, block): BlockKey) -> Option<(usize, usize)> {
         let g = &self.geom;
-        if die >= g.dies {
-            return None;
-        }
         let idx = (package as usize * g.dies as usize + die as usize) * g.planes as usize
             + g.plane_of_block(block) as usize;
-        self.streams.get_mut(idx)
+        (die < g.dies && idx < self.streams.len()).then_some((idx, (block / g.planes) as usize))
     }
 
     /// Returns an erased block to the free pool, bumping its erase count.
@@ -169,17 +213,17 @@ impl FimmAllocator {
     /// **retired** instead of recycled — handing it out again would fail
     /// at the NAND package, which enforces the same limit.
     pub fn recycle(&mut self, key: BlockKey) {
-        let count = self.erase_counts.entry(key).or_insert(0);
+        let (s, i) = self
+            .stream_of(key)
+            .expect("stream exists for every (package, die, plane)");
+        let count = self.erases.get_mut(s, i);
         *count += 1;
         let c = *count;
         if c >= self.geom.endurance {
             self.retired += 1;
             return;
         }
-        self.stream_mut(key)
-            .expect("stream exists for every (package, die, plane)")
-            .recycled
-            .push(Reverse((c, key.2)));
+        self.streams[s].recycled.push(Reverse((c, key.2)));
         self.free += 1;
     }
 
@@ -190,31 +234,22 @@ impl FimmAllocator {
     /// never pool it again.
     pub fn quarantine(&mut self, key: BlockKey) {
         let block = key.2;
-        if self.erase_count(key) >= self.geom.endurance {
+        // A block outside the FIMM has no stream and nothing to retire.
+        let Some((s, i)) = self.stream_of(key) else {
+            return;
+        };
+        if self.erases.get(s, i) >= self.geom.endurance {
             return; // already retired
         }
-        if let Some(s) = self.stream_mut(key) {
-            if matches!(s.active, Some((b, _)) if b == block) {
-                s.active = None;
-            }
-            let pooled = s.recycled.len();
-            s.recycled.retain(|Reverse((_, b))| *b != block);
-            let dropped = (pooled - s.recycled.len()) as u64;
-            self.free -= dropped;
+        let stream = &mut self.streams[s];
+        if matches!(stream.active, Some((b, _)) if b == block) {
+            stream.active = None;
         }
-        self.erase_counts.insert(key, self.geom.endurance);
+        let pooled = stream.recycled.len();
+        stream.recycled.retain(|Reverse((_, b))| *b != block);
+        self.free -= (pooled - stream.recycled.len()) as u64;
+        *self.erases.get_mut(s, i) = self.geom.endurance;
         self.retired += 1;
-    }
-
-    /// Blocks permanently retired: worn to the endurance limit or
-    /// quarantined as grown bad blocks.
-    pub fn retired_blocks(&self) -> u64 {
-        self.retired
-    }
-
-    /// Host-side erase count of a block (0 if never recycled).
-    pub fn erase_count(&self, key: BlockKey) -> u32 {
-        self.erase_counts.get(&key).copied().unwrap_or(0)
     }
 
     /// Free blocks remaining across all streams (fresh + recycled,
@@ -237,6 +272,12 @@ mod tests {
             page_size: 4096,
             endurance: 100,
         }
+    }
+
+    /// Host-side erase count of `key`, read from the table.
+    fn erase_count(a: &FimmAllocator, key: BlockKey) -> u32 {
+        let (s, i) = a.stream_of(key).expect("the FIMM has the block");
+        a.erases.get(s, i)
     }
 
     #[test]
@@ -289,7 +330,7 @@ mod tests {
             a.alloc().unwrap();
         }
         a.recycle((0, 0, 0));
-        assert_eq!(a.erase_count((0, 0, 0)), 1);
+        assert_eq!(erase_count(&a, (0, 0, 0)), 1);
         assert_eq!(a.free_blocks(), 1);
         let fresh = a.alloc().unwrap();
         assert_eq!((fresh.page.die, fresh.page.block), (0, 0));
@@ -331,8 +372,8 @@ mod tests {
         }
         a.recycle((0, 0, 0)); // erase count 2 = endurance: retired
         assert_eq!(a.free_blocks(), 0, "retired block must not return");
-        assert_eq!(a.retired_blocks(), 1);
-        assert_eq!(a.erase_count((0, 0, 0)), 2);
+        assert_eq!(a.retired, 1);
+        assert_eq!(erase_count(&a, (0, 0, 0)), 2);
     }
 
     /// `free_blocks` as it was computed before the running count: fresh
@@ -375,6 +416,16 @@ mod tests {
         assert_eq!((reused.page.die, reused.page.block), (0, 2));
         check(&a, "recycled block reopened");
         assert_eq!(a.free_blocks(), 0);
+    }
+
+    #[test]
+    fn equality_ignores_how_far_the_erase_table_grew() {
+        let a = FimmAllocator::new(1, geom());
+        let mut grown = a.clone();
+        *grown.erases.get_mut(2, 3) = 0;
+        assert!(grown == a, "a never-erased block counts 0 either way");
+        *grown.erases.get_mut(2, 3) = 1;
+        assert!(grown != a, "an erase count counts");
     }
 
     #[test]

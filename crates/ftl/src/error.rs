@@ -136,8 +136,9 @@ pub enum IntegrityError {
         map_loc: PhysLoc,
     },
     /// The GC victim index disagrees with the block table: it lists a
-    /// block that is not a GC candidate (absent, unsealed, or with no
-    /// invalid page), or omits one that is.
+    /// block that is not a GC candidate (absent, unsealed, with no
+    /// invalid page, or listed under another FIMM), or omits one that
+    /// is.
     VictimIndex {
         /// Global cluster index of the block.
         cluster: u32,

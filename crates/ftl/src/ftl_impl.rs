@@ -3,8 +3,6 @@
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 
-use triplea_sim::{FxHashMap, FxHashSet};
-
 use triplea_pcie::ClusterId;
 
 use crate::alloc::{BlockKey, FimmAllocator};
@@ -134,7 +132,8 @@ impl BlockUse {
 }
 
 /// A block's place in the [`BlockTable`]: the table's die index and
-/// the die-local block number.
+/// the die-local block number. Within one FIMM, `BlockRef` order is
+/// (package, die, block) order.
 type BlockRef = (usize, u32);
 
 /// The FTL's block table: for every die, the blocks the allocator has
@@ -198,14 +197,6 @@ impl PartialEq for BlockTable {
     }
 }
 
-/// Per-FIMM GC candidates: `(global cluster, fimm)` → the keys of the
-/// blocks in the table that satisfy [`BlockUse::is_gc_candidate`].
-type VictimIndex = FxHashMap<(u32, u32), FxHashSet<BlockKey>>;
-
-fn index_victim(victims: &mut VictimIndex, (c, f, key): (u32, u32, BlockKey)) {
-    victims.entry((c, f)).or_default().insert(key);
-}
-
 /// One block of a dead module's rebuild manifest (see
 /// [`Ftl::rebuild_manifest`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -256,13 +247,15 @@ pub struct Ftl {
     /// FIMM used.
     allocs: Vec<Option<FimmAllocator>>,
     blocks: BlockTable,
-    /// GC candidates per FIMM, derived from `blocks` so [`Ftl::gc_pick`]
-    /// never scans the whole table. A block only gains invalid pages
-    /// until GC removes it, so membership changes only when a block
-    /// seals or loses a page while sealed (insert) and in `gc_finish` /
+    /// GC candidates per global FIMM: the blocks of `blocks` that satisfy
+    /// [`BlockUse::is_gc_candidate`], ascending, so [`Ftl::gc_pick`]
+    /// never scans the whole table. The vector grows to the highest FIMM
+    /// with a candidate. A block only gains invalid pages until GC
+    /// removes it, so membership changes only when a block seals or
+    /// loses a page while sealed (insert) and in `gc_finish` /
     /// `gc_finish_failed` (remove). The journal's checkpoint maintains
     /// its own through replay, and power loss copies it back.
-    victims: VictimIndex,
+    victims: Vec<Vec<BlockRef>>,
     /// Demand-paged translation cache; `None` models the full in-DRAM
     /// map of Triple-A's relocated-DRAM design (§6.6).
     mapcache: Option<MappingCache>,
@@ -290,7 +283,7 @@ impl Ftl {
             map: PageMap::new(shape),
             allocs: Vec::new(),
             blocks: BlockTable::default(),
-            victims: VictimIndex::default(),
+            victims: Vec::new(),
             mapcache: None,
             gc_policy: GcPolicy::Greedy,
             seal_seq: 0,
@@ -449,6 +442,24 @@ impl Ftl {
         )
     }
 
+    /// The global FIMM of a block-table reference.
+    fn fimm_of(&self, (die, _): BlockRef) -> usize {
+        die / (self.shape.packages_per_fimm * self.shape.flash.dies) as usize
+    }
+
+    /// Lists a block that just became a GC candidate in its FIMM's
+    /// victims, keeping them sorted.
+    fn add_victim(&mut self, at: BlockRef) {
+        let g = self.fimm_of(at);
+        if self.victims.len() <= g {
+            self.victims.resize_with(g + 1, Vec::new);
+        }
+        let v = &mut self.victims[g];
+        if let Err(pos) = v.binary_search(&at) {
+            v.insert(pos, at);
+        }
+    }
+
     /// Records `lpn` as programmed at the freshly allocated `loc`,
     /// sealing the block when this was its last page.
     fn record_program(&mut self, lpn: LogicalPage, loc: PhysLoc) {
@@ -466,8 +477,7 @@ impl Ftl {
             self.seal_seq += 1;
             entry.sealed_seq = self.seal_seq;
             if entry.invalid() > 0 {
-                let key = self.block_key(at);
-                index_victim(&mut self.victims, key);
+                self.add_victim(at);
             }
         }
     }
@@ -487,8 +497,7 @@ impl Ftl {
                 // A sealed block joins the index with its first invalid
                 // page and stays until GC removes it.
                 if b.programmed == pages && b.invalid() == 1 {
-                    let key = self.block_key(at);
-                    index_victim(&mut self.victims, key);
+                    self.add_victim(at);
                 }
             }
         }
@@ -691,10 +700,10 @@ impl Ftl {
             // Candidates missing from the index are caught here; listed
             // non-candidates by the walk over the index below.
             if b.is_gc_candidate(pages)
-                && !self
+                && self
                     .victims
-                    .get(&(c, f))
-                    .is_some_and(|keys| keys.contains(&key))
+                    .get(self.fimm_of(at))
+                    .is_none_or(|v| v.binary_search(&at).is_err())
             {
                 return Err(index_error((c, f, key), false));
             }
@@ -714,14 +723,15 @@ impl Ftl {
                 }
             }
         }
-        for (&(c, f), keys) in &self.victims {
-            for &key in keys {
-                let candidate = self
-                    .block_ref((c, f, key))
-                    .and_then(|at| self.blocks.get(at))
-                    .is_some_and(|b| b.is_gc_candidate(pages));
+        for (g, v) in self.victims.iter().enumerate() {
+            for &at in v {
+                let candidate = self.fimm_of(at) == g
+                    && self
+                        .blocks
+                        .get(at)
+                        .is_some_and(|b| b.is_gc_candidate(pages));
                 if !candidate {
-                    return Err(index_error((c, f, key), true));
+                    return Err(index_error(self.block_key(at), true));
                 }
             }
         }
@@ -757,14 +767,16 @@ impl Ftl {
     fn forget_victim(&mut self, work: &GcWork) -> BlockKey {
         let gc = self.shape.topology.global_index(work.cluster);
         let key = (work.package, work.die, work.block);
-        if let Some(b) = self
-            .block_ref((gc, work.fimm, key))
-            .and_then(|at| self.blocks.get_mut(at))
-        {
-            b.erase();
-        }
-        if let Some(keys) = self.victims.get_mut(&(gc, work.fimm)) {
-            keys.remove(&key);
+        if let Some(at) = self.block_ref((gc, work.fimm, key)) {
+            if let Some(b) = self.blocks.get_mut(at) {
+                b.erase();
+            }
+            let g = self.fimm_of(at);
+            if let Some(v) = self.victims.get_mut(g) {
+                if let Ok(pos) = v.binary_search(&at) {
+                    v.remove(pos);
+                }
+            }
         }
         key
     }
@@ -806,27 +818,27 @@ impl Ftl {
     /// Reads only the FIMM's victim index, so a FIMM with nothing to
     /// reclaim costs one lookup however large the block table is.
     pub fn gc_pick(&self, cluster: ClusterId, fimm: u32) -> Option<GcWork> {
+        if fimm >= self.shape.fimms_per_cluster {
+            return None;
+        }
         let gc = self.shape.topology.global_index(cluster);
-        let (key, b) = self
+        let g = (gc * self.shape.fimms_per_cluster + fimm) as usize;
+        let (at, b) = self
             .victims
-            .get(&(gc, fimm))?
+            .get(g)?
             .iter()
-            .map(|&key| {
-                let at = self
-                    .block_ref((gc, fimm, key))
-                    .expect("indexed blocks lie in the shape");
-                (
-                    key,
-                    self.blocks
-                        .get(at)
-                        .expect("indexed blocks are in the table"),
-                )
+            .map(|&at| {
+                let b = self
+                    .blocks
+                    .get(at)
+                    .expect("indexed blocks are in the table");
+                (at, b)
             })
-            // Tie-break on the block key: the victim set is hashed, so
-            // its iteration order is arbitrary, and the pick must not
-            // depend on it (replay determinism is a contract of the
-            // whole simulator).
-            .max_by_key(|&(key, b)| (self.gc_score(b), Reverse(key)))?;
+            // Among equal scores the lowest `BlockRef`, that is the
+            // lowest (package, die, block), wins: the pick depends on
+            // the candidates alone.
+            .max_by_key(|&(at, b)| (self.gc_score(b), Reverse(at)))?;
+        let (_, _, key) = self.block_key(at);
         Some(self.gc_work(cluster, fimm, key, b))
     }
 
@@ -1304,31 +1316,33 @@ mod tests {
             f.write_alloc(LogicalPage(0), None).unwrap();
         }
         f.verify_integrity().unwrap();
-        let fimm_key = (f.shape.topology.global_index(home.cluster), home.fimm);
         let victim = f.gc_pick(home.cluster, home.fimm).expect("victim exists");
+        let gc = f.shape.topology.global_index(victim.cluster);
         let key = (victim.package, victim.die, victim.block);
+        let at = f.block_ref((gc, victim.fimm, key)).unwrap();
+        let g = f.fimm_of(at);
         // Simulate a maintenance site that forgot to index a candidate.
-        f.victims.get_mut(&fimm_key).unwrap().remove(&key);
+        f.victims[g].retain(|&x| x != at);
         let err = f.verify_integrity().unwrap_err();
         assert!(
             matches!(
                 err,
-                IntegrityError::VictimIndex { indexed: false, block, .. } if block == key.2
+                IntegrityError::VictimIndex { indexed: false, block, .. } if block == victim.block
             ),
             "{err}"
         );
         assert!(err.to_string().contains("index omits"), "{err}");
         // ... and one that left a block behind that is no candidate.
-        f.victims.get_mut(&fimm_key).unwrap().insert(key);
+        f.add_victim(at);
         f.verify_integrity().unwrap();
-        f.victims.get_mut(&fimm_key).unwrap().insert((99, 0, 0));
+        f.add_victim((at.0, 99));
         let err = f.verify_integrity().unwrap_err();
         assert!(
             matches!(
                 err,
                 IntegrityError::VictimIndex {
                     indexed: true,
-                    package: 99,
+                    block: 99,
                     ..
                 }
             ),
@@ -1386,7 +1400,7 @@ mod tests {
             "failed erase returns nothing to the pool"
         );
         assert_eq!(f.stats().gc_erases, 0);
-        assert_eq!(f.allocator(work.cluster, work.fimm).retired_blocks(), 1);
+        assert_eq!(f.allocator(work.cluster, work.fimm).retired, 1);
         f.verify_integrity().unwrap();
         // The quarantined block is never handed out again: drain the
         // FIMM and check the bad block's pages never reappear.
@@ -1703,11 +1717,15 @@ mod tests {
 
         /// Derives the victim index from a block table: what the index
         /// maintained incrementally must equal.
-        fn victims_of(f: &Ftl) -> VictimIndex {
-            let mut victims = VictimIndex::default();
+        fn victims_of(f: &Ftl) -> Vec<Vec<BlockRef>> {
+            let mut victims: Vec<Vec<BlockRef>> = Vec::new();
             for (at, b) in f.blocks.iter() {
                 if b.is_gc_candidate(f.shape.flash.pages_per_block) {
-                    index_victim(&mut victims, f.block_key(at));
+                    let g = f.fimm_of(at);
+                    if victims.len() <= g {
+                        victims.resize_with(g + 1, Vec::new);
+                    }
+                    victims[g].push(at);
                 }
             }
             victims
@@ -1729,9 +1747,12 @@ mod tests {
                 .map(|((_, _, key), b)| f.gc_work(cluster, fimm, key, b))
         }
 
-        pub(super) fn flatten(v: &VictimIndex) -> BTreeSet<(u32, u32, BlockKey)> {
-            v.iter()
-                .flat_map(|(&(c, f), keys)| keys.iter().map(move |&k| (c, f, k)))
+        /// Every `(global FIMM, block)` an index lists, however far its
+        /// vector grew.
+        pub(super) fn flatten(v: &[Vec<BlockRef>]) -> BTreeSet<(usize, BlockRef)> {
+            (0..)
+                .zip(v)
+                .flat_map(|(g, refs)| refs.iter().map(move |&at| (g, at)))
                 .collect()
         }
 
@@ -1895,6 +1916,7 @@ mod tests {
         use std::collections::BTreeSet;
         use triplea_fimm::FimmAddr;
         use triplea_flash::PageAddr;
+        use triplea_sim::FxHashMap;
 
         /// A clone as a sortable key: `(lpn, block, page)`.
         type CloneKey = (u64, (u32, u32, BlockKey), u32);
@@ -2057,6 +2079,7 @@ mod tests {
         use crate::layout::StripedLayout;
         use proptest::prelude::*;
         use std::collections::BTreeSet;
+        use triplea_sim::FxHashMap;
 
         /// The audit before the block-slot check, kept as its executable
         /// specification: a hash map of every remapped page catches two
@@ -2105,12 +2128,12 @@ mod tests {
                 }
                 // The index forgets its first candidate.
                 3 => {
-                    if let Some(&(c, fimm, key)) = flatten(&f.victims).first() {
-                        f.victims.get_mut(&(c, fimm)).unwrap().remove(&key);
+                    if let Some(&(g, at)) = flatten(&f.victims).first() {
+                        f.victims[g].retain(|&x| x != at);
                     }
                 }
                 // The index lists a block that is no candidate.
-                4 => index_victim(&mut f.victims, (0, 0, (99, 0, 0))),
+                4 => f.add_victim((0, 99)),
                 // `a` mapped past the last FIMM.
                 5 => {
                     let fimm = f.shape.fimms_per_cluster;

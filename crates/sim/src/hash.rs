@@ -7,13 +7,13 @@
 //! word, identical results on every platform and every run.
 //!
 //! Determinism note: swapping the hasher changes *iteration order* of
-//! maps. Every map in the workspace that uses these aliases was audited
-//! before adopting them — each is either never iterated, or its
-//! consumers sort/tie-break before order can leak into simulated
-//! outcomes (see `DESIGN.md`, "Hot-path architecture"). Tables keyed by
-//! a dense position (the FTL's block and allocator tables, a package's
-//! next-page pointers) are vectors indexed by that position instead,
-//! so no hash order reaches their walks at all.
+//! maps. The maps that use these aliases are keyed by LPN, chunk or
+//! request id, and each was audited before adopting them: it is either
+//! never iterated, or its consumers sort before order can leak into
+//! simulated outcomes (see `DESIGN.md`, "Hot-path architecture").
+//! Tables keyed by hardware position (blocks, FIMMs, clusters) are
+//! vectors indexed by that position instead, so no hash order reaches
+//! their walks at all.
 //!
 //! # Example
 //!

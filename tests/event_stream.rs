@@ -64,8 +64,7 @@ fn faulty_reads(hot_spares: u32) -> RunTrace {
             c.faults.pcie.replay_ns = 800;
             c.faults.flash.read_transient_prob = 0.02;
             c.faults.seed = 17;
-            c.faults = c
-                .faults
+            c.faults = std::mem::take(&mut c.faults)
                 .with_fimm_event(FimmFaultEvent {
                     cluster: 0,
                     fimm: 0,
@@ -98,8 +97,7 @@ fn journaled_overwrites() -> RunTrace {
             c.shape.flash.blocks_per_plane = 8;
             c.gc_threshold_blocks = 250;
             c.hot_spares = 1;
-            c.faults = c
-                .faults
+            c.faults = std::mem::take(&mut c.faults)
                 .with_power_loss(PowerLossEvent {
                     at_ns: 2_000_000,
                     flush_every: 4,

@@ -5,10 +5,8 @@
 //! [`AutonomicState::pick_cold_sibling`]; the event-loop integration is
 //! in [`crate::array`].
 
-use triplea_sim::FxHashSet;
-
 use triplea_pcie::{ClusterId, Topology};
-use triplea_sim::{Nanos, SimTime, SplitMix64};
+use triplea_sim::{grown, FxHashSet, Nanos, SimTime, SplitMix64};
 
 use crate::config::{AutonomicParams, COLD_BUS_THRESHOLD};
 
@@ -198,11 +196,8 @@ impl AutonomicState {
         now: SimTime,
         cooldown_ns: Nanos,
     ) -> bool {
-        let cluster = cluster as usize;
-        if self.last_laggard.len() <= cluster {
-            self.last_laggard.resize_with(cluster + 1, Vec::new);
-        }
-        if !debounce(&mut self.last_laggard[cluster], fimm, now, cooldown_ns) {
+        let clocks = grown(&mut self.last_laggard, cluster as usize);
+        if !debounce(clocks, fimm, now, cooldown_ns) {
             return false;
         }
         self.stats.laggard_detections += 1;
@@ -239,14 +234,11 @@ fn debounce(
     now: SimTime,
     cooldown_ns: Nanos,
 ) -> bool {
-    let slot = slot as usize;
-    if clocks.len() <= slot {
-        clocks.resize(slot + 1, None);
-    }
-    if clocks[slot].is_some_and(|last| now.saturating_since(last) < cooldown_ns) {
+    let clock = grown(clocks, slot as usize);
+    if clock.is_some_and(|last| now.saturating_since(last) < cooldown_ns) {
         return false;
     }
-    clocks[slot] = Some(now);
+    *clock = Some(now);
     true
 }
 

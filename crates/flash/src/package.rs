@@ -1,7 +1,7 @@
 //! The NAND package state machine: dies as busy-until servers, program
 //! order enforcement, wear accounting.
 
-use triplea_sim::{FifoResource, Nanos, SimTime, SplitMix64};
+use triplea_sim::{grown, FifoResource, Nanos, SimTime, SplitMix64};
 
 use crate::command::{CmdMode, FlashCommand, OpKind};
 use crate::error::FlashError;
@@ -164,15 +164,12 @@ impl Package {
 
     /// The state of the block holding `t`, grown into the table.
     fn block_mut(&mut self, t: PageAddr) -> &mut BlockState {
+        // All dies at once: grown on demand, this level's capacity
+        // would round up to four, 0.19 MiB more on `wide_uniform`.
         if self.blocks.is_empty() {
             self.blocks = vec![Vec::new(); self.geom.dies as usize];
         }
-        let blocks = &mut self.blocks[t.die as usize];
-        let block = t.block as usize;
-        if blocks.len() <= block {
-            blocks.resize(block + 1, BlockState::default());
-        }
-        &mut blocks[block]
+        grown(&mut self.blocks[t.die as usize], t.block as usize)
     }
 
     /// `true` once a block reached its endurance limit or grew bad.

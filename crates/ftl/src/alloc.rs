@@ -5,6 +5,7 @@ use std::collections::BinaryHeap;
 
 use triplea_fimm::FimmAddr;
 use triplea_flash::{FlashGeometry, PageAddr};
+use triplea_sim::grown;
 
 /// Key of a physical block within a FIMM: (package, die, block).
 pub(crate) type BlockKey = (u32, u32, u32);
@@ -63,14 +64,7 @@ impl EraseCounts {
     /// Erase count of plane-local block `i` of stream `s`, grown into
     /// the table.
     fn get_mut(&mut self, s: usize, i: usize) -> &mut u32 {
-        if self.streams.len() <= s {
-            self.streams.resize_with(s + 1, Vec::new);
-        }
-        let blocks = &mut self.streams[s];
-        if blocks.len() <= i {
-            blocks.resize(i + 1, 0);
-        }
-        &mut blocks[i]
+        grown(grown(&mut self.streams, s), i)
     }
 }
 

@@ -4,6 +4,7 @@ use std::cmp::Reverse;
 use std::collections::VecDeque;
 
 use triplea_pcie::ClusterId;
+use triplea_sim::grown;
 
 use crate::alloc::{BlockKey, FimmAllocator};
 use crate::error::{FtlError, IntegrityError, RecoveryError};
@@ -157,14 +158,7 @@ impl BlockTable {
 
     /// The entry of a block being programmed, grown into the table.
     fn opened(&mut self, (die, block): BlockRef) -> &mut BlockUse {
-        if self.dies.len() <= die {
-            self.dies.resize_with(die + 1, Vec::new);
-        }
-        let blocks = &mut self.dies[die];
-        if blocks.len() <= block as usize {
-            blocks.resize_with(block as usize + 1, BlockUse::default);
-        }
-        &mut blocks[block as usize]
+        grown(grown(&mut self.dies, die), block as usize)
     }
 
     /// The blocks of dies `dies` with a programmed page, in (die, block)
@@ -354,12 +348,9 @@ impl Ftl {
     fn allocator(&mut self, cluster: ClusterId, fimm: u32) -> &mut FimmAllocator {
         let g = (self.shape.topology.global_index(cluster) * self.shape.fimms_per_cluster + fimm)
             as usize;
-        if self.allocs.len() <= g {
-            self.allocs.resize_with(g + 1, || None);
-        }
         let packages = self.shape.packages_per_fimm;
         let flash = self.shape.flash;
-        self.allocs[g].get_or_insert_with(|| FimmAllocator::new(packages, flash))
+        grown(&mut self.allocs, g).get_or_insert_with(|| FimmAllocator::new(packages, flash))
     }
 
     fn write_internal(
@@ -451,10 +442,7 @@ impl Ftl {
     /// victims, keeping them sorted.
     fn add_victim(&mut self, at: BlockRef) {
         let g = self.fimm_of(at);
-        if self.victims.len() <= g {
-            self.victims.resize_with(g + 1, Vec::new);
-        }
-        let v = &mut self.victims[g];
+        let v = grown(&mut self.victims, g);
         if let Err(pos) = v.binary_search(&at) {
             v.insert(pos, at);
         }
@@ -818,6 +806,8 @@ impl Ftl {
     /// Reads only the FIMM's victim index, so a FIMM with nothing to
     /// reclaim costs one lookup however large the block table is.
     pub fn gc_pick(&self, cluster: ClusterId, fimm: u32) -> Option<GcWork> {
+        // Past the cluster's last FIMM, `g` would name the next
+        // cluster's first.
         if fimm >= self.shape.fimms_per_cluster {
             return None;
         }
@@ -1721,11 +1711,7 @@ mod tests {
             let mut victims: Vec<Vec<BlockRef>> = Vec::new();
             for (at, b) in f.blocks.iter() {
                 if b.is_gc_candidate(f.shape.flash.pages_per_block) {
-                    let g = f.fimm_of(at);
-                    if victims.len() <= g {
-                        victims.resize_with(g + 1, Vec::new);
-                    }
-                    victims[g].push(at);
+                    grown(&mut victims, f.fimm_of(at)).push(at);
                 }
             }
             victims

@@ -52,3 +52,20 @@ pub use time::{Nanos, SimTime};
 pub use trace::{
     Metric, MetricRegistry, Recorder, RunTrace, TraceConfig, TraceEvent, TraceEventKind, TraceScope,
 };
+
+/// Entry `i` of a table indexed by position, after growing the table
+/// with default entries up to `i`. The simulator's tables keyed by
+/// block, FIMM or cluster grow this way on first use instead of being
+/// sized to the hardware up front.
+///
+/// ```
+/// let mut clocks: Vec<Option<u64>> = Vec::new();
+/// *triplea_sim::grown(&mut clocks, 2) = Some(7);
+/// assert_eq!(clocks, [None, None, Some(7)]);
+/// ```
+pub fn grown<T: Default>(table: &mut Vec<T>, i: usize) -> &mut T {
+    if table.len() <= i {
+        table.resize_with(i + 1, T::default);
+    }
+    &mut table[i]
+}
